@@ -1,9 +1,9 @@
 // Churn-aware evaluation sweep (ROADMAP open item): detection/localization quality vs
 // topology-churn rate. Each trial injects one random link failure, samples a churn trace for
-// one 30 s window, and runs RunWindowWithChurn — probes before each churn event see the
-// pre-delta network, the incremental repair re-routes mid-window, and the diagnoser works on
-// whatever observations survived slot invalidation. Post-window recovery events are applied
-// directly so every trial starts from a clean overlay.
+// one 30 s window, and runs the window through RunWindowStreaming — probes before each churn
+// event see the pre-delta network, the incremental repair re-routes mid-window, and the
+// diagnoser works on whatever observations survived slot invalidation. Post-window recovery
+// events are applied directly so every trial starts from a clean overlay.
 //
 // There is no paper counterpart: the paper evaluates static failure scenarios per window
 // (§6.3); this sweep prices how much continuous link/switch churn erodes accuracy.
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
           rate > 0.0 ? generator.Sample(options.window_seconds, rng)
                      : std::vector<ChurnEvent>{};
       const auto in_window = WindowSlice(trace, 0.0, options.window_seconds);
-      const auto window = system.RunWindowWithChurn(scenario, in_window, rng);
+      const auto window = system.RunWindowStreaming(scenario, in_window, rng).window;
       counts += EvaluateLocalization(window.localization.links, scenario.FailedLinks());
       events += window.churn_events_applied;
       probes += window.probes_sent;

@@ -351,12 +351,14 @@ int main(int argc, char** argv) {
     scenarios.push_back(model.SampleLinkFailures(1, scenario_rng));
   }
 
-  // Batch baseline: same slicing, one diagnosis at window end.
+  // Batch baseline: same slicing, one diagnosis at window end (cadence = segments).
   std::vector<LocalizeResult> batch_finals;
   int batch_detected = 0;
+  system.set_diagnose_every_segments(segments);
   for (int t = 0; t < trials; ++t) {
     Rng rng(seed + 100 + static_cast<uint64_t>(t));
-    const auto result = system.RunWindow(scenarios[static_cast<size_t>(t)], rng);
+    const auto result =
+        system.RunWindowStreaming(scenarios[static_cast<size_t>(t)], {}, rng).window;
     const LinkId injected = scenarios[static_cast<size_t>(t)].failures[0].link;
     for (const SuspectLink& s : result.localization.links) {
       if (s.link == injected) {

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
     ConfusionCounts counts;
     for (int t = 0; t < trials; ++t) {
       const FailureScenario scenario = model.SampleLinkFailures(1, rng);
-      const auto window = system.RunWindow(scenario, rng);
+      const auto window = system.RunWindowStreaming(scenario, {}, rng).window;
       counts += EvaluateLocalization(window.localization.links, scenario.FailedLinks());
     }
 

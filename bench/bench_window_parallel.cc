@@ -1,7 +1,7 @@
-// Sharded probe-plane benchmark: wall-clock of DetectorSystem::RunWindow at increasing shard
-// thread counts, plus a bit-exactness check — the same seed must produce an identical
-// WindowResult at every thread count (per-shard RNG streams are keyed by pinger id, so
-// scheduling cannot leak into the counters).
+// Sharded probe-plane benchmark: window wall-clock (DetectorSystem::RunWindowStreaming) at
+// increasing shard thread counts, plus a bit-exactness check — the same seed must produce an
+// identical WindowResult at every thread count (per-shard RNG streams are keyed by pinger id,
+// so scheduling cannot leak into the counters).
 //
 // Acceptance (ISSUE 2): >= 3x window-execution speedup at 8 threads vs 1 thread on
 // fat-tree(16). The equivalence gate is enforced unconditionally; the speedup gate only when
@@ -317,7 +317,7 @@ int main(int argc, char** argv) {
     std::vector<WindowFingerprint> prints;
     WallTimer timer;
     for (int w = 0; w < windows; ++w) {
-      prints.push_back(WindowFingerprint::Of(system.RunWindow(scenario, rng)));
+      prints.push_back(WindowFingerprint::Of(system.RunWindowStreaming(scenario, {}, rng).window));
     }
     const double mean_ms = timer.ElapsedMillis() / windows;
     bool identical = true;
@@ -361,7 +361,7 @@ int main(int argc, char** argv) {
     std::vector<WindowFingerprint> prints;
     WallTimer timer;
     for (int w = 0; w < windows; ++w) {
-      prints.push_back(WindowFingerprint::Of(system.RunWindow(scenario, rng)));
+      prints.push_back(WindowFingerprint::Of(system.RunWindowStreaming(scenario, {}, rng).window));
     }
     const double mean_ms = timer.ElapsedMillis() / windows;
     bool identical = true;

@@ -43,6 +43,7 @@
 #include "src/anomaly/anomaly_engine.h"
 #include "src/common/flags.h"
 #include "src/common/rng.h"
+#include "src/detector/analyzer.h"
 #include "src/detector/system.h"
 #include "src/net/impairment.h"
 #include "src/net/udp.h"
@@ -302,82 +303,41 @@ int RunCollectorRole(const Flags& flags) {
   }
   const FatTree fattree(k);
   const FatTreeRouting routing(fattree);
-  const DetectorSystemOptions options = FleetOptions();
-  DetectorSystem system(routing, options);
+  DetectorSystemOptions options = FleetOptions();
+  const DetectorSystem system(routing, options);
   const PartitionMap partition = FleetPartition(system, collectors);
   const Topology& topo = fattree.topology();
-  Watchdog watchdog(topo);
-  Diagnoser diagnoser(options.pll);
-  diagnoser.store().EnsureSlots(system.probe_matrix().NumPaths());
+  const Watchdog watchdog(topo);
+  // Gray mode: each collector runs the anomaly plane over its partition's folded RTT
+  // sketches, one boundary per window. One boundary per window means the default 3-boundary
+  // warmup would eat most of a short fleet run, so warm up in 2.
+  options.anomaly = gray;
+  options.anomaly_options.warmup_boundaries = 2;
+  Analyzer analyzer(options, system.probe_matrix(), watchdog);
   CollectorOptions collector_options;
   collector_options.key = key;
   collector_options.liveness_horizon =
       static_cast<uint64_t>(flags.GetInt("horizon", 2));  // windows of silence = stale
-  Collector collector(diagnoser.store(), collector_options);
+  Collector collector(analyzer.diagnoser().store(), collector_options);
   collector.SetPartition(&partition, static_cast<int>(index));
-  collector.BeginWindow(1);
   std::printf("collector %zu/%zu on Fattree(%d): 127.0.0.1:%u, horizon=%llu windows\n",
               index, collectors, k, transport->port(),
               static_cast<unsigned long long>(collector_options.liveness_horizon));
 
-  // Gray mode: each collector runs the anomaly plane over its partition's folded RTT
-  // sketches, one boundary per window. One boundary per window means the default 3-boundary
-  // warmup would eat most of a short fleet run, so warm up in 2.
-  AnomalyOptions anomaly_options;
-  anomaly_options.warmup_boundaries = 2;
-  AnomalyEngine anomaly(anomaly_options);
-
-  auto diagnose_window = [&](uint64_t window) {
-    std::vector<LinkAnomaly> anomalies;
-    if (gray) {
-      // Observe before Diagnose — it consumes (clears) the store.
-      ObservationStore& store = diagnoser.store();
-      const ObservationView totals =
-          store.RunningTotals(system.probe_matrix().NumPaths(), watchdog);
-      anomalies = anomaly.Observe(system.probe_matrix(), totals, store.RttRunningTotals());
-    }
-    const auto result = diagnoser.Diagnose(system.probe_matrix(), watchdog);
-    std::printf("collector %zu window %llu: alarms=%zu", index,
-                static_cast<unsigned long long>(window), result.links.size());
-    for (const auto& s : result.links) {
-      std::printf("  %s(est=%.3f)", topo.LinkName(s.link).c_str(), s.estimated_loss_rate);
-    }
-    for (const LinkAnomaly& a : anomalies) {
-      std::printf("  anomaly[%s %s run=%d score=%.2f]", topo.LinkName(a.link).c_str(),
-                  AnomalySignalName(a.signal), a.sustained, a.score);
-    }
-    std::printf("\n");
-    if (gray) {
-      anomaly.BeginWindow();  // the Diagnose above cleared the store; re-base the totals
-    }
-  };
-  collector.set_on_window_advance(
-      [&](uint64_t closed, uint64_t /*opened*/) { diagnose_window(closed); });
-
-  const auto start = std::chrono::steady_clock::now();
-  auto last_activity = start;
-  bool any_frames = false;
-  for (;;) {
-    std::vector<uint8_t> frame;
-    if (transport->ReceiveTimeout(frame, 200)) {
-      collector.Offer(std::move(frame));
-      collector.Drain();
-      last_activity = std::chrono::steady_clock::now();
-      any_frames = true;
-      continue;
-    }
-    const auto now = std::chrono::steady_clock::now();
-    if (any_frames &&
-        std::chrono::duration<double, std::milli>(now - last_activity).count() > idle_ms) {
-      break;
-    }
-    if (std::chrono::duration<double>(now - start).count() > listen_seconds) {
-      break;
-    }
-  }
-  if (any_frames) {
-    diagnose_window(collector.current_window());
-  }
+  analyzer.Serve(
+      collector, ReceiveUntilIdle(*transport, idle_ms, listen_seconds),
+      [&](uint64_t window, const WindowDiagnosis& diagnosis) {
+        std::printf("collector %zu window %llu: alarms=%zu", index,
+                    static_cast<unsigned long long>(window), diagnosis.localization.links.size());
+        for (const auto& s : diagnosis.localization.links) {
+          std::printf("  %s(est=%.3f)", topo.LinkName(s.link).c_str(), s.estimated_loss_rate);
+        }
+        for (const LinkAnomaly& a : diagnosis.anomalies) {
+          std::printf("  anomaly[%s %s run=%d score=%.2f]", topo.LinkName(a.link).c_str(),
+                      AnomalySignalName(a.signal), a.sustained, a.score);
+        }
+        std::printf("\n");
+      });
   const CollectorStats stats = collector.stats();
   std::printf("collector %zu done: %llu folded, %llu duplicates, %llu decode errors, "
               "%llu tampered, %llu stale-window, %llu misrouted, %llu pingers heard, "

@@ -31,8 +31,8 @@
 //
 // PR 9 separates ingest from retention: `--history-dir=DIR` makes every mode seal its
 // aggregation windows into an append-only WindowLog there (demo/direct windows with their full
-// diagnosis timeline, the split collector its per-window diagnoses, the split agent its local
-// shipped-counter totals), and `--mode=query` answers forensic questions over a recorded
+// diagnosis timeline, the split collector its per-window diagnoses, the split agent the
+// counters it shipped), and `--mode=query` answers forensic questions over a recorded
 // directory — retained range, top suspect links, loss episodes, per-rack rollups, and replay
 // of the logged windows at an altered hit-ratio threshold, without re-running a single probe:
 //
@@ -64,6 +64,7 @@
 #include <vector>
 
 #include "src/common/flags.h"
+#include "src/detector/analyzer.h"
 #include "src/detector/system.h"
 #include "src/history/query.h"
 #include "src/history/window_log.h"
@@ -140,32 +141,52 @@ detector::FailureScenario SplitModeScenario(const detector::FatTree& fattree) {
   return scenario;
 }
 
-// Tees the counters an agent ships into dense per-window totals, so agent mode can retain its
-// local contribution in a WindowLog (shipped counters only — the collector owns diagnosis).
+// Tees the counters an agent ships into a local store shard (when `local` is non-null), so
+// agent mode can retain what it shipped in a WindowLog through its own Analyzer.
 class TeeReportSink final : public detector::ReportSink {
  public:
-  TeeReportSink(detector::ReportSink& inner, detector::Observations& totals)
-      : inner_(inner), totals_(totals) {}
+  TeeReportSink(detector::ReportSink& inner, detector::ObservationStore::Shard* local)
+      : inner_(inner), local_(local) {}
   void OnPath(detector::PathId slot, detector::NodeId target, int64_t sent,
               int64_t lost) override {
     inner_.OnPath(slot, target, sent, lost);
-    if (static_cast<size_t>(slot) >= totals_.size()) {
-      totals_.resize(static_cast<size_t>(slot) + 1);
+    if (local_ != nullptr) {
+      local_->RecordPath(slot, target, sent, lost);
     }
-    totals_[static_cast<size_t>(slot)].sent += sent;
-    totals_[static_cast<size_t>(slot)].lost += lost;
   }
   void OnIntraRack(detector::NodeId target, int64_t sent, int64_t lost) override {
     inner_.OnIntraRack(target, sent, lost);
+    if (local_ != nullptr) {
+      local_->RecordIntraRack(target, sent, lost);
+    }
   }
 
  private:
   detector::ReportSink& inner_;
-  detector::Observations& totals_;
+  detector::ObservationStore::Shard* local_;
 };
 
+// Split-mode options that retain every window at --history-dir (when set).
+detector::DetectorSystemOptions SplitModeHistoryOptions(const detector::Flags& flags) {
+  detector::DetectorSystemOptions options = SplitModeOptions();
+  options.history_dir = flags.GetString("history-dir", "");
+  options.history_max_segments = static_cast<size_t>(flags.GetInt("history-segments", 0));
+  return options;
+}
+
+// True when `analyzer` retains its windows; reports a log that failed to open.
+bool Retaining(const detector::Analyzer& analyzer) {
+  const detector::WindowLogWriter* log = analyzer.history_log();
+  if (log != nullptr && !log->ok()) {
+    std::fprintf(stderr, "history disabled: %s\n", log->error().c_str());
+    return false;
+  }
+  return log != nullptr;
+}
+
 // --mode=agent: the pinger side alone. Probes every pinglist's window and ships the counters
-// as wire frames over UDP; no local store, no diagnosis — the collector process owns those.
+// as wire frames over UDP; the collector process owns the diagnosis. With --history-dir the
+// agent also retains what it shipped, through a local Analyzer.
 int RunAgent(const detector::Flags& flags) {
   using namespace detector;
   const int k = static_cast<int>(flags.GetInt("k", 6));
@@ -173,7 +194,6 @@ int RunAgent(const detector::Flags& flags) {
   const int windows = std::max(1, static_cast<int>(flags.GetInt("report-windows", 3)));
   const size_t batch = static_cast<size_t>(flags.GetInt("batch", 64));
   const size_t collectors = std::max<size_t>(1, static_cast<size_t>(flags.GetInt("collectors", 1)));
-  const std::string history_dir = flags.GetString("history-dir", "");
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 9)));
 
   // One UDP socket per collector partition: partition i listens on port + i.
@@ -193,16 +213,12 @@ int RunAgent(const detector::Flags& flags) {
   DetectorSystem system(routing, options);
   const PartitionMap partition = SplitModePartition(system, collectors);
   const ProbeEngine engine(fattree.topology(), SplitModeScenario(fattree), options.probe);
-  std::unique_ptr<WindowLogWriter> history;
-  WindowSealer sealer;
-  if (!history_dir.empty()) {
-    WindowLogOptions log_options;
-    log_options.max_segments = static_cast<size_t>(flags.GetInt("history-segments", 0));
-    history = std::make_unique<WindowLogWriter>(history_dir, log_options);
-    if (!history->ok()) {
-      std::fprintf(stderr, "history disabled: %s\n", history->error().c_str());
-      history.reset();
-    }
+  const Watchdog watchdog(fattree.topology());
+  // Retains the agent's shipped counters, and its local diagnosis of them.
+  auto history =
+      std::make_unique<Analyzer>(SplitModeHistoryOptions(flags), system.probe_matrix(), watchdog);
+  if (!Retaining(*history)) {
+    history.reset();
   }
   std::printf("agent on Fattree(%d): %zu pinglists -> 127.0.0.1:%u..%u (%zu collectors), "
               "%d windows%s\n",
@@ -215,20 +231,24 @@ int RunAgent(const detector::Flags& flags) {
     const uint64_t window_seed = rng();
     uint64_t frames = 0;
     uint64_t observations = 0;
-    Observations shipped(system.probe_matrix().NumPaths());
+    int64_t probes = 0;
+    if (history != nullptr) {
+      history->OpenWindow(static_cast<uint64_t>(w - 1));
+    }
     for (const Pinglist& list : system.pinglists()) {
       if (list.entries.empty()) {
         continue;
       }
       Transport& wire_out = *transports[static_cast<size_t>(partition.RouteOf(list.pinger))];
-      // No local store: every record ships with epoch 0, the fresh-store default the
-      // collector's window starts at.
+      // Every record ships with epoch 0, the fresh-store default the collector's window
+      // starts at.
       ReportEmitter emitter(list.pinger, static_cast<uint64_t>(w), 0, {}, wire_out, batch);
-      TeeReportSink tee(emitter, shipped);
-      ReportSink& sink = history != nullptr ? static_cast<ReportSink&>(tee) : emitter;
+      TeeReportSink tee(emitter, history != nullptr
+                                     ? &history->diagnoser().store().OpenShard(list.pinger)
+                                     : nullptr);
       Rng shard_rng = ProbeEngine::ShardRng(window_seed, static_cast<uint64_t>(list.pinger));
       const Pinger pinger(list, options.confirm_packets);
-      pinger.RunWindowTo(engine, options.window_seconds, shard_rng, sink);
+      probes += pinger.RunWindowTo(engine, options.window_seconds, shard_rng, tee).probes_sent;
       emitter.Flush();
       frames += emitter.stats().frames_emitted;
       observations += emitter.stats().observations_emitted;
@@ -238,17 +258,10 @@ int RunAgent(const detector::Flags& flags) {
       wire_bytes += transport->stats().bytes_sent;
     }
     if (history != nullptr) {
-      // One sealed boundary per window: the agent's local view of what it shipped. No
-      // diagnosis attaches — the collector's log owns the suspect timeline.
-      sealer.BeginWindow(static_cast<uint64_t>(w - 1));
-      sealer.CutBoundary(/*segment=*/1, options.window_seconds, shipped);
-      int64_t probes = 0;
-      for (const PathObservation& obs : shipped) {
-        probes += obs.sent;
-      }
-      history->OnWindowSealed(sealer.Finish(shipped.size(), /*churn_events=*/0,
-                                            /*dead_links=*/0, probes,
-                                            static_cast<int64_t>(wire_bytes - prev_wire_bytes)));
+      // One sealed boundary per window: the agent's local view of what it shipped.
+      history->CloseWindow(/*segment=*/1, options.window_seconds, /*churn_events=*/0,
+                           /*dead_links=*/0, probes,
+                           static_cast<int64_t>(wire_bytes - prev_wire_bytes));
     }
     prev_wire_bytes = wire_bytes;
     std::printf("agent window %d: %llu frames / %llu observations shipped (%llu wire bytes"
@@ -261,8 +274,8 @@ int RunAgent(const detector::Flags& flags) {
   }
   if (history != nullptr) {
     std::printf("agent history: %llu windows sealed to %s\n",
-                static_cast<unsigned long long>(history->records_appended()),
-                history->dir().c_str());
+                static_cast<unsigned long long>(history->history_log()->records_appended()),
+                history->history_log()->dir().c_str());
   }
   std::printf("agent done\n");
   return 0;
@@ -279,7 +292,6 @@ int RunCollector(const detector::Flags& flags) {
   const double listen_seconds = static_cast<double>(flags.GetInt("listen-seconds", 120));
   const size_t ingest_shards =
       std::max<size_t>(1, static_cast<size_t>(flags.GetInt("ingest-shards", 1)));
-  const std::string history_dir = flags.GetString("history-dir", "");
   const uint64_t horizon = static_cast<uint64_t>(flags.GetInt("horizon", 3));
 
   // --partition=i/N: this process is collector i of an N-way fabric and binds port + i.
@@ -303,33 +315,20 @@ int RunCollector(const detector::Flags& flags) {
   }
   const FatTree fattree(k);
   const FatTreeRouting routing(fattree);
-  const DetectorSystemOptions options = SplitModeOptions();
-  DetectorSystem system(routing, options);
+  DetectorSystem system(routing, SplitModeOptions());
   const PartitionMap partition =
       SplitModePartition(system, static_cast<size_t>(partition_count));
   const Topology& topo = fattree.topology();
-  Watchdog watchdog(topo);
-  Diagnoser diagnoser(options.pll);
-  diagnoser.store().EnsureSlots(system.probe_matrix().NumPaths());
+  const Watchdog watchdog(topo);
+  Analyzer analyzer(SplitModeHistoryOptions(flags), system.probe_matrix(), watchdog);
+  const bool retaining = Retaining(analyzer);
   CollectorOptions collector_options;
   collector_options.ingest_shards = ingest_shards;
-  // Liveness in window units: the clock ticks once per window advance, so a pinger silent
-  // for `horizon` windows shows up in StalePingers().
+  // Liveness in window units: the clock ticks once per window open, so a pinger silent for
+  // `horizon` windows shows up in StalePingers().
   collector_options.liveness_horizon = horizon;
-  Collector collector(diagnoser.store(), collector_options);
+  Collector collector(analyzer.diagnoser().store(), collector_options);
   collector.SetPartition(&partition, partition_index);
-  collector.BeginWindow(1);
-  std::unique_ptr<WindowLogWriter> history;
-  WindowSealer sealer;
-  if (!history_dir.empty()) {
-    WindowLogOptions log_options;
-    log_options.max_segments = static_cast<size_t>(flags.GetInt("history-segments", 0));
-    history = std::make_unique<WindowLogWriter>(history_dir, log_options);
-    if (!history->ok()) {
-      std::fprintf(stderr, "history disabled: %s\n", history->error().c_str());
-      history.reset();
-    }
-  }
   std::printf("collector %d/%d on Fattree(%d): listening on 127.0.0.1:%u (%zu slots, "
               "%zu of %zu pingers owned, %zu ingest shards)\n",
               partition_index, partition_count, k, transport->port(),
@@ -345,60 +344,18 @@ int RunCollector(const detector::Flags& flags) {
               }(),
               system.pinglists().size(), ingest_shards);
 
-  auto diagnose_window = [&](uint64_t window) {
-    const CollectorStats stats = collector.stats();
-    // Seal before Diagnose: the window-end delta must be cut while the store still holds the
-    // totals (Diagnose consumes them); the diagnosis attaches afterwards.
-    if (history != nullptr) {
-      sealer.BeginWindow(window > 0 ? window - 1 : 0);
-      sealer.CutBoundary(/*segment=*/1, options.window_seconds,
-                         diagnoser.store().RunningTotals(system.probe_matrix().NumPaths(),
-                                                         watchdog));
-    }
-    const auto result = diagnoser.Diagnose(system.probe_matrix(), watchdog);
-    if (history != nullptr) {
-      sealer.AttachDiagnosis(result.links, {});
-      history->OnWindowSealed(sealer.Finish(system.probe_matrix().NumPaths(),
-                                            /*churn_events=*/0, /*dead_links=*/0,
-                                            /*probes_sent=*/0, /*bytes_sent=*/0));
-    }
-    std::printf("collector window %llu: %llu frames folded so far, alarms=%zu",
-                static_cast<unsigned long long>(window),
-                static_cast<unsigned long long>(stats.frames_folded), result.links.size());
-    for (const auto& s : result.links) {
-      std::printf("  %s(est=%.3f)", topo.LinkName(s.link).c_str(), s.estimated_loss_rate);
-    }
-    std::printf("\n");
-  };
-  collector.set_on_window_advance([&](uint64_t closed, uint64_t /*opened*/) {
-    diagnose_window(closed);
-    collector.AdvanceBoundary();  // liveness clock ticks in window units
-  });
-
-  const auto start = std::chrono::steady_clock::now();
-  auto last_activity = start;
-  bool any_frames = false;
-  for (;;) {
-    std::vector<uint8_t> frame;
-    if (transport->ReceiveTimeout(frame, 200)) {
-      collector.Offer(std::move(frame));
-      collector.Drain();
-      last_activity = std::chrono::steady_clock::now();
-      any_frames = true;
-      continue;
-    }
-    const auto now = std::chrono::steady_clock::now();
-    if (any_frames && std::chrono::duration<double, std::milli>(now - last_activity).count() >
-                          idle_ms) {
-      break;  // the reporters went quiet: close out the last window below
-    }
-    if (std::chrono::duration<double>(now - start).count() > listen_seconds) {
-      break;
-    }
-  }
-  if (any_frames) {
-    diagnose_window(collector.current_window());
-  }
+  analyzer.Serve(collector, ReceiveUntilIdle(*transport, idle_ms, listen_seconds),
+                 [&](uint64_t window, const WindowDiagnosis& diagnosis) {
+                   std::printf("collector window %llu: %llu frames folded so far, alarms=%zu",
+                               static_cast<unsigned long long>(window),
+                               static_cast<unsigned long long>(collector.stats().frames_folded),
+                               diagnosis.localization.links.size());
+                   for (const auto& s : diagnosis.localization.links) {
+                     std::printf("  %s(est=%.3f)", topo.LinkName(s.link).c_str(),
+                                 s.estimated_loss_rate);
+                   }
+                   std::printf("\n");
+                 });
   const CollectorStats stats = collector.stats();
   std::printf("collector done: %llu frames folded, %llu duplicates, %llu decode errors, "
               "%llu tampered, %llu stale-window, %llu wrong-partition rejected\n",
@@ -420,10 +377,10 @@ int RunCollector(const detector::Flags& flags) {
     std::printf("  (+%zu more)", stale.size() - 8);
   }
   std::printf("\n");
-  if (history != nullptr) {
+  if (retaining) {
     std::printf("collector history: %llu windows sealed to %s\n",
-                static_cast<unsigned long long>(history->records_appended()),
-                history->dir().c_str());
+                static_cast<unsigned long long>(analyzer.history_log()->records_appended()),
+                analyzer.history_log()->dir().c_str());
   }
   return 0;
 }
@@ -685,7 +642,7 @@ int main(int argc, char** argv) {
   int window = 0;
   auto run_phase = [&](const std::string& name, const FailureScenario& scenario) {
     for (int w = 0; w < per_phase; ++w) {
-      const auto result = system.RunWindow(scenario, rng);
+      const auto result = system.RunWindowStreaming(scenario, {}, rng).window;
       PrintWindow(topo, window++, result, name);
     }
   };
@@ -851,7 +808,7 @@ int main(int argc, char** argv) {
   for (int w = 0; w < total_slices; ++w) {
     const auto slice = WindowSlice(trace, w * options.window_seconds,
                                    (w + 1) * options.window_seconds);
-    const auto result = system.RunWindowWithChurn(FailureScenario{}, slice, rng);
+    const auto result = system.RunWindowStreaming(FailureScenario{}, slice, rng).window;
     applied += result.churn_events_applied;
     PrintWindow(topo, window++, result, "topology churn");
   }

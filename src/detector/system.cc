@@ -21,9 +21,8 @@ DetectorSystem::DetectorSystem(const PathProvider& provider, DetectorSystemOptio
       overlay_(topo_),
       watchdog_(topo_),
       controller_(topo_, options.controller),
-      diagnoser_(options.pll),
-      latency_model_(options.latency),
-      anomaly_engine_(options.anomaly_options) {
+      analyzer_(options_, matrix_, watchdog_),
+      latency_model_(options.latency) {
   ConfigureDiagnoserViews();
   incremental_->set_repair_threads(std::max(0, options_.pmc_repair_threads));
   pinglists_ = controller_.BuildPinglists(matrix_, watchdog_);
@@ -41,21 +40,13 @@ DetectorSystem::DetectorSystem(const Topology& topo, ProbeMatrix matrix,
       overlay_(topo_),
       watchdog_(topo_),
       controller_(topo_, options.controller),
-      diagnoser_(options.pll),
-      latency_model_(options.latency),
-      anomaly_engine_(options.anomaly_options) {
+      analyzer_(options_, matrix_, watchdog_),
+      latency_model_(options.latency) {
   ConfigureDiagnoserViews();
   pinglists_ = controller_.BuildPinglists(matrix_, watchdog_);
   path_index_ = PathPingerIndex::Build(pinglists_);
   for (const Pinglist& list : pinglists_) {
     version_floor_[list.pinger] = list.version;
-  }
-}
-
-void DetectorSystem::set_pmc_repair_threads(int n) {
-  options_.pmc_repair_threads = std::max(0, n);
-  if (incremental_ != nullptr) {
-    incremental_->set_repair_threads(options_.pmc_repair_threads);
   }
 }
 
@@ -87,14 +78,9 @@ void DetectorSystem::PrepareReportFabric() {
   group_options.collector.ingest_shards = std::max<size_t>(1, options_.report_ingest_shards);
   group_options.collector.key = options_.report_key;
   group_options.collector.liveness_horizon = options_.report_liveness_horizon;
-  const bool hardening_changed = applied_report_key_ != options_.report_key ||
-                                 applied_liveness_horizon_ != options_.report_liveness_horizon;
-  applied_report_key_ = options_.report_key;
-  applied_liveness_horizon_ = options_.report_liveness_horizon;
-  if (collector_group_ == nullptr || hardening_changed ||
-      collector_group_->num_collectors() != n ||
+  if (collector_group_ == nullptr || collector_group_->num_collectors() != n ||
       collector_group_->ingest_shards_per_collector() != group_options.collector.ingest_shards) {
-    collector_group_ = std::make_unique<CollectorGroup>(diagnoser_.store(),
+    collector_group_ = std::make_unique<CollectorGroup>(analyzer_.diagnoser().store(),
                                                         BuildReportPartition(), group_options);
   } else {
     // Same shape: just refresh the ownership map — pinger churn across windows repartitions
@@ -113,13 +99,14 @@ void DetectorSystem::PrepareReportFabric() {
 }
 
 void DetectorSystem::ConfigureDiagnoserViews() {
-  diagnoser_.set_sliding_segments(options_.streaming_view == StreamingViewMode::kSliding
-                                      ? std::max(1, options_.sliding_window_segments)
-                                      : 0);
-  diagnoser_.set_decay_factor(
+  Diagnoser& diagnoser = analyzer_.diagnoser();
+  diagnoser.set_sliding_segments(options_.streaming_view == StreamingViewMode::kSliding
+                                     ? std::max(1, options_.sliding_window_segments)
+                                     : 0);
+  diagnoser.set_decay_factor(
       options_.streaming_view == StreamingViewMode::kDecay ? options_.decay_factor : 0.0);
-  diagnoser_.set_decay_quantized(options_.streaming_view == StreamingViewMode::kDecay &&
-                                 options_.decay_quantized);
+  diagnoser.set_decay_quantized(options_.streaming_view == StreamingViewMode::kDecay &&
+                                options_.decay_quantized);
 }
 
 void DetectorSystem::EnforceVersionFloors(std::vector<PinglistDiff>& diffs) {
@@ -147,8 +134,7 @@ void DetectorSystem::RecomputeCycle() {
     matrix_ = incremental_->BuildMatrix();
     // The rebuilt matrix rewires slots; the diagnoser's cached PLL partition is stale, and so
     // is every per-slot anomaly baseline (slot identities do not survive a rebuild).
-    diagnoser_.InvalidateLocalizeCache();
-    anomaly_engine_.Reset();
+    analyzer_.InvalidateSlots();
   }
   pinglists_ = controller_.BuildPinglists(matrix_, watchdog_);
   path_index_ = PathPingerIndex::Build(pinglists_);
@@ -225,8 +211,7 @@ DetectorSystem::ChurnApplyResult DetectorSystem::ApplyTopologyDelta(const Topolo
       // Slot reuse keeps the matrix dimensions while rewiring paths, so the diagnoser's
       // cached PLL partition cannot detect the change itself — drop it explicitly, along with
       // the anomaly baselines keyed to the old slot identities.
-      diagnoser_.InvalidateLocalizeCache();
-      anomaly_engine_.Reset();
+      analyzer_.InvalidateSlots();
     }
   } else {
     // Fixed-matrix mode: no candidate set to repair from. Entries on dead links are withdrawn
@@ -375,7 +360,7 @@ void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds,
   // rng advances exactly once (the window seed) however many shards or threads execute, and
   // each shard's stream is keyed by its pinger id — so the segment's counters are bit-identical
   // at any thread count, including 1.
-  ObservationStore& store = diagnoser_.store();
+  ObservationStore& store = analyzer_.diagnoser().store();
   store.EnsureSlots(matrix_.NumPaths());
   const uint64_t window_seed = rng();
   if (options_.probe_subshards > 0) {
@@ -552,7 +537,7 @@ void DetectorSystem::PumpReportBoundary() {
     // epoch stamps make the late folds land exactly where on-time folds would have. The
     // staleness enforcer then folds whatever has aged report_pipeline_depth boundaries
     // regardless of budget, so max_fold_staleness <= depth is a guarantee, not a hope. The
-    // window end (RunWindowImpl) still drains fully.
+    // window end (RunWindowStreaming) still drains fully.
     const auto depth = static_cast<uint64_t>(options_.report_pipeline_depth);
     for (size_t c = 0; c < collector_group_->num_collectors(); ++c) {
       Collector& col = collector_group_->collector(c);
@@ -573,7 +558,7 @@ void DetectorSystem::PumpReportBoundary() {
 // single-threaded per-pinger frame sequence the emitters require.
 void DetectorSystem::RunSegmentSubsharded(const ProbeEngine& engine, double seconds,
                                           uint64_t window_seed, WindowResult& result) {
-  ObservationStore& store = diagnoser_.store();
+  ObservationStore& store = analyzer_.diagnoser().store();
   const bool report = options_.report_plane;
   const size_t splits = static_cast<size_t>(std::max(1, options_.probe_subshards));
 
@@ -683,56 +668,18 @@ void DetectorSystem::RunSegmentSubsharded(const ProbeEngine& engine, double seco
   }
 }
 
-DetectorSystem::WindowResult DetectorSystem::RunWindow(const FailureScenario& scenario,
-                                                       Rng& rng) {
-  return RunWindowWithChurn(scenario, {}, rng);
-}
-
-DetectorSystem::WindowResult DetectorSystem::RunWindowWithChurn(
-    const FailureScenario& scenario, std::span<const ChurnEvent> churn, Rng& rng) {
-  return RunWindowImpl(scenario, churn, rng, /*streaming=*/false).window;
-}
-
-DetectorSystem::StreamingWindowResult DetectorSystem::RunWindowStreaming(
-    const FailureScenario& scenario, std::span<const ChurnEvent> churn, Rng& rng) {
-  return RunWindowImpl(scenario, churn, rng, /*streaming=*/true);
-}
-
-bool DetectorSystem::PrepareHistory() {
-  if (options_.history_dir != applied_history_dir_) {
-    applied_history_dir_ = options_.history_dir;
-    history_log_.reset();
-    if (!options_.history_dir.empty()) {
-      WindowLogOptions log_options;
-      log_options.max_records_per_segment = options_.history_segment_records;
-      log_options.max_segments = options_.history_max_segments;
-      log_options.key = options_.report_key;
-      history_log_ = std::make_unique<WindowLogWriter>(options_.history_dir, log_options);
-      // Appending after a reopened log continues its numbering — the on-disk indices stay
-      // monotonic, which the query plane's episode logic relies on.
-      if (history_log_->ok()) {
-        const WindowLogReadResult existing =
-            ReadWindowLog(options_.history_dir, options_.report_key);
-        if (!existing.windows.empty()) {
-          history_window_index_ = existing.windows.back().window_index + 1;
-        }
-      }
-    }
-  }
-  return history_log_ != nullptr || history_sink_ != nullptr;
-}
-
-LocalizeResult DetectorSystem::DiagnoseBoundary() {
+LocalizeResult DetectorSystem::LocalizeBoundary() {
+  Diagnoser& diagnoser = analyzer_.diagnoser();
   switch (options_.streaming_view) {
     case StreamingViewMode::kSliding:
-      return diagnoser_.DiagnoseTrailing(matrix_, watchdog_);
+      return diagnoser.DiagnoseTrailing(matrix_, watchdog_);
     case StreamingViewMode::kDecay:
-      return diagnoser_.DiagnoseDecayed(matrix_, watchdog_);
+      return diagnoser.DiagnoseDecayed(matrix_, watchdog_);
     case StreamingViewMode::kCumulative:
       break;
   }
-  return options_.incremental_diagnosis ? diagnoser_.DiagnoseRunning(matrix_, watchdog_)
-                                        : diagnoser_.DiagnoseRunningFull(matrix_, watchdog_);
+  return options_.incremental_diagnosis ? diagnoser.DiagnoseRunning(matrix_, watchdog_)
+                                        : diagnoser.DiagnoseRunningFull(matrix_, watchdog_);
 }
 
 double DetectorSystem::StreamingWindowResult::FirstDetectionSeconds(LinkId link) const {
@@ -746,28 +693,15 @@ double DetectorSystem::StreamingWindowResult::FirstDetectionSeconds(LinkId link)
   return -1.0;
 }
 
-DetectorSystem::StreamingWindowResult DetectorSystem::RunWindowImpl(
-    const FailureScenario& scenario, std::span<const ChurnEvent> churn, Rng& rng,
-    bool streaming) {
+DetectorSystem::StreamingWindowResult DetectorSystem::RunWindowStreaming(
+    const FailureScenario& scenario, std::span<const ChurnEvent> churn, Rng& rng) {
   StreamingWindowResult out;
   WindowResult& result = out.window;
   const int segments = std::max(1, options_.segments_per_window);
   const int cadence = std::max(1, options_.diagnose_every_segments);
   const double window = options_.window_seconds;
 
-  // Retention: when any sink is attached, the window is sealed at its close — each diagnosis
-  // boundary cuts a sparse delta of the merged running totals, so the log carries exactly the
-  // views the live diagnoses localized over (what makes QueryEngine replay bit-identical).
-  const bool history = PrepareHistory();
-  if (history) {
-    history_sealer_.BeginWindow(history_window_index_);
-  }
-  if (options_.anomaly) {
-    // Re-base the engine's per-slot totals at zero — the store cleared at the last window's
-    // Diagnose — without touching the learned baselines or excursion runs.
-    anomaly_engine_.BeginWindow();
-  }
-
+  analyzer_.OpenWindow();
   if (options_.report_plane) {
     // Open the report-plane window: (re)shape the collector fabric and its partition map to
     // the current options and pinglists, and open a fresh window id that namespaces this
@@ -780,8 +714,8 @@ DetectorSystem::StreamingWindowResult DetectorSystem::RunWindowImpl(
   }
 
   // The window is sliced at segment boundaries and churn-event timestamps; every slice is one
-  // RunSegment (own shard seed). With segments == 1 and no streaming this is exactly the
-  // classic batch window — same slices, same RNG draws.
+  // RunSegment (own shard seed). With segments == 1 this is exactly the classic batch window —
+  // same slices, same RNG draws.
   size_t next_event = 0;
   double t = 0.0;
   for (int seg = 1; seg <= segments; ++seg) {
@@ -797,7 +731,7 @@ DetectorSystem::StreamingWindowResult DetectorSystem::RunWindowImpl(
       // this window and the final matrix no longer carries the old paths, so those stale
       // reports must not reach Diagnose. (Redispatched paths keep their slots — and their
       // observations.)
-      diagnoser_.DropReports(applied.slots_vacated);
+      analyzer_.diagnoser().DropReports(applied.slots_vacated);
       ++result.churn_events_applied;
       t = std::max(t, event.time_seconds);
       ++next_event;
@@ -806,43 +740,25 @@ DetectorSystem::StreamingWindowResult DetectorSystem::RunWindowImpl(
       RunSpan(scenario, t, boundary, rng, result);
       t = boundary;
     }
-    if (options_.report_plane && seg < segments) {
+    if (seg == segments) {
+      break;  // the window end closes below
+    }
+    if (options_.report_plane) {
       // Stamp the segment boundary for staleness accounting: frames folding after this point
       // straddled it (pipelined mode; under the barriered default nothing is ever queued
       // here). The last pump of the segment already ran, so an on-time fold counts 0.
       collector_group_->AdvanceBoundary();
     }
-    if (streaming && seg < segments) {
-      // Every boundary advances the streaming views (cumulative dirty set, sliding ring,
-      // decayed totals) — O(slots changed this segment) — whether or not it diagnoses.
-      diagnoser_.AdvanceSegment(matrix_, watchdog_);
-      if (seg % cadence == 0) {
-        // Non-consuming diagnosis: the window keeps accumulating, and the final Diagnose
-        // below sees exactly what a batch window would.
-        SegmentDiagnosis diagnosis;
-        diagnosis.segment = seg;
-        diagnosis.time_seconds = boundary;
-        diagnosis.localization = DiagnoseBoundary();
-        diagnosis.server_link_alarms = diagnoser_.ServerLinkAlarms(watchdog_);
-        if (options_.anomaly) {
-          // The boundary diagnosis already folded pending records; RunningTotals here is the
-          // same serial point it read, and the RTT sketches folded alongside it.
-          ObservationStore& store = diagnoser_.store();
-          const ObservationView totals = store.RunningTotals(matrix_.NumPaths(), watchdog_);
-          diagnosis.anomalies =
-              anomaly_engine_.Observe(matrix_, totals, store.RttRunningTotals());
-        }
-        if (history) {
-          // RunningTotals here is idempotent — the boundary diagnosis already folded pending
-          // records — so the cut sees the same serial point the diagnosis read.
-          history_sealer_.CutBoundary(
-              seg, boundary, diagnoser_.store().RunningTotals(matrix_.NumPaths(), watchdog_));
-          history_sealer_.AttachDiagnosis(diagnosis.localization.links,
-                                          diagnosis.server_link_alarms);
-          history_sealer_.AttachAnomalies(diagnosis.anomalies);
-        }
-        out.timeline.push_back(std::move(diagnosis));
-      }
+    // Every boundary advances the streaming views (cumulative dirty set, sliding ring,
+    // decayed totals) — O(slots changed this segment) — whether or not it diagnoses.
+    analyzer_.diagnoser().AdvanceSegment(matrix_, watchdog_);
+    if (seg % cadence == 0) {
+      // Non-consuming diagnosis: the window keeps accumulating, and the close below sees
+      // exactly what it would without mid-window diagnoses.
+      WindowDiagnosis d = analyzer_.DiagnoseBoundary(seg, boundary, LocalizeBoundary());
+      out.timeline.push_back(SegmentDiagnosis{seg, boundary, std::move(d.localization),
+                                              std::move(d.server_link_alarms),
+                                              std::move(d.anomalies)});
     }
   }
   if (options_.report_plane && options_.report_pipeline) {
@@ -853,50 +769,20 @@ DetectorSystem::StreamingWindowResult DetectorSystem::RunWindowImpl(
       collector_group_->collector(c).PumpFrom(*report_transports_[c]);
     }
   }
-  result.server_link_alarms = diagnoser_.ServerLinkAlarms(watchdog_);
-  if (options_.anomaly) {
-    // Window-end anomaly boundary: observed before Diagnose() consumes the store, like the
-    // history cut below. The merged RTT sketches are captured here too — the bit-identity
-    // surface the thread-count and report-vs-direct gates compare.
-    ObservationStore& store = diagnoser_.store();
-    const ObservationView totals = store.RunningTotals(matrix_.NumPaths(), watchdog_);
-    result.anomalies = anomaly_engine_.Observe(matrix_, totals, store.RttRunningTotals());
-    const std::span<const RttSketch> rtt = store.RttRunningTotals();
-    last_rtt_totals_.assign(rtt.begin(), rtt.end());
-  } else {
-    last_rtt_totals_.clear();
-  }
-  if (history) {
-    // The window-end delta must be cut before Diagnose() — it consumes (clears) the store.
-    // The window-end suspects attach right after it runs.
-    history_sealer_.CutBoundary(segments, window,
-                                diagnoser_.store().RunningTotals(matrix_.NumPaths(), watchdog_));
-  }
-  result.localization = diagnoser_.Diagnose(matrix_, watchdog_);
+  WindowDiagnosis end =
+      analyzer_.CloseWindow(segments, window, result.churn_events_applied,
+                            overlay_.NumDeadLinks(), result.probes_sent, result.bytes_sent);
+  result.localization = std::move(end.localization);
+  result.server_link_alarms = std::move(end.server_link_alarms);
+  result.anomalies = std::move(end.anomalies);
   // Detection and localization share the window's data: alarms are available one window after
   // the failure manifests, with no extra probing round.
   result.detection_latency_seconds = options_.window_seconds;
-  if (streaming) {
-    // The window-end diagnosis always happens, so the timeline always records it — whether or
-    // not the last segment lands on the cadence. FirstDetectionSeconds therefore never misses
-    // a failure the batch window would have caught.
-    out.timeline.push_back(SegmentDiagnosis{segments, window, result.localization,
-                                            result.server_link_alarms, result.anomalies});
-  }
-  if (history) {
-    history_sealer_.AttachDiagnosis(result.localization.links, result.server_link_alarms);
-    history_sealer_.AttachAnomalies(result.anomalies);
-    const SealedWindow sealed = history_sealer_.Finish(
-        matrix_.NumPaths(), result.churn_events_applied, overlay_.NumDeadLinks(),
-        result.probes_sent, result.bytes_sent);
-    if (history_log_ != nullptr) {
-      history_log_->OnWindowSealed(sealed);
-    }
-    if (history_sink_ != nullptr) {
-      history_sink_->OnWindowSealed(sealed);
-    }
-    ++history_window_index_;
-  }
+  // The window-end diagnosis always happens, so the timeline always records it — whether or
+  // not the last segment lands on the cadence. FirstDetectionSeconds therefore never misses a
+  // failure the window result names.
+  out.timeline.push_back(SegmentDiagnosis{segments, window, result.localization,
+                                          result.server_link_alarms, result.anomalies});
   return out;
 }
 

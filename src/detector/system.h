@@ -9,16 +9,19 @@
 //
 // Topology churn runs through ApplyTopologyDelta(): overlay update -> incremental probe-matrix
 // repair (IncrementalPmc) -> minimal per-pinger pinglist diffs — the milliseconds-scale
-// alternative to RecomputeCycle()'s from-scratch rebuild. RunWindowWithChurn() exercises churn
-// mid-window: probes before each event see the failed links, the delta is applied at its
+// alternative to RecomputeCycle()'s from-scratch rebuild. RunWindowStreaming() also applies
+// churn mid-window: probes before each event see the failed links, the delta is applied at its
 // timestamp, and the remainder of the window probes with the repaired pinglists.
 //
 // Continuous diagnosis: a window can be executed in segments_per_window equal probe slices
 // instead of one monolithic slice, and RunWindowStreaming() then diagnoses on the store's
 // running totals every diagnose_every_segments slices — a time series of LocalizeResults that
 // prices how fast a failure is *seen*, not just whether it is. The final-segment result is
-// bit-identical to the batch window on the same seed and slicing (the mid-window reads are
-// non-consuming), which is test-gated.
+// bit-identical whatever the cadence on the same seed and slicing (the mid-window reads are
+// non-consuming), which is test-gated; diagnose_every_segments = segments_per_window is the
+// batch window, diagnosed once at its end. Every diagnosis boundary and the window close run
+// through the Analyzer (src/detector/analyzer.h), the same window driver the deployed
+// collectors use.
 #ifndef SRC_DETECTOR_SYSTEM_H_
 #define SRC_DETECTOR_SYSTEM_H_
 
@@ -31,6 +34,7 @@
 
 #include "src/anomaly/anomaly_engine.h"
 #include "src/common/thread_pool.h"
+#include "src/detector/analyzer.h"
 #include "src/detector/controller.h"
 #include "src/detector/diagnoser.h"
 #include "src/detector/pinger.h"
@@ -52,8 +56,8 @@
 namespace detector {
 
 // What the mid-window diagnoses of RunWindowStreaming localize over. The window-end diagnosis
-// is always the cumulative whole-window one, so the batch/streaming bit-exactness gate holds
-// in every mode.
+// is always the cumulative whole-window one, so the final result is bit-identical at every
+// cadence in every mode.
 enum class StreamingViewMode {
   kCumulative,  // the whole accumulated window (incremental PLL over dirty components)
   kSliding,     // the trailing sliding_window_segments segment deltas — localizes loss
@@ -89,8 +93,9 @@ struct DetectorSystemOptions {
   int pmc_repair_threads = 1;
   // Continuous diagnosis: probe slices per window (1 = the classic monolithic batch window;
   // higher values execute the same window in equal time slices, each on its own shard seed)
-  // and, for RunWindowStreaming, how often to diagnose, in slices. Slicing changes the RNG
-  // trajectory, so results are comparable only between runs with the same slicing.
+  // and how often to diagnose, in slices (>= segments_per_window = once, at window end).
+  // Slicing changes the RNG trajectory, so results are comparable only between runs with the
+  // same slicing.
   int segments_per_window = 1;
   int diagnose_every_segments = 1;
   // Mid-window diagnosis view (see StreamingViewMode) and its parameters. The ring/decay
@@ -220,17 +225,6 @@ class DetectorSystem {
     size_t churn_events_applied = 0;
   };
 
-  // One 30 s window under the given failure scenario.
-  WindowResult RunWindow(const FailureScenario& scenario, Rng& rng);
-
-  // One window with mid-window topology churn: `churn` event times are window-relative;
-  // events inside [0, window_seconds) are applied at their timestamps, later ones are ignored.
-  // Probes sent before an event experience full loss on down links; after the event the
-  // repaired pinglists route around them. To drive consecutive windows from one long
-  // ChurnGenerator trace, rebase it per window with WindowSlice (src/sim/churn.h).
-  WindowResult RunWindowWithChurn(const FailureScenario& scenario,
-                                  std::span<const ChurnEvent> churn, Rng& rng);
-
   // One mid-window diagnosis taken at a segment boundary (continuous mode).
   struct SegmentDiagnosis {
     int segment = 0;             // 1-based index of the boundary the diagnosis was taken at
@@ -242,7 +236,7 @@ class DetectorSystem {
   };
 
   struct StreamingWindowResult {
-    WindowResult window;  // identical to the batch window on the same seed and slicing
+    WindowResult window;  // identical at every cadence on the same seed and slicing
     // Diagnoses at every diagnose_every_segments boundary plus the window-end diagnosis, in
     // time order; the last entry always equals window.localization.
     std::vector<SegmentDiagnosis> timeline;
@@ -252,10 +246,14 @@ class DetectorSystem {
     double FirstDetectionSeconds(LinkId link) const;
   };
 
-  // One window in continuous-diagnosis mode: probes run in segments_per_window slices (with
-  // optional mid-window churn, as in RunWindowWithChurn) and PLL runs on the running
-  // observation totals every diagnose_every_segments boundaries without consuming them. The
-  // returned window result is bit-identical to RunWindowWithChurn on the same seed.
+  // One 30 s window under the given failure scenario — the only window entry point. Probes
+  // run in segments_per_window slices and PLL runs on the running observation totals every
+  // diagnose_every_segments boundaries without consuming them; the window result does not
+  // depend on the cadence. `churn` event times are window-relative: events inside
+  // [0, window_seconds) are applied at their timestamps, later ones are ignored. Probes sent
+  // before an event experience full loss on down links; after the event the repaired
+  // pinglists route around them. To drive consecutive windows from one long ChurnGenerator
+  // trace, rebase it per window with WindowSlice (src/sim/churn.h).
   StreamingWindowResult RunWindowStreaming(const FailureScenario& scenario,
                                            std::span<const ChurnEvent> churn, Rng& rng);
 
@@ -274,9 +272,6 @@ class DetectorSystem {
   // Re-splits pinglists into entry-range sub-shards (see the option comment; takes effect at
   // the next segment). Any value >= 1 yields identical results; 0 restores the legacy path.
   void set_probe_subshards(int n) { options_.probe_subshards = std::max(0, n); }
-  // Re-sizes the incremental-repair worker count (no-op in fixed-matrix mode). Deltas stay
-  // bit-identical at any value; only repair wall-clock changes.
-  void set_pmc_repair_threads(int n);
   // Re-slices window execution / re-paces streaming diagnosis (both clamped to >= 1). Takes
   // effect at the next window. Changing the slicing changes the RNG trajectory — results are
   // comparable only between runs with equal segments_per_window.
@@ -294,12 +289,6 @@ class DetectorSystem {
     options_.sliding_window_segments = std::max(1, n);
     ConfigureDiagnoserViews();
   }
-  // Toggles quantized vs exact exponential decay (kDecay view; takes effect at the next
-  // window — the quantized state is rebuilt from the window's segment deltas).
-  void set_decay_quantized(bool quantized) {
-    options_.decay_quantized = quantized;
-    ConfigureDiagnoserViews();
-  }
   // Toggles incremental vs full PLL for cumulative mid-window diagnoses (bit-identical by
   // contract; the toggle exists so tests and benches can price one against the other).
   void set_incremental_diagnosis(bool incremental) {
@@ -314,15 +303,6 @@ class DetectorSystem {
   void set_report_ingest_shards(size_t n) {
     options_.report_ingest_shards = std::max<size_t>(1, n);
   }
-  // Toggles the pipelined (boundary-straddling) report plane and its knobs — see the option
-  // comments. Takes effect at the next window.
-  void set_report_key(const ReportKey& key) { options_.report_key = key; }
-  void set_report_liveness_horizon(uint64_t ticks) {
-    options_.report_liveness_horizon = ticks;
-  }
-  void set_report_pipeline(bool on) { options_.report_pipeline = on; }
-  void set_report_pipeline_depth(int d) { options_.report_pipeline_depth = std::max(1, d); }
-  void set_report_pump_budget(size_t frames) { options_.report_pump_budget = frames; }
   // Installs the wire backend report-plane windows run over (owned; replaces the default
   // lossless LoopbackTransport). The transport must round-trip its own Send to its own
   // Receive — in practice a LoopbackTransport, usually with injected faults. Install before
@@ -342,33 +322,21 @@ class DetectorSystem {
   Transport* report_transport(size_t i = 0) {
     return i < report_transports_.size() ? report_transports_[i].get() : nullptr;
   }
-  // Toggles the anomaly plane (takes effect at the next window). Turning it on attaches RTT
-  // observation to every subsequent probe slice; turning it off restores the pre-anomaly RNG
-  // trajectory (sampling draws happen after all loss draws, so loss counters never change
-  // within a mode, but the two modes are distinct — equally deterministic — trajectories).
-  void set_anomaly(bool on) { options_.anomaly = on; }
-  const AnomalyEngine& anomaly_engine() const { return anomaly_engine_; }
   // The store's merged per-slot RTT sketches captured at the last window's close, before
   // Diagnose cleared them — the bit-identity surface the thread-count and report-vs-direct
   // gates compare (empty unless options.anomaly).
-  std::span<const RttSketch> last_window_rtt_totals() const { return last_rtt_totals_; }
-  // Re-points (or disables, with "") the on-disk window log; takes effect at the next window.
-  void set_history_dir(std::string dir) { options_.history_dir = std::move(dir); }
+  std::span<const RttSketch> last_window_rtt_totals() const {
+    return analyzer_.last_rtt_totals();
+  }
   // An additional, caller-owned sink sealed windows are published to alongside the on-disk
   // log (or alone, with no history_dir) — how tests and benches capture retention in memory.
-  void set_history_sink(WindowSink* sink) { history_sink_ = sink; }
-  // Null until the first window ran with a history_dir configured.
-  const WindowLogWriter* history_log() const { return history_log_.get(); }
+  void set_history_sink(WindowSink* sink) { analyzer_.set_sink(sink); }
+  // Null unless options.history_dir was set.
+  const WindowLogWriter* history_log() const { return analyzer_.history_log(); }
   // Sealed windows published so far (also the next window's index in the log).
-  uint64_t history_windows_sealed() const { return history_window_index_; }
+  uint64_t history_windows_sealed() const { return analyzer_.windows_sealed(); }
 
  private:
-  // Shared window driver: slices [0, window_seconds) at segment boundaries and churn-event
-  // timestamps, applies each delta at its time, and — when `streaming` — diagnoses at the
-  // cadence boundaries into the timeline.
-  StreamingWindowResult RunWindowImpl(const FailureScenario& scenario,
-                                      std::span<const ChurnEvent> churn, Rng& rng,
-                                      bool streaming);
   // Runs [t0, t1), further sliced at the scenario's episode boundaries so every probe slice
   // sees a fixed failure set. With no episodes this is exactly one RunSegment — same RNG
   // trajectory as before episodes existed.
@@ -385,10 +353,7 @@ class DetectorSystem {
   // flush-and-drain, or the pipelined budgeted pump + staleness enforcement.
   void PumpReportBoundary();
   // The localization for one mid-window boundary, per options_.streaming_view.
-  LocalizeResult DiagnoseBoundary();
-  // (Re)opens the window log when history_dir changed; true when any sink wants this
-  // window sealed.
-  bool PrepareHistory();
+  LocalizeResult LocalizeBoundary();
   // Enables exactly the diagnoser view state the selected streaming_view reads: the sliding
   // ring and the decayed totals cost O(changed slots) per segment boundary, so the default
   // cumulative view must not maintain them.
@@ -407,13 +372,11 @@ class DetectorSystem {
   LinkStateOverlay overlay_;
   Watchdog watchdog_;
   Controller controller_;
-  Diagnoser diagnoser_;
-  // Anomaly plane: the RTT model probe slices sample from when options_.anomaly is on, the
-  // baseline/fusion engine fed at every diagnosis boundary, and the last window's merged RTT
-  // sketches (captured before Diagnose clears the store).
+  // The diagnosis tier: diagnoser, anomaly engine, and window retention, closing every window
+  // the way the deployed collectors do.
+  Analyzer analyzer_;
+  // The RTT model probe slices sample from when options_.anomaly is on.
   LatencyModel latency_model_;
-  AnomalyEngine anomaly_engine_;
-  std::vector<RttSketch> last_rtt_totals_;
   std::vector<Pinglist> pinglists_;
   // path -> pinger replica index over pinglists_, kept current by UpdatePinglists so delta
   // dispatch touches only the diff (rebuilt wholesale when BuildPinglists replaces the lists).
@@ -434,17 +397,6 @@ class DetectorSystem {
   std::unique_ptr<CollectorGroup> collector_group_;
   uint64_t report_window_id_ = 0;
   std::map<NodeId, uint64_t> report_seq_;
-  // Hardening options the live collector group was built with — a change forces a rebuild in
-  // PrepareReportFabric (collector key/horizon are fixed at construction).
-  ReportKey applied_report_key_;
-  uint64_t applied_liveness_horizon_ = 0;
-  // Retention: the owned on-disk log (history_dir), an optional caller-owned extra sink, the
-  // sealer building the current window's record, and the monotonic sealed-window index.
-  std::unique_ptr<WindowLogWriter> history_log_;
-  std::string applied_history_dir_;
-  WindowSink* history_sink_ = nullptr;
-  WindowSealer history_sealer_;
-  uint64_t history_window_index_ = 0;
   // Per-pinger version high-water marks. Outlives the pinglists themselves: a pinger whose
   // list vanishes for a cycle (unhealthy, no entries) must not restart at version 1, or a
   // diff consumer would discard everything after its return as stale.

@@ -1,10 +1,10 @@
 // The retention seam (PR 9): ingest and retention are separate concerns. The probe/report
 // planes *ingest* observations into the diagnoser's ObservationStore, which forgets everything
 // at the window boundary (Diagnose() consumes the store). A WindowSink is where a window's
-// state goes instead of evaporating: whoever drives the window — DetectorSystem in direct and
-// report-plane modes, the standalone collector daemon via WindowSealer — publishes one
-// SealedWindow per aggregation window at its close, carrying everything needed to answer
-// forensic queries later and to *replay* the window's diagnosis timeline offline:
+// state goes instead of evaporating: the window driver (src/detector/analyzer.h, under
+// DetectorSystem and the deployed collectors alike) publishes one SealedWindow per
+// aggregation window at its close, carrying everything needed to answer forensic queries
+// later and to *replay* the window's diagnosis timeline offline:
 //
 //  - per-boundary sparse observation deltas (the change in the store's merged running totals
 //    between consecutive diagnosis boundaries, watchdog filter already applied). Summing the

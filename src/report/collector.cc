@@ -177,6 +177,7 @@ bool Collector::AdvancePendingWindows() {
     on_window_advance_(window, next);
   }
   current_window_.store(next, std::memory_order_release);
+  liveness_clock_.fetch_add(1, std::memory_order_acq_rel);  // a window opens, like BeginWindow
   ++window_advances_;
   for (auto& shard : shards_) {
     shard->folded_seqs.clear();

@@ -50,9 +50,9 @@ struct CollectorOptions {
   size_t queue_capacity = 1024;  // frames each ingest-shard queue holds before Offer drops
   size_t ingest_shards = 1;      // parallel decode/fold lanes (pinger-affine; clamped >= 1)
   ReportKey key;                 // frame-authentication key (must match the emitters')
-  // Liveness ticks of silence (the clock advances at every BeginWindow and every segment
-  // boundary) after which a known pinger counts as stale. 0 disables the stale flagging;
-  // last-seen tracking itself always runs.
+  // Liveness ticks of silence (the clock advances at every window open — BeginWindow or a
+  // frame-driven flip — and every segment boundary) after which a known pinger counts as
+  // stale. 0 disables the stale flagging; last-seen tracking itself always runs.
   uint64_t liveness_horizon = 0;
 };
 
@@ -95,7 +95,7 @@ class Collector {
   }
 
   // Called (from a serial point) just before the window advances to a newer id carried by a
-  // queued frame — the standalone daemon hooks this to diagnose-and-clear the finished
+  // queued frame — Analyzer::Serve hooks this to close (diagnose-and-clear) the finished
   // window. Without a hook the collector just advances.
   void set_on_window_advance(std::function<void(uint64_t closed, uint64_t opened)> hook) {
     on_window_advance_ = std::move(hook);
@@ -132,9 +132,9 @@ class Collector {
   size_t DrainShardRange(size_t begin, size_t end, size_t max_frames = 0,
                          size_t* processed = nullptr);
 
-  // Applies the oldest pending window advance flagged by drainers (hook, then flip, then
-  // dedup prune). Serial point — no concurrent drainer. True if a flip was applied; call
-  // Drain/DrainShardRange again afterwards to fold the parked frames.
+  // Applies the oldest pending window advance flagged by drainers (hook, then flip and
+  // liveness tick, then dedup prune). Serial point — no concurrent drainer. True if a flip was
+  // applied; call Drain/DrainShardRange again afterwards to fold the parked frames.
   bool AdvancePendingWindows();
 
   // Receives everything the transport has pending into the shard queues (unbounded — the
@@ -212,8 +212,8 @@ class Collector {
 
   std::atomic<uint64_t> current_window_{0};
   std::atomic<uint64_t> boundary_{0};
-  // Monotonic liveness clock: ticks at every BeginWindow and every AdvanceBoundary (the
-  // per-window boundary_ resets and cannot serve). Never reset.
+  // Monotonic liveness clock: ticks at every window open (BeginWindow or a frame-driven flip)
+  // and every AdvanceBoundary (the per-window boundary_ resets and cannot serve). Never reset.
   std::atomic<uint64_t> liveness_clock_{0};
   std::function<void(uint64_t, uint64_t)> on_window_advance_;
   uint64_t window_advances_ = 0;  // serial-point counter (flips happen serially)

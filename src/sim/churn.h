@@ -59,7 +59,7 @@ class ChurnGenerator {
 };
 
 // Events of `trace` with start <= time < end, rebased to window-relative times (time - start).
-// DetectorSystem::RunWindowWithChurn interprets event times relative to the window it runs, so
+// DetectorSystem::RunWindowStreaming interprets event times relative to the window it runs, so
 // a long trace driving consecutive windows must be sliced: window k of length W gets
 // WindowSlice(trace, k * W, (k + 1) * W). Recovery events landing after the last window are
 // simply dropped by the caller's final slice — apply them directly if restoring matters.

@@ -1,7 +1,7 @@
 // Churn-pipeline tests: link-state overlay semantics, path invalidation, incremental
 // probe-matrix repair (including incremental/full equivalence after delta sequences), churn
 // trace generation, pinglist delta dispatch with versioning, and the end-to-end
-// ApplyTopologyDelta / RunWindowWithChurn flow.
+// ApplyTopologyDelta / mid-window churn flow.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -667,7 +667,7 @@ TEST(DetectorSystemChurn, ApplyTopologyDeltaRoutesAroundDeadLink) {
   f.type = FailureType::kFullLoss;
   scenario.failures.push_back(f);
   Rng rng(9);
-  const auto window = system.RunWindow(scenario, rng);
+  const auto window = system.RunWindowStreaming(scenario, {}, rng).window;
   ASSERT_GE(window.localization.links.size(), 1u);
   EXPECT_EQ(window.localization.links[0].link, f.link);
 }
@@ -968,7 +968,7 @@ TEST(DetectorSystemChurn, FixedMatrixRecomputeCycleRespectsOverlay) {
   }
 }
 
-TEST(DetectorSystemChurn, RunWindowWithChurnAppliesMidWindowEvents) {
+TEST(DetectorSystemChurn, WindowAppliesMidWindowChurnEvents) {
   const FatTree ft(4);
   const FatTreeRouting routing(ft);
   DetectorSystemOptions options;
@@ -985,7 +985,7 @@ TEST(DetectorSystemChurn, RunWindowWithChurnAppliesMidWindowEvents) {
 
   FailureScenario healthy;
   Rng rng(11);
-  const auto window = system.RunWindowWithChurn(healthy, churn, rng);
+  const auto window = system.RunWindowStreaming(healthy, churn, rng).window;
   EXPECT_EQ(window.churn_events_applied, 2u);
   EXPECT_GT(window.probes_sent, 0);
   EXPECT_EQ(system.overlay().NumDeadLinks(), 0u);  // the flap recovered inside the window
@@ -1016,7 +1016,7 @@ TEST(DetectorSystemChurn, MultiWindowTraceViaWindowSlice) {
   size_t applied = 0;
   for (int w = 0; w < windows; ++w) {
     const auto slice = WindowSlice(trace, w * 30.0, (w + 1) * 30.0);
-    const auto window = system.RunWindowWithChurn(healthy, slice, rng);
+    const auto window = system.RunWindowStreaming(healthy, slice, rng).window;
     EXPECT_EQ(window.churn_events_applied, slice.size());
     applied += window.churn_events_applied;
   }

@@ -266,7 +266,7 @@ TEST(DetectorSystem, EndToEndLocalizesInjectedFailure) {
   const int trials = 20;
   for (int t = 0; t < trials; ++t) {
     const FailureScenario scenario = model.SampleLinkFailures(1, rng);
-    const auto window = system.RunWindow(scenario, rng);
+    const auto window = system.RunWindowStreaming(scenario, {}, rng).window;
     const auto counts = EvaluateLocalization(window.localization.links, scenario.FailedLinks());
     correct += counts.true_positives == 1 ? 1 : 0;
     EXPECT_DOUBLE_EQ(window.detection_latency_seconds, 30.0);
@@ -290,7 +290,7 @@ TEST(DetectorSystem, StructuredMatrixConstructor) {
   f.type = FailureType::kFullLoss;
   scenario.failures.push_back(f);
   Rng rng(5);
-  const auto window = system.RunWindow(scenario, rng);
+  const auto window = system.RunWindowStreaming(scenario, {}, rng).window;
   ASSERT_GE(window.localization.links.size(), 1u);
   EXPECT_EQ(window.localization.links[0].link, f.link);
 }

@@ -380,7 +380,7 @@ TEST(Liveness, SilentAgentFlagsStaleWithinHorizon) {
 }
 
 // Liveness state survives window flips — silence is exactly what it must remember across
-// windows, and the clock ticks at BeginWindow too.
+// windows, and the clock ticks at every window open: BeginWindow or a frame-driven flip.
 TEST(Liveness, TrackingSurvivesWindowFlips) {
   ObservationStore store;
   store.EnsureSlots(32);
@@ -400,6 +400,24 @@ TEST(Liveness, TrackingSurvivesWindowFlips) {
   EXPECT_EQ(collector.StalePingers(), std::vector<NodeId>{6})
       << "window flips cleared liveness state";
   EXPECT_EQ(collector.stats().pingers_tracked, 2u);
+
+  // The deployed collectors' flips: a newer-window frame flips the window through
+  // AdvancePendingWindows, which must tick the clock like BeginWindow does.
+  ObservationStore deployed_store;
+  deployed_store.EnsureSlots(32);
+  Collector deployed(deployed_store, options);
+  deployed.BeginWindow(1);
+  deployed.Offer(LivenessFrame(5, 1, 0));
+  deployed.Offer(LivenessFrame(6, 1, 0));
+  deployed.Drain();
+  for (uint64_t w = 2; w <= 4; ++w) {
+    deployed.Offer(LivenessFrame(5, w, 0));
+    deployed.Drain();
+  }
+  EXPECT_EQ(deployed.current_window(), 4u);
+  EXPECT_EQ(deployed.liveness_clock(), 4u);
+  EXPECT_EQ(deployed.StalePingers(), std::vector<NodeId>{6})
+      << "frame-driven window flips did not tick the liveness clock";
 }
 
 // ---------------------------------------------------------------------------

@@ -41,12 +41,12 @@ TEST(ParallelWindow, BitIdenticalAcrossThreadCounts) {
   // Serial baseline, then the same seed at higher thread counts — including more threads than
   // the host has cores, and more than there are shards.
   Rng serial_rng(1234);
-  const auto baseline = system.RunWindow(scenario, serial_rng);
+  const auto baseline = system.RunWindowStreaming(scenario, {}, serial_rng).window;
   EXPECT_GT(baseline.probes_sent, 0);
   for (const int threads : {2, 8}) {
     system.set_probe_threads(static_cast<size_t>(threads));
     Rng rng(1234);
-    const auto parallel = system.RunWindow(scenario, rng);
+    const auto parallel = system.RunWindowStreaming(scenario, {}, rng).window;
     ExpectIdenticalAtThreads(baseline, parallel, threads);
   }
 }
@@ -78,7 +78,7 @@ TEST(ParallelWindow, BitIdenticalUnderMidWindowChurn) {
     opts.probe_threads = threads;
     DetectorSystem system(routing, opts);
     Rng rng(77);
-    results.push_back(system.RunWindowWithChurn(scenario, churn, rng));
+    results.push_back(system.RunWindowStreaming(scenario, churn, rng).window);
     EXPECT_EQ(results.back().churn_events_applied, 2u);
   }
   ExpectIdenticalAtThreads(results[0], results[1], 2);
@@ -110,14 +110,14 @@ TEST(ParallelWindow, SubshardedBitIdenticalAcrossThreadAndSubshardCounts) {
   scenario.failures.push_back(f);
 
   Rng baseline_rng(4321);
-  const auto baseline = system.RunWindow(scenario, baseline_rng);
+  const auto baseline = system.RunWindowStreaming(scenario, {}, baseline_rng).window;
   EXPECT_GT(baseline.probes_sent, 0);
   for (const int threads : {1, 2, 8}) {
     for (const int subshards : {1, 2, 4}) {
       system.set_probe_threads(static_cast<size_t>(threads));
       system.set_probe_subshards(subshards);
       Rng rng(4321);
-      const auto run = system.RunWindow(scenario, rng);
+      const auto run = system.RunWindowStreaming(scenario, {}, rng).window;
       ExpectIdenticalWindows(baseline, run,
                              "threads=" + std::to_string(threads) +
                                  " subshards=" + std::to_string(subshards));
@@ -143,10 +143,10 @@ TEST(ParallelWindow, SubshardedMatchesLegacyDistributionUnderFiltering) {
 
   FailureScenario scenario;
   Rng legacy_rng(99);
-  const auto legacy = system.RunWindow(scenario, legacy_rng);
+  const auto legacy = system.RunWindowStreaming(scenario, {}, legacy_rng).window;
   system.set_probe_subshards(4);
   Rng sub_rng(99);
-  const auto sub = system.RunWindow(scenario, sub_rng);
+  const auto sub = system.RunWindowStreaming(scenario, {}, sub_rng).window;
   // No failures injected: both trajectories observe zero loss, so the only probe-count
   // difference could come from a diverging budget split. Confirmation probes never fire.
   EXPECT_EQ(legacy.probes_sent, sub.probes_sent);
@@ -239,7 +239,7 @@ TEST(ParallelWindow, BitIdenticalAcrossThreadsWithFilteringActive) {
     scenario.failures.push_back(f);
 
     Rng rng(2024);
-    results.push_back(system.RunWindow(scenario, rng));
+    results.push_back(system.RunWindowStreaming(scenario, {}, rng).window);
     EXPECT_GT(results.back().probes_sent, 0);
   }
   ExpectIdenticalAtThreads(results[0], results[1], 2);
@@ -309,8 +309,9 @@ TEST(ObservationStore, InvalidationOrphansOnlyOldEpoch) {
 }
 
 TEST(ObservationStore, MidWindowInvalidationFlowsThroughDiagnose) {
-  // End-to-end shape of RunWindowWithChurn: segment 1 reports on a slot, churn vacates it,
-  // segment 2 reports on the slot's new occupant; Diagnose must see only the new counters.
+  // End-to-end shape of a window with mid-window churn: segment 1 reports on a slot, churn
+  // vacates it, segment 2 reports on the slot's new occupant; Diagnose must see only the new
+  // counters.
   const FatTree ft(4);
   const FatTreeRouting routing(ft);
   PmcOptions pmc;

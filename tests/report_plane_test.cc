@@ -2,21 +2,27 @@
 // frames must decode to an error, never crash or partially fold), collector tolerance
 // (duplicate and out-of-order delivery keep totals bit-identical; stale windows and queue
 // overflow drop cleanly), transport fault injection, the report-vs-direct bit-exactness gate
-// at 1, 2 and 8 probe threads, and real UDP over localhost (skipped with a notice when the
-// sandbox forbids sockets).
+// at 1, 2 and 8 probe threads, the deployed collector sealing what the in-process system
+// seals, and real UDP over localhost (skipped with a notice when the sandbox forbids
+// sockets).
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <memory>
 #include <vector>
 
 #include "src/common/crc32.h"
+#include "src/detector/analyzer.h"
 #include "src/detector/system.h"
 #include "src/net/loopback.h"
+#include "src/net/trace.h"
 #include "src/net/udp.h"
 #include "src/report/codec.h"
 #include "src/report/collector.h"
 #include "src/report/emitter.h"
 #include "src/routing/fattree_routing.h"
+#include "src/sim/anomaly_scenarios.h"
 #include "src/sim/churn.h"
 #include "src/topo/fattree.h"
 #include "tests/window_equality.h"
@@ -496,6 +502,110 @@ TEST(ReportPlane, InjectedDropReorderNeverCorruptsTotals) {
     found |= s.link == f.link;
   }
   EXPECT_TRUE(found) << "failure lost in the report plane";
+}
+
+// In-memory sink capturing every sealed window.
+class CollectingSink : public WindowSink {
+ public:
+  void OnWindowSealed(const SealedWindow& window) override { windows_.push_back(window); }
+  const std::vector<SealedWindow>& windows() const { return windows_; }
+
+ private:
+  std::vector<SealedWindow> windows_;
+};
+
+// A deployed collector closes windows through the same Analyzer as DetectorSystem. Record
+// the frames a report-plane system's collector receives, then replay them into a standalone
+// Collector behind Analyzer::Serve, as monitor_daemon and fleet_runner run it: windows flip
+// when a newer window's frame arrives, and the last one closes when the stream ends. Every
+// window must seal what the system's own sink sealed — suspects, server-link alarms,
+// anomalies, and boundary deltas.
+TEST(DeployedCollector, SealsWhatTheSystemSeals) {
+  const FatTree ft(6);  // 3 servers per rack, 2 of them pingers
+  const FatTreeRouting routing(ft);
+  DetectorSystemOptions options;
+  options.pmc.alpha = 1;
+  options.pmc.beta = 1;
+  options.controller.packets_per_second = 50;
+  options.probe_threads = 1;  // one frame order, so store shards open in the same order
+  options.report_plane = true;
+  options.anomaly = true;
+  options.anomaly_options.warmup_boundaries = 2;  // one anomaly boundary per window
+  DetectorSystem system(routing, options);
+  CollectingSink live;
+  system.set_history_sink(&live);
+  const std::string trace =
+      (std::filesystem::temp_directory_path() / "detector_deployed_collector.trace").string();
+  auto recorder = std::make_unique<RecordingTransport>(std::make_unique<LoopbackTransport>(),
+                                                       trace);
+  ASSERT_TRUE(recorder->ok());
+  system.SetReportTransport(std::move(recorder));
+
+  // Lossy server link towards a rack-mate that only answers probes, so the intra-rack probes
+  // raise a server-link alarm without blinding a pinger.
+  NodeId victim = kInvalidNode;
+  for (const Pinglist& list : system.pinglists()) {
+    for (const PinglistEntry& entry : list.entries) {
+      bool is_pinger = false;
+      for (const Pinglist& other : system.pinglists()) {
+        is_pinger |= other.pinger == entry.target_server && !other.entries.empty();
+      }
+      if (entry.path_id == PinglistEntry::kIntraRackPath && !is_pinger) {
+        victim = entry.target_server;
+      }
+    }
+  }
+  ASSERT_NE(victim, kInvalidNode);
+  FailureScenario failing = GrayLatencyScenario(ft.AggCoreLink(0, 1, 0), 2500.0);
+  LinkFailure lossy;
+  lossy.link = ft.EdgeAggLink(1, 0, 1);
+  lossy.type = FailureType::kRandomPartial;
+  lossy.loss_rate = 0.08;
+  failing.failures.push_back(lossy);
+  LinkFailure server;
+  server.link = ft.topology().FindLink(victim, ft.TorOfServer(victim));
+  server.type = FailureType::kRandomPartial;
+  server.loss_rate = 0.3;
+  failing.failures.push_back(server);
+
+  Rng rng(2027);
+  for (int w = 0; w < 5; ++w) {
+    system.RunWindowStreaming(w < 2 ? FailureScenario{} : failing, {}, rng);
+  }
+  system.SetReportTransport(std::make_unique<LoopbackTransport>());  // closes the trace
+
+  TraceReplayTransport replay(trace);
+  ASSERT_TRUE(replay.ok()) << replay.error();
+  const Watchdog watchdog(ft.topology());
+  Analyzer analyzer(options, system.probe_matrix(), watchdog);
+  CollectingSink deployed;
+  analyzer.set_sink(&deployed);
+  Collector collector(analyzer.diagnoser().store());
+  std::vector<uint64_t> closed;
+  analyzer.Serve(
+      collector, [&](std::vector<uint8_t>& frame) { return replay.Receive(frame); },
+      [&](uint64_t window, const WindowDiagnosis&) { closed.push_back(window); });
+  std::filesystem::remove(trace);
+
+  EXPECT_EQ(closed, (std::vector<uint64_t>{1, 2, 3, 4, 5}));
+  ASSERT_EQ(deployed.windows().size(), live.windows().size());
+  bool suspects = false;
+  bool alarms = false;
+  bool anomalies = false;
+  for (size_t w = 0; w < live.windows().size(); ++w) {
+    const SealedWindow& want = live.windows()[w];
+    const SealedWindow& got = deployed.windows()[w];
+    EXPECT_EQ(got.window_index, want.window_index) << "window " << w;
+    ASSERT_EQ(want.boundaries.size(), 1u) << "window " << w;
+    EXPECT_EQ(got.boundaries, want.boundaries) << "window " << w;
+    suspects |= !want.boundaries[0].suspects.empty();
+    alarms |= !want.boundaries[0].alarms.empty();
+    anomalies |= !want.boundaries[0].anomalies.empty();
+  }
+  // Non-vacuous: every sealed field the comparison covers carried something.
+  EXPECT_TRUE(suspects);
+  EXPECT_TRUE(alarms);
+  EXPECT_TRUE(anomalies);
 }
 
 TEST(ReportPlane, UdpLoopbackDeliversFrames) {

@@ -101,8 +101,9 @@ TEST(RunningTotals, GrowsWithTheSlotTable) {
 }
 
 // End-to-end acceptance: streaming diagnosis at a segment cadence produces a final result
-// bit-identical to the batch window on the same seed and slicing — at 1, 2 and 8 probe
-// threads, with mid-window link churn AND a server retro-drop in the same window.
+// bit-identical to the batch window (cadence = segments: one diagnosis, at window end) on the
+// same seed and slicing — at 1, 2 and 8 probe threads, with mid-window link churn AND a server
+// retro-drop in the same window.
 TEST(StreamingWindow, FinalSegmentMatchesBatchAcrossThreads) {
   const FatTree ft(4);
   const FatTreeRouting routing(ft);
@@ -130,9 +131,11 @@ TEST(StreamingWindow, FinalSegmentMatchesBatchAcrossThreads) {
     DetectorSystemOptions opts = options;
     opts.probe_threads = threads;
 
-    DetectorSystem batch(routing, opts);
+    DetectorSystemOptions batch_opts = opts;
+    batch_opts.diagnose_every_segments = batch_opts.segments_per_window;
+    DetectorSystem batch(routing, batch_opts);
     Rng batch_rng(4242);
-    const auto batch_result = batch.RunWindowWithChurn(scenario, churn, batch_rng);
+    const auto batch_result = batch.RunWindowStreaming(scenario, churn, batch_rng).window;
 
     DetectorSystem streaming(routing, opts);
     Rng streaming_rng(4242);
@@ -263,9 +266,12 @@ TEST(IntraRackFiltering, SystemStopsProbingDownedServerMidWindow) {
   std::vector<ChurnEvent> churn;
   churn.push_back(ChurnEvent{10.0, TopologyDelta::NodeDown(victim)});
 
-  DetectorSystem batch(routing, options);
+  DetectorSystemOptions batch_options = options;
+  batch_options.diagnose_every_segments = batch_options.segments_per_window;
+  DetectorSystem batch(routing, batch_options);
   Rng batch_rng(31);
-  const auto batch_result = batch.RunWindowWithChurn(FailureScenario{}, churn, batch_rng);
+  const auto batch_result =
+      batch.RunWindowStreaming(FailureScenario{}, churn, batch_rng).window;
 
   DetectorSystem streaming(routing, options);
   Rng streaming_rng(31);

@@ -117,12 +117,12 @@ StormRun DrainStormSharded(const std::vector<std::vector<uint8_t>>& storm, size_
     if (shards == 1) {
       collector.Drain();
     } else {
-      std::vector<std::thread> drainers;
-      drainers.reserve(shards);
+      std::vector<std::thread> drain_threads;
+      drain_threads.reserve(shards);
       for (size_t s = 0; s < shards; ++s) {
-        drainers.emplace_back([&collector, s] { collector.DrainShardRange(s, s + 1); });
+        drain_threads.emplace_back([&collector, s] { collector.DrainShardRange(s, s + 1); });
       }
-      for (auto& t : drainers) {
+      for (auto& t : drain_threads) {
         t.join();
       }
     }
@@ -158,12 +158,12 @@ StormRun DrainStormFabric(const std::vector<std::vector<uint8_t>>& storm, size_t
       group.collector(static_cast<size_t>(group.RouteOf(pinger))).OfferUnbounded(wire);
     }
     WallTimer timer;
-    std::vector<std::thread> drainers;
-    drainers.reserve(collectors);
+    std::vector<std::thread> drain_threads;
+    drain_threads.reserve(collectors);
     for (size_t c = 0; c < collectors; ++c) {
-      drainers.emplace_back([&group, c] { group.collector(c).Drain(); });
+      drain_threads.emplace_back([&group, c] { group.collector(c).Drain(); });
     }
-    for (auto& t : drainers) {
+    for (auto& t : drain_threads) {
       t.join();
     }
     out.seconds = std::min(out.seconds, timer.ElapsedSeconds());

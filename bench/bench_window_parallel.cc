@@ -8,36 +8,16 @@
 // the hardware actually has >= 8 cores (a 1-core container cannot exhibit parallel speedup,
 // and pretending otherwise would just burn CI).
 //
-// Sub-shard mode (--probe-subshards): re-runs the sweep's topology at the largest thread
-// count with pinglists split into entry-range sub-shards (per-entry RNG keying); results must
-// be bit-identical at every sub-shard count (the counts are a different — equally
-// deterministic — trajectory than the legacy per-pinger streams, so the baseline is
-// sub-shards=1, not the legacy sweep).
-//
-// --tail-gate: the monster-pinger regime at fat-tree(--gate-k, default 48). The real probe
-// plane there has ~2300 equal-budget pinglists — far more shards than threads, so the window
-// balances itself and per-pinger sharding is enough. The tail appears when shard granularity
-// collapses towards the thread count (designated-pinger consolidation: the same window budget
-// carried by a handful of giant pinglists). The gate consolidates the controller's pinglists
-// into --tail-shards lists (summing their budgets — identical total window work), executes
-// one window both ways on the same pool, and requires sub-sharding to recover >= 1.5x
-// wall-clock (enforced on >= 8-core hosts; bit-exactness between the two partitions is
-// enforced everywhere, since both run the same per-entry RNG keying).
-//
 // Flags: --k=16            fat-tree arity
 //        --windows=10      measured windows per thread count
 //        --pps=200         probe packets per second per pinger (work per window)
 //        --alpha, --beta   PMC configuration (default 1/1)
 //        --threads=1,2,4,8 comma-separated thread counts (first must be 1)
-//        --probe-subshards=1,2,4 comma-separated sub-shard counts (first must be 1)
-//        --strict-gate     fail (exit 2) when a speedup gate cannot run at all — for CI
+//        --strict-gate     fail (exit 2) when the speedup gate cannot run at all — for CI
 //                          branches that already verified the host has >= 8 cores, so a
 //                          mis-detected runner cannot silently skip the gate
 //        --seed
 //        --json=FILE       machine-readable metrics + gate outcomes
-//        --tail-gate [--gate-k=48] [--tail-shards=4] [--tail-subshards=8] [--tail-windows=3]
-//                    [--tail-pps=50] [--gate-build-budget=300]
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -45,11 +25,7 @@
 #include <vector>
 
 #include "bench/harness.h"
-#include "src/common/thread_pool.h"
-#include "src/detector/controller.h"
-#include "src/detector/pinger.h"
 #include "src/detector/system.h"
-#include "src/pmc/structured_fattree.h"
 #include "src/routing/fattree_routing.h"
 #include "src/topo/fattree.h"
 
@@ -79,158 +55,6 @@ std::vector<size_t> ParseThreadCounts(const std::string& spec) {
   return counts;
 }
 
-bool SameReports(const std::vector<PathReport>& a, const std::vector<PathReport>& b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].path_id != b[i].path_id || a[i].target != b[i].target || a[i].sent != b[i].sent ||
-        a[i].lost != b[i].lost) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// One window over consolidated pinglists: each list split into `subshards` entry ranges, all
-// ranges executed on the pool with work-stealing (the same primitive RunSegmentSubsharded
-// schedules), results folded per list in range order. Returns wall-clock seconds.
-struct TailRun {
-  std::vector<PathReport> reports;  // all lists, list order then entry order
-  double seconds = 0.0;
-};
-
-TailRun RunTailWindow(const std::vector<Pinglist>& lists, const ProbeEngine& engine,
-                      double window_seconds, uint64_t window_seed, size_t subshards,
-                      ThreadPool& pool) {
-  struct Range {
-    const Pinger* pinger;
-    size_t begin, end;
-    std::vector<PathReport> out;
-  };
-  std::vector<Pinger> pingers;
-  pingers.reserve(lists.size());
-  for (const Pinglist& list : lists) {
-    pingers.emplace_back(list);
-  }
-  std::vector<Range> ranges;
-  for (size_t l = 0; l < lists.size(); ++l) {
-    const size_t n = lists[l].entries.size();
-    const size_t pieces = std::min(subshards, std::max<size_t>(1, n));
-    for (size_t p = 0; p < pieces; ++p) {
-      ranges.push_back(Range{&pingers[l], n * p / pieces, n * (p + 1) / pieces, {}});
-    }
-  }
-  WallTimer timer;
-  std::atomic<size_t> next{0};
-  const size_t workers = std::min(pool.num_threads(), ranges.size());
-  for (size_t w = 0; w < workers; ++w) {
-    pool.Submit([&] {
-      for (size_t i = next.fetch_add(1); i < ranges.size(); i = next.fetch_add(1)) {
-        Range& r = ranges[i];
-        r.pinger->RunEntryRange(engine, window_seconds, window_seed, r.begin, r.end, r.out);
-      }
-    });
-  }
-  pool.WaitAll();
-  TailRun run;
-  run.seconds = timer.ElapsedSeconds();
-  for (Range& r : ranges) {
-    run.reports.insert(run.reports.end(), r.out.begin(), r.out.end());
-  }
-  return run;
-}
-
-// The monster-pinger gate (see the file comment). Returns false on gate failure.
-bool RunTailGate(const Flags& flags, uint64_t seed, bench::JsonWriter& json) {
-  const int gate_k = static_cast<int>(flags.GetInt("gate-k", 48));
-  const size_t tail_shards = std::max<size_t>(1, static_cast<size_t>(flags.GetInt("tail-shards", 4)));
-  const size_t subshards = std::max<size_t>(2, static_cast<size_t>(flags.GetInt("tail-subshards", 8)));
-  const int windows = std::max(1, static_cast<int>(flags.GetInt("tail-windows", 3)));
-  const double tail_pps = flags.GetDouble("tail-pps", 50.0);
-  const double build_budget = flags.GetDouble("gate-build-budget", 300.0);
-
-  std::printf("\n== tail gate: %zu consolidated shards, %zu sub-shards, fat-tree(%d) ==\n",
-              tail_shards, subshards, gate_k);
-  WallTimer build_timer;
-  const FatTree ft(gate_k);
-  const ProbeMatrix matrix = StructuredFatTreeProbeMatrix(ft, /*alpha=*/1, /*beta=*/2);
-  const Watchdog watchdog(ft.topology());
-  const Controller controller(ft.topology(), ControllerOptions{});
-  const std::vector<Pinglist> fine = controller.BuildPinglists(matrix, watchdog);
-
-  // Designated-pinger consolidation: the same entries and the same total probe budget,
-  // carried by tail_shards giant pinglists instead of one per (rack, pinger).
-  std::vector<Pinglist> monsters(std::min(tail_shards, fine.size()));
-  for (size_t i = 0; i < fine.size(); ++i) {
-    Pinglist& m = monsters[i % monsters.size()];
-    if (m.entries.empty()) {
-      m = fine[i];
-      m.packets_per_second = tail_pps;
-      continue;
-    }
-    m.packets_per_second += tail_pps;
-    m.entries.insert(m.entries.end(), fine[i].entries.begin(), fine[i].entries.end());
-  }
-  const double build_seconds = build_timer.ElapsedSeconds();
-  size_t total_entries = 0;
-  for (const Pinglist& m : monsters) {
-    total_entries += m.entries.size();
-  }
-  std::printf("build: %.1f s, %zu fine pinglists -> %zu monster lists, %zu entries total\n",
-              build_seconds, fine.size(), monsters.size(), total_entries);
-
-  FailureModel model(ft.topology(), FailureModelOptions{});
-  Rng scenario_rng(seed);
-  const FailureScenario scenario = model.SampleLinkFailures(2, scenario_rng);
-  const ProbeEngine engine(ft.topology(), scenario, ProbeConfig{});
-  const double window_seconds = 30.0;
-  ThreadPool pool(std::max<size_t>(2, std::thread::hardware_concurrency()));
-
-  double coarse_seconds = 0.0;
-  double fine_seconds = 0.0;
-  bool identical = true;
-  for (int w = 0; w < windows; ++w) {
-    const uint64_t window_seed = seed + 11 + static_cast<uint64_t>(w);
-    const TailRun coarse = RunTailWindow(monsters, engine, window_seconds, window_seed,
-                                         /*subshards=*/1, pool);
-    const TailRun sub = RunTailWindow(monsters, engine, window_seconds, window_seed,
-                                      subshards, pool);
-    coarse_seconds += coarse.seconds;
-    fine_seconds += sub.seconds;
-    identical = identical && SameReports(coarse.reports, sub.reports);
-  }
-  const double speedup = coarse_seconds / std::max(fine_seconds, 1e-9);
-  std::printf("window wall-clock: whole-shard %.0f ms, sub-sharded %.0f ms => %.2fx\n",
-              coarse_seconds * 1e3 / windows, fine_seconds * 1e3 / windows, speedup);
-  json.Metric("tail_gate_k", gate_k);
-  json.Metric("tail_shards", static_cast<double>(monsters.size()));
-  json.Metric("tail_subshards", static_cast<double>(subshards));
-  json.Metric("tail_whole_shard_ms", coarse_seconds * 1e3 / windows);
-  json.Metric("tail_subsharded_ms", fine_seconds * 1e3 / windows);
-  json.Metric("tail_speedup", speedup);
-  json.Gate("tail-subshard-identical", identical ? 1.0 : 0.0, 1.0, true, identical);
-  if (!identical) {
-    std::printf("FAIL: sub-sharded window diverged from the whole-shard partition\n");
-    json.Gate("tail-subshard-1.5x", speedup, 1.5, true, false);
-    return false;
-  }
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (cores < 8 || build_seconds > build_budget) {
-    const bool strict = flags.Has("strict-gate");
-    std::printf("tail speedup gate %s: %u hardware threads, build %.1f s (budget %.0f s)\n",
-                strict ? "FAIL (--strict-gate, cannot run)" : "SKIPPED", cores, build_seconds,
-                build_budget);
-    json.Gate("tail-subshard-1.5x", speedup, 1.5, false, !strict);
-    return !strict;
-  }
-  const bool pass = speedup >= 1.5;
-  std::printf("tail speedup gate %s: %.2fx %s 1.5x (bit-exact)\n", pass ? "PASS" : "FAIL",
-              speedup, pass ? ">=" : "<");
-  json.Gate("tail-subshard-1.5x", speedup, 1.5, true, pass);
-  return pass;
-}
-
 }  // namespace
 }  // namespace detector
 
@@ -243,19 +67,8 @@ int main(int argc, char** argv) {
   flags.Describe("alpha", "coverage target (default 1)");
   flags.Describe("beta", "identifiability target (default 1)");
   flags.Describe("threads", "comma-separated shard thread counts, first must be 1");
-  flags.Describe("probe-subshards",
-                 "comma-separated entry-range sub-shard counts, first must be 1 (the "
-                 "per-entry-keyed baseline)");
-  flags.Describe("strict-gate", "exit 2 when a speedup gate cannot be enforced");
+  flags.Describe("strict-gate", "exit 2 when the speedup gate cannot be enforced");
   flags.Describe("seed", "rng seed (default 1)");
-  flags.Describe("tail-gate", "run the consolidated monster-pinger sub-sharding gate");
-  flags.Describe("gate-k", "arity for --tail-gate (default 48)");
-  flags.Describe("tail-shards", "consolidated pinglists for --tail-gate (default 4)");
-  flags.Describe("tail-subshards", "sub-shards per monster list for --tail-gate (default 8)");
-  flags.Describe("tail-windows", "windows measured by --tail-gate (default 3)");
-  flags.Describe("tail-pps", "probe rate per consolidated fine list in --tail-gate (default 50)");
-  flags.Describe("gate-build-budget",
-                 "seconds the gate host may spend building before the 1.5x check is skipped");
   bench::JsonWriter::DescribeFlag(flags);
   if (!flags.Parse(argc, argv)) {
     return 1;
@@ -272,12 +85,6 @@ int main(int argc, char** argv) {
       ParseThreadCounts(flags.GetString("threads", "1,2,4,8"));
   if (thread_counts.empty() || thread_counts.front() != 1) {
     std::fprintf(stderr, "--threads must start with 1 (the serial baseline)\n");
-    return 1;
-  }
-  const std::vector<size_t> subshard_counts =
-      ParseThreadCounts(flags.GetString("probe-subshards", "1,2,4"));
-  if (subshard_counts.empty() || subshard_counts.front() != 1) {
-    std::fprintf(stderr, "--probe-subshards must start with 1 (the sub-shard baseline)\n");
     return 1;
   }
   bench::JsonWriter json(flags, "window_parallel");
@@ -345,43 +152,9 @@ int main(int argc, char** argv) {
   json.Metric("speedup_at_8_threads", speedup_at_8);
   json.Gate("window-thread-identical", all_identical ? 1.0 : 0.0, 1.0, true, all_identical);
 
-  // Sub-shard sweep at the largest thread count: entry-range sub-shards with per-entry RNG
-  // keying. A different deterministic trajectory than the legacy per-pinger streams, so the
-  // exactness baseline is sub-shards=1.
-  const size_t sweep_threads = thread_counts.back();
-  system.set_probe_threads(sweep_threads);
-  std::printf("\nSub-sharded windows at %zu threads (baseline: 1 sub-shard per pinglist):\n",
-              sweep_threads);
-  TablePrinter sub_table({"sub-shards", "mean window ms", "identical"});
-  std::vector<WindowFingerprint> sub_baseline;
-  bool sub_identical = true;
-  for (const size_t subshards : subshard_counts) {
-    system.set_probe_subshards(static_cast<int>(subshards));
-    Rng rng(seed + 7);
-    std::vector<WindowFingerprint> prints;
-    WallTimer timer;
-    for (int w = 0; w < windows; ++w) {
-      prints.push_back(WindowFingerprint::Of(system.RunWindowStreaming(scenario, {}, rng).window));
-    }
-    const double mean_ms = timer.ElapsedMillis() / windows;
-    bool identical = true;
-    if (subshards == 1) {
-      sub_baseline = prints;
-    } else {
-      identical = prints == sub_baseline;
-      sub_identical = sub_identical && identical;
-    }
-    sub_table.AddRow({TablePrinter::FmtInt(static_cast<int64_t>(subshards)),
-                      TablePrinter::Fmt(mean_ms, 2), identical ? "yes" : "NO"});
-  }
-  system.set_probe_subshards(0);
-  sub_table.Print();
-  json.Gate("subshard-count-identical", sub_identical ? 1.0 : 0.0, 1.0, true, sub_identical);
-
   bool ok = true;
-  if (!all_identical || !sub_identical) {
-    std::printf("\nFAIL: window results diverge across %s\n",
-                all_identical ? "sub-shard counts" : "thread counts");
+  if (!all_identical) {
+    std::printf("\nFAIL: window results diverge across thread counts\n");
     ok = false;
   }
   const unsigned cores = std::thread::hardware_concurrency();
@@ -405,9 +178,6 @@ int main(int argc, char** argv) {
                   cores);
       json.Gate("window-8-thread-3x", speedup_at_8, 3.0, false, true);
     }
-  }
-  if (flags.GetBool("tail-gate", false)) {
-    ok = RunTailGate(flags, seed, json) && ok;
   }
   json.Write();
   return ok ? 0 : 2;

@@ -547,9 +547,6 @@ int main(int argc, char** argv) {
   flags.Describe("ingest-shards",
                  "collector mode: pinger-affine decode/fold queues (default 1)");
   flags.Describe("seed", "rng seed (default 9)");
-  flags.Describe("probe-subshards",
-                 "entry-range sub-shards per pinglist in the probe plane (0 = whole-shard "
-                 "per-pinger streams, the default)");
   flags.Describe("pmc-repair-threads",
                  "threads for multi-component churn repair (default 1; 0 = hardware)");
   flags.Describe("decay-quantized",
@@ -612,7 +609,6 @@ int main(int argc, char** argv) {
   DetectorSystemOptions options;
   options.pmc.alpha = 2;
   options.pmc.beta = 1;
-  options.probe_subshards = std::max(0, static_cast<int>(flags.GetInt("probe-subshards", 0)));
   options.pmc_repair_threads =
       std::max(0, static_cast<int>(flags.GetInt("pmc-repair-threads", 1)));
   options.decay_quantized = flags.GetBool("decay-quantized", false);

@@ -109,64 +109,6 @@ PingerTraffic Pinger::RunWindowInto(const ProbeEngine& engine, double window_sec
       });
 }
 
-PingerTraffic Pinger::RunEntryRange(const ProbeEngine& engine, double window_seconds,
-                                    uint64_t window_seed, size_t begin, size_t end,
-                                    std::vector<PathReport>& out,
-                                    const Watchdog* watchdog) const {
-  PingerTraffic traffic;
-  const std::vector<PinglistEntry>& entries = pinglist_.entries;
-  int64_t eligible = 0;
-  for (const PinglistEntry& entry : entries) {
-    eligible += EntryEligible(entry, watchdog) ? 1 : 0;
-  }
-  if (eligible == 0) {
-    return traffic;
-  }
-  // Whole-list budget split, identical to RunEntries: per-entry packet counts depend only on
-  // an entry's eligible rank, never on the range partition.
-  const int64_t budget =
-      std::max<int64_t>(1, static_cast<int64_t>(pinglist_.packets_per_second * window_seconds));
-  const int64_t per_entry = std::max<int64_t>(1, budget / eligible);
-  const bool redistributing = eligible < static_cast<int64_t>(entries.size());
-  const int64_t extra_packets =
-      redistributing ? std::max<int64_t>(0, budget - per_entry * eligible) : 0;
-
-  end = std::min(end, entries.size());
-  int64_t eligible_index = 0;
-  for (size_t i = 0; i < std::min(begin, entries.size()); ++i) {
-    eligible_index += EntryEligible(entries[i], watchdog) ? 1 : 0;
-  }
-  for (size_t i = begin; i < end; ++i) {
-    const PinglistEntry& entry = entries[i];
-    if (!EntryEligible(entry, watchdog)) {
-      continue;
-    }
-    const int64_t packets = per_entry + (eligible_index < extra_packets ? 1 : 0);
-    ++eligible_index;
-    Rng entry_rng = ProbeEngine::ShardRng(
-        window_seed,
-        HashCombine(static_cast<uint64_t>(pinglist_.pinger), static_cast<uint64_t>(i)));
-    const bool sample_rtt = engine.rtt_observation() && entry.path_id >= 0;
-    RttSketch rtt = sample_rtt ? RttSketch(engine.rtt_sketch_bins()) : RttSketch{};
-    RttSketch* rtt_ptr = sample_rtt ? &rtt : nullptr;
-    PathObservation obs = engine.SimulatePath(entry.route, pinglist_.pinger,
-                                              entry.target_server,
-                                              static_cast<int>(packets), entry_rng, rtt_ptr);
-    if (obs.lost > 0 && confirm_packets_ > 0) {
-      const PathObservation confirm =
-          engine.SimulatePath(entry.route, pinglist_.pinger, entry.target_server,
-                              confirm_packets_, entry_rng, rtt_ptr);
-      obs.sent += confirm.sent;
-      obs.lost += confirm.lost;
-    }
-    traffic.probes_sent += obs.sent;
-    traffic.bytes_sent += obs.sent * engine.config().probe_bytes * 2;  // request + echo
-    out.push_back(PathReport{entry.path_id, entry.target_server, obs.sent, obs.lost,
-                             rtt.total() > 0 ? std::move(rtt) : RttSketch{}});
-  }
-  return traffic;
-}
-
 PingerTraffic Pinger::RunWindowTo(const ProbeEngine& engine, double window_seconds, Rng& rng,
                                   ReportSink& sink, const Watchdog* watchdog) const {
   return RunEntries(

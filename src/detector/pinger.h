@@ -90,21 +90,6 @@ class Pinger {
   PingerTraffic RunWindowTo(const ProbeEngine& engine, double window_seconds, Rng& rng,
                             ReportSink& sink, const Watchdog* watchdog = nullptr) const;
 
-  // Entries [begin, end) of the same window, each on its own RNG stream keyed by
-  // (window_seed, pinger, entry index) — the sub-sharded execution mode that splits a giant
-  // pinglist across workers. The packet-budget split is still computed over the whole
-  // pinglist, so the union of any disjoint range cover runs exactly the entries (and budgets)
-  // one whole-list call would, and because no entry reads another entry's stream the counters
-  // are invariant to both the sub-shard partition and thread scheduling. Reports append to
-  // `out` in entry order; the returned traffic covers this range only. (The per-entry keying
-  // is a different — equally deterministic — RNG trajectory than the sequential per-pinger
-  // stream of RunWindowInto, so sub-sharded windows are comparable with each other, not with
-  // legacy ones.)
-  PingerTraffic RunEntryRange(const ProbeEngine& engine, double window_seconds,
-                              uint64_t window_seed, size_t begin, size_t end,
-                              std::vector<PathReport>& out,
-                              const Watchdog* watchdog = nullptr) const;
-
   const Pinglist& pinglist() const { return pinglist_; }
 
  private:

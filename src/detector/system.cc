@@ -363,10 +363,6 @@ void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds,
   ObservationStore& store = analyzer_.diagnoser().store();
   store.EnsureSlots(matrix_.NumPaths());
   const uint64_t window_seed = rng();
-  if (options_.probe_subshards > 0) {
-    RunSegmentSubsharded(engine, seconds, window_seed, result);
-    return;
-  }
   const bool report = options_.report_plane;
   struct ShardWork {
     const Pinglist* list;
@@ -431,76 +427,26 @@ void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds,
       pool_ = std::make_unique<ThreadPool>(configured);
     }
     std::atomic<size_t> next{0};
-    size_t report_workers = 0;
     if (report) {
-      // Concurrent ingest on the same pool, submitted FIRST so it holds workers for the
+      // Concurrent ingest on the same pool, submitted FIRST so it holds one worker for the
       // whole segment: frames decode and fold while the remaining workers probe, instead of
-      // piling up in the transports until the barrier below. Store safety holds because the
-      // fold lanes write disjoint store shards (partitioned collectors x pinger-affine
-      // ingest shards), and every ingest task terminates unconditionally once all shards
-      // finished — even if it somehow only got scheduled after them.
-      const size_t collectors = collector_group_->num_collectors();
-      const size_t lanes = collectors * collector_group_->ingest_shards_per_collector();
-      // With enough workers, split ingest into one receiver (transports -> shard queues,
-      // unbounded so a lossless transport stays lossless) plus drain tasks over disjoint
-      // (collector, ingest shard) lanes; at least one worker must remain for probing.
-      const size_t drainers =
-          (lanes > 1 && configured >= 3) ? std::min(lanes, configured - 2) : 0;
-      if (drainers == 0) {
-        pool_->Submit([&] {
-          while (shards_left.load(std::memory_order_acquire) > 0) {
-            size_t folded = 0;
-            for (size_t c = 0; c < collector_group_->num_collectors(); ++c) {
-              folded += collector_group_->collector(c).PumpFrom(*report_transports_[c]);
-            }
-            if (folded == 0) {
-              std::this_thread::yield();
-            }
+      // piling up in the transports until the barrier below. The pump is the store's only
+      // writer, and it terminates unconditionally once all shards finished — even if it
+      // somehow only got scheduled after them.
+      pool_->Submit([&] {
+        while (shards_left.load(std::memory_order_acquire) > 0) {
+          size_t folded = 0;
+          for (size_t c = 0; c < collector_group_->num_collectors(); ++c) {
+            folded += collector_group_->collector(c).PumpFrom(*report_transports_[c]);
           }
-        });
-        report_workers = 1;
-      } else {
-        pool_->Submit([&, collectors] {
-          std::vector<uint8_t> frame;
-          while (shards_left.load(std::memory_order_acquire) > 0) {
-            size_t moved = 0;
-            for (size_t c = 0; c < collectors; ++c) {
-              while (report_transports_[c]->Receive(frame)) {
-                collector_group_->collector(c).OfferUnbounded(std::move(frame));
-                frame.clear();
-                ++moved;
-              }
-            }
-            if (moved == 0) {
-              std::this_thread::yield();
-            }
+          if (folded == 0) {
+            std::this_thread::yield();
           }
-        });
-        const size_t shards_per_collector = collector_group_->ingest_shards_per_collector();
-        for (size_t d = 0; d < drainers; ++d) {
-          pool_->Submit([&, d, drainers, shards_per_collector] {
-            while (shards_left.load(std::memory_order_acquire) > 0) {
-              size_t processed = 0;
-              // Lane d, d + drainers, d + 2*drainers, ... — disjoint across drain tasks.
-              for (size_t lane = d; lane < collector_group_->num_collectors() *
-                                               shards_per_collector;
-                   lane += drainers) {
-                collector_group_->collector(lane / shards_per_collector)
-                    .DrainShardRange(lane % shards_per_collector,
-                                     lane % shards_per_collector + 1, 0, &processed);
-              }
-              if (processed == 0) {
-                std::this_thread::yield();
-              }
-            }
-          });
         }
-        report_workers = 1 + drainers;
-      }
+      });
     }
-    // In report mode the ingest tasks hold report_workers workers; the shard loop tasks
-    // share the rest (the drainer split above always leaves at least one).
-    const size_t shard_workers = report ? configured - report_workers : configured;
+    // In report mode the pump holds one worker; the shard loop tasks share the rest.
+    const size_t shard_workers = report ? configured - 1 : configured;
     const size_t tasks = std::min(shard_workers, work.size());
     for (size_t t = 0; t < tasks; ++t) {
       pool_->Submit([&] {
@@ -546,125 +492,6 @@ void DetectorSystem::PumpReportBoundary() {
         col.DrainStale(col.boundary() - depth + 1);
       }
     }
-  }
-}
-
-// Sub-sharded segment execution (probe_subshards > 0): every pinglist's entry range is cut
-// into up to probe_subshards contiguous ranges, each an independent pool task drawing
-// per-entry RNG streams — so a giant pinglist spreads across workers instead of pinning the
-// segment's tail to one. Tasks buffer their PathReports; a serial fold in (pinglist, entry)
-// order then writes the store shards (or replays the report emitters), preserving the
-// single-writer shard contract, the legacy record order, and — in report mode — the
-// single-threaded per-pinger frame sequence the emitters require.
-void DetectorSystem::RunSegmentSubsharded(const ProbeEngine& engine, double seconds,
-                                          uint64_t window_seed, WindowResult& result) {
-  ObservationStore& store = analyzer_.diagnoser().store();
-  const bool report = options_.report_plane;
-  const size_t splits = static_cast<size_t>(std::max(1, options_.probe_subshards));
-
-  // Serial phase: shards open in pinglist order (same creation — and intra-rack record —
-  // order as the legacy path); one Pinger per list, shared const by its sub-shard tasks.
-  struct ListWork {
-    const Pinglist* list;
-    ObservationStore::Shard* shard;
-    std::unique_ptr<Pinger> pinger;
-    size_t first_task = 0;
-    size_t num_tasks = 0;
-  };
-  struct SubShard {
-    size_t list_index;
-    size_t begin;
-    size_t end;
-    std::vector<PathReport> reports;
-    PingerTraffic traffic;
-  };
-  std::vector<ListWork> lists;
-  std::vector<SubShard> tasks;
-  for (const Pinglist& list : pinglists_) {
-    if (list.entries.empty()) {
-      continue;
-    }
-    ListWork list_work{&list, &store.OpenShard(list.pinger),
-                       std::make_unique<Pinger>(list, options_.confirm_packets),
-                       tasks.size(), 0};
-    const size_t n = list.entries.size();
-    const size_t pieces = std::min(splits, n);
-    for (size_t p = 0; p < pieces; ++p) {
-      tasks.push_back(SubShard{lists.size(), n * p / pieces, n * (p + 1) / pieces, {}, {}});
-    }
-    list_work.num_tasks = tasks.size() - list_work.first_task;
-    lists.push_back(std::move(list_work));
-  }
-
-  // Parallel phase: sub-shards only read shared state (pinglist, engine, watchdog at a serial
-  // point) and write their own buffers — any scheduling order yields the same counters.
-  auto run_task = [&](size_t i) {
-    SubShard& task = tasks[i];
-    const ListWork& list_work = lists[task.list_index];
-    task.reports.reserve(task.end - task.begin);
-    task.traffic = list_work.pinger->RunEntryRange(engine, seconds, window_seed, task.begin,
-                                                   task.end, task.reports, &watchdog_);
-  };
-  const size_t configured = options_.probe_threads != 0
-                                ? options_.probe_threads
-                                : std::max<size_t>(1, std::thread::hardware_concurrency());
-  if (configured <= 1 || tasks.size() <= 1) {
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      run_task(i);
-    }
-  } else {
-    if (pool_ == nullptr || pool_->num_threads() != configured) {
-      pool_ = std::make_unique<ThreadPool>(configured);
-    }
-    std::atomic<size_t> next{0};
-    const size_t workers = std::min(configured, tasks.size());
-    for (size_t t = 0; t < workers; ++t) {
-      pool_->Submit([&] {
-        for (size_t i = next.fetch_add(1); i < tasks.size(); i = next.fetch_add(1)) {
-          run_task(i);
-        }
-      });
-    }
-    pool_->WaitAll();
-  }
-
-  // Serial fold, in (pinglist, entry) order.
-  for (const ListWork& list_work : lists) {
-    std::unique_ptr<ReportEmitter> emitter;
-    if (report) {
-      Transport& transport = *report_transports_[static_cast<size_t>(
-          collector_group_->RouteOf(list_work.list->pinger))];
-      emitter = std::make_unique<ReportEmitter>(
-          list_work.list->pinger, report_window_id_, report_seq_[list_work.list->pinger],
-          store.slot_epochs(), transport, options_.report_batch_entries, options_.report_key);
-    }
-    for (size_t p = 0; p < list_work.num_tasks; ++p) {
-      SubShard& task = tasks[list_work.first_task + p];
-      result.probes_sent += task.traffic.probes_sent;
-      result.bytes_sent += task.traffic.bytes_sent;
-      for (const PathReport& r : task.reports) {
-        if (r.path_id == PinglistEntry::kIntraRackPath) {
-          if (emitter != nullptr) {
-            emitter->OnIntraRack(r.target, r.sent, r.lost);
-          } else {
-            list_work.shard->RecordIntraRack(r.target, r.sent, r.lost);
-          }
-        } else if (r.path_id >= 0) {
-          if (emitter != nullptr) {
-            emitter->OnPath(r.path_id, r.target, r.sent, r.lost);
-          } else {
-            list_work.shard->RecordPath(r.path_id, r.target, r.sent, r.lost);
-          }
-        }
-      }
-    }
-    if (emitter != nullptr) {
-      emitter->Flush();
-      report_seq_[list_work.list->pinger] = emitter->next_seq();
-    }
-  }
-  if (report) {
-    PumpReportBoundary();
   }
 }
 

@@ -77,16 +77,6 @@ struct DetectorSystemOptions {
   // many threads (0 = hardware concurrency). Results are bit-identical at any thread count —
   // every shard draws from its own RNG stream keyed by (window seed, pinger id).
   size_t probe_threads = 0;
-  // Sub-sharded probe execution: > 0 splits every pinglist's entry range into up to this many
-  // contiguous sub-shards, each an independent pool task, so one giant pinglist no longer
-  // pins the parallel-window tail to a single worker. Sub-shards draw per-entry RNG streams
-  // keyed by (window seed, pinger, entry index), making counters invariant to both the
-  // sub-shard count and the thread count (gated in tests/parallel_window_test.cc); their
-  // reports are buffered and folded serially in (pinglist, entry) order, preserving the
-  // store's single-writer shard contract and the legacy record order. 0 (the default) keeps
-  // the one-stream-per-pinger legacy path bit-for-bit; note >= 1 is a different — equally
-  // deterministic — RNG trajectory than 0, so compare like with like.
-  int probe_subshards = 0;
   // Threads IncrementalPmc::ApplyDelta may repair touched decomposition components on when a
   // maintenance wave dirties several at once (0 = hardware concurrency). Bit-identical to
   // serial repair at any value. Ignored in fixed-matrix mode (no solver to parallelize).
@@ -129,8 +119,10 @@ struct DetectorSystemOptions {
   // All N fold into the one diagnosis-tier store — their partitions are disjoint, so they
   // ingest in parallel with no cross-collector barrier.
   size_t report_collectors = 1;
-  // Ingest shards per collector instance: pinger-affine decode/fold lanes drained by
-  // concurrent pool tasks when probe_threads allows (see RunSegment's worker split).
+  // Ingest shards per collector instance: pinger-affine decode/fold lanes. In-process windows
+  // drain every lane from RunSegment's one ingest pump, so the lane count changes no result;
+  // concurrent lane drains (Collector::DrainShardRange) serve callers with their own drain
+  // threads.
   size_t report_ingest_shards = 1;
   // Pipelined report plane: drop the per-segment flush-and-drain barrier and let frames
   // straddle segment boundaries — the (slot, epoch) stamps make late folds land exactly
@@ -269,9 +261,6 @@ class DetectorSystem {
   // Re-sizes the probe-plane shard pool (0 = hardware concurrency). Takes effect at the next
   // window; does not change results, only wall-clock.
   void set_probe_threads(size_t n) { options_.probe_threads = n; }
-  // Re-splits pinglists into entry-range sub-shards (see the option comment; takes effect at
-  // the next segment). Any value >= 1 yields identical results; 0 restores the legacy path.
-  void set_probe_subshards(int n) { options_.probe_subshards = std::max(0, n); }
   // Re-slices window execution / re-paces streaming diagnosis (both clamped to >= 1). Takes
   // effect at the next window. Changing the slicing changes the RNG trajectory — results are
   // comparable only between runs with equal segments_per_window.
@@ -342,15 +331,12 @@ class DetectorSystem {
   // trajectory as before episodes existed.
   void RunSpan(const FailureScenario& scenario, double t0, double t1, Rng& rng,
                WindowResult& result);
+  // One probe slice: a shard per non-empty pinglist on ShardRng(window seed, pinger), spread
+  // over the pool; in report mode one pool task pumps every collector while the rest probe.
   void RunSegment(const FailureScenario& scenario, double seconds, Rng& rng,
                   WindowResult& result);
-  // RunSegment's probe_subshards > 0 body: entry-range sub-shards probe into per-task report
-  // buffers on the pool, then a serial fold in (pinglist, entry) order writes the store
-  // shards (or the report emitters).
-  void RunSegmentSubsharded(const ProbeEngine& engine, double seconds, uint64_t window_seed,
-                            WindowResult& result);
-  // End-of-segment report-plane handling, shared by both segment bodies: the barriered
-  // flush-and-drain, or the pipelined budgeted pump + staleness enforcement.
+  // End-of-segment report-plane handling: the barriered flush-and-drain, or the pipelined
+  // budgeted pump + staleness enforcement.
   void PumpReportBoundary();
   // The localization for one mid-window boundary, per options_.streaming_view.
   LocalizeResult LocalizeBoundary();

@@ -115,8 +115,9 @@ class Collector {
   bool Offer(std::vector<uint8_t> frame);
 
   // Producer side without the capacity bound — for a pump that owns delivery end-to-end
-  // (in-system receiver task, PumpFrom) and must not turn a lossless transport into a lossy
-  // one. Memory is bounded by the transport backlog instead of queue_capacity.
+  // (PumpFrom, or a caller feeding its own drain threads) and must not turn a lossless
+  // transport into a lossy one. Memory is bounded by the transport backlog instead of
+  // queue_capacity.
   void OfferUnbounded(std::vector<uint8_t> frame);
 
   // Serial consumer: decodes and folds queued frames across all shards, applying pending
@@ -132,7 +133,7 @@ class Collector {
   size_t DrainShardRange(size_t begin, size_t end, size_t max_frames = 0,
                          size_t* processed = nullptr);
 
-  // Applies the oldest pending window advance flagged by drainers (hook, then flip and
+  // Applies the oldest pending window advance flagged by DrainShardRange (hook, then flip and
   // liveness tick, then dedup prune). Serial point — no concurrent drainer. True if a flip was
   // applied; call Drain/DrainShardRange again afterwards to fold the parked frames.
   bool AdvancePendingWindows();
@@ -159,7 +160,7 @@ class Collector {
   uint64_t boundary() const { return boundary_.load(std::memory_order_acquire); }
 
   // Rolls per-shard counters up into one view (sums; max for max_fold_staleness; liveness
-  // gauges computed against the current clock). Serial point with respect to drainers.
+  // gauges computed against the current clock). Serial point with respect to concurrent drains.
   CollectorStats stats() const;
   size_t queued() const;
 

@@ -45,12 +45,12 @@ class CollectorGroup {
   void BeginWindow(uint64_t window_id);
   void AdvanceBoundary();
 
-  // Sum of all instances' stats (max for max_fold_staleness). Serial point wrt drainers.
+  // Sum of all instances' stats (max for max_fold_staleness). Serial point wrt concurrent drains.
   CollectorStats stats() const;
   size_t queued() const;
 
   // Union of every instance's stale-pinger report (partitions are disjoint), sorted. Serial
-  // point wrt drainers.
+  // point wrt concurrent drains.
   std::vector<NodeId> StalePingers() const;
 
  private:

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/anomaly/anomaly_engine.h"
@@ -568,13 +569,15 @@ struct AnomalyRun {
 };
 
 AnomalyRun RunGraySequence(const FatTreeRouting& routing, LinkId gray, size_t threads,
-                           bool report_plane) {
+                           bool report_plane, size_t collectors = 1, size_t lanes = 1) {
   DetectorSystemOptions options;
   options.controller.packets_per_second = 50;
   options.segments_per_window = 4;
   options.diagnose_every_segments = 1;
   options.probe_threads = threads;
   options.report_plane = report_plane;
+  options.report_collectors = collectors;
+  options.report_ingest_shards = lanes;
   options.anomaly = true;
   DetectorSystem system(routing, options);
   CollectingSink sink;
@@ -602,6 +605,10 @@ TEST(AnomalyEndToEnd, WindowsBitIdenticalAcrossThreadsAndPlanes) {
   const AnomalyRun reference = RunGraySequence(routing, gray, /*threads=*/1, false);
   const AnomalyRun threaded = RunGraySequence(routing, gray, /*threads=*/2, false);
   const AnomalyRun reported = RunGraySequence(routing, gray, /*threads=*/1, true);
+  // A multi-lane fabric at 4 threads: one ingest pump drains all four lanes while three
+  // workers probe.
+  const AnomalyRun fabric = RunGraySequence(routing, gray, /*threads=*/4, true,
+                                            /*collectors=*/2, /*lanes=*/2);
 
   // Non-vacuous: the gray windows must actually raise anomalies naming the gray link, and
   // the merged sketches must carry samples.
@@ -621,8 +628,11 @@ TEST(AnomalyEndToEnd, WindowsBitIdenticalAcrossThreadsAndPlanes) {
   }
   EXPECT_GT(samples, 0);
 
-  for (const AnomalyRun* other : {&threaded, &reported}) {
-    const std::string which = other == &threaded ? "2 threads" : "report plane";
+  const std::pair<const AnomalyRun*, std::string> others[] = {
+      {&threaded, "2 threads"},
+      {&reported, "report plane"},
+      {&fabric, "report plane, 2 collectors x 2 lanes, 4 threads"}};
+  for (const auto& [other, which] : others) {
     ASSERT_EQ(other->results.size(), reference.results.size()) << which;
     for (size_t w = 0; w < reference.results.size(); ++w) {
       const std::string when = which + " window " + std::to_string(w);

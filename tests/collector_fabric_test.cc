@@ -198,7 +198,7 @@ TEST(Collector, ShardedIngestFoldsIdenticalTotals) {
   }
 }
 
-// Satellite gate: 8 producer threads hammer bounded shard queues while 4 drainers fold
+// Satellite gate: 8 producer threads hammer bounded shard queues while 4 drain threads fold
 // concurrently. Every Offer is accounted exactly once under the shard lock, so
 // folded + overflow-dropped == offered holds to the frame, and the store's global totals
 // equal 10/1 per folded frame — no lost, double-counted, or phantom folds.
@@ -216,9 +216,9 @@ TEST(Collector, ConcurrentOfferDrainAccounting) {
   std::atomic<bool> done{false};
   std::atomic<uint64_t> accepted{0};
 
-  std::vector<std::thread> drainers;
+  std::vector<std::thread> drain_threads;
   for (size_t s = 0; s < 4; ++s) {
-    drainers.emplace_back([&, s] {
+    drain_threads.emplace_back([&, s] {
       while (!done.load(std::memory_order_acquire)) {
         collector.DrainShardRange(s, s + 1);
         std::this_thread::yield();
@@ -244,7 +244,7 @@ TEST(Collector, ConcurrentOfferDrainAccounting) {
     t.join();
   }
   done.store(true, std::memory_order_release);
-  for (auto& t : drainers) {
+  for (auto& t : drain_threads) {
     t.join();
   }
 
@@ -332,7 +332,7 @@ TEST(CollectorFabric, BarrieredWindowsBitIdenticalToDirect) {
   const std::vector<ChurnEvent> churn = FabricChurn(ft);
 
   for (const size_t collectors : {size_t{2}, size_t{4}}) {
-    for (const size_t threads : {size_t{1}, size_t{2}}) {
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
       auto run = [&](bool report_plane) {
         DetectorSystemOptions options = FabricTestOptions(150);
         options.probe_threads = threads;

@@ -88,71 +88,6 @@ TEST(ParallelWindow, BitIdenticalUnderMidWindowChurn) {
   EXPECT_EQ(results[0].localization.links[0].link, f.link);
 }
 
-TEST(ParallelWindow, SubshardedBitIdenticalAcrossThreadAndSubshardCounts) {
-  // Sub-sharded execution keys every entry's RNG stream by (window seed, pinger, entry
-  // index), so the counters must be invariant to BOTH how the entry ranges are cut and how
-  // they are scheduled: the full 1/2/8-thread x 1/2/4-sub-shard grid agrees bit-for-bit.
-  const FatTree ft(4);
-  const FatTreeRouting routing(ft);
-  DetectorSystemOptions options;
-  options.pmc.alpha = 2;
-  options.pmc.beta = 1;
-  options.controller.packets_per_second = 50;
-  options.probe_threads = 1;
-  options.probe_subshards = 1;
-  DetectorSystem system(routing, options);
-
-  FailureScenario scenario;
-  LinkFailure f;
-  f.link = ft.AggCoreLink(1, 0, 1);
-  f.type = FailureType::kRandomPartial;
-  f.loss_rate = 0.05;
-  scenario.failures.push_back(f);
-
-  Rng baseline_rng(4321);
-  const auto baseline = system.RunWindowStreaming(scenario, {}, baseline_rng).window;
-  EXPECT_GT(baseline.probes_sent, 0);
-  for (const int threads : {1, 2, 8}) {
-    for (const int subshards : {1, 2, 4}) {
-      system.set_probe_threads(static_cast<size_t>(threads));
-      system.set_probe_subshards(subshards);
-      Rng rng(4321);
-      const auto run = system.RunWindowStreaming(scenario, {}, rng).window;
-      ExpectIdenticalWindows(baseline, run,
-                             "threads=" + std::to_string(threads) +
-                                 " subshards=" + std::to_string(subshards));
-    }
-  }
-}
-
-TEST(ParallelWindow, SubshardedMatchesLegacyDistributionUnderFiltering) {
-  // Sub-sharded mode is a different RNG trajectory than the legacy per-pinger stream, but the
-  // budget split must be byte-for-byte the same rule: with watchdog filtering active the
-  // per-entry packet counts (and so probes_sent) equal the legacy run's on the same seed.
-  const FatTree ft(6);
-  const FatTreeRouting routing(ft);
-  DetectorSystemOptions options;
-  options.pmc.alpha = 1;
-  options.pmc.beta = 1;
-  options.controller.packets_per_second = 40;
-  options.probe_threads = 1;
-  options.probe.base_loss_rate = 0.0;  // lossless: no stochastic confirmation probes
-  options.confirm_packets = 0;
-  DetectorSystem system(routing, options);
-  system.watchdog().MarkDown(ft.Server(1, 0, 1));
-
-  FailureScenario scenario;
-  Rng legacy_rng(99);
-  const auto legacy = system.RunWindowStreaming(scenario, {}, legacy_rng).window;
-  system.set_probe_subshards(4);
-  Rng sub_rng(99);
-  const auto sub = system.RunWindowStreaming(scenario, {}, sub_rng).window;
-  // No failures injected: both trajectories observe zero loss, so the only probe-count
-  // difference could come from a diverging budget split. Confirmation probes never fire.
-  EXPECT_EQ(legacy.probes_sent, sub.probes_sent);
-  EXPECT_EQ(legacy.bytes_sent, sub.bytes_sent);
-}
-
 TEST(ParallelWindow, BudgetRemainderRedistributionIsDeterministic) {
   // When watchdog filtering skips entries, the skipped budget is redistributed and the
   // integer-split remainder goes to the first eligible entries in pinglist order — a rule

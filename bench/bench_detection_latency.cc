@@ -50,6 +50,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -335,13 +336,21 @@ int main(int argc, char** argv) {
     options.decay_quantized = flags.GetBool("decay-quantized", false);
   }
   options.incremental_diagnosis = mode != "full";
+  // One system per diagnosis schedule. The batch baseline (same slicing, one diagnosis at
+  // window end) builds the matrix; every other schedule reuses it.
+  auto schedule = [&](int cadence, bool incremental) {
+    DetectorSystemOptions scheduled = options;
+    scheduled.diagnose_every_segments = cadence;
+    scheduled.incremental_diagnosis = incremental;
+    return scheduled;
+  };
   WallTimer build_timer;
-  DetectorSystem system(routing, options);
+  DetectorSystem batch(routing, schedule(segments, options.incremental_diagnosis));
   const double window = options.window_seconds;
   const double segment_seconds = window / segments;
   std::printf("build: %.2f s, %zu probe paths, %zu pinglists, %d segments of %.1f s\n\n",
-              build_timer.ElapsedSeconds(), system.probe_matrix().NumPaths(),
-              system.pinglists().size(), segments, segment_seconds);
+              build_timer.ElapsedSeconds(), batch.probe_matrix().NumPaths(),
+              batch.pinglists().size(), segments, segment_seconds);
 
   // One scenario per trial, fixed across every cadence (and the batch baseline).
   FailureModel model(ft.topology(), FailureModelOptions{});
@@ -351,14 +360,12 @@ int main(int argc, char** argv) {
     scenarios.push_back(model.SampleLinkFailures(1, scenario_rng));
   }
 
-  // Batch baseline: same slicing, one diagnosis at window end (cadence = segments).
   std::vector<LocalizeResult> batch_finals;
   int batch_detected = 0;
-  system.set_diagnose_every_segments(segments);
   for (int t = 0; t < trials; ++t) {
     Rng rng(seed + 100 + static_cast<uint64_t>(t));
     const auto result =
-        system.RunWindowStreaming(scenarios[static_cast<size_t>(t)], {}, rng).window;
+        batch.RunWindowStreaming(scenarios[static_cast<size_t>(t)], {}, rng).window;
     const LinkId injected = scenarios[static_cast<size_t>(t)].failures[0].link;
     for (const SuspectLink& s : result.localization.links) {
       if (s.link == injected) {
@@ -379,7 +386,14 @@ int main(int argc, char** argv) {
   bool incremental_matches_full = true;
   OnlineStats full_reference_ms;  // incremental mode: the full-PLL cost on the same seeds
   for (const int cadence : cadences) {
-    system.set_diagnose_every_segments(cadence);
+    DetectorSystem system(ft.topology(), batch.probe_matrix(),
+                          schedule(cadence, options.incremental_diagnosis));
+    // Incremental mode's oracle: the same schedule with full PLL at every boundary.
+    std::unique_ptr<DetectorSystem> full;
+    if (mode == "incremental") {
+      full = std::make_unique<DetectorSystem>(ft.topology(), batch.probe_matrix(),
+                                              schedule(cadence, false));
+    }
     std::vector<double> latencies;
     int detected = 0;
     OnlineStats pll_ms;
@@ -391,14 +405,12 @@ int main(int argc, char** argv) {
       if (streamed.window.localization.links != batch_finals[static_cast<size_t>(t)].links) {
         all_identical = false;
       }
-      if (mode == "incremental") {
+      if (full != nullptr) {
         // The oracle run: same seeds, full PLL at every boundary — every timeline entry must
         // match the incremental run bit for bit.
-        system.set_incremental_diagnosis(false);
         Rng full_rng(seed + 100 + static_cast<uint64_t>(t));
         const auto full_streamed =
-            system.RunWindowStreaming(scenarios[static_cast<size_t>(t)], {}, full_rng);
-        system.set_incremental_diagnosis(true);
+            full->RunWindowStreaming(scenarios[static_cast<size_t>(t)], {}, full_rng);
         if (full_streamed.timeline.size() != streamed.timeline.size()) {
           incremental_matches_full = false;
         } else {

@@ -103,10 +103,10 @@ int main(int argc, char** argv) {
   options.pmc.beta = static_cast<int>(flags.GetInt("beta", 1));
   options.controller.packets_per_second = pps;
   WallTimer build_timer;
-  DetectorSystem system(routing, options);
+  const DetectorSystem built(routing, options);
   std::printf("build: %.2f s, %zu probe paths, %zu pinglists, %u hardware threads\n\n",
-              build_timer.ElapsedSeconds(), system.probe_matrix().NumPaths(),
-              system.pinglists().size(), std::thread::hardware_concurrency());
+              build_timer.ElapsedSeconds(), built.probe_matrix().NumPaths(),
+              built.pinglists().size(), std::thread::hardware_concurrency());
 
   // One mixed failure scenario, fixed across all runs.
   FailureModel model(ft.topology(), FailureModelOptions{});
@@ -119,7 +119,10 @@ int main(int argc, char** argv) {
   double speedup_at_8 = 0.0;
   bool all_identical = true;
   for (const size_t threads : thread_counts) {
-    system.set_probe_threads(threads);
+    // One system per thread count, over the matrix built above (no PMC rebuild).
+    DetectorSystemOptions threaded = options;
+    threaded.probe_threads = threads;
+    DetectorSystem system(ft.topology(), built.probe_matrix(), threaded);
     Rng rng(seed + 7);  // same stream every thread count
     std::vector<WindowFingerprint> prints;
     WallTimer timer;

@@ -22,8 +22,18 @@
 //
 // The runner re-execs its own binary for each fleet member (--role=agent|collector --index=i)
 // with stdout redirected to a per-member log under --out-dir (default out/fleet), so member
-// output is attributable and the parent can assert on it. In sandboxes without UDP sockets the parent probes one Bind up front and
-// exits 0 with a NOTICE, mirroring the UDP tests' skip path.
+// output is attributable and the parent can assert on it. In sandboxes without UDP sockets the
+// parent probes one Bind up front and exits 0 with a NOTICE, mirroring the UDP tests' skip
+// path. The roles also run by hand — the two-process shape, in two terminals:
+//
+//   ./fleet_runner --role=collector --index=0 --collectors=1 --port=9477
+//   ./fleet_runner --role=agent --index=0 --agents=1 --collectors=1 --port=9477 --windows=3
+//
+// --history-dir=DIR makes collector i seal every window it closes into an append-only
+// WindowLog under DIR/collector-i, and the launcher then requires every collector to have
+// sealed a window and its log to read back clean. Query a log at the fleet's --k (default 4):
+//
+//   ./monitor_daemon --mode=query --k=4 --history-dir=out/fleet_history/collector-0
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -45,6 +55,7 @@
 #include "src/common/rng.h"
 #include "src/detector/analyzer.h"
 #include "src/detector/system.h"
+#include "src/history/window_log.h"
 #include "src/net/impairment.h"
 #include "src/net/udp.h"
 #include "src/report/collector.h"
@@ -60,7 +71,8 @@ using namespace detector;
 
 // Both halves of the split deployment build the same system deterministically — the agent's
 // slot numbering, the collector's probe matrix, and everyone's partition map agree without
-// any config exchange (same contract as monitor_daemon's split mode).
+// any config exchange. monitor_daemon's MatrixOptions rebuilds this shape to query the
+// collectors' logs, and refuses a log whose slot count it does not reproduce.
 DetectorSystemOptions FleetOptions() {
   DetectorSystemOptions options;
   options.pmc.alpha = 2;
@@ -281,8 +293,15 @@ int RunAgentRole(const Flags& flags) {
   return 0;
 }
 
+// Where collector `index` retains its windows under --history-dir (empty when retention is off).
+std::string CollectorHistoryDir(const Flags& flags, size_t index) {
+  const std::string dir = flags.GetString("history-dir", "");
+  return dir.empty() ? dir : dir + "/collector-" + std::to_string(index);
+}
+
 // --role=collector --index=i: bind port+i, own partition i of the fleet's pinger space, fold
-// authenticated frames, track agent liveness, and diagnose each window as the agents advance.
+// authenticated frames, track agent liveness, diagnose each window as the agents advance, and
+// with --history-dir seal every closed window into its own log.
 int RunCollectorRole(const Flags& flags) {
   const int k = static_cast<int>(flags.GetInt("k", 4));
   const uint16_t port = static_cast<uint16_t>(flags.GetInt("port", 9520));
@@ -313,7 +332,14 @@ int RunCollectorRole(const Flags& flags) {
   // warmup would eat most of a short fleet run, so warm up in 2.
   options.anomaly = gray;
   options.anomaly_options.warmup_boundaries = 2;
+  // The log authenticates under the default key — the one monitor_daemon --mode=query reads.
+  options.history_dir = CollectorHistoryDir(flags, index);
   Analyzer analyzer(options, system.probe_matrix(), watchdog);
+  const WindowLogWriter* log = analyzer.history_log();
+  if (log != nullptr && !log->ok()) {
+    std::fprintf(stderr, "collector %zu: %s\n", index, log->error().c_str());
+    return 1;
+  }
   CollectorOptions collector_options;
   collector_options.key = key;
   collector_options.liveness_horizon =
@@ -350,6 +376,10 @@ int RunCollectorRole(const Flags& flags) {
               static_cast<unsigned long long>(stats.wrong_partition_dropped),
               static_cast<unsigned long long>(stats.pingers_tracked),
               static_cast<unsigned long long>(stats.stale_pingers));
+  if (log != nullptr) {
+    std::printf("collector %zu history: %llu windows sealed to %s\n", index,
+                static_cast<unsigned long long>(log->records_appended()), log->dir().c_str());
+  }
   // Frames folded but tampered frames folded == 0 is the hostile-deployment invariant; a
   // tampered fold would have corrupted the store silently pre-hardening.
   return stats.tampered_dropped > 0 && stats.frames_folded == 0 ? 1 : 0;
@@ -442,7 +472,7 @@ int RunFleet(const Flags& flags, const char* self) {
   // can slice the pinglist space and route to every collector partition.
   std::vector<std::string> shared;
   for (const char* name : {"k", "port", "windows", "batch", "seed", "key", "impair",
-                           "horizon", "idle-ms", "listen-seconds"}) {
+                           "horizon", "idle-ms", "listen-seconds", "history-dir"}) {
     if (flags.Has(name)) {
       shared.push_back(std::string("--") + name + "=" + flags.GetString(name, ""));
     }
@@ -519,6 +549,31 @@ int RunFleet(const Flags& flags, const char* self) {
   if (!folded) {
     std::fprintf(stderr, "fleet_runner: no collector folded a single frame\n");
     return 1;
+  }
+
+  // Retention: every collector sealed at least one window, and its log reads back clean with
+  // at least the windows it sealed in this run (an earlier run's windows may precede them).
+  const bool retained = !CollectorHistoryDir(flags, 0).empty();
+  for (size_t i = 0; retained && i < collectors; ++i) {
+    const std::string dir = CollectorHistoryDir(flags, i);
+    const size_t at = logs[i].find(" history: ");
+    unsigned long long sealed = 0;
+    if (at == std::string::npos ||
+        std::sscanf(logs[i].c_str() + at, " history: %llu", &sealed) != 1 || sealed == 0) {
+      std::fprintf(stderr, "fleet_runner: collector %zu sealed no window into %s\n", i,
+                   dir.c_str());
+      return 1;
+    }
+    const WindowLogReadResult read = ReadWindowLog(dir);
+    if (!read.clean || read.windows.size() < sealed) {
+      std::fprintf(stderr,
+                   "fleet_runner: %s reads back %zu windows (%s) after %llu were sealed\n",
+                   dir.c_str(), read.windows.size(), read.clean ? "clean" : "damaged", sealed);
+      return 1;
+    }
+    std::printf("fleet_runner: collector %zu sealed %llu windows; %s reads back clean (%zu "
+                "retained)\n",
+                i, sealed, dir.c_str(), read.windows.size());
   }
 
   if (gray) {
@@ -628,8 +683,11 @@ int main(int argc, char** argv) {
   flags.Describe("listen-seconds", "collector overall listening deadline (default 60)");
   flags.Describe("out-dir", "directory for per-member log files (default out/fleet)");
   flags.Describe("config", "flag file, one key=value per line; command line wins");
-  flags.Describe("role", "internal: child role (agent|collector)");
-  flags.Describe("index", "internal: child index within its role");
+  flags.Describe("history-dir",
+                 "collector i seals every window into a WindowLog under DIR/collector-i "
+                 "(default off)");
+  flags.Describe("role", "run one fleet member instead of the launcher: agent or collector");
+  flags.Describe("index", "this member's index within its role (default 0)");
 
   std::vector<std::string> merged;
   std::string config_error;

@@ -1,78 +1,56 @@
 // Continuous-monitoring example: runs the full deTector pipeline (controller -> pingers ->
-// diagnoser) over a sequence of 30 s windows while the network's failure state evolves —
-// a healthy start, a gray failure appearing (first watched in continuous-diagnosis mode,
-// where the window probes in segments and PLL runs on the running observation totals every
-// few segments, printing when the failure is first *seen*), a second concurrent failure, a
-// pinger dying (watchdog + cycle recompute), recovery, and finally a stretch of continuous
-// topology churn: a ChurnGenerator trace sliced across windows drives ApplyTopologyDelta
-// mid-window through the incremental repair path, and a RecomputeCycle closes the run like
-// the 10-minute re-plan would. Prints a timeline of alarms and churn activity.
+// report plane -> diagnoser) over a sequence of 30 s windows while the network's failure
+// state evolves — a healthy start, a gray failure appearing (printing when it is first
+// *seen*, seconds into its window), an appear-and-clear loss episode, a second concurrent
+// failure, a pinger dying (watchdog + cycle recompute), recovery, and finally a stretch of
+// continuous topology churn: a ChurnGenerator trace sliced across windows drives
+// ApplyTopologyDelta mid-window through the incremental repair path, and a RecomputeCycle
+// closes the run like the 10-minute re-plan would. Prints a timeline of alarms and churn
+// activity.
 //
-// PR 5 adds the split deployment shape from the paper's real system: `--mode=agent` runs the
-// pinger side alone — every pinglist probes its window and ships the counters as CRC-framed
-// varint reports over real UDP to 127.0.0.1:--port — and `--mode=collector` binds that port,
-// folds arriving frames into an ObservationStore (idempotent per (pinger, window, seq)), and
-// runs the PLL diagnosis whenever the reporters advance to the next window. Run one of each
-// in two terminals:
+// One system, configured once from the flags, runs every window: probes run in --segments
+// slices, PLL runs every --diagnose-every slices over the trailing --sliding-window segments
+// (the window-end diagnosis stays cumulative), and the counters travel as wire frames through
+// a 2-collector report-plane fabric, which is bit-identical to direct store writes. The demo
+// checks its own story and exits 1 unless the blackhole is named before its window ends, the
+// sliding view names the loss episode and no longer names it at the last mid-window boundary,
+// and, with --anomaly, the latency-only link is flagged. A check the flags leave no room for
+// (say --diagnose-every >= --segments, so no mid-window diagnosis) prints SKIP instead.
 //
-//   ./monitor_daemon --mode=collector --port=9477
-//   ./monitor_daemon --mode=agent --port=9477 --report-windows=3
+// --history-dir=DIR seals every window into an append-only WindowLog there, and --mode=query
+// answers forensic questions over a directory recorded at the same --k — retained range, top
+// suspect links, loss episodes, per-rack rollups, and replay of the logged windows at an
+// altered hit-ratio threshold, without re-running a single probe:
 //
-// PR 6 scales the collector side out: `--mode=collector --partition=i/N` runs collector i of
-// an N-way fabric — it binds port+i, owns the deterministic 1/N partition of the pinger
-// space (both halves derive the same PartitionMap from the same topology, no config
-// exchange), rejects-and-counts misrouted frames, and drains through --ingest-shards
-// pinger-affine queues. The agent routes every pinglist's frames to the owning partition's
-// port when started with the matching --collectors=N. A 2-collector localhost run:
+//   ./monitor_daemon --k=6 --history-dir=out/history
+//   ./monitor_daemon --mode=query --k=6 --history-dir=out/history --replay-threshold=0.3
 //
-//   ./monitor_daemon --mode=collector --port=9477 --partition=0/2 &
-//   ./monitor_daemon --mode=collector --port=9477 --partition=1/2 &
-//   ./monitor_daemon --mode=agent --port=9477 --collectors=2 --report-windows=3
-//
-// PR 9 separates ingest from retention: `--history-dir=DIR` makes every mode seal its
-// aggregation windows into an append-only WindowLog there (demo/direct windows with their full
-// diagnosis timeline, the split collector its per-window diagnoses, the split agent the
-// counters it shipped), and `--mode=query` answers forensic questions over a recorded
-// directory — retained range, top suspect links, loss episodes, per-rack rollups, and replay
-// of the logged windows at an altered hit-ratio threshold, without re-running a single probe:
-//
-//   ./monitor_daemon --history-dir=out/history
-//   ./monitor_daemon --mode=query --history-dir=out/history --replay-threshold=0.3
-//
-//   ./monitor_daemon [--mode=demo|agent|collector|query] [--k=6] [--windows-per-phase=2]
+//   ./monitor_daemon [--mode=demo|query] [--k=6] [--windows-per-phase=2]
 //                    [--churn-windows=4] [--churn-per-minute=4] [--segments=10]
-//                    [--diagnose-every=2] [--sliding-window=2] [--port=9477]
-//                    [--report-windows=3] [--batch=64] [--idle-ms=2000]
-//                    [--listen-seconds=120] [--partition=i/N] [--collectors=N]
-//                    [--ingest-shards=K] [--seed=9] [--history-dir=DIR]
-//                    [--history-segments=N] [--horizon=W] [--last-n=N]
+//                    [--diagnose-every=2] [--sliding-window=2] [--seed=9]
+//                    [--history-dir=DIR] [--history-segments=N] [--last-n=N]
 //                    [--replay-threshold=X]
 //
-// PR 10 adds the multi-signal anomaly plane: `--anomaly` turns on per-path RTT sampling into
+// `--anomaly` turns on the multi-signal anomaly plane: per-path RTT sampling into
 // deterministic quantile sketches and adaptive EWMA baselines (loss rate, RTT p50/p99) at
 // every diagnosis boundary, so a delay-but-deliver gray failure — invisible to the loss
 // pipeline — is localized through the same PLL machinery; the demo adds a pure-latency phase
 // to show it, windows seal the anomaly timeline into the history log, and `--mode=query`
 // prints per-link anomaly timelines next to the loss episodes. Tune with `--ewma-alpha`,
 // `--rtt-bins`, and `--anomaly-horizon`.
+//
+// The deployed shape — agent and partitioned collector processes over UDP — is
+// examples/fleet_runner.cc.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/common/flags.h"
-#include "src/detector/analyzer.h"
 #include "src/detector/system.h"
 #include "src/history/query.h"
 #include "src/history/window_log.h"
 #include "src/localize/metrics.h"
-#include "src/net/udp.h"
-#include "src/report/collector.h"
-#include "src/report/emitter.h"
-#include "src/report/partition.h"
 #include "src/routing/fattree_routing.h"
 #include "src/sim/anomaly_scenarios.h"
 #include "src/sim/churn.h"
@@ -107,288 +85,20 @@ void PrintWindow(const detector::Topology& topo, int window,
   std::printf("\n");
 }
 
-// Both halves of the split deployment build the same system deterministically, so the agent's
-// slot numbering and the collector's probe matrix agree without any config exchange.
-detector::DetectorSystemOptions SplitModeOptions() {
+// The probe-matrix shape the demo and the fleet_runner collectors record under; the query
+// plane rebuilds it to replay their logs.
+detector::DetectorSystemOptions MatrixOptions() {
   detector::DetectorSystemOptions options;
   options.pmc.alpha = 2;
   options.pmc.beta = 1;
   return options;
 }
 
-// Both halves derive the fabric's ownership map from the same deterministically-built system,
-// so agent-side routing and collector-side rejection agree with no config exchange.
-detector::PartitionMap SplitModePartition(const detector::DetectorSystem& system,
-                                          size_t num_partitions) {
-  std::vector<detector::NodeId> pingers;
-  pingers.reserve(system.pinglists().size());
-  for (const detector::Pinglist& list : system.pinglists()) {
-    pingers.push_back(list.pinger);
-  }
-  return detector::PartitionMap::Build(std::move(pingers), num_partitions);
-}
-
-// The failure the agent's network exhibits and the collector should localize: the demo's gray
-// failure, a 50% packet blackhole on an agg-core link.
-detector::FailureScenario SplitModeScenario(const detector::FatTree& fattree) {
-  detector::FailureScenario scenario;
-  detector::LinkFailure f;
-  f.link = fattree.AggCoreLink(1, 0, 1);
-  f.type = detector::FailureType::kDeterministicPartial;
-  f.match_fraction = 0.5;
-  f.rule_seed = 1234;
-  scenario.failures.push_back(f);
-  return scenario;
-}
-
-// Tees the counters an agent ships into a local store shard (when `local` is non-null), so
-// agent mode can retain what it shipped in a WindowLog through its own Analyzer.
-class TeeReportSink final : public detector::ReportSink {
- public:
-  TeeReportSink(detector::ReportSink& inner, detector::ObservationStore::Shard* local)
-      : inner_(inner), local_(local) {}
-  void OnPath(detector::PathId slot, detector::NodeId target, int64_t sent,
-              int64_t lost) override {
-    inner_.OnPath(slot, target, sent, lost);
-    if (local_ != nullptr) {
-      local_->RecordPath(slot, target, sent, lost);
-    }
-  }
-  void OnIntraRack(detector::NodeId target, int64_t sent, int64_t lost) override {
-    inner_.OnIntraRack(target, sent, lost);
-    if (local_ != nullptr) {
-      local_->RecordIntraRack(target, sent, lost);
-    }
-  }
-
- private:
-  detector::ReportSink& inner_;
-  detector::ObservationStore::Shard* local_;
-};
-
-// Split-mode options that retain every window at --history-dir (when set).
-detector::DetectorSystemOptions SplitModeHistoryOptions(const detector::Flags& flags) {
-  detector::DetectorSystemOptions options = SplitModeOptions();
-  options.history_dir = flags.GetString("history-dir", "");
-  options.history_max_segments = static_cast<size_t>(flags.GetInt("history-segments", 0));
-  return options;
-}
-
-// True when `analyzer` retains its windows; reports a log that failed to open.
-bool Retaining(const detector::Analyzer& analyzer) {
-  const detector::WindowLogWriter* log = analyzer.history_log();
-  if (log != nullptr && !log->ok()) {
-    std::fprintf(stderr, "history disabled: %s\n", log->error().c_str());
-    return false;
-  }
-  return log != nullptr;
-}
-
-// --mode=agent: the pinger side alone. Probes every pinglist's window and ships the counters
-// as wire frames over UDP; the collector process owns the diagnosis. With --history-dir the
-// agent also retains what it shipped, through a local Analyzer.
-int RunAgent(const detector::Flags& flags) {
-  using namespace detector;
-  const int k = static_cast<int>(flags.GetInt("k", 6));
-  const uint16_t port = static_cast<uint16_t>(flags.GetInt("port", 9477));
-  const int windows = std::max(1, static_cast<int>(flags.GetInt("report-windows", 3)));
-  const size_t batch = static_cast<size_t>(flags.GetInt("batch", 64));
-  const size_t collectors = std::max<size_t>(1, static_cast<size_t>(flags.GetInt("collectors", 1)));
-  Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 9)));
-
-  // One UDP socket per collector partition: partition i listens on port + i.
-  std::vector<std::unique_ptr<UdpTransport>> transports;
-  for (size_t i = 0; i < collectors; ++i) {
-    std::string error;
-    auto transport = UdpTransport::Connect(static_cast<uint16_t>(port + i), &error);
-    if (transport == nullptr) {
-      std::printf("NOTICE: UDP sockets unavailable (%s) — agent mode skipped\n", error.c_str());
-      return 0;
-    }
-    transports.push_back(std::move(transport));
-  }
-  const FatTree fattree(k);
-  const FatTreeRouting routing(fattree);
-  const DetectorSystemOptions options = SplitModeOptions();
-  DetectorSystem system(routing, options);
-  const PartitionMap partition = SplitModePartition(system, collectors);
-  const ProbeEngine engine(fattree.topology(), SplitModeScenario(fattree), options.probe);
-  const Watchdog watchdog(fattree.topology());
-  // Retains the agent's shipped counters, and its local diagnosis of them.
-  auto history =
-      std::make_unique<Analyzer>(SplitModeHistoryOptions(flags), system.probe_matrix(), watchdog);
-  if (!Retaining(*history)) {
-    history.reset();
-  }
-  std::printf("agent on Fattree(%d): %zu pinglists -> 127.0.0.1:%u..%u (%zu collectors), "
-              "%d windows%s\n",
-              k, system.pinglists().size(), port,
-              static_cast<unsigned>(port + collectors - 1), collectors, windows,
-              history != nullptr ? " (retaining shipped counters)" : "");
-
-  uint64_t prev_wire_bytes = 0;
-  for (int w = 1; w <= windows; ++w) {
-    const uint64_t window_seed = rng();
-    uint64_t frames = 0;
-    uint64_t observations = 0;
-    int64_t probes = 0;
-    if (history != nullptr) {
-      history->OpenWindow(static_cast<uint64_t>(w - 1));
-    }
-    for (const Pinglist& list : system.pinglists()) {
-      if (list.entries.empty()) {
-        continue;
-      }
-      Transport& wire_out = *transports[static_cast<size_t>(partition.RouteOf(list.pinger))];
-      // Every record ships with epoch 0, the fresh-store default the collector's window
-      // starts at.
-      ReportEmitter emitter(list.pinger, static_cast<uint64_t>(w), 0, {}, wire_out, batch);
-      TeeReportSink tee(emitter, history != nullptr
-                                     ? &history->diagnoser().store().OpenShard(list.pinger)
-                                     : nullptr);
-      Rng shard_rng = ProbeEngine::ShardRng(window_seed, static_cast<uint64_t>(list.pinger));
-      const Pinger pinger(list, options.confirm_packets);
-      probes += pinger.RunWindowTo(engine, options.window_seconds, shard_rng, tee).probes_sent;
-      emitter.Flush();
-      frames += emitter.stats().frames_emitted;
-      observations += emitter.stats().observations_emitted;
-    }
-    uint64_t wire_bytes = 0;
-    for (const auto& transport : transports) {
-      wire_bytes += transport->stats().bytes_sent;
-    }
-    if (history != nullptr) {
-      // One sealed boundary per window: the agent's local view of what it shipped.
-      history->CloseWindow(/*segment=*/1, options.window_seconds, /*churn_events=*/0,
-                           /*dead_links=*/0, probes,
-                           static_cast<int64_t>(wire_bytes - prev_wire_bytes));
-    }
-    prev_wire_bytes = wire_bytes;
-    std::printf("agent window %d: %llu frames / %llu observations shipped (%llu wire bytes"
-                " total)\n",
-                w, static_cast<unsigned long long>(frames),
-                static_cast<unsigned long long>(observations),
-                static_cast<unsigned long long>(wire_bytes));
-    // A breath between windows keeps localhost socket buffers comfortable at large k.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  if (history != nullptr) {
-    std::printf("agent history: %llu windows sealed to %s\n",
-                static_cast<unsigned long long>(history->history_log()->records_appended()),
-                history->history_log()->dir().c_str());
-  }
-  std::printf("agent done\n");
-  return 0;
-}
-
-// --mode=collector: binds the UDP port, folds arriving frames into an ObservationStore, and
-// diagnoses a window as soon as the reporters advance past it (plus the final window once
-// traffic goes idle).
-int RunCollector(const detector::Flags& flags) {
-  using namespace detector;
-  const int k = static_cast<int>(flags.GetInt("k", 6));
-  const uint16_t port = static_cast<uint16_t>(flags.GetInt("port", 9477));
-  const int idle_ms = static_cast<int>(flags.GetInt("idle-ms", 2000));
-  const double listen_seconds = static_cast<double>(flags.GetInt("listen-seconds", 120));
-  const size_t ingest_shards =
-      std::max<size_t>(1, static_cast<size_t>(flags.GetInt("ingest-shards", 1)));
-  const uint64_t horizon = static_cast<uint64_t>(flags.GetInt("horizon", 3));
-
-  // --partition=i/N: this process is collector i of an N-way fabric and binds port + i.
-  int partition_index = 0;
-  int partition_count = 1;
-  const std::string partition_flag = flags.GetString("partition", "0/1");
-  if (std::sscanf(partition_flag.c_str(), "%d/%d", &partition_index, &partition_count) != 2 ||
-      partition_count < 1 || partition_index < 0 || partition_index >= partition_count) {
-    std::fprintf(stderr, "bad --partition=%s (expected i/N with 0 <= i < N)\n",
-                 partition_flag.c_str());
-    return 1;
-  }
-
-  std::string error;
-  auto transport =
-      UdpTransport::Bind(static_cast<uint16_t>(port + partition_index), &error);
-  if (transport == nullptr) {
-    std::printf("NOTICE: UDP sockets unavailable (%s) — collector mode skipped\n",
-                error.c_str());
-    return 0;
-  }
-  const FatTree fattree(k);
-  const FatTreeRouting routing(fattree);
-  DetectorSystem system(routing, SplitModeOptions());
-  const PartitionMap partition =
-      SplitModePartition(system, static_cast<size_t>(partition_count));
-  const Topology& topo = fattree.topology();
-  const Watchdog watchdog(topo);
-  Analyzer analyzer(SplitModeHistoryOptions(flags), system.probe_matrix(), watchdog);
-  const bool retaining = Retaining(analyzer);
-  CollectorOptions collector_options;
-  collector_options.ingest_shards = ingest_shards;
-  // Liveness in window units: the clock ticks once per window open, so a pinger silent for
-  // `horizon` windows shows up in StalePingers().
-  collector_options.liveness_horizon = horizon;
-  Collector collector(analyzer.diagnoser().store(), collector_options);
-  collector.SetPartition(&partition, partition_index);
-  std::printf("collector %d/%d on Fattree(%d): listening on 127.0.0.1:%u (%zu slots, "
-              "%zu of %zu pingers owned, %zu ingest shards)\n",
-              partition_index, partition_count, k, transport->port(),
-              system.probe_matrix().NumPaths(),
-              [&] {
-                size_t owned = 0;
-                for (const Pinglist& list : system.pinglists()) {
-                  if (partition.RouteOf(list.pinger) == partition_index) {
-                    ++owned;
-                  }
-                }
-                return owned;
-              }(),
-              system.pinglists().size(), ingest_shards);
-
-  analyzer.Serve(collector, ReceiveUntilIdle(*transport, idle_ms, listen_seconds),
-                 [&](uint64_t window, const WindowDiagnosis& diagnosis) {
-                   std::printf("collector window %llu: %llu frames folded so far, alarms=%zu",
-                               static_cast<unsigned long long>(window),
-                               static_cast<unsigned long long>(collector.stats().frames_folded),
-                               diagnosis.localization.links.size());
-                   for (const auto& s : diagnosis.localization.links) {
-                     std::printf("  %s(est=%.3f)", topo.LinkName(s.link).c_str(),
-                                 s.estimated_loss_rate);
-                   }
-                   std::printf("\n");
-                 });
-  const CollectorStats stats = collector.stats();
-  std::printf("collector done: %llu frames folded, %llu duplicates, %llu decode errors, "
-              "%llu tampered, %llu stale-window, %llu wrong-partition rejected\n",
-              static_cast<unsigned long long>(stats.frames_folded),
-              static_cast<unsigned long long>(stats.duplicates_dropped),
-              static_cast<unsigned long long>(stats.decode_errors),
-              static_cast<unsigned long long>(stats.tampered_dropped),
-              static_cast<unsigned long long>(stats.stale_window_dropped),
-              static_cast<unsigned long long>(stats.wrong_partition_dropped));
-  std::printf("collector liveness: %llu pingers tracked, %llu stale (horizon %llu windows)",
-              static_cast<unsigned long long>(stats.pingers_tracked),
-              static_cast<unsigned long long>(stats.stale_pingers),
-              static_cast<unsigned long long>(horizon));
-  const std::vector<NodeId> stale = collector.StalePingers();
-  for (size_t i = 0; i < stale.size() && i < 8; ++i) {
-    std::printf("  %s", topo.node(stale[i]).name.c_str());
-  }
-  if (stale.size() > 8) {
-    std::printf("  (+%zu more)", stale.size() - 8);
-  }
-  std::printf("\n");
-  if (retaining) {
-    std::printf("collector history: %llu windows sealed to %s\n",
-                static_cast<unsigned long long>(analyzer.history_log()->records_appended()),
-                analyzer.history_log()->dir().c_str());
-  }
-  return 0;
-}
-
-// --mode=query: the forensic plane. Loads a WindowLog directory recorded by any other mode
-// and answers on-demand questions over the retained range: top suspect links and their loss
-// episodes, per-rack rollups, and — with --replay-threshold — a what-if replay of every
-// logged window through the Diagnoser at the altered threshold, probe-free.
+// --mode=query: the forensic plane. Loads a WindowLog directory recorded by the demo or a
+// fleet_runner collector at the same --k and answers on-demand questions over the retained
+// range: top suspect links and their loss episodes, per-rack rollups, and — with
+// --replay-threshold — a what-if replay of every logged window through the Diagnoser at the
+// altered threshold, probe-free.
 int RunQuery(const detector::Flags& flags) {
   using namespace detector;
   const std::string dir = flags.GetString("history-dir", "");
@@ -424,8 +134,22 @@ int RunQuery(const detector::Flags& flags) {
                 static_cast<unsigned long long>(read.bytes_discarded));
   }
 
+  // Rebuild the probe matrix the recorder built (deterministic, no config exchange): the
+  // replay runs on it, and every LinkId is named in the fat-tree at --k. The first retained
+  // window must carry exactly its slot count: a log recorded at another k would print the
+  // wrong link names, so say so instead of answering with garbage.
   const FatTree fattree(k);
   const Topology& topo = fattree.topology();
+  const FatTreeRouting routing(fattree);
+  const DetectorSystemOptions options = MatrixOptions();
+  const DetectorSystem system(routing, options);
+  if (engine.window(0).num_slots != system.probe_matrix().NumPaths()) {
+    std::fprintf(stderr,
+                 "log has %llu slots but fat-tree(%d) builds %zu probe paths — wrong --k?\n",
+                 static_cast<unsigned long long>(engine.window(0).num_slots), k,
+                 system.probe_matrix().NumPaths());
+    return 1;
+  }
 
   const auto top = engine.TopLinks(last_n);
   if (top.empty()) {
@@ -475,21 +199,6 @@ int RunQuery(const detector::Flags& flags) {
 
   if (flags.Has("replay-threshold")) {
     const double threshold = flags.GetDouble("replay-threshold", 0.3);
-    // Rebuild the probe matrix the recording modes build (deterministic, no config exchange;
-    // demo and split modes share the same PMC shape). A log recorded at another k will not
-    // line up — say so instead of replaying garbage.
-    const FatTreeRouting routing(fattree);
-    DetectorSystemOptions options;
-    options.pmc.alpha = 2;
-    options.pmc.beta = 1;
-    const DetectorSystem system(routing, options);
-    if (engine.window(0).num_slots > system.probe_matrix().NumPaths()) {
-      std::fprintf(stderr,
-                   "log has %llu slots but fat-tree(%d) builds %zu probe paths — wrong --k?\n",
-                   static_cast<unsigned long long>(engine.window(0).num_slots), k,
-                   system.probe_matrix().NumPaths());
-      return 1;
-    }
     ReplayOptions replay_options;
     replay_options.pll = options.pll;
     replay_options.pll.hit_ratio_threshold = threshold;
@@ -521,45 +230,25 @@ int RunQuery(const detector::Flags& flags) {
 int main(int argc, char** argv) {
   using namespace detector;
   Flags flags;
-  flags.Describe("mode",
-                 "demo (default, single process), agent (probe + report over UDP), or "
-                 "collector (ingest + diagnose)");
-  flags.Describe("k", "fat-tree arity (default 6)");
+  flags.Describe("mode", "demo (default, single process) or query (read a --history-dir)");
+  flags.Describe("k", "fat-tree arity; query mode needs the k the log was recorded at "
+                      "(default 6)");
   flags.Describe("windows-per-phase", "30 s windows per failure phase (default 2)");
   flags.Describe("churn-windows", "windows of continuous topology churn (default 4)");
   flags.Describe("churn-per-minute", "link churn events per minute in the churn phase");
-  flags.Describe("segments", "probe slices per window in the streaming phase (default 10)");
-  flags.Describe("diagnose-every", "streaming diagnosis cadence in segments (default 2)");
+  flags.Describe("segments", "probe slices per window (default 10)");
+  flags.Describe("diagnose-every", "mid-window diagnosis cadence in segments (default 2)");
   flags.Describe("sliding-window",
-                 "trailing window of the loss-episode phase, in segments (default 2)");
-  flags.Describe("port", "UDP port of the split agent/collector pair (default 9477)");
-  flags.Describe("report-windows", "windows the agent reports before exiting (default 3)");
-  flags.Describe("batch", "observations per wire frame in agent mode (default 64)");
-  flags.Describe("idle-ms",
-                 "collector exits after this long without traffic, once any arrived");
-  flags.Describe("listen-seconds", "collector's overall listening deadline (default 120)");
-  flags.Describe("partition",
-                 "i/N — this collector owns partition i of an N-way fabric and binds port+i "
-                 "(default 0/1)");
-  flags.Describe("collectors",
-                 "agent mode: size N of the collector fabric to route frames across "
-                 "(default 1)");
-  flags.Describe("ingest-shards",
-                 "collector mode: pinger-affine decode/fold queues (default 1)");
+                 "trailing window of the mid-window diagnoses, in segments (default 2)");
   flags.Describe("seed", "rng seed (default 9)");
   flags.Describe("pmc-repair-threads",
                  "threads for multi-component churn repair (default 1; 0 = hardware)");
-  flags.Describe("decay-quantized",
-                 "quantized (shift-halving, incremental-PLL) exponential-decay view");
   flags.Describe("history-dir",
-                 "WindowLog directory: demo/agent/collector modes seal windows into it, "
-                 "query mode reads it (default off)");
+                 "WindowLog directory: the demo seals windows into it, query mode reads it "
+                 "(default off)");
   flags.Describe("history-segments",
                  "bounded retention: keep at most N window-log segment files (default 0 = "
                  "unbounded)");
-  flags.Describe("horizon",
-                 "collector mode: flag pingers silent for this many windows as stale "
-                 "(default 3)");
   flags.Describe("last-n", "query mode: restrict queries to the newest N windows (default all)");
   flags.Describe("replay-threshold",
                  "query mode: replay the logged windows at this hit-ratio threshold");
@@ -582,36 +271,32 @@ int main(int argc, char** argv) {
     return 0;
   }
   const std::string mode = flags.GetString("mode", "demo");
-  if (mode == "agent") {
-    return RunAgent(flags);
-  }
-  if (mode == "collector") {
-    return RunCollector(flags);
-  }
   if (mode == "query") {
     return RunQuery(flags);
   }
   if (mode != "demo") {
-    std::fprintf(stderr, "unknown --mode=%s (expected demo, agent, collector, or query)\n",
-                 mode.c_str());
+    std::fprintf(stderr, "unknown --mode=%s (expected demo or query)\n", mode.c_str());
     return 1;
   }
   const int k = static_cast<int>(flags.GetInt("k", 6));
   const int per_phase = static_cast<int>(flags.GetInt("windows-per-phase", 2));
   const int churn_windows = static_cast<int>(flags.GetInt("churn-windows", 4));
   const double churn_per_minute = flags.GetDouble("churn-per-minute", 4.0);
-  const int segments = static_cast<int>(flags.GetInt("segments", 10));
-  const int diagnose_every = static_cast<int>(flags.GetInt("diagnose-every", 2));
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 9)));
 
   const FatTree fattree(k);
   const FatTreeRouting routing(fattree);
-  DetectorSystemOptions options;
-  options.pmc.alpha = 2;
-  options.pmc.beta = 1;
+  DetectorSystemOptions options = MatrixOptions();
   options.pmc_repair_threads =
       std::max(0, static_cast<int>(flags.GetInt("pmc-repair-threads", 1)));
-  options.decay_quantized = flags.GetBool("decay-quantized", false);
+  options.segments_per_window = std::max(1, static_cast<int>(flags.GetInt("segments", 10)));
+  options.diagnose_every_segments =
+      std::max(1, static_cast<int>(flags.GetInt("diagnose-every", 2)));
+  options.streaming_view = StreamingViewMode::kSliding;
+  options.sliding_window_segments =
+      std::max(1, static_cast<int>(flags.GetInt("sliding-window", 2)));
+  options.report_plane = true;
+  options.report_collectors = 2;
   options.history_dir = flags.GetString("history-dir", "");
   options.history_max_segments = static_cast<size_t>(flags.GetInt("history-segments", 0));
   options.anomaly = flags.GetBool("anomaly", false);
@@ -624,6 +309,10 @@ int main(int argc, char** argv) {
   const Topology& topo = fattree.topology();
   std::printf("deTector daemon on Fattree(%d): %zu probe paths, %zu pingers\n", k,
               system.probe_matrix().NumPaths(), system.pinglists().size());
+  std::printf("every window: %d probe slices, diagnosis every %d over the trailing %d, "
+              "reports through %zu collectors\n",
+              options.segments_per_window, options.diagnose_every_segments,
+              options.sliding_window_segments, options.report_collectors);
   if (options.anomaly) {
     std::printf("anomaly plane: RTT sketches (%d bins), EWMA alpha %.2f, horizon %d "
                 "boundaries\n",
@@ -642,14 +331,17 @@ int main(int argc, char** argv) {
       PrintWindow(topo, window++, result, name);
     }
   };
+  auto names = [](const LocalizeResult& localization, LinkId link) {
+    return std::any_of(localization.links.begin(), localization.links.end(),
+                       [&](const SuspectLink& s) { return s.link == link; });
+  };
 
   // Phase 1: healthy network.
   run_phase("healthy", FailureScenario{});
 
-  // Phase 2: a gray failure — packet blackhole on an agg-core link. The first window runs in
-  // continuous-diagnosis mode: probes run in `segments` slices and PLL runs on the running
-  // observation totals every `diagnose_every` slices, so the blackhole is seen seconds after
-  // it manifests instead of at the window boundary.
+  // Phase 2: a gray failure — packet blackhole on an agg-core link. Its first window prints
+  // every mid-window diagnosis: the blackhole is seen seconds after it manifests instead of at
+  // the window boundary.
   FailureScenario gray;
   {
     LinkFailure f;
@@ -659,8 +351,6 @@ int main(int argc, char** argv) {
     f.rule_seed = 1234;
     gray.failures.push_back(f);
   }
-  system.set_segments_per_window(segments);
-  system.set_diagnose_every_segments(diagnose_every);
   const auto streamed = system.RunWindowStreaming(gray, {}, rng);
   for (const auto& d : streamed.timeline) {
     std::printf("[t=%3ds+%04.1fs] %-27s alarms=%zu", window * 30, d.time_seconds,
@@ -672,52 +362,52 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   const double first_seen = streamed.FirstDetectionSeconds(gray.failures[0].link);
+  const bool blackhole_seen = first_seen > 0.0 && first_seen < options.window_seconds;
   if (first_seen > 0.0) {
     std::printf("--- blackhole first seen %.1f s into the window (batch reports at %.0f s) ---\n",
                 first_seen, options.window_seconds);
   }
   PrintWindow(topo, window++, streamed.window, "blackhole (streaming)");
 
-  // Phase 2b: an appear-and-clear full-loss episode inside one otherwise-healthy window,
-  // watched with the sliding-segment view — mid-window diagnoses localize over the trailing
-  // `sliding-window` segment deltas, so the alarm raises while the episode is live and drops
-  // once it leaves the trailing window, instead of the whole-window totals alarming for the
-  // rest of the window after the failure already cleared.
-  const double segment_seconds = options.window_seconds / segments;
+  // Phase 2b: an appear-and-clear full-loss episode inside one otherwise-healthy window. It
+  // fills the last segment before the first mid-window diagnosis; the trailing view raises the
+  // alarm while the episode is in view and drops it once the episode leaves, where whole-window
+  // totals would keep alarming for the rest of the window after the failure cleared.
+  const double segment_seconds = options.window_seconds / options.segments_per_window;
   FailureScenario episode_scenario;
   FailureEpisode episode;
   episode.failure.link = fattree.EdgeAggLink(2, 1, 0);
   episode.failure.type = FailureType::kFullLoss;
-  episode.start_seconds = 2.0 * segment_seconds;
-  episode.end_seconds = 4.0 * segment_seconds;
+  episode.start_seconds = (options.diagnose_every_segments - 1) * segment_seconds;
+  episode.end_seconds = options.diagnose_every_segments * segment_seconds;
   episode_scenario.episodes.push_back(episode);
-  system.set_streaming_view(StreamingViewMode::kSliding);
-  system.set_sliding_window_segments(static_cast<int>(flags.GetInt("sliding-window", 2)));
   const auto sliding = system.RunWindowStreaming(episode_scenario, {}, rng);
   // The timeline's last entry is the window-end cumulative diagnosis; the trailing-view story
   // is in the mid-window entries.
   double last_seen = -1.0;
   for (size_t i = 0; i + 1 < sliding.timeline.size(); ++i) {
-    for (const auto& s : sliding.timeline[i].localization.links) {
-      if (s.link == episode.failure.link) {
-        last_seen = sliding.timeline[i].time_seconds;
-      }
+    if (names(sliding.timeline[i].localization, episode.failure.link)) {
+      last_seen = sliding.timeline[i].time_seconds;
     }
   }
-  const double episode_first = sliding.FirstDetectionSeconds(episode.failure.link);
+  const bool episode_cleared =
+      last_seen > 0.0 &&
+      !names(sliding.timeline[sliding.timeline.size() - 2].localization, episode.failure.link);
   std::printf("--- episode [%.0f s, %.0f s): sliding view first saw it at %.1f s and last "
               "named it at %.1f s (clear once it left the trailing window) ---\n",
-              episode.start_seconds, episode.end_seconds, episode_first, last_seen);
+              episode.start_seconds, episode.end_seconds,
+              sliding.FirstDetectionSeconds(episode.failure.link), last_seen);
   PrintWindow(topo, window++, sliding.window, "loss episode (sliding view)");
-  system.set_streaming_view(StreamingViewMode::kCumulative);
 
   // Phase 2c (anomaly plane only): a true gray failure — every packet delivered, every packet
   // 2.5 ms late. The loss pipeline stays silent; the RTT baselines flag the paths and PLL
   // localizes the link from the pseudo-observations. A clean warmup window lets the EWMA
   // baselines learn "normal" first.
+  bool latency_flagged = false;
   if (options.anomaly) {
+    const LinkId latency_link = fattree.AggCoreLink(0, 1, 0);
     const FailureScenario latency_gray =
-        GrayLatencyScenario(fattree.AggCoreLink(0, 1, 0), /*added_delay_us=*/2500.0);
+        GrayLatencyScenario(latency_link, /*added_delay_us=*/2500.0);
     const auto warm = system.RunWindowStreaming(FailureScenario{}, {}, rng);
     PrintWindow(topo, window++, warm.window, "anomaly warmup (clean)");
     const auto latency = system.RunWindowStreaming(latency_gray, {}, rng);
@@ -729,12 +419,14 @@ int main(int argc, char** argv) {
                   "latency-only gray failure", d.localization.links.size());
       PrintAnomalies(topo, d.anomalies);
       std::printf("\n");
+      latency_flagged =
+          latency_flagged ||
+          std::any_of(d.anomalies.begin(), d.anomalies.end(),
+                      [&](const LinkAnomaly& a) { return a.link == latency_link; });
     }
     PrintWindow(topo, window++, latency.window, "latency-only gray failure");
   }
 
-  system.set_segments_per_window(1);
-  system.set_diagnose_every_segments(1);
   run_phase("blackhole on agg-core", gray);
 
   // Phase 3: a second, concurrent random-loss failure on an edge-agg link.
@@ -747,31 +439,6 @@ int main(int argc, char** argv) {
     two.failures.push_back(f);
   }
   run_phase("blackhole + 5% random loss", two);
-
-  // Phase 3b: the same traffic with the report plane on — shard counters leave the pingers as
-  // CRC-framed varint reports over in-process loopbacks and fold back through a 2-collector
-  // fabric (each owning half the pinger space, each draining 2 pinger-affine ingest shards).
-  // Lossless loopback makes these windows bit-identical to direct-mode windows on the same
-  // seed (the ctest gate); here it just shows the wire in the single-process demo.
-  system.set_report_plane(true);
-  system.set_report_collectors(2);
-  system.set_report_ingest_shards(2);
-  run_phase("blackhole + loss (report plane)", two);
-  const CollectorStats report_stats = system.collector_group()->stats();
-  std::printf("--- report plane (2 collectors x 2 ingest shards): %llu frames / %llu "
-              "observations folded, %llu duplicates, %llu decode errors, %llu tampered, "
-              "%llu stale-window, %llu misrouted, %llu stale pingers ---\n",
-              static_cast<unsigned long long>(report_stats.frames_folded),
-              static_cast<unsigned long long>(report_stats.observations_folded),
-              static_cast<unsigned long long>(report_stats.duplicates_dropped),
-              static_cast<unsigned long long>(report_stats.decode_errors),
-              static_cast<unsigned long long>(report_stats.tampered_dropped),
-              static_cast<unsigned long long>(report_stats.stale_window_dropped),
-              static_cast<unsigned long long>(report_stats.wrong_partition_dropped),
-              static_cast<unsigned long long>(report_stats.stale_pingers));
-  system.set_report_plane(false);
-  system.set_report_collectors(1);
-  system.set_report_ingest_shards(1);
 
   // Phase 4: a pinger dies; the watchdog flags it and the next cycle re-plans around it.
   const NodeId dead = system.pinglists().front().pinger;
@@ -818,5 +485,40 @@ int main(int argc, char** argv) {
               system.pinglists().size(),
               system.pmc_stats().alpha_satisfied ? "satisfied" : "NOT satisfied");
   run_phase("post-churn healthy", FailureScenario{});
-  return 0;
+
+  const CollectorStats report_stats = system.collector_group()->stats();
+  std::printf("--- report plane (%zu collectors): %llu frames / %llu observations folded, "
+              "%llu duplicates, %llu decode errors, %llu tampered, %llu stale-window, "
+              "%llu misrouted, %llu stale pingers ---\n",
+              options.report_collectors,
+              static_cast<unsigned long long>(report_stats.frames_folded),
+              static_cast<unsigned long long>(report_stats.observations_folded),
+              static_cast<unsigned long long>(report_stats.duplicates_dropped),
+              static_cast<unsigned long long>(report_stats.decode_errors),
+              static_cast<unsigned long long>(report_stats.tampered_dropped),
+              static_cast<unsigned long long>(report_stats.stale_window_dropped),
+              static_cast<unsigned long long>(report_stats.wrong_partition_dropped),
+              static_cast<unsigned long long>(report_stats.stale_pingers));
+
+  // The story above, checked: a chapter that did not happen fails the run. A chapter the flags
+  // leave no room for is skipped. Mid-window diagnoses run at the multiples of the cadence
+  // below --segments: the blackhole needs one, the episode (segment cadence - 1) must have
+  // left the trailing window by the last one, and the latency link needs --anomaly-horizon
+  // consecutive boundaries inside its window (the mid-window ones plus the window end).
+  const int cadence = options.diagnose_every_segments;
+  const int last_boundary = (options.segments_per_window - 1) / cadence * cadence;
+  bool ok = true;
+  auto check = [&](bool room, bool held, const char* what) {
+    std::printf("%s: %s\n", !room ? "SKIP" : held ? "PASS" : "FAIL", what);
+    ok = ok && (!room || held);
+  };
+  check(last_boundary > 0, blackhole_seen, "the blackhole was named before its window ended");
+  check(last_boundary >= cadence + options.sliding_window_segments, episode_cleared,
+        "the sliding view named the episode and no longer named it at the last mid-window "
+        "boundary");
+  if (options.anomaly) {
+    check(last_boundary / cadence + 1 >= options.anomaly_options.horizon, latency_flagged,
+          "the anomaly plane flagged the latency-only link");
+  }
+  return ok ? 0 : 1;
 }

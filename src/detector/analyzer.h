@@ -1,9 +1,9 @@
 // Analyzer: the diagnosis tier's window driver. A 30 s window (§3.2) closes the same way
 // wherever it runs — in-process under DetectorSystem (direct and report-plane modes) and in the
-// deployed collector processes (monitor_daemon --mode=collector, fleet_runner
-// --role=collector). The Analyzer owns the window's Diagnoser, the anomaly plane's
-// AnomalyEngine, the WindowSealer, and publishing to the on-disk WindowLog and an optional
-// extra sink, and runs the three steps every analyzer takes:
+// deployed collector processes (fleet_runner --role=collector). The Analyzer owns the
+// window's Diagnoser, the anomaly plane's AnomalyEngine, the WindowSealer, and publishing to
+// the on-disk WindowLog and an optional extra sink, and runs the three steps every analyzer
+// takes:
 //
 //   OpenWindow        size the store, re-base the anomaly totals, and start the window's
 //                     sealed record;

@@ -10,6 +10,22 @@
 #include "src/report/emitter.h"
 
 namespace detector {
+namespace {
+
+// Enables exactly the diagnoser view state the selected streaming_view reads: the sliding ring
+// and the decayed totals cost O(changed slots) per segment boundary, so the default cumulative
+// view must not maintain them.
+void ConfigureViews(const DetectorSystemOptions& options, Diagnoser& diagnoser) {
+  diagnoser.set_sliding_segments(options.streaming_view == StreamingViewMode::kSliding
+                                     ? std::max(1, options.sliding_window_segments)
+                                     : 0);
+  diagnoser.set_decay_factor(
+      options.streaming_view == StreamingViewMode::kDecay ? options.decay_factor : 0.0);
+  diagnoser.set_decay_quantized(options.streaming_view == StreamingViewMode::kDecay &&
+                                options.decay_quantized);
+}
+
+}  // namespace
 
 DetectorSystem::DetectorSystem(const PathProvider& provider, DetectorSystemOptions options)
     : topo_(provider.topology()),
@@ -23,7 +39,7 @@ DetectorSystem::DetectorSystem(const PathProvider& provider, DetectorSystemOptio
       controller_(topo_, options.controller),
       analyzer_(options_, matrix_, watchdog_),
       latency_model_(options.latency) {
-  ConfigureDiagnoserViews();
+  ConfigureViews(options_, analyzer_.diagnoser());
   incremental_->set_repair_threads(std::max(0, options_.pmc_repair_threads));
   pinglists_ = controller_.BuildPinglists(matrix_, watchdog_);
   path_index_ = PathPingerIndex::Build(pinglists_);
@@ -42,7 +58,7 @@ DetectorSystem::DetectorSystem(const Topology& topo, ProbeMatrix matrix,
       controller_(topo_, options.controller),
       analyzer_(options_, matrix_, watchdog_),
       latency_model_(options.latency) {
-  ConfigureDiagnoserViews();
+  ConfigureViews(options_, analyzer_.diagnoser());
   pinglists_ = controller_.BuildPinglists(matrix_, watchdog_);
   path_index_ = PathPingerIndex::Build(pinglists_);
   for (const Pinglist& list : pinglists_) {
@@ -73,40 +89,26 @@ PartitionMap DetectorSystem::BuildReportPartition() const {
 
 void DetectorSystem::PrepareReportFabric() {
   const size_t n = std::max<size_t>(1, options_.report_collectors);
-  CollectorGroupOptions group_options;
-  group_options.num_collectors = n;
-  group_options.collector.ingest_shards = std::max<size_t>(1, options_.report_ingest_shards);
-  group_options.collector.key = options_.report_key;
-  group_options.collector.liveness_horizon = options_.report_liveness_horizon;
-  if (collector_group_ == nullptr || collector_group_->num_collectors() != n ||
-      collector_group_->ingest_shards_per_collector() != group_options.collector.ingest_shards) {
+  if (collector_group_ == nullptr) {
+    CollectorGroupOptions group_options;
+    group_options.num_collectors = n;
+    group_options.collector.ingest_shards = std::max<size_t>(1, options_.report_ingest_shards);
+    group_options.collector.key = options_.report_key;
+    group_options.collector.liveness_horizon = options_.report_liveness_horizon;
     collector_group_ = std::make_unique<CollectorGroup>(analyzer_.diagnoser().store(),
                                                         BuildReportPartition(), group_options);
   } else {
-    // Same shape: just refresh the ownership map — pinger churn across windows repartitions
-    // deterministically (PartitionMap::Build is a pure function of the pinger set).
+    // Pinger churn across windows repartitions deterministically (PartitionMap::Build is a
+    // pure function of the pinger set).
     collector_group_->Repartition(BuildReportPartition());
   }
-  if (report_transports_.size() > n) {
-    report_transports_.resize(n);  // shrinking the fabric drops the surplus backends
-  }
+  // Every backend at the first window; again after SetReportTransport(Factory) replaced them.
   while (report_transports_.size() < n) {
     const size_t i = report_transports_.size();
     report_transports_.push_back(report_transport_factory_ != nullptr
                                      ? report_transport_factory_(i)
                                      : std::make_unique<LoopbackTransport>());
   }
-}
-
-void DetectorSystem::ConfigureDiagnoserViews() {
-  Diagnoser& diagnoser = analyzer_.diagnoser();
-  diagnoser.set_sliding_segments(options_.streaming_view == StreamingViewMode::kSliding
-                                     ? std::max(1, options_.sliding_window_segments)
-                                     : 0);
-  diagnoser.set_decay_factor(
-      options_.streaming_view == StreamingViewMode::kDecay ? options_.decay_factor : 0.0);
-  diagnoser.set_decay_quantized(options_.streaming_view == StreamingViewMode::kDecay &&
-                                options_.decay_quantized);
 }
 
 void DetectorSystem::EnforceVersionFloors(std::vector<PinglistDiff>& diffs) {
@@ -423,7 +425,7 @@ void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds,
       run_shard(i);
     }
   } else {
-    if (pool_ == nullptr || pool_->num_threads() != configured) {
+    if (pool_ == nullptr) {
       pool_ = std::make_unique<ThreadPool>(configured);
     }
     std::atomic<size_t> next{0};
@@ -530,10 +532,10 @@ DetectorSystem::StreamingWindowResult DetectorSystem::RunWindowStreaming(
 
   analyzer_.OpenWindow();
   if (options_.report_plane) {
-    // Open the report-plane window: (re)shape the collector fabric and its partition map to
-    // the current options and pinglists, and open a fresh window id that namespaces this
-    // window's frame sequence numbers — a straggler from the previous window is recognized
-    // as stale instead of folding into the wrong aggregation period.
+    // Open the report-plane window: partition the collector fabric over the current
+    // pinglists, and open a fresh window id that namespaces this window's frame sequence
+    // numbers — a straggler from the previous window is recognized as stale instead of
+    // folding into the wrong aggregation period.
     PrepareReportFabric();
     ++report_window_id_;
     report_seq_.clear();

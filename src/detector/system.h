@@ -25,7 +25,6 @@
 #ifndef SRC_DETECTOR_SYSTEM_H_
 #define SRC_DETECTOR_SYSTEM_H_
 
-#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
@@ -109,7 +108,7 @@ struct DetectorSystemOptions {
   // SetReportTransport installs a fault-injecting loopback. (The in-process plane needs a
   // transport whose Send round-trips to its own Receive; the split UDP deployment instead
   // pairs a Connect-side emitter process with a Bind-side collector process — see
-  // examples/monitor_daemon.cc --mode=agent|collector.)
+  // examples/fleet_runner.cc --role=agent|collector.)
   bool report_plane = false;
   // Observations batched per wire frame before the emitter seals and sends it.
   size_t report_batch_entries = 64;
@@ -258,40 +257,6 @@ class DetectorSystem {
   // Null when constructed from a fixed matrix.
   const IncrementalPmc* incremental() const { return incremental_.get(); }
   const PathPingerIndex& path_index() const { return path_index_; }
-  // Re-sizes the probe-plane shard pool (0 = hardware concurrency). Takes effect at the next
-  // window; does not change results, only wall-clock.
-  void set_probe_threads(size_t n) { options_.probe_threads = n; }
-  // Re-slices window execution / re-paces streaming diagnosis (both clamped to >= 1). Takes
-  // effect at the next window. Changing the slicing changes the RNG trajectory — results are
-  // comparable only between runs with equal segments_per_window.
-  void set_segments_per_window(int n) { options_.segments_per_window = std::max(1, n); }
-  void set_diagnose_every_segments(int n) {
-    options_.diagnose_every_segments = std::max(1, n);
-  }
-  // Switches what mid-window diagnoses localize over (takes effect at the next window; the
-  // window-end diagnosis is always cumulative). Probing and the final result are unaffected.
-  void set_streaming_view(StreamingViewMode mode) {
-    options_.streaming_view = mode;
-    ConfigureDiagnoserViews();
-  }
-  void set_sliding_window_segments(int n) {
-    options_.sliding_window_segments = std::max(1, n);
-    ConfigureDiagnoserViews();
-  }
-  // Toggles incremental vs full PLL for cumulative mid-window diagnoses (bit-identical by
-  // contract; the toggle exists so tests and benches can price one against the other).
-  void set_incremental_diagnosis(bool incremental) {
-    options_.incremental_diagnosis = incremental;
-  }
-  // Routes shard observations through the wire-format report plane (takes effect at the next
-  // window). Bit-identical to direct mode under the default lossless loopback transport.
-  void set_report_plane(bool on) { options_.report_plane = on; }
-  // Re-sizes the collector fabric / per-collector ingest shards (clamped >= 1; takes effect
-  // at the next window, rebuilding the CollectorGroup and the partition map).
-  void set_report_collectors(size_t n) { options_.report_collectors = std::max<size_t>(1, n); }
-  void set_report_ingest_shards(size_t n) {
-    options_.report_ingest_shards = std::max<size_t>(1, n);
-  }
   // Installs the wire backend report-plane windows run over (owned; replaces the default
   // lossless LoopbackTransport). The transport must round-trip its own Send to its own
   // Receive — in practice a LoopbackTransport, usually with injected faults. Install before
@@ -300,7 +265,7 @@ class DetectorSystem {
   // other partitions get default lossless loopbacks; use SetReportTransportFactory instead.
   void SetReportTransport(std::unique_ptr<Transport> transport);
   // Per-partition transport factory for the collector fabric: called once per collector
-  // index when the fabric is (re)built. Replaces any transports already installed.
+  // index at the next report-plane window open. Replaces any transports already installed.
   void SetReportTransportFactory(std::function<std::unique_ptr<Transport>(size_t)> factory);
   // Null until the first report-plane window ran. collector() is the fabric's instance 0 —
   // the whole plane under the default report_collectors == 1.
@@ -340,10 +305,6 @@ class DetectorSystem {
   void PumpReportBoundary();
   // The localization for one mid-window boundary, per options_.streaming_view.
   LocalizeResult LocalizeBoundary();
-  // Enables exactly the diagnoser view state the selected streaming_view reads: the sliding
-  // ring and the decayed totals cost O(changed slots) per segment boundary, so the default
-  // cumulative view must not maintain them.
-  void ConfigureDiagnoserViews();
   FailureScenario OverlaidScenario(const FailureScenario& scenario) const;
   // For each diffed pinglist: raises its version above the pinger's recorded high-water mark
   // (a pinger reappearing after an absence would otherwise restart at the default), patches
@@ -351,7 +312,8 @@ class DetectorSystem {
   void EnforceVersionFloors(std::vector<PinglistDiff>& diffs);
 
   const Topology& topo_;
-  DetectorSystemOptions options_;
+  // Fixed at construction: a different configuration is a different system.
+  const DetectorSystemOptions options_;
   std::unique_ptr<IncrementalPmc> incremental_;  // null when constructed from a fixed matrix
   ProbeMatrix matrix_;
   PmcStats pmc_stats_;
@@ -367,11 +329,11 @@ class DetectorSystem {
   // path -> pinger replica index over pinglists_, kept current by UpdatePinglists so delta
   // dispatch touches only the diff (rebuilt wholesale when BuildPinglists replaces the lists).
   PathPingerIndex path_index_;
-  // Persistent shard workers, created lazily at the first parallel segment and resized when
-  // probe_threads changes — window execution must not pay thread start-up per segment.
+  // Persistent shard workers, created lazily at the first parallel segment — window execution
+  // must not pay thread start-up per segment.
   std::unique_ptr<ThreadPool> pool_;
-  // Rebuilds the collector fabric / transports to match the current options and pinglists —
-  // called at every report-plane window open (Repartition only, when the shape is unchanged).
+  // Builds the collector fabric at the first report-plane window open and repartitions it to
+  // the current pinglists at every later one; installs any missing transports.
   void PrepareReportFabric();
   PartitionMap BuildReportPartition() const;
   // Report plane (created lazily at the first report-plane window): one transport per

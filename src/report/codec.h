@@ -113,7 +113,7 @@ const char* DecodeStatusName(DecodeStatus status);
 // deployment shares it; frames tagged under a different key (or modified in flight) decode
 // kBadAuth. The default is a fixed, documented key so single-process and test topologies
 // agree without plumbing — real deployments override it (DetectorSystemOptions::report_key,
-// monitor_daemon/fleet_runner --key).
+// fleet_runner --key).
 struct ReportKey {
   uint64_t k0 = 0x6465546563746f72ULL;  // "deTector"
   uint64_t k1 = 0x5265706f72744b31ULL;  // "ReportK1"

@@ -28,7 +28,6 @@ class CollectorGroup {
   CollectorGroup(ObservationStore& store, PartitionMap map, CollectorGroupOptions options);
 
   size_t num_collectors() const { return collectors_.size(); }
-  size_t ingest_shards_per_collector() const { return collectors_[0]->num_ingest_shards(); }
   Collector& collector(size_t i) { return *collectors_[i]; }
   const Collector& collector(size_t i) const { return *collectors_[i]; }
 

@@ -4,8 +4,8 @@
 // misrouted frame can never double-fold into the store.
 //
 // The map is a pure function of (sorted pinger set, N): pingers are sorted, deduplicated, and
-// dealt round-robin. Any two processes that agree on the pinger set — e.g. a monitor_daemon
-// agent and N monitor_daemon collectors built from the same topology — derive the identical
+// dealt round-robin. Any two processes that agree on the pinger set — e.g. a fleet_runner
+// agent and N fleet_runner collectors built from the same topology — derive the identical
 // map with no coordination, and repartitioning after topology churn (pingers added or
 // removed) is deterministic by construction. A pinger born mid-window that is not yet in the
 // map routes by a hash fallback, identically on the agent and collector side.

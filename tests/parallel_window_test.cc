@@ -28,8 +28,6 @@ TEST(ParallelWindow, BitIdenticalAcrossThreadCounts) {
   options.pmc.alpha = 2;
   options.pmc.beta = 1;
   options.controller.packets_per_second = 50;
-  options.probe_threads = 1;
-  DetectorSystem system(routing, options);
 
   FailureScenario scenario;
   LinkFailure f;
@@ -39,16 +37,18 @@ TEST(ParallelWindow, BitIdenticalAcrossThreadCounts) {
   scenario.failures.push_back(f);
 
   // Serial baseline, then the same seed at higher thread counts — including more threads than
-  // the host has cores, and more than there are shards.
-  Rng serial_rng(1234);
-  const auto baseline = system.RunWindowStreaming(scenario, {}, serial_rng).window;
-  EXPECT_GT(baseline.probes_sent, 0);
-  for (const int threads : {2, 8}) {
-    system.set_probe_threads(static_cast<size_t>(threads));
+  // the host has cores, and more than there are shards. Each thread count gets its own system.
+  std::vector<DetectorSystem::WindowResult> results;
+  for (const size_t threads : {1u, 2u, 8u}) {
+    DetectorSystemOptions opts = options;
+    opts.probe_threads = threads;
+    DetectorSystem system(routing, opts);
     Rng rng(1234);
-    const auto parallel = system.RunWindowStreaming(scenario, {}, rng).window;
-    ExpectIdenticalAtThreads(baseline, parallel, threads);
+    results.push_back(system.RunWindowStreaming(scenario, {}, rng).window);
   }
+  EXPECT_GT(results[0].probes_sent, 0);
+  ExpectIdenticalAtThreads(results[0], results[1], 2);
+  ExpectIdenticalAtThreads(results[0], results[2], 8);
 }
 
 TEST(ParallelWindow, BitIdenticalUnderMidWindowChurn) {

@@ -516,10 +516,10 @@ class CollectingSink : public WindowSink {
 
 // A deployed collector closes windows through the same Analyzer as DetectorSystem. Record
 // the frames a report-plane system's collector receives, then replay them into a standalone
-// Collector behind Analyzer::Serve, as monitor_daemon and fleet_runner run it: windows flip
-// when a newer window's frame arrives, and the last one closes when the stream ends. Every
-// window must seal what the system's own sink sealed — suspects, server-link alarms,
-// anomalies, and boundary deltas.
+// Collector behind Analyzer::Serve, as fleet_runner runs it: windows flip when a newer
+// window's frame arrives, and the last one closes when the stream ends. Every window must seal
+// what the system's own sink sealed — suspects, server-link alarms, anomalies, and boundary
+// deltas.
 TEST(DeployedCollector, SealsWhatTheSystemSeals) {
   const FatTree ft(6);  // 3 servers per rack, 2 of them pingers
   const FatTreeRouting routing(ft);

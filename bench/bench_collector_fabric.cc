@@ -8,35 +8,25 @@
 //  (B) Collector fabric: the same storm partitioned over N collector instances
 //      (PartitionMap routing), each draining on its own thread into the one shared store —
 //      obs/s and exactness vs N=1, plus the misroute counter (must stay 0).
-//  (C) Pipelined vs barriered report plane, end to end: streaming windows on fat-tree(k)
-//      with the budgeted boundary pump, over lossless and drop/reorder loopbacks. Gates
-//      (always on, exit 2): pipelined max fold staleness <= depth, and the pipelined
-//      lossless window end bit-identical to direct mode.
 //
 // Flags: --pingers=64 --frames=200 --batch=32   frame-storm shape (per-pinger frames)
 //        --shards=1,2,4,8                       ingest-shard sweep for part A
 //        --collectors=1,2,4                     fabric width sweep for part B
 //        --repeat=3                             storm timing repetitions (best-of)
 //        --strict-gate                          exit 2 if the 8-shard >= 3x gate cannot run
-//        --k=4 --pps=120 --segments=6           end-to-end shape for part C
-//        --budget=1 --depth=2                   pipelined pump budget / staleness depth
 //        --seed
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/harness.h"
-#include "src/detector/system.h"
-#include "src/net/loopback.h"
 #include "src/report/codec.h"
 #include "src/report/collector.h"
 #include "src/report/collector_group.h"
 #include "src/report/partition.h"
-#include "src/routing/fattree_routing.h"
-#include "src/topo/fattree.h"
+#include "src/sim/watchdog.h"
 
 namespace detector {
 namespace {
@@ -188,11 +178,6 @@ int main(int argc, char** argv) {
   flags.Describe("collectors", "comma-separated fabric widths (default 1,2,4)");
   flags.Describe("repeat", "storm timing repetitions, best-of (default 3)");
   flags.Describe("strict-gate", "exit 2 if the 8-shard >= 3x scaling gate cannot run");
-  flags.Describe("k", "fat-tree arity for the end-to-end part (default 4)");
-  flags.Describe("pps", "probe packets per second per pinger (default 120)");
-  flags.Describe("segments", "probe slices per window (default 6)");
-  flags.Describe("budget", "pipelined per-boundary fold budget in frames (default 1)");
-  flags.Describe("depth", "pipelined staleness depth in boundaries (default 2)");
   flags.Describe("seed", "rng seed (default 1)");
   if (!flags.Parse(argc, argv)) {
     return 1;
@@ -205,21 +190,15 @@ int main(int argc, char** argv) {
   const size_t frames = static_cast<size_t>(flags.GetInt("frames", 200));
   const size_t batch = static_cast<size_t>(flags.GetInt("batch", 32));
   const int repeat = std::max(1, static_cast<int>(flags.GetInt("repeat", 3)));
-  const int k = static_cast<int>(flags.GetInt("k", 4));
-  const double pps = static_cast<double>(flags.GetInt("pps", 120));
-  const int segments = std::max(2, static_cast<int>(flags.GetInt("segments", 6)));
-  const size_t budget = static_cast<size_t>(flags.GetInt("budget", 1));
-  const int depth = std::max(1, static_cast<int>(flags.GetInt("depth", 2)));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   const unsigned cores = std::thread::hardware_concurrency();
 
   bench::PrintHeader(
-      "Collector fabric: sharded ingest, multi-collector partitioning, pipelined folds",
-      "One frame storm, three scale-out axes: K pinger-affine ingest shards drained\n"
-      "concurrently inside one collector, N partitioned collector instances folding into one\n"
-      "shared store, and the pipelined boundary pump that trades the per-segment ingest\n"
-      "barrier for bounded fold staleness. Exactness is gated everywhere; scaling only where\n"
-      "the host has cores.");
+      "Collector fabric: sharded ingest, multi-collector partitioning",
+      "One frame storm, two scale-out axes: K pinger-affine ingest shards drained\n"
+      "concurrently inside one collector, and N partitioned collector instances folding into\n"
+      "one shared store. Exactness is gated everywhere; scaling only where the host has\n"
+      "cores.");
 
   size_t total_obs = 0;
   const auto storm = BuildStorm(pingers, frames, batch, seed, &total_obs);
@@ -288,102 +267,6 @@ int main(int argc, char** argv) {
 
   if (!exact || !fabric_exact) {
     std::printf("FAIL: sharded/fabric fold diverged from the serial fold\n");
-    return 2;
-  }
-
-  // ---- (C) pipelined vs barriered, end to end --------------------------------------------
-  const FatTree ft(k);
-  const FatTreeRouting routing(ft);
-  FailureScenario scenario;
-  LinkFailure f;
-  f.link = ft.AggCoreLink(0, 0, 0);
-  f.type = FailureType::kFullLoss;
-  scenario.failures.push_back(f);
-
-  auto run_window = [&](bool report_plane, bool pipeline, double drop_rate,
-                        CollectorStats* stats, double* seconds) {
-    DetectorSystemOptions options;
-    options.pmc.alpha = 1;
-    options.pmc.beta = 1;
-    options.controller.packets_per_second = pps;
-    options.segments_per_window = segments;
-    options.diagnose_every_segments = 2;
-    options.probe_threads = 1;
-    options.report_plane = report_plane;
-    options.report_collectors = 2;
-    options.report_ingest_shards = 2;
-    options.report_pipeline = pipeline;
-    options.report_pipeline_depth = depth;
-    options.report_pump_budget = budget;
-    DetectorSystem system(routing, options);
-    if (report_plane && drop_rate > 0.0) {
-      system.SetReportTransportFactory([&](size_t i) {
-        LoopbackOptions loopback;
-        loopback.drop_rate = drop_rate;
-        loopback.reorder_rate = std::min(1.0, drop_rate * 2.0);
-        loopback.seed = seed + 13 + i;
-        return std::make_unique<LoopbackTransport>(loopback);
-      });
-    }
-    Rng rng(seed + 7);
-    WallTimer timer;
-    const auto result = system.RunWindowStreaming(scenario, {}, rng);
-    *seconds = timer.ElapsedSeconds();
-    if (report_plane) {
-      *stats = system.collector_group()->stats();
-    }
-    return result.window;
-  };
-
-  CollectorStats unused;
-  double direct_seconds = 0.0;
-  const auto direct = run_window(false, false, 0.0, &unused, &direct_seconds);
-
-  struct Config {
-    const char* name;
-    bool pipeline;
-    double drop;
-  };
-  const Config configs[] = {{"barriered lossless", false, 0.0},
-                            {"pipelined lossless", true, 0.0},
-                            {"pipelined drop 15%", true, 0.15}};
-  bool staleness_ok = true;
-  bool window_end_ok = true;
-  TablePrinter e2e_table({"mode", "window s", "folded", "straddled", "max stale",
-                          "stale gate", "window end"});
-  for (const Config& config : configs) {
-    CollectorStats stats;
-    double seconds = 0.0;
-    const auto window = run_window(true, config.pipeline, config.drop, &stats, &seconds);
-    const bool stale_pass =
-        !config.pipeline || stats.max_fold_staleness <= static_cast<uint64_t>(depth);
-    staleness_ok = staleness_ok && stale_pass;
-    // Window-end equality is only promised on a lossless wire.
-    const bool lossless = config.drop == 0.0;
-    const bool matches = window.localization.links == direct.localization.links &&
-                         window.server_link_alarms == direct.server_link_alarms &&
-                         window.probes_sent == direct.probes_sent;
-    if (lossless) {
-      window_end_ok = window_end_ok && matches;
-    }
-    e2e_table.AddRow(
-        {config.name, TablePrinter::Fmt(seconds, 3),
-         TablePrinter::FmtInt(static_cast<int64_t>(stats.frames_folded)),
-         TablePrinter::FmtInt(static_cast<int64_t>(stats.frames_straddled)),
-         TablePrinter::FmtInt(static_cast<int64_t>(stats.max_fold_staleness)),
-         config.pipeline ? (stale_pass ? "PASS" : "FAIL") : "-",
-         lossless ? (matches ? "= direct" : "DIVERGES") : (matches ? "= direct" : "degraded")});
-  }
-  e2e_table.Print();
-  std::printf("direct mode window: %.3f s (%s)\n\n", direct_seconds,
-              "no report plane, store written in-process");
-
-  if (!staleness_ok) {
-    std::printf("FAIL: pipelined fold staleness exceeded depth %d\n", depth);
-    return 2;
-  }
-  if (!window_end_ok) {
-    std::printf("FAIL: pipelined lossless window end diverges from direct mode\n");
     return 2;
   }
 

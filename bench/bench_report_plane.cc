@@ -17,11 +17,10 @@
 //        --threads=1,2,8         thread counts for the exactness check (exit 2 on divergence)
 //        --hostile-gate          exit 2 unless the hardened plane holds under a hostile
 //                                profile: seeded ~30% burst loss + reorder + duplication + 1%
-//                                corruption with pipelined folds must keep staleness <= depth,
-//                                fold zero tampered/corrupt frames (exact per-cause
-//                                accounting), and agree with direct mode's suspect set at
-//                                every window end; plus lossless-impairment bit-identity
-//                                across --threads
+//                                corruption must fold zero tampered/corrupt frames (exact
+//                                per-cause accounting) and agree with direct mode's suspect
+//                                set at every window end; plus lossless-impairment
+//                                bit-identity across --threads
 //        --trace-record=FILE     record the collector's exact arrival sequence (one trace per
 //                                window: FILE.w0, FILE.w1, ...) under a lossless impairment
 //                                schedule, then immediately replay it — the replayed windows
@@ -219,7 +218,8 @@ int main(int argc, char** argv) {
     loopback.drop_rate = rate;
     loopback.reorder_rate = std::min(1.0, rate * 2.0);
     loopback.seed = seed + 13;
-    system.SetReportTransport(std::make_unique<LoopbackTransport>(loopback));
+    system.SetReportTransportFactory(
+        [&](size_t) { return std::make_unique<LoopbackTransport>(loopback); });
     Rng rng(seed + 7);
     bool localized = false;
     double first_seen = -1.0;
@@ -235,7 +235,7 @@ int main(int argc, char** argv) {
         first_seen = w * base_options().window_seconds + in_window;
       }
     }
-    const CollectorStats stats = system.collector()->stats();
+    const CollectorStats stats = system.collector_group()->stats();
     const TransportStats wire = system.report_transport()->stats();
     e2e_table.AddRow(
         {TablePrinter::Fmt(rate, 2), TablePrinter::Fmt(loopback.reorder_rate, 2),
@@ -294,17 +294,14 @@ int main(int argc, char** argv) {
   if (flags.Has("hostile-gate")) {
     bool gate_pass = true;
 
-    // Part 1: pipelined folds over the hostile profile — seeded bursty loss around 30% of
-    // frames (entry rate 0.1 x run length 4), 30% reorder underneath, 5% duplication, 1%
-    // corruption. Authentication and CRC must keep every damaged frame out of the store with
-    // exact per-cause accounting, staleness must stay within the pipeline depth, and the
-    // suspect set at each window end must agree with a direct (no report plane) run.
-    const int depth = 2;
+    // Part 1: the hostile profile — seeded bursty loss around 30% of frames (entry rate
+    // 0.1 x run length 4), 30% reorder underneath, 5% duplication, 1% corruption.
+    // Authentication and CRC must keep every damaged frame out of the store with exact
+    // per-cause accounting, and the suspect set at each window end must agree with a direct
+    // (no report plane) run.
     auto hostile_run = [&](bool report_plane) {
       DetectorSystemOptions options = base_options();
       options.report_plane = report_plane;
-      options.report_pipeline = report_plane;
-      options.report_pipeline_depth = depth;
       DetectorSystem system(routing, options);
       if (report_plane) {
         system.SetReportTransportFactory([&](size_t i) -> std::unique_ptr<Transport> {
@@ -369,9 +366,6 @@ int main(int argc, char** argv) {
                           "== corrupted arrivals"});
     hostile_table.AddRow({"tampered folds", "0",
                           stats.tampered_dropped == 0 ? "0 (same key)" : "VIOLATED"});
-    hostile_table.AddRow({"max fold staleness",
-                          TablePrinter::FmtInt(static_cast<int64_t>(stats.max_fold_staleness)),
-                          "<= " + TablePrinter::FmtInt(depth)});
     hostile_table.Print();
 
     if (stats.frames_folded == 0 || corrupted == 0 || stats.decode_errors == 0) {
@@ -385,11 +379,6 @@ int main(int argc, char** argv) {
     if (stats.tampered_dropped != 0) {
       std::printf("hostile gate: same-key fleet counted %llu tampered frames\n",
                   static_cast<unsigned long long>(stats.tampered_dropped));
-      gate_pass = false;
-    }
-    if (stats.max_fold_staleness > static_cast<uint64_t>(depth)) {
-      std::printf("hostile gate: fold staleness %llu exceeds pipeline depth %d\n",
-                  static_cast<unsigned long long>(stats.max_fold_staleness), depth);
       gate_pass = false;
     }
     if (accounted != received) {
@@ -483,7 +472,12 @@ int main(int argc, char** argv) {
       std::vector<DetectorSystem::WindowResult> out;
       uint64_t frames = 0;
       for (int w = 0; w < windows; ++w) {
-        if (record) {
+        // Each window opens on its own wire: a recorder over the live schedule, or the
+        // replay of that window's recording.
+        system.SetReportTransportFactory([&](size_t) -> std::unique_ptr<Transport> {
+          if (!record) {
+            return std::make_unique<TraceReplayTransport>(window_trace(w));
+          }
           // Lossless schedule (reorder + delay/jitter + duplication, nothing dropped or
           // damaged) so the recording can gate bit-identity against the live run.
           LoopbackOptions wire;
@@ -494,29 +488,28 @@ int main(int argc, char** argv) {
           profile.jitter_ticks = 4;
           profile.dup_rate = 0.1;
           profile.seed = seed + 71 + static_cast<uint64_t>(w);
-          auto recorder = std::make_unique<RecordingTransport>(
+          return std::make_unique<RecordingTransport>(
               std::make_unique<ImpairmentTransport>(std::make_unique<LoopbackTransport>(wire),
                                                     profile),
               window_trace(w));
+        });
+        out.push_back(system.RunWindowStreaming(scenario, {}, rng).window);
+        if (record) {
+          const auto* recorder = static_cast<RecordingTransport*>(system.report_transport());
           if (!recorder->ok()) {
             std::fprintf(stderr, "cannot write trace %s\n", window_trace(w).c_str());
             io_ok = false;
             return out;
           }
-          RecordingTransport* raw = recorder.get();
-          system.SetReportTransport(std::move(recorder));
-          out.push_back(system.RunWindowStreaming(scenario, {}, rng).window);
-          frames += raw->frames_recorded();
+          frames += recorder->frames_recorded();
         } else {
-          auto replayer = std::make_unique<TraceReplayTransport>(window_trace(w));
+          const auto* replayer = static_cast<TraceReplayTransport*>(system.report_transport());
           if (!replayer->ok()) {
             std::fprintf(stderr, "cannot replay trace: %s\n", replayer->error().c_str());
             io_ok = false;
             return out;
           }
           frames += replayer->frames_loaded();
-          system.SetReportTransport(std::move(replayer));
-          out.push_back(system.RunWindowStreaming(scenario, {}, rng).window);
         }
       }
       std::printf("%s: %d windows, %llu frames %s\n", record ? "trace-record" : "trace-replay",

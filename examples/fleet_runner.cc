@@ -31,7 +31,8 @@
 //
 // --history-dir=DIR makes collector i seal every window it closes into an append-only
 // WindowLog under DIR/collector-i, and the launcher then requires every collector to have
-// sealed a window and its log to read back clean. Query a log at the fleet's --k (default 4):
+// sealed a window and its log to read back clean, with window indices strictly increasing
+// across runs over the same DIR. Query a log at the fleet's --k (default 4):
 //
 //   ./monitor_daemon --mode=query --k=4 --history-dir=out/fleet_history/collector-0
 #include <sys/wait.h>
@@ -552,7 +553,8 @@ int RunFleet(const Flags& flags, const char* self) {
   }
 
   // Retention: every collector sealed at least one window, and its log reads back clean with
-  // at least the windows it sealed in this run (an earlier run's windows may precede them).
+  // at least the windows it sealed in this run (an earlier run's windows may precede them),
+  // under strictly increasing window indices — a restart continues the log's numbering.
   const bool retained = !CollectorHistoryDir(flags, 0).empty();
   for (size_t i = 0; retained && i < collectors; ++i) {
     const std::string dir = CollectorHistoryDir(flags, i);
@@ -570,6 +572,15 @@ int RunFleet(const Flags& flags, const char* self) {
                    "fleet_runner: %s reads back %zu windows (%s) after %llu were sealed\n",
                    dir.c_str(), read.windows.size(), read.clean ? "clean" : "damaged", sealed);
       return 1;
+    }
+    for (size_t w = 1; w < read.windows.size(); ++w) {
+      if (read.windows[w].window_index <= read.windows[w - 1].window_index) {
+        std::fprintf(stderr, "fleet_runner: %s holds window %llu after window %llu\n",
+                     dir.c_str(),
+                     static_cast<unsigned long long>(read.windows[w].window_index),
+                     static_cast<unsigned long long>(read.windows[w - 1].window_index));
+        return 1;
+      }
     }
     std::printf("fleet_runner: collector %zu sealed %llu windows; %s reads back clean (%zu "
                 "retained)\n",

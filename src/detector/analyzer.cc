@@ -148,12 +148,15 @@ WindowDiagnosis Analyzer::CloseWindow(int segment, double time_seconds, uint64_t
 void Analyzer::Serve(
     Collector& collector, const FrameSource& frames,
     const std::function<void(uint64_t window_id, const WindowDiagnosis&)>& on_close) {
+  // Frame window ids restart at 1 with every agent fleet; the log's numbering continues
+  // after whatever a reopened log already holds.
+  const uint64_t first_index = windows_sealed();
   collector.BeginWindow(1);
-  OpenWindow(0);
+  OpenWindow(first_index);
   // Runs at the collector's serial flip point, before it moves to `opened`.
   collector.set_on_window_advance([&](uint64_t closed, uint64_t opened) {
     on_close(closed, CloseWindow(1, window_seconds_));
-    OpenWindow(opened - 1);
+    OpenWindow(first_index + opened - 1);
   });
   bool any_frames = false;
   for (;;) {

@@ -100,7 +100,8 @@ class Analyzer {
   // every frame `frames` yields into `collector` (built over diagnoser().store()), and when a
   // frame of a newer window flips the collector, closes the finished window and opens the
   // next; once the stream ends, closes the last window if any frame arrived. Every closed
-  // window goes to `on_close` with its frame window id; the log indexes it as id - 1.
+  // window goes to `on_close` with its frame window id; the log indexes it as id - 1 past
+  // windows_sealed() at entry, so a collector restarted over its log continues the numbering.
   void Serve(Collector& collector, const FrameSource& frames,
              const std::function<void(uint64_t window_id, const WindowDiagnosis&)>& on_close);
 

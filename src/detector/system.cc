@@ -66,12 +66,6 @@ DetectorSystem::DetectorSystem(const Topology& topo, ProbeMatrix matrix,
   }
 }
 
-void DetectorSystem::SetReportTransport(std::unique_ptr<Transport> transport) {
-  report_transport_factory_ = nullptr;
-  report_transports_.clear();
-  report_transports_.push_back(std::move(transport));
-}
-
 void DetectorSystem::SetReportTransportFactory(
     std::function<std::unique_ptr<Transport>(size_t)> factory) {
   report_transport_factory_ = std::move(factory);
@@ -102,7 +96,7 @@ void DetectorSystem::PrepareReportFabric() {
     // pure function of the pinger set).
     collector_group_->Repartition(BuildReportPartition());
   }
-  // Every backend at the first window; again after SetReportTransport(Factory) replaced them.
+  // Every backend at the first window; again after SetReportTransportFactory dropped them.
   while (report_transports_.size() < n) {
     const size_t i = report_transports_.size();
     report_transports_.push_back(report_transport_factory_ != nullptr
@@ -460,7 +454,13 @@ void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds,
     pool_->WaitAll();
   }
   if (report) {
-    PumpReportBoundary();
+    // Ingest barrier: everything sent and not dropped folds before the segment closes, which
+    // is what makes the lossless loopback bit-identical to direct mode — no report straddles
+    // a diagnosis boundary or a churn-driven slot invalidation.
+    for (size_t c = 0; c < collector_group_->num_collectors(); ++c) {
+      report_transports_[c]->Flush();
+      collector_group_->collector(c).PumpFrom(*report_transports_[c]);
+    }
     for (const ShardWork& shard_work : work) {
       report_seq_[shard_work.list->pinger] = shard_work.emitter->next_seq();
     }
@@ -468,32 +468,6 @@ void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds,
   for (const PingerTraffic& t : traffic) {
     result.probes_sent += t.probes_sent;
     result.bytes_sent += t.bytes_sent;
-  }
-}
-
-void DetectorSystem::PumpReportBoundary() {
-  if (!options_.report_pipeline) {
-    // Ingest barrier: everything sent and not dropped folds before the segment closes,
-    // which is what makes the lossless loopback bit-identical to direct mode — no report
-    // straddles a diagnosis boundary or a churn-driven slot invalidation.
-    for (size_t c = 0; c < collector_group_->num_collectors(); ++c) {
-      report_transports_[c]->Flush();
-      collector_group_->collector(c).PumpFrom(*report_transports_[c]);
-    }
-  } else {
-    // Pipelined: fold what the budget allows and let the rest straddle the boundary —
-    // epoch stamps make the late folds land exactly where on-time folds would have. The
-    // staleness enforcer then folds whatever has aged report_pipeline_depth boundaries
-    // regardless of budget, so max_fold_staleness <= depth is a guarantee, not a hope. The
-    // window end (RunWindowStreaming) still drains fully.
-    const auto depth = static_cast<uint64_t>(options_.report_pipeline_depth);
-    for (size_t c = 0; c < collector_group_->num_collectors(); ++c) {
-      Collector& col = collector_group_->collector(c);
-      col.PumpFrom(*report_transports_[c], options_.report_pump_budget);
-      if (col.boundary() >= depth) {
-        col.DrainStale(col.boundary() - depth + 1);
-      }
-    }
   }
 }
 
@@ -573,9 +547,8 @@ DetectorSystem::StreamingWindowResult DetectorSystem::RunWindowStreaming(
       break;  // the window end closes below
     }
     if (options_.report_plane) {
-      // Stamp the segment boundary for staleness accounting: frames folding after this point
-      // straddled it (pipelined mode; under the barriered default nothing is ever queued
-      // here). The last pump of the segment already ran, so an on-time fold counts 0.
+      // A segment boundary is a liveness tick: a pinger silent past the collectors' horizon
+      // of ticks reads as stale.
       collector_group_->AdvanceBoundary();
     }
     // Every boundary advances the streaming views (cumulative dirty set, sliding ring,
@@ -588,14 +561,6 @@ DetectorSystem::StreamingWindowResult DetectorSystem::RunWindowStreaming(
       out.timeline.push_back(SegmentDiagnosis{seg, boundary, std::move(d.localization),
                                               std::move(d.server_link_alarms),
                                               std::move(d.anomalies)});
-    }
-  }
-  if (options_.report_plane && options_.report_pipeline) {
-    // Pipelined mode defers folds, never past the window: drain everything before the final
-    // diagnosis, so the window-end result over a lossless transport matches barriered mode.
-    for (size_t c = 0; c < collector_group_->num_collectors(); ++c) {
-      report_transports_[c]->Flush();
-      collector_group_->collector(c).PumpFrom(*report_transports_[c]);
     }
   }
   WindowDiagnosis end =

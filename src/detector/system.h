@@ -105,8 +105,8 @@ struct DetectorSystemOptions {
   // transport (src/net) into a Collector that folds them back into the ObservationStore,
   // instead of writing the store directly — the deployed pinger -> analyzer seam. Under the
   // default lossless in-process loopback this is bit-identical to direct mode (ctest-gated);
-  // SetReportTransport installs a fault-injecting loopback. (The in-process plane needs a
-  // transport whose Send round-trips to its own Receive; the split UDP deployment instead
+  // SetReportTransportFactory installs fault-injecting loopbacks. (The in-process plane needs
+  // a transport whose Send round-trips to its own Receive; the split UDP deployment instead
   // pairs a Connect-side emitter process with a Bind-side collector process — see
   // examples/fleet_runner.cc --role=agent|collector.)
   bool report_plane = false;
@@ -123,17 +123,6 @@ struct DetectorSystemOptions {
   // concurrent lane drains (Collector::DrainShardRange) serve callers with their own drain
   // threads.
   size_t report_ingest_shards = 1;
-  // Pipelined report plane: drop the per-segment flush-and-drain barrier and let frames
-  // straddle segment boundaries — the (slot, epoch) stamps make late folds land exactly
-  // where an on-time fold would have. Mid-window boundaries fold at most report_pump_budget
-  // frames per collector (0 = everything available); the window end still drains fully, so
-  // the window-end result over a lossless transport stays identical to barriered mode. The
-  // gate for this mode is bounded staleness — every frame folds within report_pipeline_depth
-  // boundaries of arrival (CollectorStats::max_fold_staleness) — not mid-window
-  // bit-exactness; the default barriered mode keeps the 1/2/8-thread bit-identical gates.
-  bool report_pipeline = false;
-  int report_pipeline_depth = 2;
-  size_t report_pump_budget = 0;
   // Frame-authentication key shared by every emitter and collector in this system (see
   // ReportKey) — frames tagged under any other key are rejected kBadAuth and counted as
   // tampered, never folded.
@@ -143,10 +132,10 @@ struct DetectorSystemOptions {
   uint64_t report_liveness_horizon = 0;
   // Retention seam (src/history): non-empty publishes every sealed window — per-boundary
   // observation deltas, the diagnosis timeline, churn metadata — into an append-only
-  // WindowLog under this directory, in every window mode (direct, report-plane barriered,
-  // report-plane pipelined). The log authenticates records under report_key, the same
-  // deployment key the wire frames use. Empty (the default) retains nothing — the window's
-  // state evaporates at the boundary exactly as before.
+  // WindowLog under this directory, in direct and report-plane mode alike. The log
+  // authenticates records under report_key, the same deployment key the wire frames use.
+  // Empty (the default) retains nothing — the window's state evaporates at the boundary
+  // exactly as before.
   std::string history_dir;
   // Window-log rotation/retention knobs (see WindowLogOptions): records per segment file, and
   // how many segment files to keep (0 = unbounded).
@@ -257,21 +246,13 @@ class DetectorSystem {
   // Null when constructed from a fixed matrix.
   const IncrementalPmc* incremental() const { return incremental_.get(); }
   const PathPingerIndex& path_index() const { return path_index_; }
-  // Installs the wire backend report-plane windows run over (owned; replaces the default
-  // lossless LoopbackTransport). The transport must round-trip its own Send to its own
-  // Receive — in practice a LoopbackTransport, usually with injected faults. Install before
-  // the first report-plane window or between windows — frames in flight on the old
-  // transport are gone with it. Single-collector convenience: with report_collectors > 1 the
-  // other partitions get default lossless loopbacks; use SetReportTransportFactory instead.
-  void SetReportTransport(std::unique_ptr<Transport> transport);
   // Per-partition transport factory for the collector fabric: called once per collector
-  // index at the next report-plane window open. Replaces any transports already installed.
+  // index at the next report-plane window open, replacing the default lossless
+  // LoopbackTransports (a null factory restores them). Each transport must round-trip its own
+  // Send to its own Receive — in practice a LoopbackTransport, usually with injected faults.
+  // Drops the transports already installed, and with them any frames still in flight.
   void SetReportTransportFactory(std::function<std::unique_ptr<Transport>(size_t)> factory);
-  // Null until the first report-plane window ran. collector() is the fabric's instance 0 —
-  // the whole plane under the default report_collectors == 1.
-  const Collector* collector() const {
-    return collector_group_ == nullptr ? nullptr : &collector_group_->collector(0);
-  }
+  // Null until the first report-plane window ran.
   const CollectorGroup* collector_group() const { return collector_group_.get(); }
   Transport* report_transport(size_t i = 0) {
     return i < report_transports_.size() ? report_transports_[i].get() : nullptr;
@@ -300,9 +281,6 @@ class DetectorSystem {
   // over the pool; in report mode one pool task pumps every collector while the rest probe.
   void RunSegment(const FailureScenario& scenario, double seconds, Rng& rng,
                   WindowResult& result);
-  // End-of-segment report-plane handling: the barriered flush-and-drain, or the pipelined
-  // budgeted pump + staleness enforcement.
-  void PumpReportBoundary();
   // The localization for one mid-window boundary, per options_.streaming_view.
   LocalizeResult LocalizeBoundary();
   FailureScenario OverlaidScenario(const FailureScenario& scenario) const;

@@ -4,6 +4,23 @@
 
 namespace detector {
 
+CollectorStats& CollectorStats::operator+=(const CollectorStats& other) {
+  frames_folded += other.frames_folded;
+  observations_folded += other.observations_folded;
+  duplicates_dropped += other.duplicates_dropped;
+  decode_errors += other.decode_errors;
+  tampered_dropped += other.tampered_dropped;
+  stale_window_dropped += other.stale_window_dropped;
+  queue_overflow_dropped += other.queue_overflow_dropped;
+  unknown_slot_dropped += other.unknown_slot_dropped;
+  unknown_records += other.unknown_records;
+  wrong_partition_dropped += other.wrong_partition_dropped;
+  window_advances += other.window_advances;
+  pingers_tracked += other.pingers_tracked;
+  stale_pingers += other.stale_pingers;
+  return *this;
+}
+
 Collector::Collector(ObservationStore& store, CollectorOptions options)
     : store_(store), options_(options) {
   const size_t shards = std::max<size_t>(1, options_.ingest_shards);
@@ -15,7 +32,6 @@ Collector::Collector(ObservationStore& store, CollectorOptions options)
 
 void Collector::BeginWindow(uint64_t window_id) {
   current_window_.store(window_id, std::memory_order_release);
-  boundary_.store(0, std::memory_order_release);
   liveness_clock_.fetch_add(1, std::memory_order_acq_rel);
   for (auto& shard : shards_) {
     shard->folded_seqs.clear();
@@ -33,7 +49,6 @@ void Collector::SetPartition(const PartitionMap* map, int partition) {
 
 bool Collector::OfferToShard(size_t index, std::vector<uint8_t> frame, bool bounded) {
   IngestShard& shard = *shards_[index];
-  const uint64_t stamp = boundary_.load(std::memory_order_acquire);
   std::lock_guard<std::mutex> lock(shard.mu);
   if (bounded && shard.queue.size() >= options_.queue_capacity) {
     // Counted under the shard lock, so racing producers on a full shard each account their
@@ -41,7 +56,7 @@ bool Collector::OfferToShard(size_t index, std::vector<uint8_t> frame, bool boun
     ++shard.stats.queue_overflow_dropped;
     return false;
   }
-  shard.queue.emplace_back(stamp, std::move(frame));
+  shard.queue.push_back(std::move(frame));
   return true;
 }
 
@@ -60,22 +75,15 @@ void Collector::OfferUnbounded(std::vector<uint8_t> frame) {
   OfferToShard(index, std::move(frame), /*bounded=*/false);
 }
 
-size_t Collector::DrainShard(IngestShard& shard, size_t max_frames, size_t& processed,
-                             uint64_t stamp_below) {
+size_t Collector::DrainShard(IngestShard& shard) {
   size_t folded = 0;
   for (;;) {
-    if (max_frames != 0 && processed >= max_frames) {
-      return folded;
-    }
-    uint64_t stamp = 0;
     {
       std::lock_guard<std::mutex> lock(shard.mu);
-      if (shard.has_pending || shard.queue.empty() ||
-          shard.queue.front().first >= stamp_below) {
+      if (shard.has_pending || shard.queue.empty()) {
         return folded;
       }
-      stamp = shard.queue.front().first;
-      shard.raw = std::move(shard.queue.front().second);
+      shard.raw = std::move(shard.queue.front());
       shard.queue.pop_front();
     }
     const DecodeStatus status = ReportCodec::Decode(shard.raw, shard.decoded, options_.key);
@@ -86,7 +94,6 @@ size_t Collector::DrainShard(IngestShard& shard, size_t max_frames, size_t& proc
       } else {
         ++shard.stats.decode_errors;
       }
-      ++processed;
       continue;
     }
     if (partition_map_ != nullptr &&
@@ -94,7 +101,6 @@ size_t Collector::DrainShard(IngestShard& shard, size_t max_frames, size_t& proc
       // Another collector owns this pinger; folding here would double-count across the
       // fabric once the rightful owner folds the retransmission.
       ++shard.stats.wrong_partition_dropped;
-      ++processed;
       continue;
     }
     // Any authenticated frame from a pinger we own refreshes its liveness — even a duplicate
@@ -111,7 +117,6 @@ size_t Collector::DrainShard(IngestShard& shard, size_t max_frames, size_t& proc
     const uint64_t window = current_window_.load(std::memory_order_acquire);
     if (shard.decoded.window_id < window) {
       ++shard.stats.stale_window_dropped;
-      ++processed;
       continue;
     }
     if (shard.decoded.window_id > window) {
@@ -123,31 +128,23 @@ size_t Collector::DrainShard(IngestShard& shard, size_t max_frames, size_t& proc
         shard.pending_window = shard.decoded.window_id;
       }
       shard.has_pending = true;
-      shard.queue.emplace_front(stamp, std::move(shard.raw));
+      shard.queue.push_front(std::move(shard.raw));
       return folded;
     }
     auto& seen = shard.folded_seqs[shard.decoded.pinger];
     if (!seen.insert(shard.decoded.seq).second) {
       ++shard.stats.duplicates_dropped;
-      ++processed;
       continue;
     }
-    const uint64_t now = boundary_.load(std::memory_order_acquire);
-    FoldFrame(shard, shard.decoded, now > stamp ? now - stamp : 0);
-    ++processed;
+    FoldFrame(shard, shard.decoded);
     ++folded;
   }
 }
 
-size_t Collector::DrainShardRange(size_t begin, size_t end, size_t max_frames,
-                                  size_t* processed) {
+size_t Collector::DrainShardRange(size_t begin, size_t end) {
   size_t folded = 0;
-  size_t done = 0;
   for (size_t i = begin; i < end && i < shards_.size(); ++i) {
-    folded += DrainShard(*shards_[i], max_frames, done, /*stamp_below=*/~uint64_t{0});
-  }
-  if (processed != nullptr) {
-    *processed += done;
+    folded += DrainShard(*shards_[i]);
   }
   return folded;
 }
@@ -190,24 +187,17 @@ bool Collector::AdvancePendingWindows() {
   return true;
 }
 
-size_t Collector::Drain(size_t max_frames) {
+size_t Collector::Drain() {
+  // A pass leaves every shard empty or parked on a newer window's frame; each flip unparks
+  // the shards it reached.
   size_t folded = 0;
-  size_t processed_total = 0;
-  for (;;) {
-    if (max_frames != 0 && processed_total >= max_frames) {
-      return folded;
-    }
-    size_t processed = 0;
-    const size_t budget = max_frames == 0 ? 0 : max_frames - processed_total;
-    folded += DrainShardRange(0, shards_.size(), budget, &processed);
-    processed_total += processed;
-    if (processed == 0 && !AdvancePendingWindows()) {
-      return folded;
-    }
-  }
+  do {
+    folded += DrainShardRange(0, shards_.size());
+  } while (AdvancePendingWindows());
+  return folded;
 }
 
-void Collector::FoldFrame(IngestShard& shard, const ReportFrame& frame, uint64_t staleness) {
+void Collector::FoldFrame(IngestShard& shard, const ReportFrame& frame) {
   ObservationStore::Shard* store_shard = nullptr;
   const auto it = shard.store_shards.find(frame.pinger);
   if (it != shard.store_shards.end()) {
@@ -247,26 +237,9 @@ void Collector::FoldFrame(IngestShard& shard, const ReportFrame& frame, uint64_t
   // frame's loss records folded above; only the unknown records are lost, and visibly so.
   shard.stats.unknown_records += frame.unknown_records;
   ++shard.stats.frames_folded;
-  if (staleness > 0) {
-    ++shard.stats.frames_straddled;
-    shard.stats.max_fold_staleness = std::max(shard.stats.max_fold_staleness, staleness);
-  }
 }
 
-size_t Collector::DrainStale(uint64_t min_fresh_stamp) {
-  size_t folded = 0;
-  for (;;) {
-    size_t processed = 0;
-    for (auto& shard : shards_) {
-      folded += DrainShard(*shard, /*max_frames=*/0, processed, min_fresh_stamp);
-    }
-    if (processed == 0 && !AdvancePendingWindows()) {
-      return folded;
-    }
-  }
-}
-
-size_t Collector::PumpFrom(Transport& transport, size_t max_fold_frames) {
+size_t Collector::PumpFrom(Transport& transport) {
   std::vector<uint8_t> frame;
   while (transport.Receive(frame)) {
     // The pump owns the consumer side too, so delivery is unbounded — queue_capacity guards
@@ -275,7 +248,7 @@ size_t Collector::PumpFrom(Transport& transport, size_t max_fold_frames) {
     OfferUnbounded(std::move(frame));
     frame.clear();
   }
-  return Drain(max_fold_frames);
+  return Drain();
 }
 
 CollectorStats Collector::stats() const {
@@ -283,19 +256,7 @@ CollectorStats Collector::stats() const {
   total.window_advances = window_advances_;
   const uint64_t clock = liveness_clock_.load(std::memory_order_acquire);
   for (const auto& shard : shards_) {
-    const CollectorStats& s = shard->stats;
-    total.frames_folded += s.frames_folded;
-    total.observations_folded += s.observations_folded;
-    total.duplicates_dropped += s.duplicates_dropped;
-    total.decode_errors += s.decode_errors;
-    total.tampered_dropped += s.tampered_dropped;
-    total.stale_window_dropped += s.stale_window_dropped;
-    total.queue_overflow_dropped += s.queue_overflow_dropped;
-    total.unknown_slot_dropped += s.unknown_slot_dropped;
-    total.unknown_records += s.unknown_records;
-    total.wrong_partition_dropped += s.wrong_partition_dropped;
-    total.frames_straddled += s.frames_straddled;
-    total.max_fold_staleness = std::max(total.max_fold_staleness, s.max_fold_staleness);
+    total += shard->stats;
     total.pingers_tracked += shard->last_seen.size();
     if (options_.liveness_horizon > 0) {
       for (const auto& [pinger, live] : shard->last_seen) {

@@ -68,10 +68,11 @@ struct CollectorStats {
   uint64_t unknown_records = 0;         // ext records of a type this build doesn't know (skipped)
   uint64_t wrong_partition_dropped = 0; // frame's pinger is owned by another collector
   uint64_t window_advances = 0;         // pending-window flips applied
-  uint64_t frames_straddled = 0;        // folded >= 1 segment boundary after arrival
-  uint64_t max_fold_staleness = 0;      // worst boundaries-crossed-while-queued of any fold
   uint64_t pingers_tracked = 0;         // gauge: pingers with liveness state (ever heard)
   uint64_t stale_pingers = 0;           // gauge: tracked pingers silent past the horizon
+
+  // Field-wise sum — how lanes roll up into a collector and collectors into a group.
+  CollectorStats& operator+=(const CollectorStats& other);
 };
 
 // Last authenticated word from one pinger: the newest (window, seq) decoded from it and the
@@ -120,18 +121,15 @@ class Collector {
   // queue_capacity.
   void OfferUnbounded(std::vector<uint8_t> frame);
 
-  // Serial consumer: decodes and folds queued frames across all shards, applying pending
-  // window advances between passes. `max_frames` bounds frames *processed* this call
-  // (0 = everything queued); leftovers stay queued for the next call — the pipelined mode's
-  // per-boundary fold budget. Returns frames folded.
-  size_t Drain(size_t max_frames = 0);
+  // Serial consumer: decodes and folds every queued frame across all shards, applying
+  // pending window advances between passes. Returns frames folded.
+  size_t Drain();
 
   // Concurrent consumer for ingest shards [begin, end): decodes and folds until the range is
-  // empty, the processed-frame budget runs out, or a newer-window frame parks (the flip is
-  // left pending for a serial AdvancePendingWindows). Ranges given to concurrent callers must
-  // be disjoint. Returns frames folded.
-  size_t DrainShardRange(size_t begin, size_t end, size_t max_frames = 0,
-                         size_t* processed = nullptr);
+  // empty or a newer-window frame parks (the flip is left pending for a serial
+  // AdvancePendingWindows). Ranges given to concurrent callers must be disjoint. Returns
+  // frames folded.
+  size_t DrainShardRange(size_t begin, size_t end);
 
   // Applies the oldest pending window advance flagged by DrainShardRange (hook, then flip and
   // liveness tick, then dedup prune). Serial point — no concurrent drainer. True if a flip was
@@ -139,28 +137,15 @@ class Collector {
   bool AdvancePendingWindows();
 
   // Receives everything the transport has pending into the shard queues (unbounded — the
-  // pump owns both sides) and Drain()s with `max_fold_frames` as the processed budget
-  // (0 = drain everything). Returns frames folded. Serial point.
-  size_t PumpFrom(Transport& transport, size_t max_fold_frames = 0);
+  // pump owns both sides) and Drain()s them. Returns frames folded. Serial point.
+  size_t PumpFrom(Transport& transport);
 
-  // Folds every queued frame stamped before `min_fresh_stamp`, ignoring any fold budget —
-  // the pipelined mode's staleness enforcer. Shard queues are FIFO and stamps non-decreasing,
-  // so calling this each boundary with `boundary() - depth + 1` bounds every fold at
-  // staleness <= depth (CollectorStats::max_fold_staleness) no matter how small the budgeted
-  // pump is. Returns frames folded. Serial point.
-  size_t DrainStale(uint64_t min_fresh_stamp);
-
-  // Stamps a segment boundary for staleness accounting: a frame offered at boundary b and
-  // folded at boundary b+k folded k boundaries stale (frames_straddled / max_fold_staleness).
+  // Ticks the liveness clock at a segment boundary (see CollectorOptions::liveness_horizon).
   // Any thread, but in practice the serial segment loop.
-  void AdvanceBoundary() {
-    boundary_.fetch_add(1, std::memory_order_acq_rel);
-    liveness_clock_.fetch_add(1, std::memory_order_acq_rel);
-  }
-  uint64_t boundary() const { return boundary_.load(std::memory_order_acquire); }
+  void AdvanceBoundary() { liveness_clock_.fetch_add(1, std::memory_order_acq_rel); }
 
-  // Rolls per-shard counters up into one view (sums; max for max_fold_staleness; liveness
-  // gauges computed against the current clock). Serial point with respect to concurrent drains.
+  // Rolls per-shard counters up into one view (sums; liveness gauges computed against the
+  // current clock). Serial point with respect to concurrent drains.
   CollectorStats stats() const;
   size_t queued() const;
 
@@ -182,7 +167,7 @@ class Collector {
   // everything else is owned by the shard's single drainer.
   struct IngestShard {
     std::mutex mu;
-    std::deque<std::pair<uint64_t, std::vector<uint8_t>>> queue;  // (boundary stamp, frame)
+    std::deque<std::vector<uint8_t>> queue;
     // Folded frame seqs per pinger for the current window — the idempotence filter. Pruned
     // at window flips; seq ranges are small (frames per pinger per window).
     std::map<NodeId, std::set<uint64_t>> folded_seqs;
@@ -201,10 +186,8 @@ class Collector {
   };
 
   bool OfferToShard(size_t index, std::vector<uint8_t> frame, bool bounded);
-  // `stamp_below` stops the drain at the first frame stamped >= it (UINT64_MAX = no cutoff).
-  size_t DrainShard(IngestShard& shard, size_t max_frames, size_t& processed,
-                    uint64_t stamp_below);
-  void FoldFrame(IngestShard& shard, const ReportFrame& frame, uint64_t staleness);
+  size_t DrainShard(IngestShard& shard);
+  void FoldFrame(IngestShard& shard, const ReportFrame& frame);
 
   ObservationStore& store_;
   const CollectorOptions options_;
@@ -212,9 +195,8 @@ class Collector {
   std::vector<std::unique_ptr<IngestShard>> shards_;
 
   std::atomic<uint64_t> current_window_{0};
-  std::atomic<uint64_t> boundary_{0};
   // Monotonic liveness clock: ticks at every window open (BeginWindow or a frame-driven flip)
-  // and every AdvanceBoundary (the per-window boundary_ resets and cannot serve). Never reset.
+  // and every AdvanceBoundary. Never reset.
   std::atomic<uint64_t> liveness_clock_{0};
   std::function<void(uint64_t, uint64_t)> on_window_advance_;
   uint64_t window_advances_ = 0;  // serial-point counter (flips happen serially)

@@ -42,21 +42,7 @@ void CollectorGroup::AdvanceBoundary() {
 CollectorStats CollectorGroup::stats() const {
   CollectorStats total;
   for (const auto& collector : collectors_) {
-    const CollectorStats s = collector->stats();
-    total.frames_folded += s.frames_folded;
-    total.observations_folded += s.observations_folded;
-    total.duplicates_dropped += s.duplicates_dropped;
-    total.decode_errors += s.decode_errors;
-    total.tampered_dropped += s.tampered_dropped;
-    total.stale_window_dropped += s.stale_window_dropped;
-    total.queue_overflow_dropped += s.queue_overflow_dropped;
-    total.unknown_slot_dropped += s.unknown_slot_dropped;
-    total.wrong_partition_dropped += s.wrong_partition_dropped;
-    total.window_advances += s.window_advances;
-    total.frames_straddled += s.frames_straddled;
-    total.max_fold_staleness = std::max(total.max_fold_staleness, s.max_fold_staleness);
-    total.pingers_tracked += s.pingers_tracked;
-    total.stale_pingers += s.stale_pingers;
+    total += collector->stats();
   }
   return total;
 }
@@ -70,14 +56,6 @@ std::vector<NodeId> CollectorGroup::StalePingers() const {
   // Partitions are disjoint, so this is a merge, not a dedup.
   std::sort(stale.begin(), stale.end());
   return stale;
-}
-
-size_t CollectorGroup::queued() const {
-  size_t total = 0;
-  for (const auto& collector : collectors_) {
-    total += collector->queued();
-  }
-  return total;
 }
 
 }  // namespace detector

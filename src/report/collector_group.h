@@ -44,9 +44,8 @@ class CollectorGroup {
   void BeginWindow(uint64_t window_id);
   void AdvanceBoundary();
 
-  // Sum of all instances' stats (max for max_fold_staleness). Serial point wrt concurrent drains.
+  // Sum of all instances' stats. Serial point wrt concurrent drains.
   CollectorStats stats() const;
-  size_t queued() const;
 
   // Union of every instance's stale-pinger report (partitions are disjoint), sorted. Serial
   // point wrt concurrent drains.

@@ -290,9 +290,9 @@ TEST(HostileNet, LosslessImpairmentBitIdenticalToDirectAt1_2_8Threads) {
       out.push_back(system.RunWindowStreaming(scenario, churn, rng));
       out.push_back(system.RunWindowStreaming(scenario, {}, rng));
       if (impaired) {
-        EXPECT_NE(system.collector(), nullptr);
-        if (system.collector() != nullptr) {
-          const CollectorStats stats = system.collector()->stats();
+        EXPECT_NE(system.collector_group(), nullptr);
+        if (system.collector_group() != nullptr) {
+          const CollectorStats stats = system.collector_group()->stats();
           EXPECT_GT(stats.frames_folded, 0u);
           EXPECT_GT(stats.duplicates_dropped, 0u) << "dup injection never fired";
           EXPECT_EQ(stats.decode_errors, 0u);

@@ -3,8 +3,8 @@
 // (duplicate and out-of-order delivery keep totals bit-identical; stale windows and queue
 // overflow drop cleanly), transport fault injection, the report-vs-direct bit-exactness gate
 // at 1, 2 and 8 probe threads, the deployed collector sealing what the in-process system
-// seals, and real UDP over localhost (skipped with a notice when the sandbox forbids
-// sockets).
+// seals and continuing its log's window numbering across a restart, and real UDP over
+// localhost (skipped with a notice when the sandbox forbids sockets).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,6 +15,7 @@
 #include "src/common/crc32.h"
 #include "src/detector/analyzer.h"
 #include "src/detector/system.h"
+#include "src/history/window_log.h"
 #include "src/net/loopback.h"
 #include "src/net/trace.h"
 #include "src/net/udp.h"
@@ -428,11 +429,12 @@ TEST(ReportPlane, BitIdenticalToDirectModeAt1_2_8Threads) {
       out.push_back(system.RunWindowStreaming(scenario, {}, rng));
       if (report_plane) {
         // Sanity: the window actually rode the wire.
-        EXPECT_NE(system.collector(), nullptr);
-        if (system.collector() != nullptr) {
-          EXPECT_GT(system.collector()->stats().frames_folded, 0u);
-          EXPECT_EQ(system.collector()->stats().decode_errors, 0u);
-          EXPECT_EQ(system.collector()->stats().duplicates_dropped, 0u);
+        EXPECT_NE(system.collector_group(), nullptr);
+        if (system.collector_group() != nullptr) {
+          const CollectorStats stats = system.collector_group()->stats();
+          EXPECT_GT(stats.frames_folded, 0u);
+          EXPECT_EQ(stats.decode_errors, 0u);
+          EXPECT_EQ(stats.duplicates_dropped, 0u);
         }
       }
       return out;
@@ -478,12 +480,13 @@ TEST(ReportPlane, InjectedDropReorderNeverCorruptsTotals) {
     loopback.drop_rate = drop;
     loopback.reorder_rate = reorder;
     loopback.seed = 23;
-    system.SetReportTransport(std::make_unique<LoopbackTransport>(loopback));
+    system.SetReportTransportFactory(
+        [&](size_t) { return std::make_unique<LoopbackTransport>(loopback); });
     Rng rng(5);
     // Diagnose consumes the store at window end, so compare totals before it: run the
     // window's probing via streaming segments, then read the diagnoser's aggregate.
     const auto result = system.RunWindowStreaming(scenario, {}, rng);
-    CollectorStats stats = system.collector()->stats();
+    CollectorStats stats = system.collector_group()->stats();
     return std::make_pair(result, stats);
   };
 
@@ -536,10 +539,9 @@ TEST(DeployedCollector, SealsWhatTheSystemSeals) {
   system.set_history_sink(&live);
   const std::string trace =
       (std::filesystem::temp_directory_path() / "detector_deployed_collector.trace").string();
-  auto recorder = std::make_unique<RecordingTransport>(std::make_unique<LoopbackTransport>(),
-                                                       trace);
-  ASSERT_TRUE(recorder->ok());
-  system.SetReportTransport(std::move(recorder));
+  system.SetReportTransportFactory([&](size_t) {
+    return std::make_unique<RecordingTransport>(std::make_unique<LoopbackTransport>(), trace);
+  });
 
   // Lossy server link towards a rack-mate that only answers probes, so the intra-rack probes
   // raise a server-link alarm without blinding a pinger.
@@ -572,7 +574,8 @@ TEST(DeployedCollector, SealsWhatTheSystemSeals) {
   for (int w = 0; w < 5; ++w) {
     system.RunWindowStreaming(w < 2 ? FailureScenario{} : failing, {}, rng);
   }
-  system.SetReportTransport(std::make_unique<LoopbackTransport>());  // closes the trace
+  ASSERT_TRUE(static_cast<RecordingTransport*>(system.report_transport())->ok());
+  system.SetReportTransportFactory(nullptr);  // closes the trace
 
   TraceReplayTransport replay(trace);
   ASSERT_TRUE(replay.ok()) << replay.error();
@@ -606,6 +609,55 @@ TEST(DeployedCollector, SealsWhatTheSystemSeals) {
   EXPECT_TRUE(suspects);
   EXPECT_TRUE(alarms);
   EXPECT_TRUE(anomalies);
+}
+
+// Every agent fleet numbers its frames' windows from 1, so a collector restarted over its
+// window log must not seal window 0 again: two Serve runs of the same n-window stream through
+// two Analyzers over one history dir read back as windows 0 .. 2n-1.
+TEST(DeployedCollector, RestartContinuesWindowNumbering) {
+  const FatTree ft(4);
+  const FatTreeRouting routing(ft);
+  DetectorSystemOptions options;
+  options.pmc.alpha = 1;
+  options.pmc.beta = 1;
+  const DetectorSystem system(routing, options);
+  const Watchdog watchdog(ft.topology());
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "detector_collector_restart";
+  std::filesystem::remove_all(dir);
+  options.history_dir = dir.string();
+
+  constexpr uint64_t kWindows = 3;
+  std::vector<uint64_t> closed;
+  for (int run = 0; run < 2; ++run) {
+    Analyzer analyzer(options, system.probe_matrix(), watchdog);
+    Collector collector(analyzer.diagnoser().store());
+    uint64_t window_id = 0;
+    analyzer.Serve(
+        collector,
+        [&](std::vector<uint8_t>& frame) {
+          if (window_id == kWindows) {
+            return false;
+          }
+          ReportFrame report;
+          report.pinger = system.pinglists().front().pinger;
+          report.window_id = ++window_id;
+          report.paths.push_back(WirePathDelta{0, 0, /*target=*/0, 10, 1});
+          ReportCodec::Encode(report, frame);
+          return true;
+        },
+        [&](uint64_t id, const WindowDiagnosis&) { closed.push_back(id); });
+  }
+  const WindowLogReadResult read = ReadWindowLog(dir.string());
+  std::filesystem::remove_all(dir);
+
+  EXPECT_EQ(closed, (std::vector<uint64_t>{1, 2, 3, 1, 2, 3}));
+  EXPECT_TRUE(read.clean);
+  std::vector<uint64_t> indices;
+  for (const SealedWindow& window : read.windows) {
+    indices.push_back(window.window_index);
+  }
+  EXPECT_EQ(indices, (std::vector<uint64_t>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(ReportPlane, UdpLoopbackDeliversFrames) {

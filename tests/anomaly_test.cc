@@ -199,6 +199,36 @@ TEST(AnomalyCodec, RttFrameRoundTrip) {
   EXPECT_EQ(decoded.unknown_records, 0u);
 }
 
+std::string HexOf(const std::vector<uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex(2 * bytes.size(), '0');
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    hex[2 * i] = kDigits[bytes[i] >> 4];
+    hex[2 * i + 1] = kDigits[bytes[i] & 0xF];
+  }
+  return hex;
+}
+
+TEST(AnomalyCodec, RttFrameGoldenBytes) {
+  // The wire bytes themselves, not just a round trip: any change to the layout, the gap
+  // coding of sketch bins, the keyed tag or the CRC shows here first. Captured from the
+  // reference encoder under the default key.
+  std::vector<uint8_t> wire;
+  ReportCodec::Encode(RttFrame(), wire);
+  EXPECT_EQ(HexOf(wire),
+            "d75202"            // magic, version
+            "c7188b29da63dae9"  // keyed tag
+            "2a07030201"        // pinger 42, window 7, seq 3, 2 paths, 1 intra
+            "0a00657804"        // slot 5, epoch 0, target 101, sent 120, lost 4
+            "ee0a02634000"      // slot +695, epoch 2, target 99, sent 64, lost 0
+            "2b1e02"            // intra: target 43, sent 30, lost 2
+            "02"                // 2 extension records
+            "0119050065500a"    // RTT, 25 bytes: slot 5, epoch 0, target 101, 80 bins, 10 set
+            "1501010301020104010501050104010901090108"  // (gap, count) from bin 21
+            "010abc050263100200030f02"  // RTT, 10 bytes: slot 700, 16 bins, bins 0 and 15
+            "3f19cb85");        // CRC-32
+}
+
 TEST(AnomalyCodec, LossOnlyFramesCarryNoExtSection) {
   // A frame without RTT records must stay byte-identical to the pre-extension layout: an
   // "old" decoder (max_known_ext_type = 0) accepts it without any unknown-record tally.

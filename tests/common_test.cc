@@ -1,12 +1,17 @@
 // Unit tests for the common runtime substrate.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <span>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/common/bitset.h"
+#include "src/common/crc32.h"
 #include "src/common/flags.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -96,6 +101,52 @@ TEST(Rng, ShufflePermutes) {
 TEST(Hash, SplitMix64IsStable) {
   EXPECT_EQ(SplitMix64(0), SplitMix64(0));
   EXPECT_NE(SplitMix64(1), SplitMix64(2));
+}
+
+// Byte-at-a-time reference CRC-32 (reflected 0xEDB88320), kept apart from the library's
+// table layout so a faster Crc32 is checked against the plain algorithm.
+uint32_t ReferenceCrc32(std::span<const uint8_t> bytes, uint32_t seed = 0) {
+  std::array<uint32_t, 256> table{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    table[i] = c;
+  }
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (const uint8_t byte : bytes) {
+    c = table[(c ^ byte) & 0xFF] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, KnownAnswersChainingAndReference) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(check.data()),
+                                           check.size())),
+            0xCBF43926u);
+  EXPECT_EQ(Crc32({}), 0u);
+
+  Rng rng(2024);
+  std::vector<uint8_t> bytes(64);
+  for (uint8_t& byte : bytes) {
+    byte = static_cast<uint8_t>(rng.NextBounded(256));
+  }
+  const std::span<const uint8_t> all(bytes);
+  // Chained: the CRC of a split input, seeded with the CRC of its prefix, is the CRC of the
+  // whole — at every split point, so every alignment of the fast path meets the tail.
+  for (size_t cut = 0; cut <= bytes.size(); ++cut) {
+    EXPECT_EQ(Crc32(all.subspan(cut), Crc32(all.subspan(0, cut))), Crc32(all)) << "cut " << cut;
+  }
+  for (size_t len = 0; len <= bytes.size(); ++len) {
+    EXPECT_EQ(Crc32(all.subspan(0, len)), ReferenceCrc32(all.subspan(0, len))) << "len " << len;
+    // Unaligned starts too: the wide loop must not assume an aligned buffer.
+    if (len > 0) {
+      EXPECT_EQ(Crc32(all.subspan(1, len - 1)), ReferenceCrc32(all.subspan(1, len - 1)))
+          << "offset 1, len " << len - 1;
+    }
+  }
 }
 
 TEST(Stats, OnlineMeanVariance) {

@@ -343,6 +343,7 @@ int RunCollectorRole(const Flags& flags) {
   }
   CollectorOptions collector_options;
   collector_options.key = key;
+  collector_options.rtt_bins = options.rtt_bins;
   collector_options.liveness_horizon =
       static_cast<uint64_t>(flags.GetInt("horizon", 2));  // windows of silence = stale
   Collector collector(analyzer.diagnoser().store(), collector_options);

@@ -91,11 +91,11 @@ std::vector<LinkAnomaly> AnomalyEngine::Observe(const ProbeMatrix& matrix,
       }
     }
     // Latency signal over the boundary's RTT delta sketch.
-    RttSketch delta_rtt = cur_rtt;
-    delta_rtt.Merge(slot.prev_rtt, -1);
-    if (delta_rtt.total() >= options_.min_rtt_samples) {
-      const double p50 = static_cast<double>(delta_rtt.Quantile(0.5));
-      const double p99 = static_cast<double>(delta_rtt.Quantile(0.99));
+    delta_rtt_ = cur_rtt;
+    delta_rtt_.Merge(slot.prev_rtt, -1);
+    if (delta_rtt_.total() >= options_.min_rtt_samples) {
+      const double p50 = static_cast<double>(delta_rtt_.Quantile(0.5));
+      const double p99 = static_cast<double>(delta_rtt_.Quantile(0.99));
       if (slot.p50.Excursion(p50, options_.rtt_floor_us) ||
           slot.p99.Excursion(p99, options_.rtt_floor_us)) {
         ++slot.lat_run;

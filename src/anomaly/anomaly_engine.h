@@ -93,6 +93,7 @@ class AnomalyEngine {
   std::vector<SlotState> slots_;
   std::vector<LinkAnomaly> current_;
   Observations pseudo_;  // scratch for the pseudo-observation vector
+  RttSketch delta_rtt_;  // scratch for one slot's boundary RTT delta
 };
 
 }  // namespace detector

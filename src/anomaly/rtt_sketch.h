@@ -4,13 +4,18 @@
 // bin each, then every octave [2^b, 2^(b+1)) splits into 4 sub-bins. The bin
 // index is computed with pure integer arithmetic (bit_width + shifts), so the
 // sketch is bit-identical on every platform and under any shard/thread split —
-// the same discipline as the (sent, lost) counters. Merging is element-wise
-// integer addition: commutative, associative, and signed (sign = -1 retracts a
-// previously merged sketch, mirroring the watchdog retract/re-add path in the
-// ObservationStore).
+// the same discipline as the (sent, lost) counters.
 //
-// A default-constructed sketch is *empty* (no bins allocated). Merging into an
-// empty sketch adopts the other side's bin count; recording requires explicit
+// Storage is sparse: only the non-zero (bin, count) pairs, in ascending bin
+// order. A path's per-segment sketch holds a handful of samples, so it costs
+// what it holds rather than the range its bins cover. Merging adds counts bin by
+// bin (integer addition: commutative, associative, and signed — sign = -1
+// retracts a previously merged sketch, mirroring the watchdog retract/re-add
+// path in the ObservationStore); a bin whose count reaches zero is dropped, so
+// equal counts always mean equal storage.
+//
+// A default-constructed sketch is *empty* (bin count 0). Merging into an empty
+// sketch adopts the other side's bin count; recording requires explicit
 // construction with a bin count. Empty sketches compare unequal to allocated
 // all-zero sketches, so producers skip empty sketches entirely (nothing is
 // recorded or put on the wire for a path with no RTT samples) to keep direct
@@ -18,6 +23,7 @@
 #ifndef SRC_ANOMALY_RTT_SKETCH_H_
 #define SRC_ANOMALY_RTT_SKETCH_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -36,8 +42,16 @@ class RttSketch {
   static constexpr int kDefaultBins = 80;
   static constexpr int kMaxBins = 4096;
 
-  RttSketch() = default;  // empty: no bins, total 0
-  explicit RttSketch(int num_bins) : counts_(static_cast<size_t>(num_bins), 0) {
+  // One non-zero bin.
+  struct BinCount {
+    int32_t bin = 0;
+    int64_t count = 0;
+
+    bool operator==(const BinCount&) const = default;
+  };
+
+  RttSketch() = default;  // empty: bin count 0, total 0
+  explicit RttSketch(int num_bins) : num_bins_(num_bins) {
     CHECK(num_bins >= kSubBins && num_bins <= kMaxBins)
         << "rtt sketch bins out of range: " << num_bins;
   }
@@ -66,44 +80,41 @@ class RttSketch {
     return BinLowerUs(bin + 1);
   }
 
-  bool empty() const { return counts_.empty(); }
-  int num_bins() const { return static_cast<int>(counts_.size()); }
+  bool empty() const { return num_bins_ == 0; }
+  int num_bins() const { return num_bins_; }
   int64_t total() const { return total_; }
-  std::span<const int64_t> counts() const { return counts_; }
+  // The non-zero bins, ascending.
+  std::span<const BinCount> bins() const { return bins_; }
+  int64_t Count(int bin) const;
+
+  // Pre-sizes the pair storage for `bins` distinct bins (a capacity hint only).
+  void Reserve(int bins) { bins_.reserve(static_cast<size_t>(bins)); }
 
   void Record(int64_t rtt_us) {
-    DCHECK(!counts_.empty()) << "recording into an unallocated sketch";
-    counts_[static_cast<size_t>(BinOf(rtt_us, num_bins()))] += 1;
-    total_ += 1;
+    DCHECK(num_bins_ != 0) << "recording into an unallocated sketch";
+    AddCount(BinOf(rtt_us, num_bins_), 1);
   }
 
   // Adds (sign = +1) or retracts (sign = -1) every count of `other`. Merging a
   // non-empty sketch into an empty one adopts its bin count; merging an empty
   // sketch is a no-op.
-  void Merge(const RttSketch& other, int64_t sign = 1) {
-    if (other.counts_.empty()) return;
-    if (counts_.empty()) counts_.resize(other.counts_.size(), 0);
-    CHECK(counts_.size() == other.counts_.size())
-        << "merging sketches with different bin counts: " << counts_.size() << " vs "
-        << other.counts_.size();
-    for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += sign * other.counts_[i];
-    total_ += sign * other.total_;
-    if (total_ == 0) {
-      // A merge that cancels every count (the watchdog retract path) returns the sketch to
-      // the empty state, so a running fold stays bit-identical to a view rebuilt from the
-      // surviving records — which never merges anything for a fully retracted slot.
-      for (const int64_t c : counts_) {
-        if (c != 0) return;
-      }
-      counts_.clear();
-    }
-  }
+  void Merge(const RttSketch& other, int64_t sign = 1);
 
-  // Raw count accumulation for wire decode.
+  // Raw count accumulation for wire decode. Appending past the highest bin —
+  // what a decoder reading ascending bins does — costs O(1).
   void AddCount(int bin, int64_t count) {
-    DCHECK(bin >= 0 && bin < num_bins());
-    counts_[static_cast<size_t>(bin)] += count;
+    DCHECK(bin >= 0 && bin < num_bins_);
     total_ += count;
+    if (bins_.empty() || bins_.back().bin < bin) {
+      if (count != 0) bins_.push_back(BinCount{bin, count});
+      return;
+    }
+    const auto it = std::lower_bound(bins_.begin(), bins_.end(), bin, BinBelow);
+    if (it->bin != bin) {
+      if (count != 0) bins_.insert(it, BinCount{bin, count});
+    } else if ((it->count += count) == 0) {
+      bins_.erase(it);
+    }
   }
 
   // Lower bound of the bin holding the q-quantile sample (q in [0, 1]); the
@@ -111,14 +122,18 @@ class RttSketch {
   int64_t Quantile(double q) const;
 
   void Clear() {
-    counts_.clear();
+    bins_.clear();
+    num_bins_ = 0;
     total_ = 0;
   }
 
   bool operator==(const RttSketch&) const = default;
 
  private:
-  std::vector<int64_t> counts_;
+  static bool BinBelow(const BinCount& b, int bin) { return b.bin < bin; }
+
+  std::vector<BinCount> bins_;  // non-zero counts only, ascending by bin
+  int32_t num_bins_ = 0;
   int64_t total_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "src/detector/pinger.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace detector {
 
@@ -54,6 +55,10 @@ PingerTraffic Pinger::RunEntries(const ProbeEngine& engine, double window_second
     // loss-only (the anomaly plane runs over the probe matrix).
     const bool sample_rtt = engine.rtt_observation() && entry.path_id >= 0;
     RttSketch rtt = sample_rtt ? RttSketch(engine.rtt_sketch_bins()) : RttSketch{};
+    if (sample_rtt) {
+      // At most one bin per sample, over the probe draw and a confirmation draw.
+      rtt.Reserve(2 * engine.rtt_samples_per_path());
+    }
     RttSketch* rtt_ptr = sample_rtt ? &rtt : nullptr;
     PathObservation obs = engine.SimulatePath(entry.route, pinglist_.pinger,
                                               entry.target_server,
@@ -80,9 +85,9 @@ PingerWindowResult Pinger::RunWindow(const ProbeEngine& engine, double window_se
   result.reports.reserve(pinglist_.entries.size());
   const PingerTraffic traffic = RunEntries(
       engine, window_seconds, rng, watchdog,
-      [&](PathId path_id, NodeId target, int64_t sent, int64_t lost, const RttSketch* rtt) {
-        result.reports.push_back(
-            PathReport{path_id, target, sent, lost, rtt != nullptr ? *rtt : RttSketch{}});
+      [&](PathId path_id, NodeId target, int64_t sent, int64_t lost, RttSketch* rtt) {
+        result.reports.push_back(PathReport{path_id, target, sent, lost,
+                                            rtt != nullptr ? std::move(*rtt) : RttSketch{}});
       });
   result.probes_sent = traffic.probes_sent;
   result.bytes_sent = traffic.bytes_sent;
@@ -94,14 +99,14 @@ PingerTraffic Pinger::RunWindowInto(const ProbeEngine& engine, double window_sec
                                     const Watchdog* watchdog) const {
   return RunEntries(
       engine, window_seconds, rng, watchdog,
-      [&](PathId path_id, NodeId target, int64_t sent, int64_t lost, const RttSketch* rtt) {
+      [&](PathId path_id, NodeId target, int64_t sent, int64_t lost, RttSketch* rtt) {
         if (path_id == PinglistEntry::kIntraRackPath) {
           shard.RecordIntraRack(target, sent, lost);
         } else if (path_id >= 0) {
           // Other negative ids (a corrupt wire pinglist) are dropped, matching
           // Diagnoser::Ingest.
           if (rtt != nullptr) {
-            shard.RecordPathWithRtt(path_id, target, sent, lost, *rtt);
+            shard.RecordPathWithRtt(path_id, target, sent, lost, std::move(*rtt));
           } else {
             shard.RecordPath(path_id, target, sent, lost);
           }
@@ -113,7 +118,7 @@ PingerTraffic Pinger::RunWindowTo(const ProbeEngine& engine, double window_secon
                                   ReportSink& sink, const Watchdog* watchdog) const {
   return RunEntries(
       engine, window_seconds, rng, watchdog,
-      [&](PathId path_id, NodeId target, int64_t sent, int64_t lost, const RttSketch* rtt) {
+      [&](PathId path_id, NodeId target, int64_t sent, int64_t lost, RttSketch* rtt) {
         if (path_id == PinglistEntry::kIntraRackPath) {
           sink.OnIntraRack(target, sent, lost);
         } else if (path_id >= 0) {

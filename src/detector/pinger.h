@@ -94,7 +94,8 @@ class Pinger {
 
  private:
   // Shared core: runs every eligible entry and hands (path_id, target, sent, lost, rtt) to
-  // `sink`; rtt is null unless the engine samples RTTs and the entry's sketch is non-empty.
+  // `sink`; rtt is null unless the engine samples RTTs and the entry's sketch is non-empty,
+  // and the sink may move the sketch out (each entry gets a fresh one).
   template <typename Sink>
   PingerTraffic RunEntries(const ProbeEngine& engine, double window_seconds, Rng& rng,
                            const Watchdog* watchdog, Sink&& sink) const;

@@ -89,6 +89,7 @@ void DetectorSystem::PrepareReportFabric() {
     group_options.collector.ingest_shards = std::max<size_t>(1, options_.report_ingest_shards);
     group_options.collector.key = options_.report_key;
     group_options.collector.liveness_horizon = options_.report_liveness_horizon;
+    group_options.collector.rtt_bins = options_.rtt_bins;
     collector_group_ = std::make_unique<CollectorGroup>(analyzer_.diagnoser().store(),
                                                         BuildReportPartition(), group_options);
   } else {
@@ -424,24 +425,39 @@ void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds,
     }
     std::atomic<size_t> next{0};
     if (report) {
-      // Concurrent ingest on the same pool, submitted FIRST so it holds one worker for the
-      // whole segment: frames decode and fold while the remaining workers probe, instead of
-      // piling up in the transports until the barrier below. The pump is the store's only
-      // writer, and it terminates unconditionally once all shards finished — even if it
-      // somehow only got scheduled after them.
+      // Concurrent ingest on the same pool, submitted FIRST so one worker pumps from the
+      // start: frames decode and fold while the other workers probe, instead of piling up in
+      // the transports until the barrier below. A pass that folds nothing takes the next
+      // probe shard instead of idling, so the pump probes too until every shard is taken, and
+      // only then yields between passes. Results do not depend on who runs a shard: each
+      // shard still runs on one thread, so its frames reach its transport in order, and the
+      // pump — the store's only writer — folds each pinger's frames first-in, first-out into
+      // that pinger's store shard. It terminates unconditionally once all shards finished —
+      // even if it somehow only got scheduled after them.
       pool_->Submit([&] {
+        bool shards_taken = false;
         while (shards_left.load(std::memory_order_acquire) > 0) {
           size_t folded = 0;
           for (size_t c = 0; c < collector_group_->num_collectors(); ++c) {
             folded += collector_group_->collector(c).PumpFrom(*report_transports_[c]);
           }
-          if (folded == 0) {
-            std::this_thread::yield();
+          if (folded != 0) {
+            continue;
           }
+          if (!shards_taken) {
+            const size_t i = next.fetch_add(1);
+            if (i < work.size()) {
+              run_shard(i);
+              continue;
+            }
+            shards_taken = true;
+          }
+          std::this_thread::yield();
         }
       });
     }
-    // In report mode the pump holds one worker; the shard loop tasks share the rest.
+    // In report mode one worker runs the pump (which also takes shards when idle); the shard
+    // loop tasks share the rest.
     const size_t shard_workers = report ? configured - 1 : configured;
     const size_t tasks = std::min(shard_workers, work.size());
     for (size_t t = 0; t < tasks; ++t) {

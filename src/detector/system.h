@@ -278,7 +278,8 @@ class DetectorSystem {
   void RunSpan(const FailureScenario& scenario, double t0, double t1, Rng& rng,
                WindowResult& result);
   // One probe slice: a shard per non-empty pinglist on ShardRng(window seed, pinger), spread
-  // over the pool; in report mode one pool task pumps every collector while the rest probe.
+  // over the pool; in report mode one pool task pumps every collector while the rest probe,
+  // and takes probe shards itself whenever a pass over the transports folds nothing.
   void RunSegment(const FailureScenario& scenario, double seconds, Rng& rng,
                   WindowResult& result);
   // The localization for one mid-window boundary, per options_.streaming_view.

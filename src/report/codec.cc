@@ -1,5 +1,6 @@
 #include "src/report/codec.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "src/common/crc32.h"
@@ -49,6 +50,20 @@ const char* DecodeStatusName(DecodeStatus status) {
   return "unknown";
 }
 
+namespace {
+
+// Bytes PutVarint writes for `value`.
+size_t VarintSize(uint64_t value) {
+  size_t size = 1;
+  while (value >= 0x80) {
+    value >>= 7;
+    ++size;
+  }
+  return size;
+}
+
+}  // namespace
+
 void ReportCodec::Encode(const ReportFrame& frame, std::vector<uint8_t>& out,
                          const ReportKey& key) {
   out.clear();
@@ -79,27 +94,34 @@ void ReportCodec::Encode(const ReportFrame& frame, std::vector<uint8_t>& out,
   // to the pre-extension layout (and to what older emitters produce).
   if (!frame.rtt.empty()) {
     PutVarint(out, frame.rtt.size());
-    std::vector<uint8_t> payload;
     for (const WireRttDelta& record : frame.rtt) {
-      payload.clear();
-      PutVarint(payload, static_cast<uint64_t>(record.slot));
-      PutVarint(payload, record.epoch);
-      PutVarint(payload, static_cast<uint64_t>(record.target));
-      PutVarint(payload, static_cast<uint64_t>(record.sketch.num_bins()));
-      const std::span<const int64_t> counts = record.sketch.counts();
-      uint64_t n_nonzero = 0;
-      for (const int64_t count : counts) n_nonzero += count != 0;
-      PutVarint(payload, n_nonzero);
+      // Payload: slot, epoch, target, bin count, non-zero bin count, then (gap, count) per
+      // non-zero bin. Its length prefixes it, so size it first and write it in place.
+      const std::span<const RttSketch::BinCount> bins = record.sketch.bins();
+      size_t length = VarintSize(static_cast<uint64_t>(record.slot)) +
+                      VarintSize(record.epoch) +
+                      VarintSize(static_cast<uint64_t>(record.target)) +
+                      VarintSize(static_cast<uint64_t>(record.sketch.num_bins())) +
+                      VarintSize(bins.size());
       int prev_bin = 0;
-      for (int bin = 0; bin < record.sketch.num_bins(); ++bin) {
-        if (counts[static_cast<size_t>(bin)] == 0) continue;
-        PutVarint(payload, static_cast<uint64_t>(bin - prev_bin));
-        PutVarint(payload, static_cast<uint64_t>(counts[static_cast<size_t>(bin)]));
-        prev_bin = bin;
+      for (const RttSketch::BinCount& b : bins) {
+        length += VarintSize(static_cast<uint64_t>(b.bin - prev_bin)) +
+                  VarintSize(static_cast<uint64_t>(b.count));
+        prev_bin = b.bin;
       }
       PutVarint(out, kExtTypeRttSketch);
-      PutVarint(out, payload.size());
-      out.insert(out.end(), payload.begin(), payload.end());
+      PutVarint(out, length);
+      PutVarint(out, static_cast<uint64_t>(record.slot));
+      PutVarint(out, record.epoch);
+      PutVarint(out, static_cast<uint64_t>(record.target));
+      PutVarint(out, static_cast<uint64_t>(record.sketch.num_bins()));
+      PutVarint(out, bins.size());
+      prev_bin = 0;
+      for (const RttSketch::BinCount& b : bins) {
+        PutVarint(out, static_cast<uint64_t>(b.bin - prev_bin));
+        PutVarint(out, static_cast<uint64_t>(b.count));
+        prev_bin = b.bin;
+      }
     }
   }
   const uint64_t tag =
@@ -280,6 +302,9 @@ DecodeStatus ReportCodec::Decode(std::span<const uint8_t> bytes, ReportFrame& ou
       record.slot = static_cast<PathId>(slot);
       record.epoch = static_cast<uint32_t>(epoch);
       record.sketch = RttSketch(static_cast<int>(num_bins));
+      // Every pair costs >= 2 bytes, which bounds the reservation for a lying count.
+      record.sketch.Reserve(static_cast<int>(
+          std::min<uint64_t>(n_nonzero, (payload.size() - rpos) / 2)));
       int64_t bin = -1;
       for (uint64_t j = 0; j < n_nonzero; ++j) {
         uint64_t gap = 0;

@@ -1,6 +1,7 @@
 #include "src/report/collector.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace detector {
 
@@ -14,6 +15,7 @@ CollectorStats& CollectorStats::operator+=(const CollectorStats& other) {
   queue_overflow_dropped += other.queue_overflow_dropped;
   unknown_slot_dropped += other.unknown_slot_dropped;
   unknown_records += other.unknown_records;
+  rtt_bins_mismatched += other.rtt_bins_mismatched;
   wrong_partition_dropped += other.wrong_partition_dropped;
   window_advances += other.window_advances;
   pingers_tracked += other.pingers_tracked;
@@ -197,7 +199,7 @@ size_t Collector::Drain() {
   return folded;
 }
 
-void Collector::FoldFrame(IngestShard& shard, const ReportFrame& frame) {
+void Collector::FoldFrame(IngestShard& shard, ReportFrame& frame) {
   ObservationStore::Shard* store_shard = nullptr;
   const auto it = shard.store_shards.find(frame.pinger);
   if (it != shard.store_shards.end()) {
@@ -225,12 +227,19 @@ void Collector::FoldFrame(IngestShard& shard, const ReportFrame& frame) {
     store_shard->RecordIntraRack(record.target, record.sent, record.lost);
     ++shard.stats.observations_folded;
   }
-  for (const WireRttDelta& record : frame.rtt) {
+  for (WireRttDelta& record : frame.rtt) {
     if (record.slot < 0 || static_cast<size_t>(record.slot) >= num_slots) {
       ++shard.stats.unknown_slot_dropped;
       continue;
     }
-    store_shard->RecordPathRttAtEpoch(record.slot, record.epoch, record.target, record.sketch);
+    if (record.sketch.num_bins() != options_.rtt_bins) {
+      // Merging it into the slot's running sketch would abort the diagnoser; the frame's loss
+      // records above still fold.
+      ++shard.stats.rtt_bins_mismatched;
+      continue;
+    }
+    store_shard->RecordPathRttAtEpoch(record.slot, record.epoch, record.target,
+                                      std::move(record.sketch));
     ++shard.stats.observations_folded;
   }
   // Extension records the decoder skipped (newer emitter during a mixed-version rollout): the

@@ -39,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/anomaly/rtt_sketch.h"
 #include "src/detector/observation_store.h"
 #include "src/net/transport.h"
 #include "src/report/codec.h"
@@ -50,6 +51,10 @@ struct CollectorOptions {
   size_t queue_capacity = 1024;  // frames each ingest-shard queue holds before Offer drops
   size_t ingest_shards = 1;      // parallel decode/fold lanes (pinger-affine; clamped >= 1)
   ReportKey key;                 // frame-authentication key (must match the emitters')
+  // RTT sketch bin count of this deployment (DetectorSystemOptions::rtt_bins). Every sketch
+  // folded into one slot merges into one running sketch, so an RTT record with any other
+  // bin count — an agent on another setting during a rollout — is skipped and counted.
+  int rtt_bins = RttSketch::kDefaultBins;
   // Liveness ticks of silence (the clock advances at every window open — BeginWindow or a
   // frame-driven flip — and every segment boundary) after which a known pinger counts as
   // stale. 0 disables the stale flagging; last-seen tracking itself always runs.
@@ -66,6 +71,7 @@ struct CollectorStats {
   uint64_t queue_overflow_dropped = 0;  // bounded shard queue was full at Offer time
   uint64_t unknown_slot_dropped = 0;    // records beyond the store's slot table (skipped)
   uint64_t unknown_records = 0;         // ext records of a type this build doesn't know (skipped)
+  uint64_t rtt_bins_mismatched = 0;     // RTT records whose bin count isn't rtt_bins (skipped)
   uint64_t wrong_partition_dropped = 0; // frame's pinger is owned by another collector
   uint64_t window_advances = 0;         // pending-window flips applied
   uint64_t pingers_tracked = 0;         // gauge: pingers with liveness state (ever heard)
@@ -187,7 +193,8 @@ class Collector {
 
   bool OfferToShard(size_t index, std::vector<uint8_t> frame, bool bounded);
   size_t DrainShard(IngestShard& shard);
-  void FoldFrame(IngestShard& shard, const ReportFrame& frame);
+  // Folds a decoded frame; its RTT sketches move into the store.
+  void FoldFrame(IngestShard& shard, ReportFrame& frame);
 
   ObservationStore& store_;
   const CollectorOptions options_;

@@ -27,6 +27,7 @@
 #include "src/history/window_sink.h"
 #include "src/pmc/probe_matrix.h"
 #include "src/report/codec.h"
+#include "src/report/collector.h"
 #include "src/routing/fattree_routing.h"
 #include "src/sim/anomaly_scenarios.h"
 #include "src/sim/watchdog.h"
@@ -77,8 +78,8 @@ TEST(RttSketch, ClampsAtBothEnds) {
   sketch.Record(-1);
   sketch.Record(INT64_MAX);
   sketch.Record(INT64_MAX / 2);
-  EXPECT_EQ(sketch.counts()[0], 1);
-  EXPECT_EQ(sketch.counts()[static_cast<size_t>(bins - 1)], 2);
+  EXPECT_EQ(sketch.Count(0), 1);
+  EXPECT_EQ(sketch.Count(bins - 1), 2);
   EXPECT_EQ(sketch.total(), 3);
   EXPECT_EQ(sketch.Quantile(1.0), RttSketch::BinLowerUs(bins - 1));
 }
@@ -162,6 +163,136 @@ TEST(RttSketch, QuantileBracketsTheSortedOracle) {
     EXPECT_EQ(sketch.Quantile(q), RttSketch::BinLowerUs(bin)) << "q=" << q;
     EXPECT_LE(sketch.Quantile(q), oracle) << "q=" << q;
     EXPECT_LT(oracle, RttSketch::BinUpperUs(bin, sketch.num_bins())) << "q=" << q;
+  }
+}
+
+// ---- RttSketch: sparse storage against the dense reference --------------------------------
+
+// The dense layout RttSketch used before it went sparse: one int64 per bin. Kept as the
+// reference the sparse sketch must match count for count.
+class DenseSketch {
+ public:
+  DenseSketch() = default;
+  explicit DenseSketch(int num_bins) : counts_(static_cast<size_t>(num_bins), 0) {}
+
+  bool empty() const { return counts_.empty(); }
+  int num_bins() const { return static_cast<int>(counts_.size()); }
+  int64_t total() const { return total_; }
+  int64_t Count(int bin) const { return counts_[static_cast<size_t>(bin)]; }
+
+  void Record(int64_t rtt_us) { AddCount(RttSketch::BinOf(rtt_us, num_bins()), 1); }
+
+  void AddCount(int bin, int64_t count) {
+    counts_[static_cast<size_t>(bin)] += count;
+    total_ += count;
+  }
+
+  void Merge(const DenseSketch& other, int64_t sign) {
+    if (other.counts_.empty()) return;
+    if (counts_.empty()) counts_.resize(other.counts_.size(), 0);
+    for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += sign * other.counts_[i];
+    total_ += sign * other.total_;
+    if (total_ == 0 && std::all_of(counts_.begin(), counts_.end(),
+                                   [](int64_t c) { return c == 0; })) {
+      counts_.clear();
+    }
+  }
+
+  int64_t Quantile(double q) const {
+    if (total_ <= 0) return 0;
+    const double clamped = std::clamp(q, 0.0, 1.0);
+    int64_t rank = static_cast<int64_t>(clamped * static_cast<double>(total_));
+    if (static_cast<double>(rank) < clamped * static_cast<double>(total_)) ++rank;
+    rank = std::clamp<int64_t>(rank, 1, total_);
+    int64_t cumulative = 0;
+    for (size_t bin = 0; bin < counts_.size(); ++bin) {
+      cumulative += counts_[bin];
+      if (cumulative >= rank) return RttSketch::BinLowerUs(static_cast<int>(bin));
+    }
+    return RttSketch::BinLowerUs(num_bins() - 1);
+  }
+
+ private:
+  std::vector<int64_t> counts_;
+  int64_t total_ = 0;
+};
+
+void ExpectMatchesDense(const RttSketch& sparse, const DenseSketch& dense,
+                        const std::string& where) {
+  ASSERT_EQ(sparse.empty(), dense.empty()) << where;
+  ASSERT_EQ(sparse.num_bins(), dense.num_bins()) << where;
+  ASSERT_EQ(sparse.total(), dense.total()) << where;
+  for (int bin = 0; bin < dense.num_bins(); ++bin) {
+    ASSERT_EQ(sparse.Count(bin), dense.Count(bin)) << where << " bin " << bin;
+  }
+  // Canonical storage: exactly the non-zero bins, ascending — so equal counts compare equal.
+  int prev = -1;
+  size_t nonzero = 0;
+  for (const RttSketch::BinCount& b : sparse.bins()) {
+    ASSERT_GT(b.bin, prev) << where;
+    ASSERT_NE(b.count, 0) << where << " bin " << b.bin;
+    prev = b.bin;
+  }
+  for (int bin = 0; bin < dense.num_bins(); ++bin) nonzero += dense.Count(bin) != 0;
+  ASSERT_EQ(sparse.bins().size(), nonzero) << where;
+  for (const double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0}) {
+    ASSERT_EQ(sparse.Quantile(q), dense.Quantile(q)) << where << " q=" << q;
+  }
+}
+
+TEST(RttSketch, SparseMatchesDenseReferenceUnderRandomOps) {
+  for (const int bins : {16, RttSketch::kDefaultBins}) {
+    Rng rng(static_cast<uint64_t>(1000 + bins));
+    constexpr size_t kPool = 4;
+    std::vector<RttSketch> sparse(kPool);
+    std::vector<DenseSketch> dense(kPool);
+    for (int step = 0; step < 3000; ++step) {
+      const size_t k = rng.NextBounded(kPool);
+      const size_t j = rng.NextBounded(kPool);
+      const uint64_t op = rng.NextBounded(6);
+      std::string what;
+      if (op <= 1) {
+        // Record, allocating an empty sketch first. Values span both clamps.
+        if (sparse[k].empty()) {
+          sparse[k] = RttSketch(bins);
+          dense[k] = DenseSketch(bins);
+        }
+        const int64_t v =
+            static_cast<int64_t>(rng.NextBounded(uint64_t{1} << rng.NextBounded(28))) - 2;
+        sparse[k].Record(v);
+        dense[k].Record(v);
+        what = "record " + std::to_string(v);
+      } else if (op == 2 && !sparse[k].empty()) {
+        // Raw counts of either sign, zero included: a bin can cancel without a merge.
+        const int bin = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(bins)));
+        const int64_t count = static_cast<int64_t>(rng.NextBounded(7)) - 3;
+        sparse[k].AddCount(bin, count);
+        dense[k].AddCount(bin, count);
+        what = "add " + std::to_string(count) + " at " + std::to_string(bin);
+      } else if (op == 3 || op == 4) {
+        const int64_t sign = op == 3 ? 1 : -1;
+        const RttSketch other_sparse = sparse[j];
+        const DenseSketch other_dense = dense[j];
+        sparse[k].Merge(other_sparse, sign);
+        dense[k].Merge(other_dense, sign);
+        what = "merge " + std::to_string(sign) + " of " + std::to_string(j);
+      } else {
+        // Retraction to empty: a merge that cancels every count.
+        const RttSketch self_sparse = sparse[k];
+        const DenseSketch self_dense = dense[k];
+        sparse[k].Merge(self_sparse, -1);
+        dense[k].Merge(self_dense, -1);
+        EXPECT_TRUE(sparse[k].empty()) << "self-retraction left a sketch at step " << step;
+        what = "retract self";
+      }
+      for (size_t i = 0; i < kPool; ++i) {
+        ExpectMatchesDense(sparse[i], dense[i],
+                           "bins " + std::to_string(bins) + " step " + std::to_string(step) +
+                               " (" + what + " into " + std::to_string(k) + ") sketch " +
+                               std::to_string(i));
+        if (HasFatalFailure()) return;
+      }
+    }
   }
 }
 
@@ -285,6 +416,47 @@ TEST(AnomalyCodec, OldDecoderSkipsAndCountsUnknownRecords) {
   EXPECT_EQ(decoded.intra, frame.intra);
   EXPECT_TRUE(decoded.rtt.empty());
   EXPECT_EQ(decoded.unknown_records, frame.rtt.size());
+}
+
+TEST(CollectorRtt, SkipsSketchesOfAnotherBinCount) {
+  // Mixed-version rollout: two authenticated frames carry a sketch for the same slot, one at
+  // the deployment's 80 bins and one from an agent set to 16. Both would merge into the
+  // slot's running sketch and abort the next RunningTotals; the collector skips the odd
+  // sketch and counts it, and both frames' loss records still fold.
+  ObservationStore store;
+  store.EnsureSlots(1);
+  const Topology topo("rtt-bins");
+  const Watchdog watchdog(topo);
+  Collector collector(store);  // rtt_bins defaults to RttSketch::kDefaultBins
+  collector.BeginWindow(1);
+
+  RttSketch wide(RttSketch::kDefaultBins);
+  wide.Record(100);
+  wide.Record(250);
+  RttSketch narrow(16);
+  narrow.Record(100);
+  NodeId pinger = 1;
+  for (const RttSketch& sketch : {wide, narrow}) {
+    ReportFrame frame;
+    frame.pinger = pinger++;
+    frame.window_id = 1;
+    frame.paths.push_back(WirePathDelta{0, 0, /*target=*/9, 50, 1});
+    frame.rtt.push_back(WireRttDelta{0, 0, /*target=*/9, sketch});
+    std::vector<uint8_t> wire;
+    ReportCodec::Encode(frame, wire);
+    ASSERT_TRUE(collector.Offer(std::move(wire)));
+  }
+  EXPECT_EQ(collector.Drain(), 2u);
+  const CollectorStats stats = collector.stats();
+  EXPECT_EQ(stats.rtt_bins_mismatched, 1u);
+  EXPECT_EQ(stats.decode_errors, 0u);
+  EXPECT_EQ(stats.observations_folded, 3u);  // two loss records, one sketch
+
+  const ObservationView totals = store.RunningTotals(1, watchdog);
+  EXPECT_EQ(totals[0].sent, 100);
+  EXPECT_EQ(totals[0].lost, 2);
+  ASSERT_EQ(store.RttRunningTotals().size(), 1u);
+  EXPECT_EQ(store.RttRunningTotals()[0], wide);
 }
 
 // ---- EwmaBaseline -------------------------------------------------------------------------

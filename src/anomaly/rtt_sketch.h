@@ -87,8 +87,8 @@ class RttSketch {
   std::span<const BinCount> bins() const { return bins_; }
   int64_t Count(int bin) const;
 
-  // Pre-sizes the pair storage for `bins` distinct bins (a capacity hint only).
-  void Reserve(int bins) { bins_.reserve(static_cast<size_t>(bins)); }
+  // Pre-sizes the pair storage for `n` distinct bins (a capacity hint only).
+  void Reserve(int n) { bins_.reserve(static_cast<size_t>(n)); }
 
   void Record(int64_t rtt_us) {
     DCHECK(num_bins_ != 0) << "recording into an unallocated sketch";

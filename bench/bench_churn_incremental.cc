@@ -20,7 +20,6 @@
 //        --deltas=N           (churn trials per row, default 20)
 //        --alpha, --beta      (PMC configuration, default 1/1)
 //        --seed
-//        --json=FILE          (machine-readable metrics + gate outcomes)
 //        --wave-gate [--gate-k=32] [--wave-trials=6] [--pmc-repair-threads=8]
 //                    [--gate-build-budget=300] [--strict-gate]
 #include <algorithm>
@@ -150,7 +149,7 @@ bool SameRepairWork(const ChurnRepairStats& a, const ChurnRepairStats& b) {
 }
 
 // The maintenance-wave gate (see the file comment). Returns false on gate failure.
-bool RunWaveGate(const Flags& flags, int alpha, int beta, bench::JsonWriter& json) {
+bool RunWaveGate(const Flags& flags, int alpha, int beta) {
   const int gate_k = static_cast<int>(flags.GetInt("gate-k", 32));
   const int trials = std::max(1, static_cast<int>(flags.GetInt("wave-trials", 6)));
   const int threads = std::max(2, static_cast<int>(flags.GetInt("pmc-repair-threads", 8)));
@@ -216,16 +215,9 @@ bool RunWaveGate(const Flags& flags, int alpha, int beta, bench::JsonWriter& jso
   const double speedup = serial_seconds / std::max(parallel_seconds, 1e-9);
   std::printf("wave totals: serial %.1f ms, parallel %.1f ms => %.2fx, max %d components\n",
               serial_seconds * 1e3, parallel_seconds * 1e3, speedup, max_components);
-  json.Metric("wave_gate_k", gate_k);
-  json.Metric("wave_max_components", max_components);
-  json.Metric("wave_serial_ms", serial_seconds * 1e3);
-  json.Metric("wave_parallel_ms", parallel_seconds * 1e3);
-  json.Metric("wave_repair_speedup", speedup);
-  json.Gate("wave-repair-identical", identical ? 1.0 : 0.0, 1.0, true, identical);
   if (!identical || !invariants) {
     std::printf("FAIL: parallel repair diverged from serial (identical=%d invariants=%d)\n",
                 identical ? 1 : 0, invariants ? 1 : 0);
-    json.Gate("wave-repair-2x", speedup, 2.0, true, false);
     return false;
   }
   const unsigned cores = std::thread::hardware_concurrency();
@@ -234,13 +226,11 @@ bool RunWaveGate(const Flags& flags, int alpha, int beta, bench::JsonWriter& jso
     std::printf("speedup gate %s: %u hardware threads, build %.1f s (budget %.0f s)\n",
                 strict ? "FAIL (--strict-gate, cannot run)" : "SKIPPED", cores, build_seconds,
                 build_budget);
-    json.Gate("wave-repair-2x", speedup, 2.0, false, !strict);
     return !strict;
   }
   const bool pass = speedup >= 2.0;
   std::printf("speedup gate %s: %.2fx %s 2x (bit-exact at every delta)\n",
               pass ? "PASS" : "FAIL", speedup, pass ? ">=" : "<");
-  json.Gate("wave-repair-2x", speedup, 2.0, true, pass);
   return pass;
 }
 
@@ -262,7 +252,6 @@ int main(int argc, char** argv) {
   flags.Describe("gate-build-budget",
                  "seconds the gate host may spend building before the 2x check is skipped");
   flags.Describe("strict-gate", "exit 2 when the >= 2x wave speedup gate cannot be enforced");
-  bench::JsonWriter::DescribeFlag(flags);
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
@@ -275,7 +264,6 @@ int main(int argc, char** argv) {
   const int alpha = static_cast<int>(flags.GetInt("alpha", 1));
   const int beta = static_cast<int>(flags.GetInt("beta", 1));
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
-  bench::JsonWriter json(flags, "churn_incremental");
 
   bench::PrintHeader(
       "Churn runtime: incremental repair vs from-scratch PMC rebuild",
@@ -316,10 +304,6 @@ int main(int argc, char** argv) {
       std::printf("fat-tree k=16 single-link delta: mean speedup %.1fx (min %.1fx) — %s\n",
                   row.mean_speedup, row.min_speedup,
                   k16_pass ? "PASS (>= 10x, invariants held)" : "FAIL");
-      json.Metric("k16_repair_vs_rebuild_speedup", row.mean_speedup);
-      json.Metric("k16_mean_repair_ms", row.mean_repair_seconds * 1e3);
-      json.Metric("k16_mean_rebuild_ms", row.mean_rebuild_seconds * 1e3);
-      json.Gate("repair-vs-rebuild-10x", row.mean_speedup, 10.0, true, k16_pass);
     }
   }
   table.Print();
@@ -329,8 +313,7 @@ int main(int argc, char** argv) {
 
   bool wave_pass = true;
   if (flags.GetBool("wave-gate", false)) {
-    wave_pass = RunWaveGate(flags, alpha, beta, json);
+    wave_pass = RunWaveGate(flags, alpha, beta);
   }
-  json.Write();
   return k16_pass && wave_pass ? 0 : 2;
 }

@@ -7,11 +7,11 @@
 //
 // Modes (--mode):
 //   incremental  (default) mid-window diagnoses re-score only the PLL-partition components
-//                whose observations changed since the last boundary. Every trial is re-run
-//                with full PLL on the same seeds and every timeline entry is compared —
-//                the incremental-vs-full bit-exactness gate (exit 2 on divergence) — and the
-//                table reports the per-boundary speedup.
-//   full         full PLL at every boundary (the PR 3 behavior; the baseline).
+//                whose observations changed since the last boundary. Every window seals into
+//                an in-memory sink; the sealed deltas rebuild the totals each boundary
+//                localized over, and every timeline entry must equal one-shot PLL
+//                (LocalizeView) over them — the incremental-vs-full bit-exactness gate (exit 2
+//                on divergence). The table reports the one-shot cost alongside.
 //   sliding      mid-window diagnoses localize over the trailing --sliding-window segment
 //                deltas instead of the whole accumulated window.
 //   decay        mid-window diagnoses localize over exponentially-decayed totals
@@ -39,23 +39,22 @@
 //        --pps=200         probe packets per second per pinger
 //        --segments=10     probe slices per window (diagnosis can only happen on a boundary)
 //        --cadences=1,5    comma-separated diagnosis cadences, in segments
-//        --mode=incremental|full|sliding|decay
+//        --mode=incremental|sliding|decay
 //        --sliding-window=4 trailing width for --mode=sliding, in segments
 //        --decay-factor=0.98 per-segment decay for --mode=decay
 //        --decay-quantized  quantized (shift-halving) decay view for --mode=decay
 //        --alpha, --beta   PMC configuration (default 1/1)
 //        --seed
-//        --json=FILE       machine-readable metrics + gate outcomes
 //        --speedup-gate [--gate-k=48] [--gate-trials=20] [--gate-build-budget=180]
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/harness.h"
 #include "src/detector/system.h"
+#include "src/history/window_sink.h"
 #include "src/pmc/structured_fattree.h"
 #include "src/routing/fattree_routing.h"
 #include "src/topo/fattree.h"
@@ -64,9 +63,46 @@ namespace {
 
 using namespace detector;
 
+// Keeps the last sealed window: its per-boundary deltas sum to the totals each of the
+// window's diagnoses localized over.
+class LastWindowSink : public WindowSink {
+ public:
+  void OnWindowSealed(const SealedWindow& window) override { last_ = window; }
+  const SealedWindow& last() const { return last_; }
+
+ private:
+  SealedWindow last_;
+};
+
+// Whether every timeline entry of `streamed` equals one-shot PLL over the totals its boundary
+// localized over, rebuilt as prefix sums of `sealed`'s deltas. Adds each mid-window one-shot
+// cost to `full_ms`.
+bool TimelineMatchesOneShot(const DetectorSystem::StreamingWindowResult& streamed,
+                            const SealedWindow& sealed, const ProbeMatrix& matrix,
+                            const PllLocalizer& pll, OnlineStats& full_ms) {
+  if (sealed.boundaries.size() != streamed.timeline.size()) {
+    return false;
+  }
+  bool identical = true;
+  Observations totals(matrix.NumPaths());
+  for (size_t d = 0; d < sealed.boundaries.size(); ++d) {
+    for (const SealedDelta& delta : sealed.boundaries[d].deltas) {
+      totals[static_cast<size_t>(delta.slot)].sent += delta.sent;
+      totals[static_cast<size_t>(delta.slot)].lost += delta.lost;
+    }
+    const LocalizeResult full = pll.LocalizeView(matrix, totals);
+    identical &= full.links == streamed.timeline[d].localization.links;
+    if (d + 1 < sealed.boundaries.size()) {
+      full_ms.Add(full.seconds * 1e3);
+    }
+  }
+  return identical;
+}
+
 // One-dirty-component microbench at --gate-k: every slot carries clean totals, one path turns
-// lossy per trial, and each boundary diagnoses both ways. Returns false on gate failure.
-bool RunSpeedupGate(const Flags& flags, uint64_t seed, bench::JsonWriter& json) {
+// lossy per trial, and each boundary diagnoses both ways: one-shot PLL over the running
+// totals, then the incremental diagnosis. Returns false on gate failure.
+bool RunSpeedupGate(const Flags& flags, uint64_t seed) {
   const int gate_k = static_cast<int>(flags.GetInt("gate-k", 48));
   const int gate_trials = std::max(3, static_cast<int>(flags.GetInt("gate-trials", 20)));
   const double build_budget = flags.GetDouble("gate-build-budget", 180.0);
@@ -78,6 +114,7 @@ bool RunSpeedupGate(const Flags& flags, uint64_t seed, bench::JsonWriter& json) 
   const ProbeMatrix matrix = StructuredFatTreeProbeMatrix(ft, /*alpha=*/1, /*beta=*/2);
   const Watchdog watchdog(ft.topology());
   Diagnoser diagnoser;
+  const PllLocalizer pll;
 
   // Seed every slot with clean observations from one synthetic pinger, then warm the
   // incremental state (builds the partition, scores everything once).
@@ -109,7 +146,8 @@ bool RunSpeedupGate(const Flags& flags, uint64_t seed, bench::JsonWriter& json) 
     // Full first: it reads the totals without consuming the dirty set the incremental
     // diagnosis needs.
     WallTimer full_timer;
-    const LocalizeResult full = diagnoser.DiagnoseRunningFull(matrix, watchdog);
+    const LocalizeResult full =
+        pll.LocalizeView(matrix, diagnoser.store().RunningTotals(num_paths, watchdog));
     full_ms.Add(full_timer.ElapsedSeconds() * 1e3);
     WallTimer inc_timer;
     const LocalizeResult incremental = diagnoser.DiagnoseRunning(matrix, watchdog);
@@ -120,27 +158,19 @@ bool RunSpeedupGate(const Flags& flags, uint64_t seed, bench::JsonWriter& json) 
       incremental_ms.mean() > 0.0 ? full_ms.mean() / incremental_ms.mean() : 0.0;
   std::printf("per-boundary diagnosis: full %.3f ms, incremental %.3f ms => %.1fx speedup\n",
               full_ms.mean(), incremental_ms.mean(), speedup);
-  json.Metric("gate_k", gate_k);
-  json.Metric("gate_full_pll_ms", full_ms.mean());
-  json.Metric("gate_incremental_ms", incremental_ms.mean());
-  json.Metric("gate_incremental_speedup", speedup);
-  json.Gate("incremental-identical", identical ? 1.0 : 0.0, 1.0, true, identical);
   if (!identical) {
     std::printf("FAIL: incremental diverged from full PLL in the speedup gate\n");
-    json.Gate("incremental-5x", speedup, 5.0, true, false);
     return false;
   }
   if (build_seconds > build_budget) {
     std::printf("speedup gate SKIPPED: build+warm took %.1f s (> %.0f s budget); the >= 5x "
                 "gate only binds on hosts that can build fat-tree(%d) in time\n",
                 build_seconds, build_budget, gate_k);
-    json.Gate("incremental-5x", speedup, 5.0, false, true);
     return true;
   }
   const bool pass = speedup >= 5.0;
   std::printf("speedup gate %s: %.1fx %s 5x\n", pass ? "PASS" : "FAIL", speedup,
               pass ? ">=" : "<");
-  json.Gate("incremental-5x", speedup, 5.0, true, pass);
   return pass;
 }
 
@@ -163,7 +193,7 @@ std::vector<LinkId> SuspectSet(const LocalizeResult& result) {
 // all-slot shift-halving amortized over its period). Per-boundary cost is AdvanceSegment +
 // DiagnoseDecayed, measured over whole halving periods so every halving is paid for.
 // Returns false on gate failure.
-bool RunDecayGate(const Flags& flags, uint64_t seed, bench::JsonWriter& json) {
+bool RunDecayGate(const Flags& flags, uint64_t seed) {
   const int gate_k = static_cast<int>(flags.GetInt("gate-k", 48));
   const int gate_trials = std::max(3, static_cast<int>(flags.GetInt("gate-trials", 20)));
   const double build_budget = flags.GetDouble("gate-build-budget", 180.0);
@@ -229,27 +259,18 @@ bool RunDecayGate(const Flags& flags, uint64_t seed, bench::JsonWriter& json) {
       quantized_ms.mean() > 0.0 ? exact_ms.mean() / quantized_ms.mean() : 0.0;
   std::printf("per-boundary diagnosis: exact %.3f ms, quantized %.3f ms => %.1fx speedup\n",
               exact_ms.mean(), quantized_ms.mean(), speedup);
-  json.Metric("decay_gate_k", gate_k);
-  json.Metric("decay_factor", factor);
-  json.Metric("decay_exact_ms", exact_ms.mean());
-  json.Metric("decay_quantized_ms", quantized_ms.mean());
-  json.Metric("decay_quantized_speedup", speedup);
-  json.Gate("decay-agreement", agree ? 1.0 : 0.0, 1.0, true, agree);
   if (!agree) {
     std::printf("FAIL: quantized decay disagreed with the exact view on a suspect set\n");
-    json.Gate("decay-quantized-5x", speedup, 5.0, true, false);
     return false;
   }
   if (build_seconds > build_budget) {
     std::printf("decay gate SKIPPED: build+warm took %.1f s (> %.0f s budget)\n",
                 build_seconds, build_budget);
-    json.Gate("decay-quantized-5x", speedup, 5.0, false, true);
     return true;
   }
   const bool pass = speedup >= 5.0;
   std::printf("decay gate %s: %.1fx %s 5x (suspect sets agree at every boundary)\n",
               pass ? "PASS" : "FAIL", speedup, pass ? ">=" : "<");
-  json.Gate("decay-quantized-5x", speedup, 5.0, true, pass);
   return pass;
 }
 
@@ -262,7 +283,7 @@ int main(int argc, char** argv) {
   flags.Describe("pps", "probe packets per second per pinger (default 200)");
   flags.Describe("segments", "probe slices per window (default 10)");
   flags.Describe("cadences", "comma-separated diagnosis cadences in segments (default 1,5)");
-  flags.Describe("mode", "mid-window diagnosis mode: incremental|full|sliding|decay (default "
+  flags.Describe("mode", "mid-window diagnosis mode: incremental|sliding|decay (default "
                  "incremental; incremental also gates bit-exactness vs full)");
   flags.Describe("sliding-window", "trailing window for --mode=sliding, in segments (default 4)");
   flags.Describe("decay-factor", "per-segment decay for --mode=decay (default 0.98)");
@@ -276,7 +297,6 @@ int main(int argc, char** argv) {
   flags.Describe("gate-trials", "boundaries measured by --speedup-gate (default 20)");
   flags.Describe("gate-build-budget",
                  "seconds the gate host may spend building before the 5x check is skipped");
-  bench::JsonWriter::DescribeFlag(flags);
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
@@ -290,11 +310,10 @@ int main(int argc, char** argv) {
   const int segments = std::max(1, static_cast<int>(flags.GetInt("segments", 10)));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   const std::string mode = flags.GetString("mode", "incremental");
-  if (mode != "incremental" && mode != "full" && mode != "sliding" && mode != "decay") {
-    std::fprintf(stderr, "--mode must be incremental, full, sliding or decay\n");
+  if (mode != "incremental" && mode != "sliding" && mode != "decay") {
+    std::fprintf(stderr, "--mode must be incremental, sliding or decay\n");
     return 1;
   }
-  bench::JsonWriter json(flags, "detection_latency_" + mode);
   std::vector<int> cadences;
   for (const std::string& token : bench::SplitList(flags.GetString("cadences", "1,5"))) {
     const int c = static_cast<int>(std::strtol(token.c_str(), nullptr, 10));
@@ -335,17 +354,15 @@ int main(int argc, char** argv) {
     options.decay_factor = flags.GetDouble("decay-factor", 0.98);
     options.decay_quantized = flags.GetBool("decay-quantized", false);
   }
-  options.incremental_diagnosis = mode != "full";
   // One system per diagnosis schedule. The batch baseline (same slicing, one diagnosis at
   // window end) builds the matrix; every other schedule reuses it.
-  auto schedule = [&](int cadence, bool incremental) {
+  auto schedule = [&](int cadence) {
     DetectorSystemOptions scheduled = options;
     scheduled.diagnose_every_segments = cadence;
-    scheduled.incremental_diagnosis = incremental;
     return scheduled;
   };
   WallTimer build_timer;
-  DetectorSystem batch(routing, schedule(segments, options.incremental_diagnosis));
+  DetectorSystem batch(routing, schedule(segments));
   const double window = options.window_seconds;
   const double segment_seconds = window / segments;
   std::printf("build: %.2f s, %zu probe paths, %zu pinglists, %d segments of %.1f s\n\n",
@@ -384,15 +401,14 @@ int main(int argc, char** argv) {
 
   bool all_identical = true;
   bool incremental_matches_full = true;
-  OnlineStats full_reference_ms;  // incremental mode: the full-PLL cost on the same seeds
+  OnlineStats full_reference_ms;  // incremental mode: the one-shot PLL cost on the same totals
+  const PllLocalizer full_pll(options.pll);
   for (const int cadence : cadences) {
-    DetectorSystem system(ft.topology(), batch.probe_matrix(),
-                          schedule(cadence, options.incremental_diagnosis));
-    // Incremental mode's oracle: the same schedule with full PLL at every boundary.
-    std::unique_ptr<DetectorSystem> full;
+    // Incremental mode's oracle input: every window's sealed boundary deltas.
+    LastWindowSink sealed;
+    DetectorSystem system(ft.topology(), batch.probe_matrix(), schedule(cadence));
     if (mode == "incremental") {
-      full = std::make_unique<DetectorSystem>(ft.topology(), batch.probe_matrix(),
-                                              schedule(cadence, false));
+      system.set_history_sink(&sealed);
     }
     std::vector<double> latencies;
     int detected = 0;
@@ -405,25 +421,9 @@ int main(int argc, char** argv) {
       if (streamed.window.localization.links != batch_finals[static_cast<size_t>(t)].links) {
         all_identical = false;
       }
-      if (full != nullptr) {
-        // The oracle run: same seeds, full PLL at every boundary — every timeline entry must
-        // match the incremental run bit for bit.
-        Rng full_rng(seed + 100 + static_cast<uint64_t>(t));
-        const auto full_streamed =
-            full->RunWindowStreaming(scenarios[static_cast<size_t>(t)], {}, full_rng);
-        if (full_streamed.timeline.size() != streamed.timeline.size()) {
-          incremental_matches_full = false;
-        } else {
-          for (size_t d = 0; d < streamed.timeline.size(); ++d) {
-            if (streamed.timeline[d].localization.links !=
-                full_streamed.timeline[d].localization.links) {
-              incremental_matches_full = false;
-            }
-          }
-        }
-        for (size_t d = 0; d + 1 < full_streamed.timeline.size(); ++d) {
-          full_reference_ms.Add(full_streamed.timeline[d].localization.seconds * 1e3);
-        }
+      if (mode == "incremental") {
+        incremental_matches_full &= TimelineMatchesOneShot(
+            streamed, sealed.last(), system.probe_matrix(), full_pll, full_reference_ms);
       }
       const LinkId injected = scenarios[static_cast<size_t>(t)].failures[0].link;
       const double first = streamed.FirstDetectionSeconds(injected);
@@ -440,8 +440,6 @@ int main(int argc, char** argv) {
     }
     const double median =
         latencies.empty() ? 0.0 : PercentileInPlace(latencies, 50.0);
-    json.Metric("median_first_correct_s_cadence" + std::to_string(cadence), median);
-    json.Metric("mean_pll_ms_cadence" + std::to_string(cadence), pll_ms.mean());
     table.AddRow({mode + "/" + TablePrinter::FmtInt(cadence),
                   TablePrinter::Fmt(cadence * segment_seconds, 1),
                   TablePrinter::FmtInt(detected) + "/" + TablePrinter::FmtInt(trials),
@@ -462,20 +460,16 @@ int main(int argc, char** argv) {
   } else {
     std::printf("\nbit-exactness PASS: every streaming final matched its batch window\n");
   }
-  json.Gate("streaming-final-identical", all_identical ? 1.0 : 0.0, 1.0, true, all_identical);
   if (mode == "incremental") {
     if (!incremental_matches_full) {
-      std::printf("FAIL: an incremental mid-window diagnosis diverged from full PLL\n");
+      std::printf("FAIL: an incremental diagnosis diverged from full PLL on its totals\n");
       ok = false;
     } else {
-      std::printf("incremental-vs-full PASS: every mid-window diagnosis matched full PLL\n");
+      std::printf("incremental-vs-full PASS: every diagnosis matched full PLL on its totals\n");
     }
-    json.Gate("incremental-vs-full-identical", incremental_matches_full ? 1.0 : 0.0, 1.0, true,
-              incremental_matches_full);
   }
   if (flags.GetBool("speedup-gate", false)) {
-    ok &= mode == "decay" ? RunDecayGate(flags, seed, json) : RunSpeedupGate(flags, seed, json);
+    ok &= mode == "decay" ? RunDecayGate(flags, seed) : RunSpeedupGate(flags, seed);
   }
-  json.Write();
   return ok ? 0 : 2;
 }

@@ -14,7 +14,7 @@
 //    modes — the sketch fold is order-independent, like the loss counters.
 //
 // Flags: --k=4 fat-tree arity; --seeds=7,23,42; --threads=1,2,8; --warm-windows=2;
-//        --gray-windows=2; --delay-us=2500 one-way inflation; --segments=8; --pps=50; --json.
+//        --gray-windows=2; --delay-us=2500 one-way inflation; --segments=8; --pps=50.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -120,7 +120,6 @@ int main(int argc, char** argv) {
   flags.Describe("delay-us", "one-way latency inflation on the gray link (default 2500)");
   flags.Describe("segments", "probe slices per window / diagnosis boundaries (default 8)");
   flags.Describe("pps", "probe packets per second per pinger (default 50)");
-  bench::JsonWriter::DescribeFlag(flags);
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
@@ -149,7 +148,6 @@ int main(int argc, char** argv) {
 
   const FatTree ft(base.k);
   const FatTreeRouting routing(ft);
-  bench::JsonWriter json(flags, "bench_gray_failure");
 
   size_t gray_localized = 0;
   size_t latency_bit = 0;
@@ -213,25 +211,6 @@ int main(int argc, char** argv) {
                   threads_identical ? "yes" : "NO", report_identical ? "yes" : "NO"});
   }
   table.Print();
-
-  const double n = static_cast<double>(seeds.size());
-  json.Metric("seeds", n);
-  json.Metric("clean_anomaly_alarms", static_cast<double>(clean_alarms));
-  json.Gate("gray_localized", static_cast<double>(gray_localized), n, true,
-            gray_localized == seeds.size());
-  json.Gate("gray_latency_signal", static_cast<double>(latency_bit), n, true,
-            latency_bit == seeds.size());
-  json.Gate("loss_only_missed", static_cast<double>(loss_only_missed), n, true,
-            loss_only_missed == seeds.size());
-  json.Gate("clean_false_suspects", static_cast<double>(clean_alarms), 0.0, true,
-            clean_alarms == 0);
-  json.Gate("thread_bit_identity", static_cast<double>(thread_identity_ok), n, true,
-            thread_identity_ok == seeds.size());
-  json.Gate("report_bit_identity", static_cast<double>(report_identity_ok), n, true,
-            report_identity_ok == seeds.size());
-  if (!json.Write()) {
-    return 1;
-  }
 
   const bool all_pass = gray_localized == seeds.size() && latency_bit == seeds.size() &&
                         loss_only_missed == seeds.size() && clean_alarms == 0 &&

@@ -1,8 +1,11 @@
 // History / replay benchmark (PR 9): prices the retention seam and gates its contracts.
 //
-//  (1) log-write overhead — identical streaming-window runs with and without a WindowLog
-//      attached (same seed, same probing trajectory); the logged run must stay within 5% of
-//      the bare run (enforced gate: sealing + encoding + appending rides the window path);
+//  (1) log-write overhead — two systems, one bare and one with a WindowLog attached, built
+//      once and warmed, run the same seeded windows (same probing trajectory) in
+//      --windows x --repeat pairs, alternating which side runs first. The median paired
+//      difference (logged - bare window) must stay under 5% of the median bare window
+//      (enforced gate: sealing + encoding + appending rides the window path). Pairing cancels
+//      host drift between the two sides;
 //  (2) replay-vs-live identity — replaying the logged range through QueryEngine with the live
 //      PllOptions must reproduce the live run's suspect sets bit-identically at every
 //      diagnosis boundary (enforced gate, exit 2 on divergence);
@@ -14,7 +17,7 @@
 //
 // Flags: --k=10 --windows=3 --pps=150 --segments=6 --diagnose-every=2 --repeat=5
 //        --log-dir=out/bench_history_log --segment-records=256 --altered-threshold=0.3
-//        --seed=1 --json=FILE
+//        --seed=1
 //
 // Default scale note: the overhead gate divides ~tens of microseconds of sealing + append
 // work by the window-path time, so the window must be big enough to measure against — k=10
@@ -41,12 +44,11 @@ int main(int argc, char** argv) {
   flags.Describe("pps", "probe packets per second per pinger (default 150)");
   flags.Describe("segments", "probe slices per window (default 6)");
   flags.Describe("diagnose-every", "streaming diagnosis cadence in segments (default 2)");
-  flags.Describe("repeat", "timing repetitions, best-of (default 5)");
+  flags.Describe("repeat", "timed bare/logged window pairs per --windows (default 5)");
   flags.Describe("log-dir", "window-log directory (default out/bench_history_log; wiped)");
   flags.Describe("segment-records", "window-log records per segment file (default 256)");
   flags.Describe("altered-threshold", "hit-ratio threshold for the what-if replay (default 0.3)");
   flags.Describe("seed", "rng seed (default 1)");
-  bench::JsonWriter::DescribeFlag(flags);
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
@@ -65,7 +67,6 @@ int main(int argc, char** argv) {
       static_cast<size_t>(std::max<int64_t>(1, flags.GetInt("segment-records", 256)));
   const double altered_threshold = flags.GetDouble("altered-threshold", 0.3);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  bench::JsonWriter json(flags, "history_replay");
 
   bench::PrintHeader(
       "History plane: window-log overhead, replay identity, recorded-trace throughput",
@@ -95,54 +96,71 @@ int main(int argc, char** argv) {
     return options;
   };
 
-  // One pass: a warmup window (pays one-time setup — log directory creation, segment open —
-  // outside the timer) then `windows` timed streaming windows. Same seed each call, so the
-  // bare and logged runs execute the identical probing trajectory; the warmup window is part
-  // of the recorded log and of the identity check, just not of the timing.
-  auto run_windows = [&](const std::string& history_dir, double& seconds_out) {
-    DetectorSystemOptions options = base_options();
-    options.history_dir = history_dir;
-    options.history_segment_records = segment_records;
-    DetectorSystem system(routing, options);
-    Rng rng(seed + 7);
-    std::vector<DetectorSystem::StreamingWindowResult> out;
-    out.push_back(system.RunWindowStreaming(scenario, {}, rng));
-    WallTimer timer;
-    for (int w = 0; w < windows; ++w) {
-      out.push_back(system.RunWindowStreaming(scenario, {}, rng));
-    }
-    seconds_out = timer.ElapsedSeconds();
-    return out;
-  };
-
   // ---- (1) log-write overhead on the streaming window path ------------------------------
-  double bare_s = 1e100;
-  double logged_s = 1e100;
+  // Both systems start from the same seed, so window i of the bare run and window i of the
+  // logged run execute the identical probing trajectory. One warmup window each pays one-time
+  // setup (first allocations, log directory creation, segment open) outside the timed pairs;
+  // the warmup window is part of the recorded log and of the identity check, just not the
+  // timing.
+  std::filesystem::remove_all(log_dir);
+  DetectorSystemOptions logged_options = base_options();
+  logged_options.history_dir = log_dir;
+  logged_options.history_segment_records = segment_records;
+  DetectorSystem bare(routing, base_options());
+  DetectorSystem logged(routing, logged_options);
+  Rng bare_rng(seed + 7);
+  Rng logged_rng(seed + 7);
   std::vector<DetectorSystem::StreamingWindowResult> live;
-  for (int r = 0; r < repeat; ++r) {
-    double s;
-    run_windows("", s);
-    bare_s = std::min(bare_s, s);
-    std::filesystem::remove_all(log_dir);  // each logged repeat writes a fresh log
-    live = run_windows(log_dir, s);
-    logged_s = std::min(logged_s, s);
+  // Both sides keep their results, so neither recycles a freed window's memory the other
+  // cannot: the pairs differ by the log alone.
+  std::vector<DetectorSystem::StreamingWindowResult> bare_results;
+  live.reserve(static_cast<size_t>(windows * repeat) + 1);
+  bare_results.reserve(live.capacity());
+  auto timed_window = [&](bool with_log) {
+    WallTimer timer;
+    DetectorSystem::StreamingWindowResult result =
+        with_log ? logged.RunWindowStreaming(scenario, {}, logged_rng)
+                 : bare.RunWindowStreaming(scenario, {}, bare_rng);
+    const double ms = timer.ElapsedSeconds() * 1e3;
+    (with_log ? live : bare_results).push_back(std::move(result));
+    return ms;
+  };
+  timed_window(false);  // the warmup windows, not counted
+  timed_window(true);
+  const int pairs = windows * repeat;
+  std::vector<double> bare_ms;
+  std::vector<double> logged_ms;
+  std::vector<double> diff_ms;
+  for (int i = 0; i < pairs; ++i) {
+    const bool logged_first = i % 2 == 1;
+    const double first = timed_window(logged_first);
+    const double second = timed_window(!logged_first);
+    bare_ms.push_back(logged_first ? second : first);
+    logged_ms.push_back(logged_first ? first : second);
+    diff_ms.push_back(logged_ms.back() - bare_ms.back());
   }
-  const double overhead_pct = bare_s <= 0.0 ? 0.0 : (logged_s - bare_s) / bare_s * 100.0;
+  const double bare_median = PercentileInPlace(bare_ms, 50.0);
+  const double logged_median = PercentileInPlace(logged_ms, 50.0);
+  const double diff_median = PercentileInPlace(diff_ms, 50.0);
+  const double overhead_pct = bare_median <= 0.0 ? 0.0 : diff_median / bare_median * 100.0;
 
   const WindowLogReadResult log_read = ReadWindowLog(log_dir);
   uint64_t log_bytes = 0;
   for (const auto& entry : std::filesystem::directory_iterator(log_dir)) {
     log_bytes += std::filesystem::file_size(entry.path());
   }
-  TablePrinter overhead_table({"run", "windows", "best s", "log records", "log bytes"});
-  overhead_table.AddRow({"bare", TablePrinter::FmtInt(windows), TablePrinter::Fmt(bare_s, 4),
+  TablePrinter overhead_table({"run", "timed windows", "median window ms", "log records",
+                               "log bytes"});
+  overhead_table.AddRow({"bare", TablePrinter::FmtInt(pairs), TablePrinter::Fmt(bare_median, 3),
                          "-", "-"});
-  overhead_table.AddRow({"logged", TablePrinter::FmtInt(windows),
-                         TablePrinter::Fmt(logged_s, 4),
+  overhead_table.AddRow({"logged", TablePrinter::FmtInt(pairs),
+                         TablePrinter::Fmt(logged_median, 3),
                          TablePrinter::FmtInt(static_cast<int64_t>(log_read.windows.size())),
                          TablePrinter::FmtInt(static_cast<int64_t>(log_bytes))});
   overhead_table.Print();
-  std::printf("log-write overhead: %.2f%% (gate: < 5%%)\n\n", overhead_pct);
+  std::printf("log-write overhead: median paired difference %.3f ms over %d pairs = %.2f%% of "
+              "the median bare window (gate: < 5%%)\n\n",
+              diff_median, pairs, overhead_pct);
 
   // ---- (2) replay-vs-live bit-identity at every diagnosis boundary ----------------------
   // Replay rebuilds the probe matrix the same deterministic way the live system did.
@@ -174,13 +192,13 @@ int main(int argc, char** argv) {
               identity ? "bit-identical" : "DIVERGED", boundaries_checked, replayed.size());
 
   // ---- (3) recorded-trace input mode: replay throughput vs re-simulation ----------------
-  const double live_per_window = bare_s / windows;
-  const double replay_per_window = replay_s / windows;
+  const double replay_per_window_ms =
+      replayed.empty() ? 0.0 : replay_s * 1e3 / static_cast<double>(replayed.size());
   const double replay_speedup =
-      replay_per_window > 0.0 ? live_per_window / replay_per_window : 0.0;
+      replay_per_window_ms > 0.0 ? bare_median / replay_per_window_ms : 0.0;
   std::printf("recorded-trace mode: %.2f ms/window replayed vs %.2f ms/window simulated "
               "(%.0fx)\n\n",
-              replay_per_window * 1e3, live_per_window * 1e3, replay_speedup);
+              replay_per_window_ms, bare_median, replay_speedup);
 
   // ---- (4) what-if replay + query plane over the log ------------------------------------
   ReplayOptions altered = live_replay;
@@ -201,24 +219,13 @@ int main(int argc, char** argv) {
   const auto top = engine.TopLinks();
   for (size_t i = 0; i < top.size() && i < 3; ++i) {
     const auto episodes = engine.LinkEpisodes(top[i].link);
-    std::printf("  top link %s: suspected in %zu/%d windows, %zu episode(s), max est %.3f\n",
+    std::printf("  top link %s: suspected in %zu/%zu windows, %zu episode(s), max est %.3f\n",
                 ft.topology().LinkName(top[i].link).c_str(), top[i].windows_suspected,
-                windows, episodes.size(), top[i].max_estimated_loss_rate);
+                engine.num_windows(), episodes.size(), top[i].max_estimated_loss_rate);
   }
   std::printf("\n");
 
-  json.Metric("windows", windows);
-  json.Metric("bare_s", bare_s);
-  json.Metric("logged_s", logged_s);
-  json.Metric("overhead_pct", overhead_pct);
-  json.Metric("log_bytes", static_cast<double>(log_bytes));
-  json.Metric("replay_ms_per_window", replay_per_window * 1e3);
-  json.Metric("replay_speedup_x", replay_speedup);
-  json.Metric("boundaries_checked", static_cast<double>(boundaries_checked));
   const bool overhead_pass = overhead_pct < 5.0;
-  json.Gate("replay_identity", identity ? 1.0 : 0.0, 1.0, /*enforced=*/true, identity);
-  json.Gate("log_overhead_pct", overhead_pct, 5.0, /*enforced=*/true, overhead_pass);
-  json.Write();
 
   if (!identity) {
     std::printf("FAIL: replayed suspect sets diverge from the live run\n");

@@ -17,7 +17,6 @@
 //                          branches that already verified the host has >= 8 cores, so a
 //                          mis-detected runner cannot silently skip the gate
 //        --seed
-//        --json=FILE       machine-readable metrics + gate outcomes
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -69,7 +68,6 @@ int main(int argc, char** argv) {
   flags.Describe("threads", "comma-separated shard thread counts, first must be 1");
   flags.Describe("strict-gate", "exit 2 when the speedup gate cannot be enforced");
   flags.Describe("seed", "rng seed (default 1)");
-  bench::JsonWriter::DescribeFlag(flags);
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
@@ -87,7 +85,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--threads must start with 1 (the serial baseline)\n");
     return 1;
   }
-  bench::JsonWriter json(flags, "window_parallel");
 
   bench::PrintHeader(
       "Sharded probe plane: window execution wall-clock vs shard threads, Fattree(" +
@@ -150,10 +147,6 @@ int main(int argc, char** argv) {
                   identical ? "yes" : "NO"});
   }
   table.Print();
-  json.Metric("sweep_k", k);
-  json.Metric("baseline_window_ms", baseline_ms);
-  json.Metric("speedup_at_8_threads", speedup_at_8);
-  json.Gate("window-thread-identical", all_identical ? 1.0 : 0.0, 1.0, true, all_identical);
 
   bool ok = true;
   if (!all_identical) {
@@ -165,7 +158,6 @@ int main(int argc, char** argv) {
     const bool pass = speedup_at_8 >= 3.0;
     std::printf("\n8-thread speedup %.2fx — %s (gate: >= 3x)\n", speedup_at_8,
                 pass ? "PASS" : "FAIL");
-    json.Gate("window-8-thread-3x", speedup_at_8, 3.0, true, pass);
     ok = ok && pass;
   } else if (ok) {
     if (flags.Has("strict-gate")) {
@@ -174,14 +166,11 @@ int main(int argc, char** argv) {
       std::printf("\nFAIL: --strict-gate but the speedup gate cannot run "
                   "(%u hardware threads, 8 in --threads: %s)\n",
                   cores, speedup_at_8 > 0.0 ? "yes" : "no");
-      json.Gate("window-8-thread-3x", speedup_at_8, 3.0, false, false);
       ok = false;
     } else {
       std::printf("\nbit-exactness PASS; speedup gate skipped (%u hardware threads < 8)\n",
                   cores);
-      json.Gate("window-8-thread-3x", speedup_at_8, 3.0, false, true);
     }
   }
-  json.Write();
   return ok ? 0 : 2;
 }

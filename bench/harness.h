@@ -4,10 +4,8 @@
 #ifndef BENCH_HARNESS_H_
 #define BENCH_HARNESS_H_
 
-#include <cmath>
 #include <cstdio>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/common/flags.h"
@@ -31,100 +29,6 @@ inline void PrintHeader(const std::string& title, const std::string& notes) {
   }
   std::printf("\n");
 }
-
-// Machine-readable bench results: metrics (name -> number) plus gate outcomes, written as one
-// JSON object to the file named by --json=FILE. scripts/collect_bench.py folds the per-bench
-// files into BENCH_speed.json. Without --json every call is a no-op, so benches record
-// unconditionally and the flag decides whether anything lands on disk.
-class JsonWriter {
- public:
-  // Registers the shared --json flag; call alongside the bench's own Describes.
-  static void DescribeFlag(Flags& flags) {
-    flags.Describe("json", "write metrics and gate outcomes to FILE as JSON");
-  }
-
-  JsonWriter(const Flags& flags, std::string bench)
-      : path_(flags.GetString("json", "")), bench_(std::move(bench)) {}
-
-  void Metric(const std::string& name, double value) { metrics_.emplace_back(name, value); }
-
-  // One speedup/exactness gate: `enforced` false means the gate was printed but skipped
-  // (host too small, build over budget) — collect_bench.py keeps the distinction.
-  void Gate(const std::string& name, double actual, double required, bool enforced,
-            bool passed) {
-    gates_.push_back(GateResult{name, actual, required, enforced, passed});
-  }
-
-  // Writes the file; returns false (and prints to stderr) on I/O error. No-op without --json.
-  bool Write() const {
-    if (path_.empty()) {
-      return true;
-    }
-    std::FILE* f = std::fopen(path_.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write --json file %s\n", path_.c_str());
-      return false;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"metrics\": {", Escape(bench_).c_str());
-    for (size_t i = 0; i < metrics_.size(); ++i) {
-      std::fprintf(f, "%s\n    \"%s\": %s", i == 0 ? "" : ",",
-                   Escape(metrics_[i].first).c_str(), Number(metrics_[i].second).c_str());
-    }
-    std::fprintf(f, "%s},\n  \"gates\": [", metrics_.empty() ? "" : "\n  ");
-    for (size_t i = 0; i < gates_.size(); ++i) {
-      const GateResult& g = gates_[i];
-      std::fprintf(f,
-                   "%s\n    {\"name\": \"%s\", \"actual\": %s, \"required\": %s, "
-                   "\"enforced\": %s, \"passed\": %s}",
-                   i == 0 ? "" : ",", Escape(g.name).c_str(), Number(g.actual).c_str(),
-                   Number(g.required).c_str(), g.enforced ? "true" : "false",
-                   g.passed ? "true" : "false");
-    }
-    std::fprintf(f, "%s]\n}\n", gates_.empty() ? "" : "\n  ");
-    const bool ok = std::fclose(f) == 0;
-    if (ok) {
-      std::printf("wrote %s\n", path_.c_str());
-    }
-    return ok;
-  }
-
- private:
-  struct GateResult {
-    std::string name;
-    double actual = 0.0;
-    double required = 0.0;
-    bool enforced = false;
-    bool passed = false;
-  };
-
-  static std::string Escape(const std::string& s) {
-    std::string out;
-    for (const char c : s) {
-      if (c == '"' || c == '\\') {
-        out.push_back('\\');
-      }
-      if (static_cast<unsigned char>(c) >= 0x20) {
-        out.push_back(c);
-      }
-    }
-    return out;
-  }
-
-  // JSON has no NaN/Inf literals; clamp them to null.
-  static std::string Number(double v) {
-    if (!std::isfinite(v)) {
-      return "null";
-    }
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return buf;
-  }
-
-  std::string path_;
-  std::string bench_;
-  std::vector<std::pair<std::string, double>> metrics_;
-  std::vector<GateResult> gates_;
-};
 
 // Splits a comma-separated flag value ("1,2,8" / "0,3.5,12") into tokens; empty tokens are
 // dropped. Callers convert each token with strtod/strtoull as needed.

@@ -66,22 +66,12 @@ void Diagnoser::InvalidateLocalizeCache() {
   decay_dirty_.Reset(/*to_all=*/true);
 }
 
-Observations Diagnoser::AggregatedObservations(const ProbeMatrix& matrix,
-                                               const Watchdog& watchdog) const {
-  const ObservationView view = store_.Snapshot(matrix.NumPaths(), watchdog);
-  return Observations(view.begin(), view.end());
-}
-
 std::vector<ServerLinkAlarm> Diagnoser::ServerLinkAlarms(const Watchdog& watchdog) const {
   std::vector<ServerLinkAlarm> alarms;
   for (const IntraRackObservation& record : store_.IntraRackObservations(watchdog)) {
-    if (record.sent == 0) {
-      continue;
-    }
-    const double ratio = static_cast<double>(record.lost) / static_cast<double>(record.sent);
-    if (record.lost >= options_.preprocess.min_lost_packets &&
-        ratio > options_.preprocess.path_loss_ratio_threshold) {
-      alarms.push_back(ServerLinkAlarm{record.pinger, record.target, ratio});
+    const PathObservation totals{record.sent, record.lost};
+    if (IsLossyPath(totals, options_.preprocess)) {
+      alarms.push_back(ServerLinkAlarm{record.pinger, record.target, totals.LossRatio()});
     }
   }
   return alarms;
@@ -279,13 +269,6 @@ LocalizeResult Diagnoser::DiagnoseRunning(const ProbeMatrix& matrix, const Watch
   return result;
 }
 
-LocalizeResult Diagnoser::DiagnoseRunningFull(const ProbeMatrix& matrix,
-                                              const Watchdog& watchdog) {
-  // RunningTotals folds pending records (marking their slots dirty for later incremental
-  // consumers); the full localization itself reads the view statelessly.
-  return pll_.LocalizeView(matrix, store_.RunningTotals(matrix.NumPaths(), watchdog));
-}
-
 ObservationView Diagnoser::TrailingTotals(size_t num_slots) {
   if (trailing_.size() < num_slots) {
     boundary_totals_.resize(num_slots, PathObservation{});
@@ -341,10 +324,8 @@ LocalizeResult Diagnoser::DiagnoseDecayed(const ProbeMatrix& matrix,
 }
 
 LocalizeResult Diagnoser::Diagnose(const ProbeMatrix& matrix, const Watchdog& watchdog) {
-  LocalizeResult result =
-      pll_.LocalizeView(matrix, store_.RunningTotals(matrix.NumPaths(), watchdog));
-  store_.Clear();
-  ResetWindowState();
+  LocalizeResult result = DiagnoseRunning(matrix, watchdog);
+  Clear();
   return result;
 }
 

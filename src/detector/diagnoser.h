@@ -8,10 +8,11 @@
 //  - DiagnoseRunning(): incremental PLL over the whole accumulated window. The store's
 //    dirty-slot tracker names the matrix slots whose totals changed since the last boundary;
 //    only the components of the PLL partition containing a dirty slot are re-scored, the rest
-//    reuse their cached verdicts — bit-identical to DiagnoseRunningFull() on the same totals
-//    (ctest-gated), at O(dirty components) instead of O(matrix) per boundary.
-//  - DiagnoseRunningFull(): the full-PLL reference on the same totals. Leaves the dirty
-//    tracker untouched, so it can be interleaved with incremental calls as the test oracle.
+//    reuse their cached verdicts — bit-identical to one-shot PLL over the same totals
+//    (ctest-gated against tests/pll_reference.h), at O(dirty components) instead of O(matrix)
+//    per boundary. Diagnose() closes the window through this same cumulative state: a batch
+//    window re-scores from all-dirty, a streaming window reuses the verdicts its mid-window
+//    boundaries cached.
 //  - AdvanceSegment() + DiagnoseTrailing(): the sliding-segment view. AdvanceSegment, called
 //    at every segment boundary, turns the boundary's dirty slots into a sparse per-segment
 //    (sent, lost) delta, pushes it into a ring of the trailing `sliding_segments` deltas, and
@@ -27,7 +28,7 @@
 //    ordinary boundaries perturb only the slots the segment delta touched, dirtiness stays
 //    sparse, and the view rides LocalizeIncremental like the trailing view does.
 //
-// Also tracks intra-rack probe results for server-link alarms.
+// Also judges the window's intra-rack probe totals for server-link alarms.
 #ifndef SRC_DETECTOR_DIAGNOSER_H_
 #define SRC_DETECTOR_DIAGNOSER_H_
 
@@ -92,11 +93,8 @@ class Diagnoser {
   // cannot detect staleness themselves. The next diagnosis rebuilds and re-scores everything.
   void InvalidateLocalizeCache();
 
-  // Merged per-path observations for the current window (replica reports summed). Copies the
-  // store snapshot; Diagnose itself consumes the running-totals view without copying.
-  Observations AggregatedObservations(const ProbeMatrix& matrix, const Watchdog& watchdog) const;
-
-  // Intra-rack (server-link) losses above the preprocessing threshold.
+  // Intra-rack (server-link) losses above the preprocessing thresholds: one alarm per
+  // (pinger, target) whose window totals so far are lossy under IsLossyPath.
   std::vector<ServerLinkAlarm> ServerLinkAlarms(const Watchdog& watchdog) const;
 
   // Segment-boundary bookkeeping for the streaming views: folds the boundary's dirty slots
@@ -110,11 +108,6 @@ class Diagnoser {
   // Diagnose() sees everything. Cost per call is O(records since the last serial read + dirty
   // components), not a full dense rebuild plus a full PLL pass.
   LocalizeResult DiagnoseRunning(const ProbeMatrix& matrix, const Watchdog& watchdog);
-
-  // Full-PLL diagnosis over the same running totals, also non-consuming. The reference
-  // semantics for DiagnoseRunning (does not touch the dirty tracker or the verdict caches, so
-  // both can run at the same boundary and must agree bit-for-bit).
-  LocalizeResult DiagnoseRunningFull(const ProbeMatrix& matrix, const Watchdog& watchdog);
 
   // Localizes over the trailing sliding_segments() segment deltas (see AdvanceSegment).
   // Non-consuming. Ring deltas are keyed by (slot, epoch): a mid-window invalidation purges
@@ -138,9 +131,9 @@ class Diagnoser {
   // boundaries between halvings.
   LocalizeResult DiagnoseDecayed(const ProbeMatrix& matrix, const Watchdog& watchdog);
 
-  // Runs PLL on everything accumulated since the last call, then clears the buffer (and all
-  // per-window streaming state: pending dirty sets, sliding ring, decayed totals). Reads the
-  // same running totals the streaming path maintains, so a window's final diagnosis is
+  // DiagnoseRunning on everything accumulated since the last call, then clears the buffer (and
+  // all per-window streaming state: pending dirty sets, sliding ring, decayed totals). The
+  // cumulative verdict cache is exact at every boundary, so a window's final diagnosis is
   // bit-identical whether or not mid-window diagnoses were taken.
   LocalizeResult Diagnose(const ProbeMatrix& matrix, const Watchdog& watchdog);
 

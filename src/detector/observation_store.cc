@@ -37,6 +37,14 @@ void ObservationStore::Shard::RecordPathRttAtEpoch(PathId slot, uint32_t epoch, 
 }
 
 void ObservationStore::Shard::RecordIntraRack(NodeId target, int64_t sent, int64_t lost) {
+  // A pinger probes only its own rack, so the linear scan stays within a rack's servers.
+  for (IntraRackObservation& record : intra_) {
+    if (record.target == target) {
+      record.sent += sent;
+      record.lost += lost;
+      return;
+    }
+  }
   intra_.push_back(IntraRackObservation{pinger_, target, sent, lost});
 }
 

@@ -36,8 +36,9 @@
 
 namespace detector {
 
-// One intra-rack (server-link) probe record; these live outside the slot space and are never
-// invalidated by topology deltas (they age out when the window's buffer clears).
+// One (pinger, target) intra-rack (server-link) probe total for the window so far; these live
+// outside the slot space and are never invalidated by topology deltas (they age out when the
+// window's buffer clears).
 struct IntraRackObservation {
   NodeId pinger = kInvalidNode;
   NodeId target = kInvalidNode;
@@ -68,7 +69,8 @@ class ObservationStore {
     // RTT-sketch-only record with an explicit epoch stamp — the report plane's fold path for
     // extension records, whose loss counters travel in a separate wire record.
     void RecordPathRttAtEpoch(PathId slot, uint32_t epoch, NodeId target, RttSketch sketch);
-    // Streams one intra-rack (server-link) observation.
+    // Streams one intra-rack (server-link) observation, added into the shard's one record for
+    // `target` — created at the target's first observation, so records keep first-seen order.
     void RecordIntraRack(NodeId target, int64_t sent, int64_t lost);
 
     NodeId pinger() const { return pinger_; }
@@ -136,8 +138,8 @@ class ObservationStore {
   // sketches from every buffered record per call, under the same watchdog/epoch filter.
   std::vector<RttSketch> RttSnapshot(size_t num_slots, const Watchdog& watchdog) const;
 
-  // Buffered intra-rack records (shard open order, record order within a shard), minus records
-  // from or towards watchdog-flagged servers.
+  // The window's intra-rack totals, one per (pinger, target) (shard open order, first-seen
+  // order within a shard), minus records from or towards watchdog-flagged servers.
   std::vector<IntraRackObservation> IntraRackObservations(const Watchdog& watchdog) const;
 
   // Slots whose running totals changed since the previous TakeDirtySlots call — folded

@@ -497,8 +497,7 @@ LocalizeResult DetectorSystem::LocalizeBoundary() {
     case StreamingViewMode::kCumulative:
       break;
   }
-  return options_.incremental_diagnosis ? diagnoser.DiagnoseRunning(matrix_, watchdog_)
-                                        : diagnoser.DiagnoseRunningFull(matrix_, watchdog_);
+  return diagnoser.DiagnoseRunning(matrix_, watchdog_);
 }
 
 double DetectorSystem::StreamingWindowResult::FirstDetectionSeconds(LinkId link) const {

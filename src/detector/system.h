@@ -55,8 +55,9 @@
 namespace detector {
 
 // What the mid-window diagnoses of RunWindowStreaming localize over. The window-end diagnosis
-// is always the cumulative whole-window one, so the final result is bit-identical at every
-// cadence in every mode.
+// is always the cumulative whole-window one, through the same incremental PLL state the
+// kCumulative boundaries keep, so the final result is bit-identical at every cadence in every
+// mode.
 enum class StreamingViewMode {
   kCumulative,  // the whole accumulated window (incremental PLL over dirty components)
   kSliding,     // the trailing sliding_window_segments segment deltas — localizes loss
@@ -98,9 +99,6 @@ struct DetectorSystemOptions {
   // slots and the decay view localizes incrementally. An approximation — episode-detection
   // agreement with the exact view is test-gated, not bit-exactness.
   bool decay_quantized = false;
-  // Cumulative mid-window diagnoses use incremental PLL (re-score only dirty components).
-  // false = full PLL at every boundary — the bit-exactness oracle and the bench baseline.
-  bool incremental_diagnosis = true;
   // Report plane: shards emit their counters as encoded wire frames (src/report) over a
   // transport (src/net) into a Collector that folds them back into the ObservationStore,
   // instead of writing the store directly — the deployed pinger -> analyzer seam. Under the

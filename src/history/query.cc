@@ -279,7 +279,7 @@ std::vector<ReplayedWindow> QueryEngine::Replay(const Topology& topo, const Prob
           rb.localization = diagnoser.DiagnoseDecayed(matrix, watchdog);
           break;
         case ReplayView::kCumulative:
-          rb.localization = diagnoser.DiagnoseRunningFull(matrix, watchdog);
+          rb.localization = diagnoser.DiagnoseRunning(matrix, watchdog);
           break;
       }
       replayed.boundaries.push_back(std::move(rb));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "src/common/timer.h"
 
@@ -9,8 +10,8 @@ namespace detector {
 namespace {
 
 // Strict total orders for suspect lists: ties on explained losses are broken by link id, so
-// the merged output of per-component scoring is bit-identical to the monolithic pass no
-// matter which order components were processed in.
+// the merged output of per-component scoring does not depend on the order components were
+// processed in.
 bool WeakerSuspect(const SuspectLink& a, const SuspectLink& b) {
   return a.explained_losses != b.explained_losses ? a.explained_losses < b.explained_losses
                                                   : a.link < b.link;
@@ -29,215 +30,59 @@ double InvertRoundTripLoss(double path_loss_ratio) {
 }
 
 LocalizeResult PllLocalizer::Localize(const ProbeMatrix& matrix, const Observations& obs) const {
-  return LocalizeView(matrix, obs, {});
+  return LocalizeView(matrix, obs);
 }
 
-LocalizeResult PllLocalizer::LocalizeWithOutliers(const ProbeMatrix& matrix,
-                                                  const Observations& obs,
-                                                  std::span<const uint8_t> outlier_paths) const {
-  return LocalizeView(matrix, obs, outlier_paths);
-}
-
-// NOTE: this monolithic pass and RescoreComponent below are deliberately two independent
-// implementations of the same scoring rules. LocalizeView is the reference the incremental
-// path is gated against (tests/incremental_diagnosis_test.cc and the bench_detection_latency
-// incremental mode compare them bit-for-bit on every boundary), so folding one into the
-// other would turn the oracle into a self-comparison. A change to the thresholds, tie-breaks
-// or redundancy rule must land in both; the gates trip loudly if the copies drift.
-LocalizeResult PllLocalizer::LocalizeView(const ProbeMatrix& matrix, ObservationView obs,
-                                          std::span<const uint8_t> outlier_paths) const {
+LocalizeResult PllLocalizer::LocalizeView(const ProbeMatrix& matrix, ObservationView obs) const {
   WallTimer timer;
   CHECK_EQ(obs.size(), matrix.NumPaths());
+  std::vector<PathId> paths(obs.size());
+  std::iota(paths.begin(), paths.end(), PathId{0});
+  std::vector<int32_t> links(static_cast<size_t>(matrix.NumLinks()));
+  std::iota(links.begin(), links.end(), 0);
+  PllIncrementalState scratch;
+  SizeScratch(matrix, scratch);
   LocalizeResult result;
-  const PreprocessedObservations pre = Preprocess(obs, options_.preprocess, outlier_paths);
-  if (pre.num_lossy == 0) {
-    result.seconds = timer.ElapsedSeconds();
-    return result;
-  }
-
-  const int32_t n = matrix.NumLinks();
-  // Step 2: exclude links whose paths are all loss-free; hit ratio for the rest.
-  // (The bipartite decomposition of Step 1 is implicit here: the greedy only ever touches
-  // links/paths connected to a lossy path, so independent components never interact; we skip
-  // materializing them to keep the hot loop simple.)
-  std::vector<int32_t> candidates;
-  std::vector<double> hit_ratio(static_cast<size_t>(n), 0.0);
-  for (int32_t l = 0; l < n; ++l) {
-    int64_t valid_through = 0;
-    int64_t lossy_through = 0;
-    for (PathId p : matrix.PathsThroughDense(l)) {
-      const size_t pi = static_cast<size_t>(p);
-      valid_through += pre.valid[pi];
-      lossy_through += pre.lossy[pi];
-    }
-    if (valid_through == 0 || lossy_through == 0) {
-      continue;
-    }
-    hit_ratio[static_cast<size_t>(l)] =
-        static_cast<double>(lossy_through) / static_cast<double>(valid_through);
-    // Step 4's filter: only links with hit ratio above the threshold are candidates.
-    if (hit_ratio[static_cast<size_t>(l)] > options_.hit_ratio_threshold) {
-      candidates.push_back(l);
-    }
-  }
-
-  // Steps 3-5: greedily pick the candidate explaining the most unexplained lost packets.
-  std::vector<uint8_t> explained(obs.size(), 0);
-  std::vector<int64_t> score(static_cast<size_t>(n), 0);
-  auto recompute_score = [&](int32_t l) {
-    int64_t s = 0;
-    for (PathId p : matrix.PathsThroughDense(l)) {
-      const size_t pi = static_cast<size_t>(p);
-      if (pre.lossy[pi] && !explained[pi]) {
-        s += obs[pi].lost;
-      }
-    }
-    score[static_cast<size_t>(l)] = s;
-  };
-  for (int32_t l : candidates) {
-    recompute_score(l);
-  }
-
-  int64_t remaining_lossy = pre.num_lossy;
-  std::vector<uint8_t> chosen(static_cast<size_t>(n), 0);
-  while (remaining_lossy > 0) {
-    // Max explained losses; ties broken by hit ratio — when a bad link and an innocent
-    // neighbor explain the same lossy paths, the bad link's clean-path share is lower.
-    int32_t best = -1;
-    int64_t best_score = 0;
-    double best_hit = 0.0;
-    for (int32_t l : candidates) {
-      if (chosen[static_cast<size_t>(l)]) {
-        continue;
-      }
-      const int64_t s = score[static_cast<size_t>(l)];
-      const double h = hit_ratio[static_cast<size_t>(l)];
-      if (s > best_score || (s == best_score && s > 0 && h > best_hit)) {
-        best = l;
-        best_score = s;
-        best_hit = h;
-      }
-    }
-    if (best < 0) {
-      break;  // remaining losses not explainable by any above-threshold link
-    }
-    chosen[static_cast<size_t>(best)] = 1;
-
-    // Loss-rate estimate over the paths this link explains, then retire those paths.
-    int64_t sent_through = 0;
-    int64_t lost_through = 0;
-    int64_t newly_explained = 0;
-    for (PathId p : matrix.PathsThroughDense(best)) {
-      const size_t pi = static_cast<size_t>(p);
-      if (!pre.valid[pi]) {
-        continue;
-      }
-      sent_through += obs[pi].sent;
-      lost_through += obs[pi].lost;
-      if (pre.lossy[pi] && !explained[pi]) {
-        explained[pi] = 1;
-        newly_explained += obs[pi].lost;
-        --remaining_lossy;
-      }
-    }
-    SuspectLink suspect;
-    suspect.link = matrix.links().Link(best);
-    suspect.hit_ratio = hit_ratio[static_cast<size_t>(best)];
-    suspect.explained_losses = newly_explained;
-    suspect.estimated_loss_rate = InvertRoundTripLoss(
-        sent_through == 0 ? 0.0
-                          : static_cast<double>(lost_through) / static_cast<double>(sent_through));
-    result.links.push_back(suspect);
-
-    // Only links sharing a newly-explained path changed; with the modest fan-outs of a DCN
-    // probe matrix a full candidate rescore is cheap and simpler.
-    for (int32_t l : candidates) {
-      if (!chosen[static_cast<size_t>(l)]) {
-        recompute_score(l);
-      }
-    }
-  }
-
-  // Redundancy elimination: under concurrent failures the greedy can pick an innocent
-  // "bridge" link first because it spans lossy paths of two real failures; once those real
-  // links are chosen the bridge explains nothing of its own. Drop suspects (weakest first)
-  // whose every lossy path is also covered by another remaining suspect.
-  if (result.links.size() > 1) {
-    std::vector<int32_t> cover_count(obs.size(), 0);
-    auto lossy_paths_of = [&](LinkId link) {
-      std::vector<size_t> paths;
-      for (PathId p : matrix.PathsThrough(link)) {
-        if (pre.lossy[static_cast<size_t>(p)]) {
-          paths.push_back(static_cast<size_t>(p));
-        }
-      }
-      return paths;
-    };
-    for (const SuspectLink& s : result.links) {
-      for (size_t p : lossy_paths_of(s.link)) {
-        ++cover_count[p];
-      }
-    }
-    std::sort(result.links.begin(), result.links.end(), WeakerSuspect);
-    std::vector<SuspectLink> kept;
-    for (const SuspectLink& s : result.links) {
-      const std::vector<size_t> paths = lossy_paths_of(s.link);
-      bool redundant = !paths.empty();
-      for (size_t p : paths) {
-        if (cover_count[p] < 2) {
-          redundant = false;
-          break;
-        }
-      }
-      if (redundant) {
-        for (size_t p : paths) {
-          --cover_count[p];
-        }
-      } else {
-        kept.push_back(s);
-      }
-    }
-    result.links = std::move(kept);
-  }
-
+  RescoreComponent(matrix, obs, paths, links, scratch, result.links);
   std::sort(result.links.begin(), result.links.end(), StrongerSuspect);
   result.seconds = timer.ElapsedSeconds();
   return result;
 }
 
-// Component-restricted mirror of LocalizeView's steps 2-5 + redundancy elimination. Kept as
-// a separate implementation on purpose — see the NOTE above LocalizeView: the monolithic
-// pass is the oracle this one is bit-exactness-gated against, so edits to the scoring rules
-// must be made in both places.
+void PllLocalizer::SizeScratch(const ProbeMatrix& matrix, PllIncrementalState& state) {
+  const size_t num_paths = matrix.NumPaths();
+  const size_t num_links = static_cast<size_t>(matrix.NumLinks());
+  state.valid.assign(num_paths, 0);
+  state.lossy.assign(num_paths, 0);
+  state.hit_ratio.assign(num_links, 0.0);
+  state.score.assign(num_links, 0);
+  state.chosen.assign(num_links, 0);
+  state.explained.assign(num_paths, 0);
+}
+
 void PllLocalizer::RescoreComponent(const ProbeMatrix& matrix, ObservationView obs,
                                     std::span<const PathId> paths,
                                     std::span<const int32_t> links,
                                     PllIncrementalState& state,
                                     std::vector<SuspectLink>& out) const {
   out.clear();
-  // Per-component preprocessing (the per-path rule of Preprocess, restricted to this
-  // component) plus the explained-paths reset for the greedy below.
+  // Preprocessing (§5.1) on this component's paths — the per-path rule Preprocess applies —
+  // plus the explained-paths reset for the greedy below. (Step 1, the decomposition, is the
+  // caller's choice of `paths` and `links`.)
   int64_t remaining_lossy = 0;
   for (const PathId p : paths) {
     const size_t pi = static_cast<size_t>(p);
-    uint8_t valid = 0;
-    uint8_t lossy = 0;
-    if (obs[pi].sent > 0) {
-      valid = 1;
-      if (obs[pi].lost >= options_.preprocess.min_lost_packets &&
-          obs[pi].LossRatio() > options_.preprocess.path_loss_ratio_threshold) {
-        lossy = 1;
-      }
-    }
-    state.valid[pi] = valid;
-    state.lossy[pi] = lossy;
+    state.valid[pi] = IsValidPath(obs[pi]) ? 1 : 0;
+    state.lossy[pi] = IsLossyPath(obs[pi], options_.preprocess) ? 1 : 0;
     state.explained[pi] = 0;
-    remaining_lossy += lossy;
+    remaining_lossy += state.lossy[pi];
   }
   if (remaining_lossy == 0) {
     return;
   }
 
+  // Step 2: exclude links whose paths are all loss-free; hit ratio for the rest, and step 4's
+  // filter: only links with hit ratio above the threshold are candidates.
   std::vector<int32_t> candidates;
   for (const int32_t l : links) {
     const size_t li = static_cast<size_t>(l);
@@ -274,7 +119,10 @@ void PllLocalizer::RescoreComponent(const ProbeMatrix& matrix, ObservationView o
     recompute_score(l);
   }
 
+  // Steps 3-5: greedily pick the candidate explaining the most unexplained lost packets.
   while (remaining_lossy > 0) {
+    // Max explained losses; ties broken by hit ratio — when a bad link and an innocent
+    // neighbor explain the same lossy paths, the bad link's clean-path share is lower.
     int32_t best = -1;
     int64_t best_score = 0;
     double best_hit = 0.0;
@@ -291,10 +139,11 @@ void PllLocalizer::RescoreComponent(const ProbeMatrix& matrix, ObservationView o
       }
     }
     if (best < 0) {
-      break;
+      break;  // remaining losses not explainable by any above-threshold link
     }
     state.chosen[static_cast<size_t>(best)] = 1;
 
+    // Loss-rate estimate over the paths this link explains, then retire those paths.
     int64_t sent_through = 0;
     int64_t lost_through = 0;
     int64_t newly_explained = 0;
@@ -327,8 +176,11 @@ void PllLocalizer::RescoreComponent(const ProbeMatrix& matrix, ObservationView o
     }
   }
 
-  // Redundancy elimination, confined to this component (a suspect's lossy paths never span
-  // components) — same rule and deterministic order as LocalizeView's global pass.
+  // Redundancy elimination: under concurrent failures the greedy can pick an innocent
+  // "bridge" link first because it spans lossy paths of two real failures; once those real
+  // links are chosen the bridge explains nothing of its own. Drop suspects (weakest first)
+  // whose every lossy path is also covered by another remaining suspect. Confined to this
+  // component: a suspect's lossy paths never span components.
   if (out.size() > 1) {
     std::vector<int64_t> cover_count(obs.size(), 0);  // sparse in practice: component paths
     auto lossy_paths_of = [&](LinkId link) {
@@ -384,12 +236,7 @@ LocalizeResult PllLocalizer::LocalizeIncremental(const ProbeMatrix& matrix, Obse
   const size_t num_components = static_cast<size_t>(part.num_components);
   if (all_dirty) {
     state.verdicts.assign(num_components, {});
-    state.valid.assign(obs.size(), 0);
-    state.lossy.assign(obs.size(), 0);
-    state.hit_ratio.assign(static_cast<size_t>(matrix.NumLinks()), 0.0);
-    state.score.assign(static_cast<size_t>(matrix.NumLinks()), 0);
-    state.chosen.assign(static_cast<size_t>(matrix.NumLinks()), 0);
-    state.explained.assign(obs.size(), 0);
+    SizeScratch(matrix, state);
   }
 
   std::vector<uint8_t> component_dirty(num_components, all_dirty ? 1 : 0);

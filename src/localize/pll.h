@@ -3,6 +3,10 @@
 // bipartite components first, and (2) candidate links are filtered by a hit-ratio threshold so
 // partial losses (e.g. packet blackholes that only affect some flows crossing a link) do not
 // disqualify the true culprit or promote innocent links.
+//
+// One scorer implements the rules (PllLocalizer::RescoreComponent): LocalizeIncremental runs it
+// per dirty component of the matrix partition, LocalizeView runs it once over the whole matrix.
+// The independent monolithic pass both are gated against lives in tests/pll_reference.h.
 #ifndef SRC_LOCALIZE_PLL_H_
 #define SRC_LOCALIZE_PLL_H_
 
@@ -44,32 +48,33 @@ class PllLocalizer : public Localizer {
   std::string name() const override { return "PLL"; }
   LocalizeResult Localize(const ProbeMatrix& matrix, const Observations& obs) const override;
 
-  // Variant with watchdog outlier information (paths probed by unhealthy servers).
-  LocalizeResult LocalizeWithOutliers(const ProbeMatrix& matrix, const Observations& obs,
-                                      std::span<const uint8_t> outlier_paths) const;
-
-  // Core entry point over a non-owning view — an ObservationStore snapshot localizes without
-  // ever being copied into an owned vector. The overloads above delegate here.
-  LocalizeResult LocalizeView(const ProbeMatrix& matrix, ObservationView obs,
-                              std::span<const uint8_t> outlier_paths = {}) const;
+  // One-shot localization over a non-owning view — an ObservationStore snapshot localizes
+  // without ever being copied into an owned vector. Scores the whole matrix as one component
+  // (every path and every dense link, ascending) with the same scorer LocalizeIncremental
+  // runs per component, so the two agree bit-for-bit by construction.
+  LocalizeResult LocalizeView(const ProbeMatrix& matrix, ObservationView obs) const;
 
   // Incremental localization over the matrix's component partition: re-scores only components
   // containing a slot in `dirty_slots` (or everything when `all_dirty`), reuses the verdicts
   // cached in `state` for clean components, and merges in deterministic component order.
   // Bit-identical to LocalizeView on the same observations — the greedy never interacts
-  // across components, and both paths order suspects by (explained losses desc, link asc) —
-  // which tests/incremental_diagnosis_test.cc gates. No outlier-path support: callers filter
-  // at the ObservationStore level. Cost per call: O(dirty component sizes), not O(matrix).
+  // across components, and both order suspects by (explained losses desc, link asc).
+  // tests/incremental_diagnosis_test.cc and tests/property_test.cc gate both against the
+  // monolithic reference pass in tests/pll_reference.h. Cost per call: O(dirty component
+  // sizes), not O(matrix).
   LocalizeResult LocalizeIncremental(const ProbeMatrix& matrix, ObservationView obs,
                                      std::span<const PathId> dirty_slots, bool all_dirty,
                                      PllIncrementalState& state) const;
 
  private:
-  // Steps 2-5 plus redundancy elimination, restricted to one component's paths/links. Writes
-  // state.valid/state.lossy for the component's paths and uses the state scratch buffers.
+  // Steps 2-5 plus redundancy elimination, restricted to one component's paths/links — the
+  // one implementation of PLL's scoring rules. Writes state.valid/state.lossy for the
+  // component's paths and uses the state scratch buffers, which must be sized to the matrix.
   void RescoreComponent(const ProbeMatrix& matrix, ObservationView obs,
                         std::span<const PathId> paths, std::span<const int32_t> links,
                         PllIncrementalState& state, std::vector<SuspectLink>& out) const;
+  // Sizes the per-path and per-link scratch buffers of `state` to the matrix, zeroed.
+  static void SizeScratch(const ProbeMatrix& matrix, PllIncrementalState& state);
 
   PllOptions options_;
 };

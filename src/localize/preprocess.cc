@@ -1,29 +1,20 @@
 #include "src/localize/preprocess.h"
 
-#include "src/common/check.h"
 #include "src/common/union_find.h"
 
 namespace detector {
 
-PreprocessedObservations Preprocess(ObservationView obs, const PreprocessOptions& options,
-                                    std::span<const uint8_t> outlier_paths) {
+PreprocessedObservations Preprocess(ObservationView obs, const PreprocessOptions& options) {
   PreprocessedObservations result;
   result.valid.assign(obs.size(), 0);
   result.lossy.assign(obs.size(), 0);
-  if (!outlier_paths.empty()) {
-    CHECK_EQ(outlier_paths.size(), obs.size());
-  }
   for (size_t i = 0; i < obs.size(); ++i) {
-    if (!outlier_paths.empty() && outlier_paths[i]) {
-      continue;
-    }
-    if (obs[i].sent <= 0) {
+    if (!IsValidPath(obs[i])) {
       continue;
     }
     result.valid[i] = 1;
     ++result.num_valid;
-    if (obs[i].lost >= options.min_lost_packets &&
-        obs[i].LossRatio() > options.path_loss_ratio_threshold) {
+    if (IsLossyPath(obs[i], options)) {
       result.lossy[i] = 1;
       ++result.num_lossy;
     }

@@ -1,11 +1,12 @@
-// Data pre-processing (§5.1): drop observations from unhealthy servers (watchdog outliers) and
-// filter out the ambient low-rate losses every link exhibits (1e-4..1e-5 from transient
-// congestion / bit errors) so that only failure-manifesting paths reach the localizer.
+// Data pre-processing (§5.1): filter out the ambient low-rate losses every link exhibits
+// (1e-4..1e-5 from transient congestion / bit errors) so that only failure-manifesting paths
+// reach the localizer. The other half of §5.1, dropping observations from unhealthy servers
+// (watchdog outliers), happens before any localizer runs: the ObservationStore leaves records
+// from or towards a flagged server out of the totals it hands the diagnoser.
 #ifndef SRC_LOCALIZE_PREPROCESS_H_
 #define SRC_LOCALIZE_PREPROCESS_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "src/localize/observations.h"
@@ -22,18 +23,25 @@ struct PreprocessOptions {
   int64_t min_lost_packets = 2;
 };
 
+// The per-path rule every localizer applies — PLL's scorer per component, Preprocess over a
+// whole window: a path is valid when it carried probes, and lossy when it is valid and past
+// both thresholds.
+inline bool IsValidPath(const PathObservation& obs) { return obs.sent > 0; }
+inline bool IsLossyPath(const PathObservation& obs, const PreprocessOptions& options) {
+  return IsValidPath(obs) && obs.lost >= options.min_lost_packets &&
+         obs.LossRatio() > options.path_loss_ratio_threshold;
+}
+
 struct PreprocessedObservations {
-  std::vector<uint8_t> valid;  // per path: observation usable (not an outlier, sent > 0)
+  std::vector<uint8_t> valid;  // per path: observation usable (sent > 0)
   std::vector<uint8_t> lossy;  // per path: valid && above the loss threshold
   int64_t num_lossy = 0;
   int64_t num_valid = 0;
 };
 
-// `outlier_paths` marks paths whose pinger/responder was flagged by the watchdog; those
-// observations are discarded entirely (empty span = none). Takes a view so ObservationStore
-// snapshots flow through without materializing an owned vector.
-PreprocessedObservations Preprocess(ObservationView obs, const PreprocessOptions& options,
-                                    std::span<const uint8_t> outlier_paths = {});
+// Applies the per-path rule to a whole window (the Tomo, OMP and SCORE baselines). Takes a view
+// so ObservationStore snapshots flow through without materializing an owned vector.
+PreprocessedObservations Preprocess(ObservationView obs, const PreprocessOptions& options);
 
 // Connected components of the probe matrix's path-link bipartite graph (the paper's
 // Observation 1, reused here on the localization side). Two paths are in the same component

@@ -430,7 +430,7 @@ TEST(Diagnoser, DropReportsDiscardsBufferedPaths) {
   pmc.alpha = 1;
   const ProbeMatrix matrix = BuildProbeMatrix(routing, PathEnumMode::kFull, pmc).matrix;
   Watchdog wd(ft.topology());
-  const Observations obs = diagnoser.AggregatedObservations(matrix, wd);
+  const ObservationView obs = diagnoser.store().Snapshot(matrix.NumPaths(), wd);
   EXPECT_EQ(obs[3].sent, 0);  // dropped path's stale report is gone
   EXPECT_EQ(obs[5].sent, 100);
   // Intra-rack reports (negative path ids) are untouched.

@@ -218,7 +218,7 @@ TEST(Diagnoser, MergesReplicasAndDropsOutliers) {
   diagnoser.Ingest(w1);
   diagnoser.Ingest(w2);
   diagnoser.Ingest(bad);
-  const Observations obs = diagnoser.AggregatedObservations(matrix, wd);
+  const ObservationView obs = diagnoser.store().Snapshot(matrix.NumPaths(), wd);
   EXPECT_EQ(obs[0].sent, 200);
   EXPECT_EQ(obs[0].lost, 18);
   EXPECT_EQ(obs[1].sent, 0);  // outlier discarded
@@ -238,6 +238,76 @@ TEST(Diagnoser, ServerLinkAlarmsFromIntraRackProbes) {
   ASSERT_EQ(alarms.size(), 1u);
   EXPECT_EQ(alarms[0].target, ft.Server(0, 0, 1));
   EXPECT_NEAR(alarms[0].loss_ratio, 0.5, 1e-9);
+}
+
+TEST(Diagnoser, ServerLinkAlarmsJudgeWindowTotals) {
+  // One lost probe per segment is under the two-packet floor in any one segment, but the
+  // window's two segments together lose 2 of 200: one alarm, at the window's ratio.
+  const FatTree ft(4);
+  Watchdog wd(ft.topology());
+  Diagnoser diagnoser;
+  for (int segment = 0; segment < 2; ++segment) {
+    PingerWindowResult w;
+    w.pinger = ft.Server(0, 0, 0);
+    w.reports.push_back(
+        PathReport{PinglistEntry::kIntraRackPath, ft.Server(0, 0, 1), 100, 1, RttSketch{}});
+    diagnoser.Ingest(w);
+  }
+  const auto alarms = diagnoser.ServerLinkAlarms(wd);
+  ASSERT_EQ(alarms.size(), 1u);
+  EXPECT_EQ(alarms[0].pinger, ft.Server(0, 0, 0));
+  EXPECT_EQ(alarms[0].target, ft.Server(0, 0, 1));
+  EXPECT_DOUBLE_EQ(alarms[0].loss_ratio, 2.0 / 200.0);
+}
+
+TEST(DetectorSystem, ServerLinkAlarmsOncePerPairPerWindow) {
+  // A lossy server link: a window probed in 10 slices must raise one alarm per
+  // (pinger, target), naming the same pairs as the same window probed in one slice.
+  const FatTree ft(4);
+  const FatTreeRouting routing(ft);
+  FailureScenario scenario;
+  LinkFailure lossy;
+  lossy.link = ft.ServerLink(1, 0, 1);
+  lossy.type = FailureType::kRandomPartial;
+  lossy.loss_rate = 0.2;
+  scenario.failures.push_back(lossy);
+
+  auto alarmed_pairs = [&](int segments) {
+    DetectorSystemOptions options;
+    options.pmc.alpha = 1;
+    options.pmc.beta = 1;
+    options.controller.packets_per_second = 10;
+    options.segments_per_window = segments;
+    options.diagnose_every_segments = 1;
+    DetectorSystem system(routing, options);
+    Rng rng(31);
+    std::vector<std::set<std::pair<NodeId, NodeId>>> windows;
+    for (int w = 0; w < 3; ++w) {
+      const auto streamed = system.RunWindowStreaming(scenario, {}, rng);
+      for (const auto& boundary : streamed.timeline) {
+        std::set<std::pair<NodeId, NodeId>> pairs;
+        for (const ServerLinkAlarm& alarm : boundary.server_link_alarms) {
+          EXPECT_TRUE(pairs.emplace(alarm.pinger, alarm.target).second)
+              << segments << " segments, window " << w << ": pair alarmed twice at "
+              << boundary.time_seconds << " s";
+        }
+      }
+      std::set<std::pair<NodeId, NodeId>> pairs;
+      for (const ServerLinkAlarm& alarm : streamed.window.server_link_alarms) {
+        pairs.emplace(alarm.pinger, alarm.target);
+      }
+      windows.push_back(std::move(pairs));
+    }
+    return windows;
+  };
+
+  const auto sliced = alarmed_pairs(10);
+  const auto whole = alarmed_pairs(1);
+  ASSERT_EQ(sliced.size(), whole.size());
+  for (size_t w = 0; w < whole.size(); ++w) {
+    EXPECT_FALSE(whole[w].empty()) << "window " << w;
+    EXPECT_EQ(sliced[w], whole[w]) << "window " << w;
+  }
 }
 
 TEST(Responder, EchoesWhileAlive) {

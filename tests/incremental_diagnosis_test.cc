@@ -1,14 +1,16 @@
 // Incremental sliding-segment diagnosis tests (PR 4). Two oracles:
 //
-//  - Bit-exactness: DiagnoseRunning (incremental PLL over dirty components) must equal
-//    DiagnoseRunningFull (full PLL over the same running totals) at every cadence boundary —
-//    through record ingest, slot invalidation, watchdog flips, mid-window churn (matrix
-//    rewiring + cache invalidation), recompute cycles, and window clears.
+//  - Bit-exactness: DiagnoseRunning (incremental PLL over dirty components) and the window-end
+//    Diagnose must equal the monolithic reference pass (tests/pll_reference.h) over the same
+//    running totals at every cadence boundary — through record ingest, slot invalidation,
+//    watchdog flips, mid-window churn (matrix rewiring + cache invalidation), recompute
+//    cycles, and window clears.
 //  - The sliding-segment view must localize a loss episode that appears and clears inside one
 //    window — one the whole-window totals dilute below the loss threshold — and must report
 //    it gone once it leaves the trailing window.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/detector/diagnoser.h"
@@ -17,6 +19,7 @@
 #include "src/routing/fattree_routing.h"
 #include "src/sim/churn.h"
 #include "src/topo/fattree.h"
+#include "tests/pll_reference.h"
 #include "tests/window_equality.h"
 
 namespace detector {
@@ -59,7 +62,7 @@ TEST(MatrixPartition, ComponentsAreConsistent) {
 }
 
 // Drives a Diagnoser through ingest, invalidation, and watchdog flips, asserting at every
-// step that the incremental diagnosis equals the full-PLL diagnosis on the same totals.
+// step that the incremental diagnosis equals the reference pass on the same totals.
 TEST(IncrementalDiagnosis, MatchesFullAtEveryBoundary) {
   const FatTree ft(4);
   const FatTreeRouting routing(ft);
@@ -69,17 +72,21 @@ TEST(IncrementalDiagnosis, MatchesFullAtEveryBoundary) {
   const ProbeMatrix matrix = BuildProbeMatrix(routing, PathEnumMode::kFull, pmc).matrix;
   Watchdog wd(ft.topology());
   Diagnoser diagnoser;
+  const ReferencePll reference;
 
   const NodeId p1 = ft.Server(0, 0, 0);
   const NodeId p2 = ft.Server(1, 0, 0);
   const NodeId t1 = ft.Server(2, 0, 0);
 
+  // The reference over the store's current totals. Reading them folds pending records but
+  // leaves the dirty tracker for the incremental diagnosis to take.
+  auto full = [&] {
+    return reference.LocalizeView(matrix, diagnoser.store().RunningTotals(matrix.NumPaths(), wd));
+  };
   auto expect_match = [&](const char* when) {
-    // Full first: it reads the totals without consuming the dirty tracker the incremental
-    // diagnosis is about to take.
-    const LocalizeResult full = diagnoser.DiagnoseRunningFull(matrix, wd);
+    const LocalizeResult expected = full();
     const LocalizeResult incremental = diagnoser.DiagnoseRunning(matrix, wd);
-    EXPECT_EQ(incremental.links, full.links) << when;
+    EXPECT_EQ(incremental.links, expected.links) << when;
   };
 
   auto ingest = [&](NodeId pinger, PathId slot, int64_t sent, int64_t lost) {
@@ -115,16 +122,32 @@ TEST(IncrementalDiagnosis, MatchesFullAtEveryBoundary) {
   ingest(p1, 3, 50, 50);
   expect_match("slot reused");
 
-  // Window end consumes everything; the next window starts from all-dirty.
-  diagnoser.Diagnose(matrix, wd);
+  // Window end closes through the cumulative state (one unread dirty slot pending) and
+  // consumes everything; the next window starts from all-dirty.
+  ingest(p2, 9, 200, 120);
+  const LocalizeResult expected_end = full();
+  EXPECT_EQ(diagnoser.Diagnose(matrix, wd).links, expected_end.links) << "window end";
   expect_match("after window clear");
   ingest(p1, 5, 120, 80);
   expect_match("next window");
 }
 
-// End-to-end: streaming windows with mid-window churn (matrix rewiring included), once with
-// incremental diagnosis and once with full PLL at every boundary — identical timelines, and
-// tier-1 streaming-vs-batch behavior preserved across a RecomputeCycle.
+// Keeps the last sealed window: its boundary deltas, summed through boundary d, are the
+// totals its d-th diagnosis localized over.
+class LastSealedWindow : public WindowSink {
+ public:
+  void OnWindowSealed(const SealedWindow& window) override { last_ = window; }
+  const SealedWindow& last() const { return last_; }
+
+ private:
+  SealedWindow last_;
+};
+
+// End-to-end: streaming windows with mid-window churn (matrix rewiring included) — every
+// timeline entry, the window end included, must equal the reference pass over that
+// boundary's totals (prefix sums of the sealed deltas) and that boundary's matrix (from a
+// shadow system that applies the same churn events and never probes); tier-1
+// streaming-vs-batch behavior preserved across a RecomputeCycle.
 TEST(IncrementalDiagnosis, SystemTimelinesMatchFullUnderChurn) {
   const FatTree ft(4);
   const FatTreeRouting routing(ft);
@@ -148,38 +171,50 @@ TEST(IncrementalDiagnosis, SystemTimelinesMatchFullUnderChurn) {
   f.type = FailureType::kFullLoss;
   scenario.failures.push_back(f);
 
-  DetectorSystemOptions full_options = options;
-  full_options.incremental_diagnosis = false;
-
+  LastSealedWindow sealed;
   DetectorSystem incremental(routing, options);
-  DetectorSystem full(routing, full_options);
-  Rng inc_rng(4242);
-  Rng full_rng(4242);
+  DetectorSystem shadow(routing, options);
+  incremental.set_history_sink(&sealed);
+  const ReferencePll reference(options.pll);
+  Rng rng(4242);
 
   for (int window = 0; window < 3; ++window) {
     const auto churn_slice = window == 0 ? churn : std::vector<ChurnEvent>{};
-    const auto inc_result = incremental.RunWindowStreaming(scenario, churn_slice, inc_rng);
-    const auto full_result = full.RunWindowStreaming(scenario, churn_slice, full_rng);
+    const auto result = incremental.RunWindowStreaming(scenario, churn_slice, rng);
+    const SealedWindow& log = sealed.last();
+    ASSERT_EQ(log.boundaries.size(), result.timeline.size());
 
-    ExpectIdenticalWindows(inc_result.window, full_result.window,
-                           "window " + std::to_string(window));
-    ASSERT_EQ(inc_result.timeline.size(), full_result.timeline.size());
-    for (size_t i = 0; i < inc_result.timeline.size(); ++i) {
-      EXPECT_EQ(inc_result.timeline[i].segment, full_result.timeline[i].segment);
+    size_t next_event = 0;
+    Observations totals;
+    for (size_t i = 0; i < result.timeline.size(); ++i) {
+      const auto& entry = result.timeline[i];
+      EXPECT_EQ(log.boundaries[i].segment, entry.segment);
+      // The live window applies every event stamped before a boundary ahead of its diagnosis.
+      while (next_event < churn_slice.size() &&
+             churn_slice[next_event].time_seconds < entry.time_seconds) {
+        shadow.ApplyTopologyDelta(churn_slice[next_event].delta);
+        ++next_event;
+      }
+      const ProbeMatrix& matrix = shadow.probe_matrix();
+      totals.resize(std::max(totals.size(), matrix.NumPaths()));
+      for (const SealedDelta& delta : log.boundaries[i].deltas) {
+        totals[static_cast<size_t>(delta.slot)].sent += delta.sent;
+        totals[static_cast<size_t>(delta.slot)].lost += delta.lost;
+      }
       ExpectIdenticalLocalizations(
-          inc_result.timeline[i].localization, full_result.timeline[i].localization,
+          entry.localization,
+          reference.LocalizeView(matrix, ObservationView(totals.data(), matrix.NumPaths())),
           "window " + std::to_string(window) + " boundary " + std::to_string(i));
     }
     if (window == 0) {
-      // The injected failure is seen mid-window by both.
-      EXPECT_GT(inc_result.FirstDetectionSeconds(f.link), 0.0);
-      EXPECT_EQ(inc_result.FirstDetectionSeconds(f.link),
-                full_result.FirstDetectionSeconds(f.link));
+      EXPECT_EQ(next_event, churn.size());
+      // The injected failure is seen mid-window.
+      EXPECT_GT(result.FirstDetectionSeconds(f.link), 0.0);
     }
     if (window == 1) {
-      // A full re-plan between windows: both caches must survive the matrix replacement.
+      // A full re-plan between windows: the cache must survive the matrix replacement.
       incremental.RecomputeCycle();
-      full.RecomputeCycle();
+      shadow.RecomputeCycle();
     }
   }
 }

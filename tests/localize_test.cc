@@ -39,15 +39,14 @@ struct ToyMatrix {
   ProbeMatrix Matrix() { return ProbeMatrix(std::move(store), LinkIndex::ForMonitored(topo)); }
 };
 
-TEST(Preprocess, FiltersNoiseAndOutliers) {
-  Observations obs{{1000, 0}, {1000, 1}, {1000, 500}, {0, 0}, {1000, 100}};
-  std::vector<uint8_t> outliers{0, 0, 0, 0, 1};
+TEST(Preprocess, FiltersNoiseAndUnprobedPaths) {
+  Observations obs{{1000, 0}, {1000, 1}, {1000, 500}, {0, 0}};
   PreprocessOptions options;
   options.path_loss_ratio_threshold = 1e-3;
-  const auto pre = Preprocess(obs, options, outliers);
-  EXPECT_EQ(pre.valid, (std::vector<uint8_t>{1, 1, 1, 0, 0}));
+  const auto pre = Preprocess(obs, options);
+  EXPECT_EQ(pre.valid, (std::vector<uint8_t>{1, 1, 1, 0}));
   // Path 1 lost exactly 1/1000 = threshold, not above it => clean.
-  EXPECT_EQ(pre.lossy, (std::vector<uint8_t>{0, 0, 1, 0, 0}));
+  EXPECT_EQ(pre.lossy, (std::vector<uint8_t>{0, 0, 1, 0}));
   EXPECT_EQ(pre.num_lossy, 1);
   EXPECT_EQ(pre.num_valid, 3);
 }
@@ -136,17 +135,6 @@ TEST(Pll, TwoSimultaneousFailures) {
   const LinkId b = result.links[1].link;
   EXPECT_TRUE((a == 1 && b == 3) || (a == 3 && b == 1) || (a == 0 && b == 2) ||
               (a == 2 && b == 0));
-}
-
-TEST(Pll, OutlierPathsExcluded) {
-  ToyMatrix toy(2);
-  toy.AddPath({0});
-  toy.AddPath({1});
-  ProbeMatrix matrix = toy.Matrix();
-  Observations obs{{300, 300}, {300, 0}};
-  std::vector<uint8_t> outliers{1, 0};  // the lossy path came from a rebooting pinger
-  const auto result = PllLocalizer().LocalizeWithOutliers(matrix, obs, outliers);
-  EXPECT_TRUE(result.links.empty());
 }
 
 TEST(Pll, LossRateEstimateInvertsRoundTrip) {

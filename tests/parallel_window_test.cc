@@ -269,7 +269,7 @@ TEST(ObservationStore, MidWindowInvalidationFlowsThroughDiagnose) {
   seg2.reports.push_back(PathReport{0, ft.Server(1, 0, 0), 100, 0});
   diagnoser.Ingest(seg2);
 
-  const Observations obs = diagnoser.AggregatedObservations(matrix, wd);
+  const ObservationView obs = diagnoser.store().Snapshot(matrix.NumPaths(), wd);
   EXPECT_EQ(obs[0].sent, 100);
   EXPECT_EQ(obs[0].lost, 0);
   // The stale 100%-loss counters are gone: nothing to localize.

@@ -1,9 +1,13 @@
 // Property-style parameterized sweeps: probe-matrix invariants across (k, alpha, beta)
-// configurations, and localization accuracy under randomized multi-failure scenarios — the
-// workhorse suite that pins the paper's qualitative claims across a grid of settings.
+// configurations, localization accuracy under randomized multi-failure scenarios, and PLL's
+// one scorer against the monolithic reference pass — the workhorse suite that pins the
+// paper's qualitative claims across a grid of settings.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "src/localize/metrics.h"
 #include "src/localize/pll.h"
@@ -13,6 +17,7 @@
 #include "src/routing/fattree_routing.h"
 #include "src/sim/failure_model.h"
 #include "src/sim/probe_engine.h"
+#include "tests/pll_reference.h"
 
 namespace detector {
 namespace {
@@ -114,6 +119,119 @@ INSTANTIATE_TEST_SUITE_P(
       return "k" + std::to_string(info.param.k) + "f" + std::to_string(info.param.num_failures) +
              "b" + std::to_string(info.param.beta);
     });
+
+// ---------- PLL's one scorer vs the monolithic reference ----------
+
+struct ScorerCase {
+  std::string name;
+  int k;
+  bool structured;  // StructuredFatTreeProbeMatrix(k, alpha, beta = 2) instead of PMC
+  int alpha;
+
+  friend void PrintTo(const ScorerCase& c, std::ostream* os) { *os << c.name; }
+};
+
+class PllScorerVsReference : public ::testing::TestWithParam<ScorerCase> {};
+
+// Pins PllLocalizer to the independent monolithic pass in tests/pll_reference.h over seeded
+// 1-8-link failure windows, with random low-count and zero-sent paths mixed in, at hit-ratio
+// thresholds 0.3, 0.6 and 0.9: LocalizeView must equal the reference, and so must
+// LocalizeIncremental at every step of a sequence of random dirty subsets, with the cached
+// partition dropped partway as an owner does after a structural matrix change. While
+// LocalizeView was itself the monolithic pass, the LocalizeView half compared that pass with
+// itself and only the incremental half exercised the component scorer.
+TEST_P(PllScorerVsReference, LocalizeViewAndIncrementalMatchReference) {
+  const ScorerCase& param = GetParam();
+  const FatTree ft(param.k);
+  const FatTreeRouting routing(ft);
+  PmcOptions pmc;
+  pmc.alpha = param.alpha;
+  pmc.beta = 1;
+  const ProbeMatrix matrix =
+      param.structured ? StructuredFatTreeProbeMatrix(ft, param.alpha, /*beta=*/2)
+                       : BuildProbeMatrix(routing, PathEnumMode::kFull, pmc).matrix;
+  const size_t num_paths = matrix.NumPaths();
+  const FailureModel model(ft.topology(), FailureModelOptions{});
+  const ProbeConfig probe;
+  Rng rng(static_cast<uint64_t>(param.k * 100 + param.alpha * 10 + (param.structured ? 1 : 0)));
+
+  // Counts around the preprocessing floors (min_lost_packets = 2, ratio 1e-3): unprobed,
+  // single-loss and barely-lossy paths.
+  auto perturb = [&](PathObservation& obs) {
+    switch (rng.NextInt(0, 4)) {
+      case 0:
+        obs = PathObservation{0, 0};
+        break;
+      case 1:
+        obs.sent = rng.NextInt(1, 5);
+        obs.lost = rng.NextInt(0, static_cast<int>(obs.sent) + 1);
+        break;
+      case 2:
+        obs.lost = std::min<int64_t>(obs.sent, rng.NextInt(1, 3));
+        break;
+      default:
+        obs.sent = rng.NextInt(1, 200);
+        obs.lost = rng.NextInt(0, static_cast<int>(obs.sent) + 1);
+        break;
+    }
+  };
+
+  int localized = 0;  // windows whose reference names a suspect: the check is not vacuous
+  for (int failures = 1; failures <= 8; ++failures) {
+    const FailureScenario scenario = model.SampleLinkFailures(failures, rng);
+    const ProbeEngine engine(ft.topology(), scenario, probe);
+    Observations base(num_paths);
+    for (size_t p = 0; p < num_paths; ++p) {
+      const PathId pid = static_cast<PathId>(p);
+      base[p] = engine.SimulatePath(matrix.paths().Links(pid), matrix.paths().src(pid),
+                                    matrix.paths().dst(pid), 40, rng);
+      if (rng.NextBernoulli(0.08)) {
+        perturb(base[p]);
+      }
+    }
+    for (const double threshold : {0.3, 0.6, 0.9}) {
+      PllOptions options;
+      options.hit_ratio_threshold = threshold;
+      const PllLocalizer pll(options);
+      const ReferencePll reference(options);
+      const std::string when =
+          param.name + " failures=" + std::to_string(failures) + " threshold=" +
+          std::to_string(threshold);
+      const LocalizeResult expected = reference.LocalizeView(matrix, base);
+      EXPECT_EQ(pll.LocalizeView(matrix, base).links, expected.links) << when;
+      localized += expected.links.empty() ? 0 : 1;
+
+      Observations obs = base;
+      PllIncrementalState state;
+      EXPECT_EQ(pll.LocalizeIncremental(matrix, obs, {}, /*all_dirty=*/true, state).links,
+                reference.LocalizeView(matrix, obs).links)
+          << when << " step 0";
+      for (int step = 1; step <= 6; ++step) {
+        if (step == 4) {
+          state.structure_valid = false;
+        }
+        std::vector<PathId> dirty;
+        const int touched = rng.NextInt(1, 12);
+        for (int i = 0; i < touched; ++i) {
+          const PathId slot = static_cast<PathId>(rng.NextBounded(num_paths));
+          perturb(obs[static_cast<size_t>(slot)]);
+          dirty.push_back(slot);
+        }
+        EXPECT_EQ(pll.LocalizeIncremental(matrix, obs, dirty, /*all_dirty=*/false, state).links,
+                  reference.LocalizeView(matrix, obs).links)
+            << when << " step " << step;
+      }
+    }
+  }
+  EXPECT_GE(localized, 20) << "of 24 windows";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrices, PllScorerVsReference,
+    ::testing::Values(ScorerCase{"pmc4a1", 4, false, 1}, ScorerCase{"pmc4a2", 4, false, 2},
+                      ScorerCase{"pmc6a1", 6, false, 1}, ScorerCase{"pmc6a2", 6, false, 2},
+                      ScorerCase{"structured8", 8, true, 1}),
+    [](const auto& info) { return info.param.name; });
 
 // ---------- Identifiability level vs accuracy ordering (Table 4's qualitative claim) ----------
 

@@ -1,9 +1,10 @@
 // Report-plane benchmark: (1) codec throughput — frames/s and observations/s for encode and
 // decode, and bytes per observation for the varint wire format against a naive fixed-width
 // layout, with an enforceable packing gate; (2) end-to-end — streaming diagnosis windows with
-// shard reports riding the wire over the in-process loopback at a sweep of injected
-// drop/reorder rates, reporting collector tolerance counters and whether the injected failure
-// is still localized; plus the report-vs-direct bit-exactness check across thread counts.
+// shard reports riding the wire through an impairment schedule over the in-process loopback at
+// a sweep of injected i.i.d. drop rates (with jitter reordering frames), reporting collector
+// tolerance counters and whether the injected failure is still localized; plus the
+// report-vs-direct bit-exactness check across thread counts.
 //
 // Flags: --observations=200000   synthetic observations for the codec measurement
 //        --batch=64              observations per frame (codec and end-to-end)
@@ -13,7 +14,7 @@
 //        --windows=2             streaming windows per fault rate
 //        --pps=150               probe packets per second per pinger
 //        --segments=6            probe slices per window
-//        --rates=0,0.05,0.25     injected frame drop rates (reorder runs at 2x drop)
+//        --rates=0,0.05,0.25     injected i.i.d. frame drop rates (with 4 ticks of jitter)
 //        --threads=1,2,8         thread counts for the exactness check (exit 2 on divergence)
 //        --hostile-gate          exit 2 unless the hardened plane holds under a hostile
 //                                profile: seeded ~30% burst loss + reorder + duplication + 1%
@@ -167,7 +168,7 @@ int main(int argc, char** argv) {
       "Pinger shards encode (pinger, slot, epoch, sent, lost) delta batches into CRC-framed\n"
       "varint frames; the collector folds them into the ObservationStore idempotently by\n"
       "(pinger, window, seq). Lossless loopback is bit-identical to direct store writes;\n"
-      "injected drop/reorder degrades coverage, never correctness.");
+      "injected drop and jitter degrade coverage, never correctness.");
 
   // ---- Codec throughput + packing --------------------------------------------------------
   const CodecNumbers codec = MeasureCodec(observations, batch, repeat, seed);
@@ -210,16 +211,19 @@ int main(int argc, char** argv) {
   for (const std::string& token : bench::SplitList(flags.GetString("rates", "0,0.05,0.25"))) {
     rates.push_back(std::strtod(token.c_str(), nullptr));
   }
-  TablePrinter e2e_table({"drop rate", "reorder rate", "frames folded", "frames dropped",
+  TablePrinter e2e_table({"drop rate", "jitter ticks", "frames folded", "frames dropped",
                           "dup/stale/err", "localized", "first seen s"});
   for (const double rate : rates) {
     DetectorSystem system(routing, base_options());
-    LoopbackOptions loopback;
-    loopback.drop_rate = rate;
-    loopback.reorder_rate = std::min(1.0, rate * 2.0);
-    loopback.seed = seed + 13;
-    system.SetReportTransportFactory(
-        [&](size_t) { return std::make_unique<LoopbackTransport>(loopback); });
+    ImpairmentProfile profile;
+    profile.burst_loss_rate = rate;
+    profile.burst_length = 1;  // i.i.d. loss
+    profile.jitter_ticks = 4;
+    profile.seed = seed + 13;
+    system.SetReportTransportFactory([&](size_t) {
+      return std::make_unique<ImpairmentTransport>(std::make_unique<LoopbackTransport>(),
+                                                   profile);
+    });
     Rng rng(seed + 7);
     bool localized = false;
     double first_seen = -1.0;
@@ -238,7 +242,8 @@ int main(int argc, char** argv) {
     const CollectorStats stats = system.collector_group()->stats();
     const TransportStats wire = system.report_transport()->stats();
     e2e_table.AddRow(
-        {TablePrinter::Fmt(rate, 2), TablePrinter::Fmt(loopback.reorder_rate, 2),
+        {TablePrinter::Fmt(rate, 2),
+         TablePrinter::FmtInt(static_cast<int64_t>(profile.jitter_ticks)),
          TablePrinter::FmtInt(static_cast<int64_t>(stats.frames_folded)),
          TablePrinter::FmtInt(static_cast<int64_t>(wire.frames_dropped)),
          TablePrinter::FmtInt(static_cast<int64_t>(stats.duplicates_dropped)) + "/" +
@@ -295,7 +300,7 @@ int main(int argc, char** argv) {
     bool gate_pass = true;
 
     // Part 1: the hostile profile — seeded bursty loss around 30% of frames (entry rate
-    // 0.1 x run length 4), 30% reorder underneath, 5% duplication, 1% corruption.
+    // 0.1 x run length 4), delay + jitter reordering, 5% duplication, 1% corruption.
     // Authentication and CRC must keep every damaged frame out of the store with exact
     // per-cause accounting, and the suspect set at each window end must agree with a direct
     // (no report plane) run.
@@ -305,9 +310,6 @@ int main(int argc, char** argv) {
       DetectorSystem system(routing, options);
       if (report_plane) {
         system.SetReportTransportFactory([&](size_t i) -> std::unique_ptr<Transport> {
-          LoopbackOptions wire;
-          wire.reorder_rate = 0.3;
-          wire.seed = seed + 17 + i;
           ImpairmentProfile profile;
           profile.burst_loss_rate = 0.1;
           profile.burst_length = 4;
@@ -316,8 +318,8 @@ int main(int argc, char** argv) {
           profile.delay_ticks = 1;
           profile.jitter_ticks = 3;
           profile.seed = seed + 31 + i;
-          return std::make_unique<ImpairmentTransport>(
-              std::make_unique<LoopbackTransport>(wire), profile);
+          return std::make_unique<ImpairmentTransport>(std::make_unique<LoopbackTransport>(),
+                                                       profile);
         });
       }
       Rng rng(seed + 43);
@@ -398,9 +400,9 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(received));
     }
 
-    // Part 2: a lossless impairment schedule (delay + jitter + rate limiting + duplication
-    // over a reordering wire — nothing dropped or damaged) must stay bit-identical to direct
-    // mode at every thread count, same as the plain loopback gate above.
+    // Part 2: a lossless impairment schedule (delay + jitter + rate limiting + duplication —
+    // nothing dropped or damaged) must stay bit-identical to direct mode at every thread
+    // count, same as the plain loopback gate above.
     for (const std::string& token :
          bench::SplitList(flags.GetString("threads", "1,2,8"))) {
       const size_t threads = static_cast<size_t>(std::strtoull(token.c_str(), nullptr, 10));
@@ -411,17 +413,14 @@ int main(int argc, char** argv) {
         DetectorSystem system(routing, options);
         if (report_plane) {
           system.SetReportTransportFactory([&](size_t i) -> std::unique_ptr<Transport> {
-            LoopbackOptions wire;
-            wire.reorder_rate = 0.3;
-            wire.seed = seed + 57 + i;
             ImpairmentProfile profile;
             profile.delay_ticks = 2;
             profile.jitter_ticks = 4;
             profile.rate_limit_per_tick = 8;
             profile.dup_rate = 0.1;
             profile.seed = seed + 71 + i;
-            return std::make_unique<ImpairmentTransport>(
-                std::make_unique<LoopbackTransport>(wire), profile);
+            return std::make_unique<ImpairmentTransport>(std::make_unique<LoopbackTransport>(),
+                                                         profile);
           });
         }
         Rng rng(seed + 21);
@@ -478,18 +477,15 @@ int main(int argc, char** argv) {
           if (!record) {
             return std::make_unique<TraceReplayTransport>(window_trace(w));
           }
-          // Lossless schedule (reorder + delay/jitter + duplication, nothing dropped or
-          // damaged) so the recording can gate bit-identity against the live run.
-          LoopbackOptions wire;
-          wire.reorder_rate = 0.3;
-          wire.seed = seed + 57 + static_cast<uint64_t>(w);
+          // Lossless schedule (delay/jitter + duplication, nothing dropped or damaged) so
+          // the recording can gate bit-identity against the live run.
           ImpairmentProfile profile;
           profile.delay_ticks = 2;
           profile.jitter_ticks = 4;
           profile.dup_rate = 0.1;
           profile.seed = seed + 71 + static_cast<uint64_t>(w);
           return std::make_unique<RecordingTransport>(
-              std::make_unique<ImpairmentTransport>(std::make_unique<LoopbackTransport>(wire),
+              std::make_unique<ImpairmentTransport>(std::make_unique<LoopbackTransport>(),
                                                     profile),
               window_trace(w));
         });

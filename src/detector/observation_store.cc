@@ -127,27 +127,6 @@ void ObservationStore::InvalidateSlots(std::span<const PathId> slots) {
   }
 }
 
-ObservationView ObservationStore::Snapshot(size_t num_slots, const Watchdog& watchdog) const {
-  snapshot_.assign(num_slots, PathObservation{});
-  for (const auto& shard : shards_) {
-    if (!watchdog.IsHealthy(shard->pinger_)) {
-      continue;  // outlier removal (§5.1): a bad pinger fabricates losses everywhere
-    }
-    for (const Shard::PathRecord& record : shard->paths_) {
-      const size_t slot = static_cast<size_t>(record.slot);
-      if (slot >= num_slots || record.epoch != slot_epoch_[slot]) {
-        continue;  // beyond the matrix, or orphaned by a mid-window invalidation
-      }
-      if (!watchdog.IsHealthy(record.target)) {
-        continue;
-      }
-      snapshot_[slot].sent += record.sent;
-      snapshot_[slot].lost += record.lost;
-    }
-  }
-  return snapshot_;
-}
-
 void ObservationStore::AdjustForNode(NodeId node, int sign) {
   auto adjust = [&](const Shard& owner, const Shard::PathRecord& record) {
     const size_t slot = static_cast<size_t>(record.slot);
@@ -252,25 +231,6 @@ ObservationView ObservationStore::RunningTotals(size_t num_slots, const Watchdog
   }
   FoldNewRecords();
   return ObservationView(running_.data(), num_slots);
-}
-
-std::vector<RttSketch> ObservationStore::RttSnapshot(size_t num_slots,
-                                                     const Watchdog& watchdog) const {
-  std::vector<RttSketch> out(num_slots);
-  for (const auto& shard : shards_) {
-    if (!watchdog.IsHealthy(shard->pinger_)) {
-      continue;
-    }
-    for (const Shard::PathRecord& record : shard->paths_) {
-      const size_t slot = static_cast<size_t>(record.slot);
-      if (record.rtt < 0 || slot >= num_slots || record.epoch != slot_epoch_[slot] ||
-          !watchdog.IsHealthy(record.target)) {
-        continue;
-      }
-      out[slot].Merge(shard->rtt_[static_cast<size_t>(record.rtt)]);
-    }
-  }
-  return out;
 }
 
 std::vector<IntraRackObservation> ObservationStore::IntraRackObservations(

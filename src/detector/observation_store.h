@@ -6,16 +6,14 @@
 // O(slots) without scanning the shards; a slot reused by repair within the same window starts
 // a fresh epoch, so the new occupant's counters never mix with the stale ones.
 //
-// Two dense read paths over the same records:
-//  - Snapshot(): rebuilds the merged vector from every buffered record per call. O(records)
-//    per call; kept as the reference semantics (the running totals are test-gated against it).
-//  - RunningTotals(): maintained running dense totals — each record is folded in exactly once
-//    (at the first serial read after it streams in), a slot invalidation retracts the slot's
-//    contribution in O(1) by zeroing it, and watchdog changes retract/re-add only the flipped
-//    node's records. This is what continuous per-segment diagnosis reads: cost per call is
-//    O(new records since the last call + watchdog flips), not O(all records in the window).
+// RunningTotals() is the dense read path: maintained running totals — each record is folded
+// in exactly once (at the first serial read after it streams in), a slot invalidation
+// retracts the slot's contribution in O(1) by zeroing it, and watchdog changes retract/re-add
+// only the flipped node's records. This is what continuous per-segment diagnosis reads: cost
+// per call is O(new records since the last call + watchdog flips), not O(all records in the
+// window). tests/store_reference.h rebuilds the same totals from every record as the oracle.
 //
-// Threading contract: OpenShard/EnsureSlots/InvalidateSlots/Snapshot/RunningTotals run in
+// Threading contract: OpenShard/EnsureSlots/InvalidateSlots/RunningTotals run in
 // serial phases; between them, each shard may be written by exactly one thread with no locking
 // (shards never share mutable state, and slot epochs are only read during the parallel phase).
 #ifndef SRC_DETECTOR_OBSERVATION_STORE_H_
@@ -77,6 +75,7 @@ class ObservationStore {
 
    private:
     friend class ObservationStore;
+    friend class StoreReference;  // the test-only oracle (tests/store_reference.h)
     Shard(const ObservationStore* store, NodeId pinger) : store_(store), pinger_(pinger) {}
 
     struct PathRecord {
@@ -112,18 +111,13 @@ class ObservationStore {
   // the new epoch. Serial phase only.
   void InvalidateSlots(std::span<const PathId> slots);
 
-  // Dense merged view over slots [0, num_slots): replica counters summed across shards, minus
-  // records from watchdog-flagged pingers or towards watchdog-flagged targets, minus orphaned
-  // epochs. The view aliases an internal buffer rebuilt per call — valid until the next
-  // Snapshot/Clear, no copy handed to the consumer. Reference semantics for RunningTotals.
-  ObservationView Snapshot(size_t num_slots, const Watchdog& watchdog) const;
-
-  // Maintained running dense totals over slots [0, num_slots): folds the records streamed in
-  // since the last call, reconciles the watchdog filter by retracting/re-adding only nodes
-  // whose health flipped, and returns a zero-copy view over the totals. Bit-identical to
-  // Snapshot() on the same state (integer counters, order-independent). Serial phase only; the
-  // view is valid until the next EnsureSlots (growth reallocates the buffer the view
-  // aliases), InvalidateSlots, RunningTotals or Clear.
+  // Maintained running dense totals over slots [0, num_slots): replica counters summed across
+  // shards, minus records from watchdog-flagged pingers or towards watchdog-flagged targets,
+  // minus orphaned epochs. Folds the records streamed in since the last call, reconciles the
+  // watchdog filter by retracting/re-adding only nodes whose health flipped, and returns a
+  // zero-copy view over the totals. Serial phase only; the view is valid until the next
+  // EnsureSlots (growth reallocates the buffer the view aliases), InvalidateSlots,
+  // RunningTotals or Clear.
   ObservationView RunningTotals(size_t num_slots, const Watchdog& watchdog);
 
   // Maintained running per-slot RTT sketches, kept by the same fold/retract machinery as the
@@ -133,10 +127,6 @@ class ObservationStore {
   // loss-only deployments pay nothing; slots beyond the span (or with an empty sketch) simply
   // accumulated no RTT samples.
   std::span<const RttSketch> RttRunningTotals() const { return rtt_running_; }
-
-  // Reference semantics for RttRunningTotals (mirrors Snapshot): rebuilds the merged per-slot
-  // sketches from every buffered record per call, under the same watchdog/epoch filter.
-  std::vector<RttSketch> RttSnapshot(size_t num_slots, const Watchdog& watchdog) const;
 
   // The window's intra-rack totals, one per (pinger, target) (shard open order, first-seen
   // order within a shard), minus records from or towards watchdog-flagged servers.
@@ -175,6 +165,8 @@ class ObservationStore {
   uint32_t SlotEpoch(size_t slot) const { return slot_epoch_[slot]; }
 
  private:
+  friend class StoreReference;  // the test-only oracle (tests/store_reference.h)
+
   // Adds (`sign` = +1) or retracts (-1) the folded, current-epoch records involving `node` —
   // its shard's records (via shard_of_pinger_) plus records targeting it (via the per-target
   // index) — whose other party is not filtered. O(records involving node), not O(all records).
@@ -188,7 +180,6 @@ class ObservationStore {
   std::vector<std::unique_ptr<Shard>> shards_;  // stable addresses, creation order
   std::map<NodeId, size_t> shard_of_pinger_;    // ordered: snapshot order independent of churn
   std::vector<uint32_t> slot_epoch_;
-  mutable Observations snapshot_;  // lazily materialized merged view (Snapshot path)
   // Running-totals state: running_[slot] always equals the sum of folded records whose epoch
   // is the slot's current one and whose pinger/target are outside applied_down_.
   Observations running_;

@@ -247,7 +247,8 @@ class DetectorSystem {
   // Per-partition transport factory for the collector fabric: called once per collector
   // index at the next report-plane window open, replacing the default lossless
   // LoopbackTransports (a null factory restores them). Each transport must round-trip its own
-  // Send to its own Receive — in practice a LoopbackTransport, usually with injected faults.
+  // Send to its own Receive — in practice a LoopbackTransport, usually under an
+  // ImpairmentTransport that injects faults.
   // Drops the transports already installed, and with them any frames still in flight.
   void SetReportTransportFactory(std::function<std::unique_ptr<Transport>(size_t)> factory);
   // Null until the first report-plane window ran.

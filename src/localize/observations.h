@@ -21,7 +21,7 @@ struct PathObservation {
 using Observations = std::vector<PathObservation>;
 
 // Non-owning view over a window's observations — what the preprocessing/localization stages
-// consume, so an ObservationStore snapshot flows through without copying.
+// consume, so the ObservationStore's running totals flow through without copying.
 using ObservationView = std::span<const PathObservation>;
 
 }  // namespace detector

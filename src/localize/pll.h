@@ -48,10 +48,10 @@ class PllLocalizer : public Localizer {
   std::string name() const override { return "PLL"; }
   LocalizeResult Localize(const ProbeMatrix& matrix, const Observations& obs) const override;
 
-  // One-shot localization over a non-owning view — an ObservationStore snapshot localizes
-  // without ever being copied into an owned vector. Scores the whole matrix as one component
-  // (every path and every dense link, ascending) with the same scorer LocalizeIncremental
-  // runs per component, so the two agree bit-for-bit by construction.
+  // One-shot localization over a non-owning view — the ObservationStore's running totals
+  // localize without ever being copied into an owned vector. Scores the whole matrix as one
+  // component (every path and every dense link, ascending) with the same scorer
+  // LocalizeIncremental runs per component, so the two agree bit-for-bit by construction.
   LocalizeResult LocalizeView(const ProbeMatrix& matrix, ObservationView obs) const;
 
   // Incremental localization over the matrix's component partition: re-scores only components

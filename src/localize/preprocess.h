@@ -40,7 +40,7 @@ struct PreprocessedObservations {
 };
 
 // Applies the per-path rule to a whole window (the Tomo, OMP and SCORE baselines). Takes a view
-// so ObservationStore snapshots flow through without materializing an owned vector.
+// so the ObservationStore's running totals flow through without materializing an owned vector.
 PreprocessedObservations Preprocess(ObservationView obs, const PreprocessOptions& options);
 
 // Connected components of the probe matrix's path-link bipartite graph (the paper's

@@ -105,8 +105,9 @@ void ImpairmentTransport::Flush() {
 TransportStats ImpairmentTransport::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   TransportStats total = stats_;
-  // Frames the decorator forwarded but the inner backend then dropped (its own injection)
-  // are losses too; received comes from the inner side, where the consumer actually pops.
+  // Frames the decorator forwarded but the inner backend then dropped (a UDP socket's
+  // send-side loss) are losses too; received comes from the inner side, where the consumer
+  // actually pops.
   total.frames_dropped += inner_->stats().frames_dropped;
   total.frames_received = inner_->stats().frames_received;
   return total;

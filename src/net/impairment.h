@@ -1,10 +1,9 @@
-// ImpairmentTransport: a LinkEm-style network-impairment decorator over any Transport.
-// Where LoopbackTransport injects i.i.d. drop/reorder at Send, this models the *shaped*
-// pathologies a real report network produces — propagation delay, jitter, a rate-limited
-// bottleneck, bursty loss (one congestion event eats a run of frames, not a coin flip per
-// frame), duplication, and in-flight damage (truncation or bit flips) — all scheduled from
-// one seeded RNG in send order, so a given send sequence always produces the same delivery
-// sequence, byte-for-byte.
+// ImpairmentTransport: a LinkEm-style network-impairment decorator over any Transport, and
+// the repo's one fault injector. It models the pathologies a real report network produces —
+// propagation delay, jitter (which reorders), a rate-limited bottleneck, bursty loss (one
+// congestion event eats a run of frames; burst_length = 1 is i.i.d. loss), duplication, and
+// in-flight damage (truncation or bit flips) — all scheduled from one seeded RNG in send
+// order, so a given send sequence always produces the same delivery sequence, byte-for-byte.
 //
 // Time is virtual: every Send() is one tick. A sent frame is staged with a release tick of
 // now + delay + uniform(jitter); once the clock passes a frame's release tick it is forwarded

@@ -1,29 +1,12 @@
 #include "src/net/loopback.h"
 
-#include <algorithm>
-
 namespace detector {
 
 bool LoopbackTransport::Send(std::span<const uint8_t> frame) {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.frames_sent;
   stats_.bytes_sent += frame.size();
-  if (options_.drop_rate > 0.0 && rng_.NextBernoulli(options_.drop_rate)) {
-    ++stats_.frames_dropped;
-    return true;  // the sender cannot tell, exactly like UDP
-  }
-  std::vector<uint8_t> copy(frame.begin(), frame.end());
-  if (options_.reorder_rate > 0.0 && !queue_.empty() &&
-      rng_.NextBernoulli(options_.reorder_rate)) {
-    // The new frame jumps ahead of up to reorder_depth already-queued frames, i.e. it is
-    // delivered before frames sent earlier.
-    const size_t jump = std::min<size_t>(
-        queue_.size(), 1 + rng_.NextBounded(static_cast<uint64_t>(
-                               std::max(1, options_.reorder_depth))));
-    queue_.insert(queue_.end() - static_cast<ptrdiff_t>(jump), std::move(copy));
-  } else {
-    queue_.push_back(std::move(copy));
-  }
+  queue_.emplace_back(frame.begin(), frame.end());
   return true;
 }
 
@@ -41,11 +24,6 @@ bool LoopbackTransport::Receive(std::vector<uint8_t>& out) {
 TransportStats LoopbackTransport::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-size_t LoopbackTransport::pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
 }
 
 }  // namespace detector

@@ -1,9 +1,7 @@
-// LoopbackTransport: deterministic in-process datagram channel. A mutex-guarded FIFO carries
-// frames from any number of sending threads to the single receiving pump; fault injection —
-// i.i.d. frame drops and bounded-depth reordering — runs at Send time from a seeded RNG, so a
-// given send sequence always produces the same delivery sequence. With both rates at 0 the
-// channel is lossless and order-preserving per sender, which is what the report-plane
-// bit-exactness gate runs over.
+// LoopbackTransport: lossless in-process datagram channel. A mutex-guarded FIFO carries
+// frames from any number of sending threads to the single receiving pump, order-preserving
+// per sender — what the report-plane bit-exactness gate runs over. Fault injection (loss,
+// reordering, duplication, corruption) is ImpairmentTransport's job, layered on top.
 #ifndef SRC_NET_LOOPBACK_H_
 #define SRC_NET_LOOPBACK_H_
 
@@ -11,35 +9,20 @@
 #include <mutex>
 #include <vector>
 
-#include "src/common/rng.h"
 #include "src/net/transport.h"
 
 namespace detector {
 
-struct LoopbackOptions {
-  double drop_rate = 0.0;     // i.i.d. probability a sent frame is silently discarded
-  double reorder_rate = 0.0;  // probability a sent frame jumps ahead of queued frames
-  int reorder_depth = 4;      // max frames a reordered frame can jump ahead of
-  uint64_t seed = 1;          // fault-injection RNG seed
-};
-
 class LoopbackTransport final : public Transport {
  public:
-  explicit LoopbackTransport(LoopbackOptions options = {}) : options_(options),
-                                                             rng_(options.seed) {}
-
   bool Send(std::span<const uint8_t> frame) override;
   bool Receive(std::vector<uint8_t>& out) override;
-  // Everything not dropped is already receivable; nothing to flush.
+  // Everything sent is already receivable; nothing to flush.
   void Flush() override {}
   TransportStats stats() const override;
 
-  size_t pending() const;
-
  private:
-  const LoopbackOptions options_;
   mutable std::mutex mu_;
-  Rng rng_;                                // guarded by mu_: fault decisions are serialized
   std::deque<std::vector<uint8_t>> queue_;
   TransportStats stats_;
 };

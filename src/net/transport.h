@@ -4,11 +4,12 @@
 // depending on the backend, and the report codec/collector are built to tolerate all three.
 //
 // Backends:
-//  - LoopbackTransport (src/net/loopback): deterministic in-process queue with injectable
-//    drop/reorder, the test and bench harness backend. Lossless by default, in which case the
-//    report plane is bit-identical to direct in-process store writes (ctest-gated).
+//  - LoopbackTransport (src/net/loopback): lossless in-process FIFO, the in-process report
+//    plane's default, over which it is bit-identical to direct store writes (ctest-gated).
 //  - UdpTransport (src/net/udp): real UDP sockets over localhost for the two-process
 //    agent/collector daemon.
+// ImpairmentTransport (src/net/impairment) decorates either with seeded loss, delay, jitter,
+// duplication and corruption.
 #ifndef SRC_NET_TRANSPORT_H_
 #define SRC_NET_TRANSPORT_H_
 

@@ -104,8 +104,8 @@ bool UdpTransport::Send(std::span<const uint8_t> frame) {
   if (sent < 0) {
     // Buffer pressure (EAGAIN) is a real datagram loss no sender can act on. ECONNREFUSED
     // on a connected localhost socket is different: the kernel is telling us nothing listens
-    // on that port — the collector is down — and that hard signal must reach the caller so a
-    // FailoverTransport can cycle to a backup instead of shoveling frames into a dead port.
+    // on that port — the collector is down — and that hard signal must reach the caller (a
+    // ReportEmitter counts it in frames_send_failed) instead of passing as silent loss.
     ++stats_.frames_dropped;
     return send_errno == EAGAIN || send_errno == EWOULDBLOCK;
   }

@@ -22,7 +22,8 @@ struct ReportEmitterStats {
   uint64_t bytes_emitted = 0;
   uint64_t observations_emitted = 0;
   // Frames the transport refused outright (hard backend error, e.g. a frame over the UDP
-  // datagram limit) — distinct from in-flight losses, which no sender can observe.
+  // datagram limit, or a dead collector's port refusing a connected socket) — distinct from
+  // in-flight losses, which no sender can observe.
   uint64_t frames_send_failed = 0;
 };
 

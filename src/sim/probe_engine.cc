@@ -48,16 +48,6 @@ double ProbeEngine::FlowSuccessProbability(std::span<const LinkId> links,
   return success;
 }
 
-void ProbeEngine::AttachLatencyModel(const LatencyModel* model,
-                                     std::span<const double> link_load_mbps,
-                                     double timeout_rtt_us) {
-  CHECK(model != nullptr);
-  CHECK_EQ(link_load_mbps.size(), topo_.NumLinks());
-  latency_model_ = model;
-  link_load_mbps_.assign(link_load_mbps.begin(), link_load_mbps.end());
-  timeout_rtt_us_ = timeout_rtt_us;
-}
-
 void ProbeEngine::AttachRttObservation(const LatencyModel* model,
                                        std::span<const double> link_load_mbps,
                                        int samples_per_path, int sketch_bins) {
@@ -114,17 +104,6 @@ PathObservation ProbeEngine::SimulatePath(std::span<const LinkId> links, NodeId 
     flow.src_port = static_cast<uint16_t>(config_.src_port_base + p);
     flow.dst_port = config_.dst_port;
     obs.lost += SimulateFlow(links, flow, n, rng).lost;
-  }
-  if (latency_model_ != nullptr && obs.lost < obs.sent) {
-    // Survivors whose RTT exceeds the timeout also count as lost (§1's latency-as-loss rule).
-    const int64_t survivors = obs.sent - obs.lost;
-    int64_t timeouts = 0;
-    for (int64_t i = 0; i < survivors; ++i) {
-      if (latency_model_->SampleRttUs(links, link_load_mbps_, rng) > timeout_rtt_us_) {
-        ++timeouts;
-      }
-    }
-    obs.lost += timeouts;
   }
   if (rtt_model_ != nullptr && rtt != nullptr && obs.lost < obs.sent) {
     // RTT samples draw from the same stream *after* every loss draw, so enabling observation

@@ -85,17 +85,8 @@ class ProbeEngine {
   // TTL-limited fbtracert probe experiences before the ICMP reply is generated.
   double OneWaySuccessProbability(std::span<const LinkId> links, const FlowKey& flow) const;
 
-  // Latency-as-loss detection (§1): deTector treats an RTT above a threshold as a packet
-  // loss. With a latency model and per-link offered load attached, SimulatePath additionally
-  // counts surviving probes whose sampled RTT exceeds timeout_rtt_us as lost — so congestion
-  // (latency spikes) surfaces through the same localization pipeline as drops.
-  void AttachLatencyModel(const LatencyModel* model, std::span<const double> link_load_mbps,
-                          double timeout_rtt_us);
-  void DetachLatencyModel() { latency_model_ = nullptr; }
-  bool latency_as_loss() const { return latency_model_ != nullptr; }
-
-  // RTT observation (the anomaly plane's measurement channel, distinct from latency-as-loss):
-  // with a model attached, SimulatePath fills the caller's RttSketch with up to
+  // RTT observation (the anomaly plane's measurement channel, the one way latency reaches
+  // diagnosis): with a model attached, SimulatePath fills the caller's RttSketch with up to
   // samples_per_path per-survivor RTT draws. An empty link_load_mbps span means unloaded
   // links (load 0 everywhere).
   void AttachRttObservation(const LatencyModel* model, std::span<const double> link_load_mbps,
@@ -117,10 +108,6 @@ class ProbeEngine {
   // Dense per-link failure lookup (a link can carry at most one injected failure).
   std::vector<int32_t> failure_of_link_;
   std::vector<LinkFailure> failures_;
-  // Optional latency-as-loss state.
-  const LatencyModel* latency_model_ = nullptr;
-  std::vector<double> link_load_mbps_;
-  double timeout_rtt_us_ = 0.0;
   // Optional RTT observation state.
   const LatencyModel* rtt_model_ = nullptr;
   std::vector<double> rtt_link_load_mbps_;

@@ -33,6 +33,7 @@
 #include "src/sim/watchdog.h"
 #include "src/topo/fattree.h"
 #include "src/topo/topology.h"
+#include "tests/store_reference.h"
 #include "tests/window_equality.h"
 
 namespace detector {
@@ -620,7 +621,7 @@ TEST(AnomalyEngine, NegativeDeltaResetsTheSlotInsteadOfAlarming) {
 
 std::vector<RttSketch> SnapshotVector(const ObservationStore& store, size_t num_slots,
                                       const Watchdog& watchdog) {
-  return store.RttSnapshot(num_slots, watchdog);
+  return StoreReference::RttSnapshot(store, num_slots, watchdog);
 }
 
 void ExpectRttAgreement(ObservationStore& store, size_t num_slots, const Watchdog& watchdog,

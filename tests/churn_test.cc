@@ -19,6 +19,7 @@
 #include "src/topo/bcube.h"
 #include "src/topo/delta.h"
 #include "src/topo/fattree.h"
+#include "tests/store_reference.h"
 
 namespace detector {
 namespace {
@@ -430,7 +431,7 @@ TEST(Diagnoser, DropReportsDiscardsBufferedPaths) {
   pmc.alpha = 1;
   const ProbeMatrix matrix = BuildProbeMatrix(routing, PathEnumMode::kFull, pmc).matrix;
   Watchdog wd(ft.topology());
-  const ObservationView obs = diagnoser.store().Snapshot(matrix.NumPaths(), wd);
+  const Observations obs = StoreReference::Snapshot(diagnoser.store(), matrix.NumPaths(), wd);
   EXPECT_EQ(obs[3].sent, 0);  // dropped path's stale report is gone
   EXPECT_EQ(obs[5].sent, 100);
   // Intra-rack reports (negative path ids) are untouched.

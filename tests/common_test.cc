@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/common/bitset.h"
 #include "src/common/crc32.h"
 #include "src/common/flags.h"
 #include "src/common/rng.h"
@@ -183,47 +182,6 @@ TEST(Stats, ConfusionZeroDenominators) {
   ConfusionCounts c;
   EXPECT_DOUBLE_EQ(c.Accuracy(), 0.0);
   EXPECT_DOUBLE_EQ(c.FalsePositiveRatio(), 0.0);
-}
-
-TEST(Bitset, SetTestClear) {
-  DynamicBitset b(130);
-  EXPECT_EQ(b.Count(), 0u);
-  b.Set(0);
-  b.Set(64);
-  b.Set(129);
-  EXPECT_TRUE(b.Test(0));
-  EXPECT_TRUE(b.Test(64));
-  EXPECT_TRUE(b.Test(129));
-  EXPECT_FALSE(b.Test(1));
-  EXPECT_EQ(b.Count(), 3u);
-  b.Clear(64);
-  EXPECT_FALSE(b.Test(64));
-  EXPECT_EQ(b.Count(), 2u);
-}
-
-TEST(Bitset, OrWithAndEquality) {
-  DynamicBitset a(100);
-  DynamicBitset b(100);
-  a.Set(3);
-  b.Set(97);
-  a.OrWith(b);
-  EXPECT_TRUE(a.Test(3));
-  EXPECT_TRUE(a.Test(97));
-  DynamicBitset c(100);
-  c.Set(3);
-  c.Set(97);
-  EXPECT_TRUE(a == c);
-  EXPECT_EQ(a.Hash(), c.Hash());
-}
-
-TEST(Bitset, ForEachSetBitAscending) {
-  DynamicBitset b(256);
-  for (size_t i : {5u, 63u, 64u, 200u}) {
-    b.Set(i);
-  }
-  std::vector<size_t> seen;
-  b.ForEachSetBit([&](size_t i) { seen.push_back(i); });
-  EXPECT_EQ(seen, (std::vector<size_t>{5, 63, 64, 200}));
 }
 
 TEST(UnionFind, BasicUnions) {

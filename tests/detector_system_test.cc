@@ -8,12 +8,12 @@
 #include "src/detector/controller.h"
 #include "src/detector/diagnoser.h"
 #include "src/detector/pinger.h"
-#include "src/detector/responder.h"
 #include "src/detector/system.h"
 #include "src/localize/metrics.h"
 #include "src/pmc/structured_fattree.h"
 #include "src/routing/bcube_routing.h"
 #include "src/routing/fattree_routing.h"
+#include "tests/store_reference.h"
 
 namespace detector {
 namespace {
@@ -218,7 +218,7 @@ TEST(Diagnoser, MergesReplicasAndDropsOutliers) {
   diagnoser.Ingest(w1);
   diagnoser.Ingest(w2);
   diagnoser.Ingest(bad);
-  const ObservationView obs = diagnoser.store().Snapshot(matrix.NumPaths(), wd);
+  const Observations obs = StoreReference::Snapshot(diagnoser.store(), matrix.NumPaths(), wd);
   EXPECT_EQ(obs[0].sent, 200);
   EXPECT_EQ(obs[0].lost, 18);
   EXPECT_EQ(obs[1].sent, 0);  // outlier discarded
@@ -308,15 +308,6 @@ TEST(DetectorSystem, ServerLinkAlarmsOncePerPairPerWindow) {
     EXPECT_FALSE(whole[w].empty()) << "window " << w;
     EXPECT_EQ(sliced[w], whole[w]) << "window " << w;
   }
-}
-
-TEST(Responder, EchoesWhileAlive) {
-  Responder responder(7);
-  EXPECT_TRUE(responder.HandleProbe());
-  responder.set_alive(false);
-  EXPECT_FALSE(responder.HandleProbe());
-  EXPECT_EQ(responder.probes_received(), 2);
-  EXPECT_EQ(responder.echoes_sent(), 1);
 }
 
 TEST(DetectorSystem, EndToEndLocalizesInjectedFailure) {

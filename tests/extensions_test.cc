@@ -1,162 +1,12 @@
-// Tests for the paper's secondary mechanisms: latency-as-loss detection (§1), statistical
-// hypothesis testing for noisy-data filtering (§5.1 footnote 3), and the evenness-term
-// ablation of the PMC score (Eq. 1).
+// The evenness-term ablation of the PMC score (Eq. 1, §4.2): the term narrows the spread of
+// per-link probe coverage, and both variants keep the hard alpha constraint.
 #include <gtest/gtest.h>
 
-#include "src/localize/hypothesis.h"
-#include "src/localize/pll.h"
 #include "src/pmc/pmc.h"
 #include "src/routing/fattree_routing.h"
-#include "src/sim/latency_model.h"
-#include "src/sim/probe_engine.h"
 
 namespace detector {
 namespace {
-
-// ---------- latency-as-loss ----------
-
-class LatencyAsLoss : public ::testing::Test {
- protected:
-  LatencyAsLoss() : ft_(4), model_(LatencyModelOptions{}) {}
-
-  FatTree ft_;
-  LatencyModel model_;
-};
-
-TEST_F(LatencyAsLoss, CongestedLinkManifestsAsLoss) {
-  // No packet drops anywhere, but one link runs at 97% utilization: RTTs through it blow past
-  // the timeout and must surface as losses.
-  FailureScenario no_drops;
-  ProbeConfig config;
-  config.base_loss_rate = 0.0;
-  ProbeEngine engine(ft_.topology(), no_drops, config);
-
-  std::vector<double> load(ft_.topology().NumLinks(), 0.0);
-  const LinkId congested = ft_.EdgeAggLink(0, 0, 0);
-  load[static_cast<size_t>(congested)] = 970.0;  // of 1000 Mbps
-  engine.AttachLatencyModel(&model_, load, /*timeout_rtt_us=*/2000.0);
-  EXPECT_TRUE(engine.latency_as_loss());
-
-  Rng rng(1);
-  const std::vector<LinkId> hot{congested, ft_.AggCoreLink(0, 0, 0)};
-  const std::vector<LinkId> cold{ft_.EdgeAggLink(1, 0, 0), ft_.AggCoreLink(1, 0, 0)};
-  const auto hot_obs = engine.SimulatePath(hot, ft_.Tor(0, 0), ft_.Core(0, 0), 500, rng);
-  const auto cold_obs = engine.SimulatePath(cold, ft_.Tor(1, 0), ft_.Core(0, 0), 500, rng);
-  EXPECT_GT(hot_obs.lost, 100);  // heavy queueing: many timeouts
-  EXPECT_LT(cold_obs.lost, 20);
-}
-
-TEST_F(LatencyAsLoss, DetachRestoresPureLossSemantics) {
-  FailureScenario no_drops;
-  ProbeConfig config;
-  config.base_loss_rate = 0.0;
-  ProbeEngine engine(ft_.topology(), no_drops, config);
-  std::vector<double> load(ft_.topology().NumLinks(), 970.0);
-  engine.AttachLatencyModel(&model_, load, 1000.0);
-  engine.DetachLatencyModel();
-  Rng rng(2);
-  const std::vector<LinkId> path{ft_.EdgeAggLink(0, 0, 0)};
-  EXPECT_EQ(engine.SimulatePath(path, ft_.Tor(0, 0), ft_.Agg(0, 0), 200, rng).lost, 0);
-}
-
-TEST_F(LatencyAsLoss, LocalizablеThroughPll) {
-  // End to end: the congested link is localized by PLL exactly like a drop failure.
-  const FatTreeRouting routing(ft_);
-  PmcOptions pmc;
-  pmc.alpha = 3;
-  pmc.beta = 1;
-  const ProbeMatrix matrix = BuildProbeMatrix(routing, PathEnumMode::kFull, pmc).matrix;
-
-  FailureScenario no_drops;
-  ProbeConfig config;
-  config.base_loss_rate = 0.0;
-  ProbeEngine engine(ft_.topology(), no_drops, config);
-  std::vector<double> load(ft_.topology().NumLinks(), 0.0);
-  const LinkId congested = ft_.AggCoreLink(2, 1, 0);
-  load[static_cast<size_t>(congested)] = 975.0;
-  engine.AttachLatencyModel(&model_, load, 2500.0);
-
-  Rng rng(3);
-  Observations obs(matrix.NumPaths());
-  for (size_t p = 0; p < matrix.NumPaths(); ++p) {
-    const PathId pid = static_cast<PathId>(p);
-    obs[p] = engine.SimulatePath(matrix.paths().Links(pid), matrix.paths().src(pid),
-                                 matrix.paths().dst(pid), 200, rng);
-  }
-  const auto result = PllLocalizer().Localize(matrix, obs);
-  ASSERT_GE(result.links.size(), 1u);
-  EXPECT_EQ(result.links[0].link, congested);
-}
-
-// ---------- hypothesis-test noise filter ----------
-
-TEST(PathLossTester, AmbientNoiseNotFlagged) {
-  HypothesisTestOptions options;
-  options.ambient_loss_rate = 1e-3;
-  PathLossTester tester(2, options);
-  Rng rng(4);
-  for (int w = 0; w < 20; ++w) {
-    Observations window(2);
-    window[0] = {1000, rng.NextBinomial(1000, 1e-3)};  // exactly ambient
-    window[1] = {1000, 0};
-    tester.AddWindow(window);
-  }
-  EXPECT_FALSE(tester.IsLossy(0));
-  EXPECT_FALSE(tester.IsLossy(1));
-  EXPECT_EQ(tester.windows_seen(), 20);
-}
-
-TEST(PathLossTester, PersistentLowRateLossFlaggedOverTime) {
-  // 5e-3 loss on a path: a single window straddles the fixed threshold, but accumulating
-  // windows drives the z-score over the bar — the footnote-3 mechanism.
-  HypothesisTestOptions options;
-  options.ambient_loss_rate = 1e-3;
-  PathLossTester tester(1, options);
-  Rng rng(5);
-  bool flagged_single_window;
-  {
-    Observations window(1);
-    window[0] = {300, rng.NextBinomial(300, 5e-3)};
-    tester.AddWindow(window);
-    flagged_single_window = tester.IsLossy(0);
-  }
-  for (int w = 0; w < 40; ++w) {
-    Observations window(1);
-    window[0] = {300, rng.NextBinomial(300, 5e-3)};
-    tester.AddWindow(window);
-  }
-  EXPECT_TRUE(tester.IsLossy(0));
-  EXPECT_GT(tester.ZScore(0), options.significance_z);
-  // The accumulated totals support rate estimation over the horizon.
-  EXPECT_GT(tester.Accumulated(0).sent, 12000);
-  (void)flagged_single_window;  // may or may not fire; the point is the accumulated verdict
-}
-
-TEST(PathLossTester, MinProbesGate) {
-  PathLossTester tester(1);
-  Observations window(1);
-  window[0] = {10, 10};  // catastrophic but tiny sample
-  tester.AddWindow(window);
-  EXPECT_FALSE(tester.IsLossy(0));
-  EXPECT_EQ(tester.ZScore(0), 0.0);
-}
-
-TEST(PathLossTester, MaskAndReset) {
-  HypothesisTestOptions options;
-  options.ambient_loss_rate = 1e-4;
-  PathLossTester tester(3, options);
-  Observations window(3);
-  window[0] = {1000, 200};
-  window[1] = {1000, 0};
-  window[2] = {10, 5};
-  tester.AddWindow(window);
-  EXPECT_EQ(tester.LossyMask(), (std::vector<uint8_t>{1, 0, 0}));
-  tester.Reset();
-  EXPECT_EQ(tester.LossyMask(), (std::vector<uint8_t>{0, 0, 0}));
-  EXPECT_EQ(tester.windows_seen(), 0);
-}
-
-// ---------- evenness-term ablation ----------
 
 TEST(EvennessAblation, TermTightensCoverageSpread) {
   const FatTree ft(8);

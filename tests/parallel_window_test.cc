@@ -11,6 +11,7 @@
 #include "src/routing/fattree_routing.h"
 #include "src/sim/churn.h"
 #include "src/topo/fattree.h"
+#include "tests/store_reference.h"
 #include "tests/window_equality.h"
 
 namespace detector {
@@ -194,7 +195,7 @@ TEST(ObservationStore, StreamsMergesAndFilters) {
   s2.RecordPath(2, ft.Server(1, 0, 1), 50, 0);
   s1.RecordIntraRack(ft.Server(0, 0, 1), 30, 15);
 
-  const ObservationView view = store.Snapshot(4, wd);
+  const Observations view = StoreReference::Snapshot(store, 4, wd);
   ASSERT_EQ(view.size(), 4u);
   EXPECT_EQ(view[0].sent, 200);  // replicas summed
   EXPECT_EQ(view[0].lost, 18);
@@ -204,12 +205,12 @@ TEST(ObservationStore, StreamsMergesAndFilters) {
 
   // Watchdog filtering: a flagged pinger's whole shard and a flagged target's records vanish.
   wd.MarkDown(ft.Server(0, 0, 0));
-  const ObservationView filtered = store.Snapshot(4, wd);
+  const Observations filtered = StoreReference::Snapshot(store, 4, wd);
   EXPECT_EQ(filtered[0].sent, 100);  // only the healthy replica remains
   EXPECT_TRUE(store.IntraRackObservations(wd).empty());
   wd.MarkUp(ft.Server(0, 0, 0));
   wd.MarkDown(ft.Server(1, 0, 1));  // target of slot 2
-  EXPECT_EQ(store.Snapshot(4, wd)[2].sent, 0);
+  EXPECT_EQ(StoreReference::Snapshot(store, 4, wd)[2].sent, 0);
 }
 
 TEST(ObservationStore, InvalidationOrphansOnlyOldEpoch) {
@@ -224,23 +225,23 @@ TEST(ObservationStore, InvalidationOrphansOnlyOldEpoch) {
   // Mid-window: slot 1 is vacated by repair; its buffered counters must not survive...
   const std::vector<PathId> vacated = {1};
   store.InvalidateSlots(vacated);
-  EXPECT_EQ(store.Snapshot(3, wd)[1].sent, 0);
-  EXPECT_EQ(store.Snapshot(3, wd)[2].sent, 100);  // untouched slot unaffected
+  EXPECT_EQ(StoreReference::Snapshot(store, 3, wd)[1].sent, 0);
+  EXPECT_EQ(StoreReference::Snapshot(store, 3, wd)[2].sent, 100);  // untouched slot unaffected
 
   // ...but the slot's new occupant accumulates normally under the fresh epoch, including
   // records streamed by a different pinger after redispatch.
   ObservationStore::Shard& other = store.OpenShard(ft.Server(0, 1, 0));
   other.RecordPath(1, ft.Server(3, 0, 0), 60, 6);
-  EXPECT_EQ(store.Snapshot(3, wd)[1].sent, 60);
-  EXPECT_EQ(store.Snapshot(3, wd)[1].lost, 6);
+  EXPECT_EQ(StoreReference::Snapshot(store, 3, wd)[1].sent, 60);
+  EXPECT_EQ(StoreReference::Snapshot(store, 3, wd)[1].lost, 6);
 
   // A second invalidation of the same slot orphans the new occupant too.
   store.InvalidateSlots(vacated);
-  EXPECT_EQ(store.Snapshot(3, wd)[1].sent, 0);
+  EXPECT_EQ(StoreReference::Snapshot(store, 3, wd)[1].sent, 0);
 
   store.Clear();
   EXPECT_EQ(store.num_shards(), 0u);
-  EXPECT_EQ(store.Snapshot(3, wd)[2].sent, 0);
+  EXPECT_EQ(StoreReference::Snapshot(store, 3, wd)[2].sent, 0);
 }
 
 TEST(ObservationStore, MidWindowInvalidationFlowsThroughDiagnose) {
@@ -269,7 +270,7 @@ TEST(ObservationStore, MidWindowInvalidationFlowsThroughDiagnose) {
   seg2.reports.push_back(PathReport{0, ft.Server(1, 0, 0), 100, 0});
   diagnoser.Ingest(seg2);
 
-  const ObservationView obs = diagnoser.store().Snapshot(matrix.NumPaths(), wd);
+  const Observations obs = StoreReference::Snapshot(diagnoser.store(), matrix.NumPaths(), wd);
   EXPECT_EQ(obs[0].sent, 100);
   EXPECT_EQ(obs[0].lost, 0);
   // The stale 100%-loss counters are gone: nothing to localize.

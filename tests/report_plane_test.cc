@@ -4,7 +4,8 @@
 // overflow drop cleanly), transport fault injection, the report-vs-direct bit-exactness gate
 // at 1, 2 and 8 probe threads, the deployed collector sealing what the in-process system
 // seals and continuing its log's window numbering across a restart, and real UDP over
-// localhost (skipped with a notice when the sandbox forbids sockets).
+// localhost, including the sends a closed collector port refuses (skipped with a notice when
+// the sandbox forbids sockets).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,6 +17,7 @@
 #include "src/detector/analyzer.h"
 #include "src/detector/system.h"
 #include "src/history/window_log.h"
+#include "src/net/impairment.h"
 #include "src/net/loopback.h"
 #include "src/net/trace.h"
 #include "src/net/udp.h"
@@ -360,31 +362,6 @@ TEST(Collector, WireEpochStampsOrphanLikeDirectWrites) {
   EXPECT_EQ(totals[0].lost, 0);
 }
 
-TEST(LoopbackTransport, DeterministicDropAndReorder) {
-  LoopbackOptions options;
-  options.drop_rate = 0.3;
-  options.reorder_rate = 0.5;
-  options.seed = 17;
-  auto run = [&] {
-    LoopbackTransport transport(options);
-    for (uint8_t i = 0; i < 50; ++i) {
-      const uint8_t frame[2] = {i, uint8_t(i ^ 0xFF)};
-      transport.Send(frame);
-    }
-    std::vector<std::vector<uint8_t>> delivered;
-    std::vector<uint8_t> out;
-    while (transport.Receive(out)) {
-      delivered.push_back(out);
-    }
-    return delivered;
-  };
-  const auto a = run();
-  const auto b = run();
-  EXPECT_EQ(a, b) << "same seed and send order must deliver identically";
-  EXPECT_LT(a.size(), 50u) << "drop injection delivered everything";
-  EXPECT_GT(a.size(), 10u);
-}
-
 DetectorSystemOptions ReportTestOptions(double pps) {
   DetectorSystemOptions options;
   options.pmc.alpha = 1;
@@ -471,17 +448,20 @@ TEST(ReportPlane, InjectedDropReorderNeverCorruptsTotals) {
   f.type = FailureType::kFullLoss;
   scenario.failures.push_back(f);
 
-  auto run = [&](double drop, double reorder) {
+  auto run = [&](double drop) {
     DetectorSystemOptions options = ReportTestOptions(120);
     options.probe_threads = 1;  // deterministic send order for the faulty-channel run
     options.report_plane = true;
     DetectorSystem system(routing, options);
-    LoopbackOptions loopback;
-    loopback.drop_rate = drop;
-    loopback.reorder_rate = reorder;
-    loopback.seed = 23;
-    system.SetReportTransportFactory(
-        [&](size_t) { return std::make_unique<LoopbackTransport>(loopback); });
+    ImpairmentProfile profile;
+    profile.burst_loss_rate = drop;
+    profile.burst_length = 1;  // i.i.d. loss
+    profile.jitter_ticks = 4;  // reorders frames up to 4 sends apart
+    profile.seed = 23;
+    system.SetReportTransportFactory([&](size_t) {
+      return std::make_unique<ImpairmentTransport>(std::make_unique<LoopbackTransport>(),
+                                                   profile);
+    });
     Rng rng(5);
     // Diagnose consumes the store at window end, so compare totals before it: run the
     // window's probing via streaming segments, then read the diagnoser's aggregate.
@@ -490,8 +470,8 @@ TEST(ReportPlane, InjectedDropReorderNeverCorruptsTotals) {
     return std::make_pair(result, stats);
   };
 
-  const auto [lossless, lossless_stats] = run(0.0, 0.0);
-  const auto [faulty, faulty_stats] = run(0.25, 0.5);
+  const auto [lossless, lossless_stats] = run(0.0);
+  const auto [faulty, faulty_stats] = run(0.25);
 
   EXPECT_EQ(faulty_stats.decode_errors, 0u) << "reorder/drop must not corrupt frames";
   EXPECT_EQ(faulty_stats.duplicates_dropped, 0u);
@@ -706,6 +686,31 @@ TEST(ReportPlane, UdpLoopbackDeliversFrames) {
     EXPECT_EQ(totals[static_cast<size_t>(slot)].sent, 10 * (slot + 1)) << "slot " << slot;
     EXPECT_EQ(totals[static_cast<size_t>(slot)].lost, slot) << "slot " << slot;
   }
+}
+
+// A dead collector over real sockets: once the bound socket closes, the kernel answers the
+// agent's datagrams with port-unreachable, and each such error fails the agent's next send —
+// so a connected UdpTransport reports the dead collector instead of swallowing it.
+TEST(ReportPlane, UdpSendFailsAfterCollectorCloses) {
+  std::string error;
+  auto collector_side = UdpTransport::Bind(0, &error);
+  if (collector_side == nullptr) {
+    GTEST_SKIP() << "UDP sockets unavailable in this sandbox (" << error
+                 << ") — skipping the UDP send-failure test";
+  }
+  auto agent_side = UdpTransport::Connect(collector_side->port(), &error);
+  if (agent_side == nullptr) {
+    GTEST_SKIP() << "UDP connect unavailable in this sandbox (" << error
+                 << ") — skipping the UDP send-failure test";
+  }
+  collector_side.reset();  // the collector process dies
+
+  const uint8_t frame[4] = {1, 2, 3, 4};
+  int failed = 0;
+  for (int i = 0; i < 10; ++i) {
+    failed += agent_side->Send(frame) ? 0 : 1;
+  }
+  EXPECT_GE(failed, 1) << "10 sends to a closed port all reported success";
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Continuous-diagnosis tests: the ObservationStore's maintained running totals must stay
-// bit-identical to the rebuilt Snapshot under slot invalidation, watchdog retro-drops and
-// recoveries, and concurrent shard ingest at any thread count — and a streaming window's
-// final-segment diagnosis must be bit-identical to the batch window on the same seed.
+// bit-identical to the rebuilt reference (tests/store_reference.h) under slot invalidation,
+// watchdog retro-drops and recoveries, and concurrent shard ingest at any thread count — and
+// a streaming window's final-segment diagnosis must be bit-identical to the batch window on
+// the same seed.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -11,6 +12,7 @@
 #include "src/routing/fattree_routing.h"
 #include "src/sim/churn.h"
 #include "src/topo/fattree.h"
+#include "tests/store_reference.h"
 #include "tests/window_equality.h"
 
 namespace detector {
@@ -20,10 +22,8 @@ namespace {
 // they must agree exactly, not approximately.
 void ExpectRunningMatchesSnapshot(ObservationStore& store, size_t num_slots,
                                   const Watchdog& wd, const char* when) {
-  // Order matters: RunningTotals() returns a view over the maintained buffer, Snapshot() over
-  // a separate rebuilt one, so both views stay valid side by side.
   const ObservationView running = store.RunningTotals(num_slots, wd);
-  const ObservationView rebuilt = store.Snapshot(num_slots, wd);
+  const Observations rebuilt = StoreReference::Snapshot(store, num_slots, wd);
   ASSERT_EQ(running.size(), num_slots) << when;
   ASSERT_EQ(rebuilt.size(), num_slots) << when;
   for (size_t s = 0; s < num_slots; ++s) {

@@ -22,14 +22,6 @@
 //                                per-cause accounting) and agree with direct mode's suspect
 //                                set at every window end; plus lossless-impairment
 //                                bit-identity across --threads
-//        --trace-record=FILE     record the collector's exact arrival sequence (one trace per
-//                                window: FILE.w0, FILE.w1, ...) under a lossless impairment
-//                                schedule, then immediately replay it — the replayed windows
-//                                must be bit-identical to the recorded live run (exit 2)
-//        --trace-replay=FILE     replay a previously recorded arrival sequence and print the
-//                                per-window suspect sets — reproduces a recorded run without
-//                                re-simulating the wire (the impairment schedule is baked
-//                                into the recording)
 //        --seed
 #include <algorithm>
 #include <cstdio>
@@ -42,7 +34,6 @@
 #include "src/detector/system.h"
 #include "src/net/impairment.h"
 #include "src/net/loopback.h"
-#include "src/net/trace.h"
 #include "src/report/codec.h"
 #include "src/routing/fattree_routing.h"
 #include "src/topo/fattree.h"
@@ -139,12 +130,6 @@ int main(int argc, char** argv) {
   flags.Describe("hostile-gate",
                  "exit 2 unless the hardened plane holds under burst loss + reorder + "
                  "duplication + corruption (see header comment)");
-  flags.Describe("trace-record",
-                 "record the arrival sequence to FILE.w<N> per window, then gate replay "
-                 "bit-identity (exit 2 on divergence)");
-  flags.Describe("trace-replay",
-                 "replay a recorded arrival sequence (FILE.w<N> per window) and print the "
-                 "per-window suspect sets");
   flags.Describe("seed", "rng seed (default 1)");
   if (!flags.Parse(argc, argv)) {
     return 1;
@@ -446,107 +431,6 @@ int main(int argc, char** argv) {
 
     std::printf("\nhostile gate: %s\n", gate_pass ? "PASS" : "FAIL");
     return gate_pass ? 0 : 2;
-  }
-
-  // ---- Recorded-trace input mode ---------------------------------------------------------
-  // --trace-record captures the exact frame sequence the collector receives (the impairment
-  // schedule baked in) to one trace file per window, then replays the recording through a
-  // fresh system: the probe side re-runs identically from the same seed, Sends go nowhere,
-  // and the collector folds the recorded arrivals — so the replayed windows must be
-  // bit-identical to the live ones. --trace-replay alone reproduces a prior recording, which
-  // is how a hostile-gate failure gets re-run from the identical frame sequence.
-  if (flags.Has("trace-record") || flags.Has("trace-replay")) {
-    const std::string record_path = flags.GetString("trace-record", "");
-    const std::string replay_path = flags.GetString("trace-replay", "");
-    const std::string base = record_path.empty() ? replay_path : record_path;
-    if (base.empty()) {
-      std::fprintf(stderr, "--trace-record/--trace-replay need a file path\n");
-      return 1;
-    }
-    auto window_trace = [&](int w) { return base + ".w" + std::to_string(w); };
-
-    auto traced_run = [&](bool record, bool& io_ok) {
-      DetectorSystem system(routing, base_options());
-      Rng rng(seed + 7);
-      std::vector<DetectorSystem::WindowResult> out;
-      uint64_t frames = 0;
-      for (int w = 0; w < windows; ++w) {
-        // Each window opens on its own wire: a recorder over the live schedule, or the
-        // replay of that window's recording.
-        system.SetReportTransportFactory([&](size_t) -> std::unique_ptr<Transport> {
-          if (!record) {
-            return std::make_unique<TraceReplayTransport>(window_trace(w));
-          }
-          // Lossless schedule (delay/jitter + duplication, nothing dropped or damaged) so
-          // the recording can gate bit-identity against the live run.
-          ImpairmentProfile profile;
-          profile.delay_ticks = 2;
-          profile.jitter_ticks = 4;
-          profile.dup_rate = 0.1;
-          profile.seed = seed + 71 + static_cast<uint64_t>(w);
-          return std::make_unique<RecordingTransport>(
-              std::make_unique<ImpairmentTransport>(std::make_unique<LoopbackTransport>(),
-                                                    profile),
-              window_trace(w));
-        });
-        out.push_back(system.RunWindowStreaming(scenario, {}, rng).window);
-        if (record) {
-          const auto* recorder = static_cast<RecordingTransport*>(system.report_transport());
-          if (!recorder->ok()) {
-            std::fprintf(stderr, "cannot write trace %s\n", window_trace(w).c_str());
-            io_ok = false;
-            return out;
-          }
-          frames += recorder->frames_recorded();
-        } else {
-          const auto* replayer = static_cast<TraceReplayTransport*>(system.report_transport());
-          if (!replayer->ok()) {
-            std::fprintf(stderr, "cannot replay trace: %s\n", replayer->error().c_str());
-            io_ok = false;
-            return out;
-          }
-          frames += replayer->frames_loaded();
-        }
-      }
-      std::printf("%s: %d windows, %llu frames %s\n", record ? "trace-record" : "trace-replay",
-                  windows, static_cast<unsigned long long>(frames),
-                  record ? "recorded" : "replayed");
-      return out;
-    };
-
-    bool io_ok = true;
-    if (!record_path.empty()) {
-      const auto live = traced_run(true, io_ok);
-      if (!io_ok) {
-        return 1;
-      }
-      const auto replayed = traced_run(false, io_ok);
-      bool identical = io_ok && live.size() == replayed.size();
-      for (size_t w = 0; identical && w < live.size(); ++w) {
-        identical = live[w].localization.links == replayed[w].localization.links &&
-                    live[w].server_link_alarms == replayed[w].server_link_alarms &&
-                    live[w].probes_sent == replayed[w].probes_sent &&
-                    live[w].bytes_sent == replayed[w].bytes_sent;
-      }
-      std::printf("trace gate: replayed windows %s the recorded live run\n",
-                  identical ? "bit-identical to" : "DIVERGE from");
-      if (!identical) {
-        return 2;
-      }
-    } else {
-      const auto replayed = traced_run(false, io_ok);
-      if (!io_ok) {
-        return 1;
-      }
-      for (size_t w = 0; w < replayed.size(); ++w) {
-        std::printf("  window %zu: %zu suspect(s)", w, replayed[w].localization.links.size());
-        for (const SuspectLink& s : replayed[w].localization.links) {
-          std::printf("  link %lld(est=%.3f)", static_cast<long long>(s.link),
-                      s.estimated_loss_rate);
-        }
-        std::printf("\n");
-      }
-    }
   }
   return 0;
 }

@@ -16,9 +16,7 @@
 // silent on it.
 //
 // Every process derives the same system deterministically from --k (PR 5's no-config-exchange
-// property), so the only coordination is the port plan: collector i binds --port + i. Flags
-// can also come from a config file (--config=FILE, one key=value per line; the command line
-// wins on conflict) — the IRON-style config-generated experiment shape.
+// property), so the only coordination is the port plan: collector i binds --port + i.
 //
 // The runner re-execs its own binary for each fleet member (--role=agent|collector --index=i)
 // with stdout redirected to a per-member log under --out-dir (default out/fleet), so member
@@ -635,44 +633,6 @@ int RunFleet(const Flags& flags, const char* self) {
   return 0;
 }
 
-// --config=FILE: one flag per line (key=value or bare key), '#' comments. The file's flags
-// are injected before the command line, so explicit arguments win.
-bool LoadConfigArgs(int argc, char** argv, std::vector<std::string>& merged,
-                    std::string& error) {
-  std::string config_path;
-  std::vector<std::string> command_line;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--config=", 0) == 0) {
-      config_path = arg.substr(9);
-    } else {
-      command_line.push_back(arg);
-    }
-  }
-  if (!config_path.empty()) {
-    std::ifstream in(config_path);
-    if (!in) {
-      error = "cannot read --config=" + config_path;
-      return false;
-    }
-    std::string line;
-    while (std::getline(in, line)) {
-      const size_t hash = line.find('#');
-      if (hash != std::string::npos) {
-        line = line.substr(0, hash);
-      }
-      const size_t begin = line.find_first_not_of(" \t");
-      if (begin == std::string::npos) {
-        continue;
-      }
-      const size_t end = line.find_last_not_of(" \t\r");
-      merged.push_back("--" + line.substr(begin, end - begin + 1));
-    }
-  }
-  merged.insert(merged.end(), command_line.begin(), command_line.end());
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -694,25 +654,13 @@ int main(int argc, char** argv) {
   flags.Describe("idle-ms", "collector exit after this long idle, once any frame arrived");
   flags.Describe("listen-seconds", "collector overall listening deadline (default 60)");
   flags.Describe("out-dir", "directory for per-member log files (default out/fleet)");
-  flags.Describe("config", "flag file, one key=value per line; command line wins");
   flags.Describe("history-dir",
                  "collector i seals every window into a WindowLog under DIR/collector-i "
                  "(default off)");
   flags.Describe("role", "run one fleet member instead of the launcher: agent or collector");
   flags.Describe("index", "this member's index within its role (default 0)");
 
-  std::vector<std::string> merged;
-  std::string config_error;
-  if (!LoadConfigArgs(argc, argv, merged, config_error)) {
-    std::fprintf(stderr, "fleet_runner: %s\n", config_error.c_str());
-    return 1;
-  }
-  std::vector<char*> merged_argv;
-  merged_argv.push_back(argv[0]);
-  for (std::string& arg : merged) {
-    merged_argv.push_back(arg.data());
-  }
-  if (!flags.Parse(static_cast<int>(merged_argv.size()), merged_argv.data())) {
+  if (!flags.Parse(argc, argv)) {
     return 1;
   }
   if (flags.Has("help")) {

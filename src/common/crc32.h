@@ -1,6 +1,6 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), slice-by-8 table-driven. Used by the
 // report plane's wire frames so a corrupted or truncated datagram is rejected before any of
-// its contents reach the observation store, and by the window log and trace files.
+// its contents reach the observation store, and by the window log.
 //
 // Slice-by-8 folds eight input bytes per step through eight derived tables; table k maps a
 // byte to its CRC contribution k bytes further along the stream, so the eight lookups of one

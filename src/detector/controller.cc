@@ -267,6 +267,7 @@ PinglistUpdate Controller::UpdatePinglists(std::vector<Pinglist>& lists,
                                            std::span<const NodeId> downed_targets,
                                            std::span<const NodeId> recovered_targets,
                                            PathPingerIndex* index) const {
+  CHECK(index != nullptr) << "UpdatePinglists needs the lists' PathPingerIndex";
   PinglistUpdate update;
   if (removed_paths.empty() && added_paths.empty() && downed_targets.empty() &&
       recovered_targets.empty()) {
@@ -280,8 +281,8 @@ PinglistUpdate Controller::UpdatePinglists(std::vector<Pinglist>& lists,
   std::map<NodeId, PinglistDiff> diffs;  // ordered by pinger for determinism
 
   // Removals: drop every entry measuring a removed path, plus every intra-rack entry towards
-  // a downed target — both diffed under their (path, target) key. With an index, only the
-  // lists holding a matching entry are visited; the blind path scans them all.
+  // a downed target — both diffed under their (path, target) key. Only the lists the index
+  // names as holding a matching entry are visited.
   const std::unordered_set<PathId> removed(removed_paths.begin(), removed_paths.end());
   const std::unordered_set<NodeId> downed(downed_targets.begin(), downed_targets.end());
   auto remove_from_list = [&](Pinglist& list) {
@@ -307,33 +308,27 @@ PinglistUpdate Controller::UpdatePinglists(std::vector<Pinglist>& lists,
     list.entries.erase(keep, list.entries.end());
   };
   if (!removed.empty() || !downed.empty()) {
-    if (index != nullptr) {
-      std::set<NodeId> touched;  // ordered so removal order matches the blind path
-      for (const PathId pid : removed_paths) {
-        for (const NodeId pinger : index->PingersOf(pid)) {
-          touched.insert(pinger);
-        }
+    std::set<NodeId> touched;  // ordered by pinger for a deterministic removal order
+    for (const PathId pid : removed_paths) {
+      for (const NodeId pinger : index->PingersOf(pid)) {
+        touched.insert(pinger);
       }
-      for (const NodeId target : downed_targets) {
-        for (const NodeId pinger : index->PingersOfIntra(target)) {
-          touched.insert(pinger);
-        }
+    }
+    for (const NodeId target : downed_targets) {
+      for (const NodeId pinger : index->PingersOfIntra(target)) {
+        touched.insert(pinger);
       }
-      for (const NodeId pinger : touched) {
-        const auto it = list_of_pinger.find(pinger);
-        CHECK(it != list_of_pinger.end()) << "index names a pinger with no standing list";
-        remove_from_list(lists[it->second]);
-      }
-      for (const PathId pid : removed_paths) {
-        index->ClearPath(pid);
-      }
-      for (const NodeId target : downed_targets) {
-        index->ClearIntra(target);
-      }
-    } else {
-      for (Pinglist& list : lists) {
-        remove_from_list(list);
-      }
+    }
+    for (const NodeId pinger : touched) {
+      const auto it = list_of_pinger.find(pinger);
+      CHECK(it != list_of_pinger.end()) << "index names a pinger with no standing list";
+      remove_from_list(lists[it->second]);
+    }
+    for (const PathId pid : removed_paths) {
+      index->ClearPath(pid);
+    }
+    for (const NodeId target : downed_targets) {
+      index->ClearIntra(target);
     }
   }
 
@@ -360,9 +355,7 @@ PinglistUpdate Controller::UpdatePinglists(std::vector<Pinglist>& lists,
       const size_t li = list_index_of(pinger);
       PinglistDiff& diff = diffs.try_emplace(pinger).first->second;
       diff.added.push_back(entry);
-      if (index != nullptr) {
-        index->Add(pid, pinger);
-      }
+      index->Add(pid, pinger);
       lists[li].entries.push_back(std::move(entry));
       ++update.entries_added;
     }
@@ -375,18 +368,7 @@ PinglistUpdate Controller::UpdatePinglists(std::vector<Pinglist>& lists,
       if (!watchdog.IsHealthy(target)) {
         continue;  // flagged again before the delta dispatched
       }
-      bool standing = false;
-      if (index != nullptr) {
-        standing = !index->PingersOfIntra(target).empty();
-      } else {
-        for (const Pinglist& list : lists) {
-          for (const PinglistEntry& entry : list.entries) {
-            standing |= entry.path_id == PinglistEntry::kIntraRackPath &&
-                        entry.target_server == target;
-          }
-        }
-      }
-      if (standing) {
+      if (!index->PingersOfIntra(target).empty()) {
         continue;
       }
       NodeId tor = kInvalidNode;
@@ -413,9 +395,7 @@ PinglistUpdate Controller::UpdatePinglists(std::vector<Pinglist>& lists,
       const size_t li = list_index_of(pinger);
       PinglistDiff& diff = diffs.try_emplace(pinger).first->second;
       diff.added.push_back(entry);
-      if (index != nullptr) {
-        index->AddIntra(target, pinger);
-      }
+      index->AddIntra(target, pinger);
       lists[li].entries.push_back(std::move(entry));
       ++update.entries_added;
     }

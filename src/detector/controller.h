@@ -125,17 +125,16 @@ class Controller {
   // past the delta that downed it; the probe-time skip in the pinger stays as
   // defense-in-depth for servers flagged outside the delta flow.
   //
-  // With `index` (built over these lists and kept current across calls), removal dispatch
-  // visits only the lists the index names for the removed slots / downed targets and the
-  // index is updated in place; without it, every pinglist entry is scanned. Both paths
-  // produce identical lists and diffs.
+  // `index` (non-null, built over these lists and kept current across calls) names the
+  // lists removal dispatch visits for the removed slots / downed targets, and is updated in
+  // place.
   PinglistUpdate UpdatePinglists(std::vector<Pinglist>& lists, const ProbeMatrix& matrix,
                                  const Watchdog& watchdog,
                                  std::span<const PathId> removed_paths,
                                  std::span<const PathId> added_paths,
-                                 std::span<const NodeId> downed_targets = {},
-                                 std::span<const NodeId> recovered_targets = {},
-                                 PathPingerIndex* index = nullptr) const;
+                                 std::span<const NodeId> downed_targets,
+                                 std::span<const NodeId> recovered_targets,
+                                 PathPingerIndex* index) const;
 
   const ControllerOptions& options() const { return options_; }
 

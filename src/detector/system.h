@@ -103,10 +103,11 @@ struct DetectorSystemOptions {
   // transport (src/net) into a Collector that folds them back into the ObservationStore,
   // instead of writing the store directly — the deployed pinger -> analyzer seam. Under the
   // default lossless in-process loopback this is bit-identical to direct mode (ctest-gated);
-  // SetReportTransportFactory installs fault-injecting loopbacks. (The in-process plane needs
-  // a transport whose Send round-trips to its own Receive; the split UDP deployment instead
-  // pairs a Connect-side emitter process with a Bind-side collector process — see
-  // examples/fleet_runner.cc --role=agent|collector.)
+  // SetReportTransportFactory installs other transports, such as an ImpairmentTransport over
+  // the loopback to inject faults. (The in-process plane needs a transport whose Send
+  // round-trips to its own Receive; the split UDP deployment instead pairs a Connect-side
+  // emitter process with a Bind-side collector process — see examples/fleet_runner.cc
+  // --role=agent|collector.)
   bool report_plane = false;
   // Observations batched per wire frame before the emitter seals and sends it.
   size_t report_batch_entries = 64;

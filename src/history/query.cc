@@ -250,12 +250,6 @@ std::vector<ReplayedWindow> QueryEngine::Replay(const Topology& topo, const Prob
     // (Diagnose() cleared it). Non-consuming diagnoses keep the store accumulating across the
     // window's boundaries, verbatim the live streaming discipline.
     Diagnoser diagnoser(options.pll);
-    if (options.view == ReplayView::kSliding) {
-      diagnoser.set_sliding_segments(options.sliding_boundaries);
-    } else if (options.view == ReplayView::kDecay) {
-      diagnoser.set_decay_factor(options.decay_factor);
-      diagnoser.set_decay_quantized(options.decay_quantized);
-    }
     const size_t num_slots =
         std::max(static_cast<size_t>(rec.num_slots), matrix.NumPaths());
     diagnoser.store().EnsureSlots(num_slots);
@@ -271,17 +265,7 @@ std::vector<ReplayedWindow> QueryEngine::Replay(const Topology& topo, const Prob
       ReplayedBoundary rb;
       rb.segment = boundary.segment;
       rb.time_seconds = boundary.time_seconds;
-      switch (options.view) {
-        case ReplayView::kSliding:
-          rb.localization = diagnoser.DiagnoseTrailing(matrix, watchdog);
-          break;
-        case ReplayView::kDecay:
-          rb.localization = diagnoser.DiagnoseDecayed(matrix, watchdog);
-          break;
-        case ReplayView::kCumulative:
-          rb.localization = diagnoser.DiagnoseRunning(matrix, watchdog);
-          break;
-      }
+      rb.localization = diagnoser.DiagnoseRunning(matrix, watchdog);
       replayed.boundaries.push_back(std::move(rb));
     }
     out.push_back(std::move(replayed));

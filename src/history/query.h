@@ -10,8 +10,8 @@
 //    boundary by boundary, ingesting each boundary's logged observation delta and diagnosing
 //    exactly as the live system did. With the live PllOptions and the cumulative view the
 //    replayed suspect sets are bit-identical to the logged ones at every diagnosis boundary
-//    (ctest- and bench-gated); with altered thresholds/decay settings it answers "what would
-//    the diagnosis have said" without re-running a single probe.
+//    (ctest- and bench-gated); with altered thresholds it answers "what would the diagnosis
+//    have said" without re-running a single probe.
 #ifndef SRC_HISTORY_QUERY_H_
 #define SRC_HISTORY_QUERY_H_
 
@@ -30,22 +30,8 @@
 
 namespace detector {
 
-// Which view the replayed mid-window diagnoses localize over — mirrors StreamingViewMode
-// without depending on the system layer. Replay identity holds for kCumulative (the live
-// window-end diagnosis is always cumulative); the sliding/decay replays re-analyze the logged
-// deltas at logged-boundary granularity.
-enum class ReplayView {
-  kCumulative,
-  kSliding,
-  kDecay,
-};
-
 struct ReplayOptions {
   PllOptions pll;  // altered thresholds go here (hit_ratio_threshold, preprocess, ...)
-  ReplayView view = ReplayView::kCumulative;
-  int sliding_boundaries = 4;    // trailing width, in logged boundaries (kSliding)
-  double decay_factor = 0.5;     // per-boundary decay (kDecay)
-  bool decay_quantized = false;  // shift-halving decay (kDecay)
 };
 
 struct ReplayedBoundary {
@@ -144,9 +130,9 @@ class QueryEngine {
   // ---- Replay ----------------------------------------------------------------------------
   // Feeds windows [first, first + count) back through a fresh non-consuming Diagnoser built
   // from `options`: per logged boundary, the boundary's deltas are ingested into the store
-  // and the selected view diagnoses over the reconstructed totals. The probe matrix must be
-  // the one the log was recorded against (both halves build it deterministically, like the
-  // split agent/collector daemons do).
+  // and the cumulative view the live system seals diagnoses over the reconstructed totals.
+  // The probe matrix must be the one the log was recorded against (both halves build it
+  // deterministically, like fleet_runner's agents and collectors do).
   std::vector<ReplayedWindow> Replay(const Topology& topo, const ProbeMatrix& matrix,
                                      const ReplayOptions& options, size_t first = 0,
                                      size_t count = std::numeric_limits<size_t>::max()) const;

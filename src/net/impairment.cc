@@ -19,15 +19,13 @@ bool ImpairmentTransport::Send(std::span<const uint8_t> frame) {
     --burst_remaining_;
     ++stats_.frames_dropped;
     ++impairment_stats_.frames_dropped_burst;
-    ReleaseReadyLocked();
-    return true;  // the sender cannot observe an in-flight loss
+    return ReleaseAndReportLocked();  // the sender cannot observe an in-flight loss
   }
   if (profile_.burst_loss_rate > 0.0 && rng_.NextBernoulli(profile_.burst_loss_rate)) {
     burst_remaining_ = std::max<uint64_t>(profile_.burst_length, 1) - 1;
     ++stats_.frames_dropped;
     ++impairment_stats_.frames_dropped_burst;
-    ReleaseReadyLocked();
-    return true;
+    return ReleaseAndReportLocked();
   }
 
   std::vector<uint8_t> staged(frame.begin(), frame.end());
@@ -51,8 +49,7 @@ bool ImpairmentTransport::Send(std::span<const uint8_t> frame) {
   if (dup) {
     StageLocked(std::move(staged));
   }
-  ReleaseReadyLocked();
-  return true;
+  return ReleaseAndReportLocked();
 }
 
 void ImpairmentTransport::StageLocked(std::vector<uint8_t> frame) {
@@ -84,9 +81,20 @@ void ImpairmentTransport::ReleaseReadyLocked() {
       }
       ++released_this_tick_;
     }
-    inner_->Send(staged_.begin()->second);
+    if (!inner_->Send(staged_.begin()->second)) {
+      ++refusals_unreported_;
+    }
     staged_.erase(staged_.begin());
   }
+}
+
+bool ImpairmentTransport::ReleaseAndReportLocked() {
+  ReleaseReadyLocked();
+  if (refusals_unreported_ == 0) {
+    return true;
+  }
+  --refusals_unreported_;
+  return false;
 }
 
 bool ImpairmentTransport::Receive(std::vector<uint8_t>& out) {
@@ -96,7 +104,9 @@ bool ImpairmentTransport::Receive(std::vector<uint8_t>& out) {
 void ImpairmentTransport::Flush() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [key, frame] : staged_) {
-    inner_->Send(frame);
+    if (!inner_->Send(frame)) {
+      ++refusals_unreported_;
+    }
   }
   staged_.clear();
   inner_->Flush();
@@ -111,11 +121,6 @@ TransportStats ImpairmentTransport::stats() const {
   total.frames_dropped += inner_->stats().frames_dropped;
   total.frames_received = inner_->stats().frames_received;
   return total;
-}
-
-size_t ImpairmentTransport::staged() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return staged_.size();
 }
 
 }  // namespace detector

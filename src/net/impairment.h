@@ -13,6 +13,12 @@
 // barrier contract — so a profile with loss and corruption disabled reshuffles and duplicates
 // delivery but loses nothing, and the collector's idempotent fold keeps window-end state
 // bit-identical to direct mode (gated in tests/hostile_net_test.cc).
+//
+// Send() returns true for the frames the schedule drops, as a real network would, but not for
+// the frames the inner transport refuses (a dead collector behind a connected UDP socket):
+// each refused forward makes one later Send() return false. With no delay or jitter that is
+// the Send() that staged the frame; a refusal met by a later release or by Flush() surfaces
+// on the next Send().
 #ifndef SRC_NET_IMPAIRMENT_H_
 #define SRC_NET_IMPAIRMENT_H_
 
@@ -63,8 +69,6 @@ class ImpairmentTransport final : public Transport {
   TransportStats stats() const override;
 
   const ImpairmentStats& impairment_stats() const { return impairment_stats_; }
-  Transport& inner() { return *inner_; }
-  size_t staged() const;
 
  private:
   // Stage `frame` (already damaged/duplicated as decided) for release. Caller holds mu_.
@@ -72,6 +76,9 @@ class ImpairmentTransport final : public Transport {
   // Forward every staged frame whose release tick has passed, rate limit permitting.
   // Caller holds mu_.
   void ReleaseReadyLocked();
+  // Runs ReleaseReadyLocked and returns Send()'s result: false, once, for each refused
+  // forward not yet reported. Caller holds mu_.
+  bool ReleaseAndReportLocked();
 
   const ImpairmentProfile profile_;
   std::unique_ptr<Transport> inner_;
@@ -85,6 +92,7 @@ class ImpairmentTransport final : public Transport {
   std::map<std::pair<uint64_t, uint64_t>, std::vector<uint8_t>> staged_;
   uint64_t released_this_tick_ = 0;
   uint64_t last_release_tick_ = 0;
+  uint64_t refusals_unreported_ = 0;  // inner Sends that failed, not yet returned as false
   TransportStats stats_;
   ImpairmentStats impairment_stats_;
 };

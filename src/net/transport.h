@@ -6,8 +6,8 @@
 // Backends:
 //  - LoopbackTransport (src/net/loopback): lossless in-process FIFO, the in-process report
 //    plane's default, over which it is bit-identical to direct store writes (ctest-gated).
-//  - UdpTransport (src/net/udp): real UDP sockets over localhost for the two-process
-//    agent/collector daemon.
+//  - UdpTransport (src/net/udp): real UDP sockets over localhost between fleet_runner's
+//    agent and collector processes.
 // ImpairmentTransport (src/net/impairment) decorates either with seeded loss, delay, jitter,
 // duplication and corruption.
 #ifndef SRC_NET_TRANSPORT_H_
@@ -32,7 +32,9 @@ class Transport {
 
   // Sends one frame. Thread-safe: many pinger shards send concurrently. Returns false only on
   // a hard backend error (a dropped-by-policy frame still returns true — the sender cannot
-  // tell, exactly like real UDP).
+  // tell, exactly like real UDP). A backend that defers delivery may report the error on a
+  // later Send, once per refused frame (ImpairmentTransport; a connected UdpTransport learns
+  // of a closed port from the previous datagram).
   virtual bool Send(std::span<const uint8_t> frame) = 0;
 
   // Pops the next deliverable frame into `out`; false when nothing is pending right now.

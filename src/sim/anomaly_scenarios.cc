@@ -1,6 +1,6 @@
 #include "src/sim/anomaly_scenarios.h"
 
-#include <algorithm>
+#include <vector>
 
 #include "src/common/check.h"
 
@@ -26,49 +26,6 @@ FailureScenario GrayLatencyScenario(LinkId link, double added_delay_us) {
   failure.type = FailureType::kLatencyInflation;
   failure.loss_rate = 0.0;
   failure.added_delay_us = added_delay_us;
-  scenario.failures.push_back(failure);
-  return scenario;
-}
-
-FailureScenario IncastBurstScenario(LinkId link, int bursts, double burst_seconds,
-                                    double window_seconds, double burst_loss_rate) {
-  CHECK(bursts > 0 && burst_seconds > 0.0 && window_seconds > 0.0);
-  FailureScenario scenario;
-  LinkFailure failure;
-  failure.link = link;
-  failure.type = FailureType::kRandomPartial;
-  failure.loss_rate = burst_loss_rate;
-  const double spacing = window_seconds / bursts;
-  for (int b = 0; b < bursts; ++b) {
-    FailureEpisode episode;
-    episode.failure = failure;
-    episode.start_seconds = b * spacing;
-    episode.end_seconds = std::min(window_seconds, b * spacing + burst_seconds);
-    scenario.episodes.push_back(episode);
-  }
-  return scenario;
-}
-
-FailureScenario SilentCorruptionScenario(LinkId link, double corruption_rate) {
-  CHECK(corruption_rate > 0.0 && corruption_rate < 1.0);
-  FailureScenario scenario;
-  LinkFailure failure;
-  failure.link = link;
-  failure.type = FailureType::kRandomPartial;
-  failure.loss_rate = corruption_rate;
-  scenario.failures.push_back(failure);
-  return scenario;
-}
-
-FailureScenario EcmpPolarizedScenario(LinkId link, double polarized_fraction,
-                                      uint64_t rule_seed) {
-  CHECK(polarized_fraction > 0.0 && polarized_fraction <= 1.0);
-  FailureScenario scenario;
-  LinkFailure failure;
-  failure.link = link;
-  failure.type = FailureType::kDeterministicPartial;
-  failure.match_fraction = polarized_fraction;
-  failure.rule_seed = rule_seed;
   scenario.failures.push_back(failure);
   return scenario;
 }

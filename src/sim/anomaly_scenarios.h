@@ -1,14 +1,6 @@
-// Scenario generators for the multi-signal anomaly plane: failure shapes that are invisible
-// (or nearly so) to loss-threshold detection over whole-window totals, each parameterized
-// from its literature motivation:
-//  - gray latency inflation: a link that delivers every packet but adds fixed delay per
-//    traversal (the paper's §2 delay-but-deliver gray failure) — zero loss signal, pure RTT;
-//  - incast bursts: short repeating sub-window loss episodes on one link (Distributed Incast
-//    Detection's bursty fan-in congestion) — diluted to ambient levels in window totals;
-//  - silent corruption: a low random loss rate just below hand-tuned cutoffs (CRC-error-style
-//    degradation) that an adaptive baseline must separate from its own learned noise floor;
-//  - ECMP-polarized asymmetric loss: a deterministic-partial failure whose match rule drops a
-//    skewed slice of flow space, so only the flows hashing onto the polarized slice suffer.
+// Scenario generators for the multi-signal anomaly plane: the gray latency inflation a link
+// shows when it delivers every packet but adds fixed delay per traversal (the paper's §2
+// delay-but-deliver gray failure) — zero loss signal, pure RTT — and the victim sampler.
 #ifndef SRC_SIM_ANOMALY_SCENARIOS_H_
 #define SRC_SIM_ANOMALY_SCENARIOS_H_
 
@@ -18,30 +10,14 @@
 
 namespace detector {
 
-// Uniformly samples a monitored link — the shared "pick a victim" step of the generators
-// below. Deterministic in `rng`.
+// Uniformly samples a monitored link — the "pick a victim" step of a scenario. Deterministic
+// in `rng`.
 LinkId SampleMonitoredLink(const Topology& topo, Rng& rng);
 
 // Pure-latency gray failure: `added_delay_us` extra one-way delay per traversal of `link`,
 // zero packet loss. The loss-only pipeline provably cannot see it (DropProbability is 0);
 // only the RTT observation channel can.
 FailureScenario GrayLatencyScenario(LinkId link, double added_delay_us);
-
-// Incast-style bursts: `bursts` episodes of random-partial loss at `burst_loss_rate` on
-// `link`, each `burst_seconds` long, evenly spaced over a `window_seconds` window. Between
-// bursts the link is clean, so whole-window totals dilute the loss by the duty cycle.
-FailureScenario IncastBurstScenario(LinkId link, int bursts, double burst_seconds,
-                                    double window_seconds, double burst_loss_rate);
-
-// Silent corruption: persistent random loss at `corruption_rate` (default just under the
-// classic 1% alerting cutoff) — high enough to matter, low enough that fixed thresholds
-// tuned for fail-stop losses ignore it.
-FailureScenario SilentCorruptionScenario(LinkId link, double corruption_rate = 8e-3);
-
-// ECMP-polarized asymmetric loss: flows whose (rule-salted) hash lands in the first
-// `polarized_fraction` of flow space blackhole on `link`; everything else passes. Models a
-// polarized ECMP slice pinned onto a bad member link.
-FailureScenario EcmpPolarizedScenario(LinkId link, double polarized_fraction, uint64_t rule_seed);
 
 }  // namespace detector
 

@@ -456,6 +456,7 @@ class PinglistUpdateTest : public ::testing::Test {
 TEST_F(PinglistUpdateTest, MinimalDiffWithVersionBump) {
   Controller controller(ft_.topology(), ControllerOptions{});
   std::vector<Pinglist> lists = controller.BuildPinglists(matrix_, watchdog_);
+  PathPingerIndex index = PathPingerIndex::Build(lists);
   for (const Pinglist& list : lists) {
     EXPECT_EQ(list.version, 1);
   }
@@ -476,7 +477,7 @@ TEST_F(PinglistUpdateTest, MinimalDiffWithVersionBump) {
 
   const std::vector<PathId> removed = {victim};
   const PinglistUpdate update =
-      controller.UpdatePinglists(lists, matrix_, watchdog_, removed, {});
+      controller.UpdatePinglists(lists, matrix_, watchdog_, removed, {}, {}, {}, &index);
   EXPECT_EQ(update.lists_touched, expected_touched.size());
   EXPECT_EQ(update.entries_removed, expected_touched.size());  // one replica per pinger
   EXPECT_EQ(update.entries_added, 0u);
@@ -497,7 +498,7 @@ TEST_F(PinglistUpdateTest, MinimalDiffWithVersionBump) {
   // Add it back: the entries return to the same pingers (deterministic assignment), bumping
   // exactly those lists to version 3.
   const PinglistUpdate re_add =
-      controller.UpdatePinglists(lists, matrix_, watchdog_, {}, removed);
+      controller.UpdatePinglists(lists, matrix_, watchdog_, {}, removed, {}, {}, &index);
   EXPECT_EQ(re_add.lists_touched, expected_touched.size());
   EXPECT_EQ(re_add.entries_added, expected_touched.size());
   for (const PinglistDiff& diff : re_add.diffs) {
@@ -510,13 +511,14 @@ TEST_F(PinglistUpdateTest, MinimalDiffWithVersionBump) {
 TEST_F(PinglistUpdateTest, DiffXmlRoundTrip) {
   Controller controller(ft_.topology(), ControllerOptions{});
   std::vector<Pinglist> lists = controller.BuildPinglists(matrix_, watchdog_);
+  PathPingerIndex index = PathPingerIndex::Build(lists);
 
   // A mixed diff: remove two paths, re-add one — both removal and probe elements on the wire.
   const std::vector<PathId> removed = {0, 1};
-  controller.UpdatePinglists(lists, matrix_, watchdog_, removed, {});
+  controller.UpdatePinglists(lists, matrix_, watchdog_, removed, {}, {}, {}, &index);
   const std::vector<PathId> re_added = {0};
   const PinglistUpdate update =
-      controller.UpdatePinglists(lists, matrix_, watchdog_, {}, re_added);
+      controller.UpdatePinglists(lists, matrix_, watchdog_, {}, re_added, {}, {}, &index);
   ASSERT_FALSE(update.diffs.empty());
 
   for (const PinglistDiff& diff : update.diffs) {
@@ -535,68 +537,72 @@ TEST_F(PinglistUpdateTest, DiffXmlRoundTrip) {
   // An empty-removal, empty-addition diff would not be emitted; a removal-only one must still
   // round-trip (no <probe> children).
   const PinglistUpdate removal_only =
-      controller.UpdatePinglists(lists, matrix_, watchdog_, re_added, {});
+      controller.UpdatePinglists(lists, matrix_, watchdog_, re_added, {}, {}, {}, &index);
   ASSERT_FALSE(removal_only.diffs.empty());
   const PinglistDiff parsed = PinglistDiff::FromXml(removal_only.diffs[0].ToXml());
   EXPECT_EQ(parsed.removed, removal_only.diffs[0].removed);
   EXPECT_TRUE(parsed.added.empty());
 }
 
-TEST_F(PinglistUpdateTest, IndexedDispatchMatchesBlindScan) {
+// The index-driven dispatch against a scan oracle: before each call the lists are scanned
+// for the holders of the removed slots; after it, exactly those pingers' diffs remove entries,
+// the maintained index equals one rebuilt from the lists for every slot, and no removed slot
+// keeps a pinger.
+TEST_F(PinglistUpdateTest, IndexedDispatchMatchesScanOracle) {
   Controller controller(ft_.topology(), ControllerOptions{});
-  std::vector<Pinglist> blind = controller.BuildPinglists(matrix_, watchdog_);
-  std::vector<Pinglist> indexed = blind;
-  PathPingerIndex index = PathPingerIndex::Build(indexed);
+  std::vector<Pinglist> lists = controller.BuildPinglists(matrix_, watchdog_);
+  PathPingerIndex index = PathPingerIndex::Build(lists);
   EXPECT_EQ(index.NumIndexedPaths(), matrix_.NumPaths());
 
-  auto expect_same = [&](const PinglistUpdate& a, const PinglistUpdate& b) {
-    EXPECT_EQ(a.lists_touched, b.lists_touched);
-    EXPECT_EQ(a.entries_removed, b.entries_removed);
-    EXPECT_EQ(a.entries_added, b.entries_added);
-    ASSERT_EQ(a.diffs.size(), b.diffs.size());
-    for (size_t i = 0; i < a.diffs.size(); ++i) {
-      EXPECT_EQ(a.diffs[i].pinger, b.diffs[i].pinger);
-      EXPECT_EQ(a.diffs[i].version, b.diffs[i].version);
-      EXPECT_EQ(a.diffs[i].removed, b.diffs[i].removed);
-      EXPECT_EQ(a.diffs[i].added.size(), b.diffs[i].added.size());
-    }
-    ASSERT_EQ(blind.size(), indexed.size());
-    for (size_t i = 0; i < blind.size(); ++i) {
-      EXPECT_EQ(blind[i].pinger, indexed[i].pinger);
-      EXPECT_EQ(blind[i].version, indexed[i].version);
-      ASSERT_EQ(blind[i].entries.size(), indexed[i].entries.size());
-      for (size_t e = 0; e < blind[i].entries.size(); ++e) {
-        EXPECT_EQ(blind[i].entries[e].path_id, indexed[i].entries[e].path_id);
-        EXPECT_EQ(blind[i].entries[e].target_server, indexed[i].entries[e].target_server);
+  auto sorted = [](std::span<const NodeId> pingers) {
+    std::vector<NodeId> out(pingers.begin(), pingers.end());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  auto dispatch = [&](const std::vector<PathId>& removed, const std::vector<PathId>& added) {
+    std::set<NodeId> holders;
+    size_t held = 0;
+    for (const Pinglist& list : lists) {
+      for (const PinglistEntry& entry : list.entries) {
+        if (std::count(removed.begin(), removed.end(), entry.path_id) > 0) {
+          holders.insert(list.pinger);
+          ++held;
+        }
       }
+    }
+    const PinglistUpdate update =
+        controller.UpdatePinglists(lists, matrix_, watchdog_, removed, added, {}, {}, &index);
+    std::set<NodeId> removers;
+    for (const PinglistDiff& diff : update.diffs) {
+      if (!diff.removed.empty()) {
+        removers.insert(diff.pinger);
+      }
+    }
+    EXPECT_EQ(removers, holders);
+    EXPECT_EQ(update.entries_removed, held);
+    const PathPingerIndex rebuilt = PathPingerIndex::Build(lists);
+    for (PathId pid = 0; pid < static_cast<PathId>(matrix_.NumPaths()); ++pid) {
+      EXPECT_EQ(sorted(index.PingersOf(pid)), sorted(rebuilt.PingersOf(pid))) << "slot " << pid;
+    }
+    for (const PathId pid : removed) {
+      EXPECT_TRUE(rebuilt.PingersOf(pid).empty()) << "slot " << pid;
     }
   };
 
-  // Removal, re-addition, and a mixed delta — the indexed dispatch must land on identical
-  // lists and diffs while keeping the index current across calls.
-  const std::vector<PathId> batch = {0, 3, 7};
-  expect_same(controller.UpdatePinglists(blind, matrix_, watchdog_, batch, {}),
-              controller.UpdatePinglists(indexed, matrix_, watchdog_, batch, {}, {}, {}, &index));
-  for (const PathId pid : batch) {
-    EXPECT_TRUE(index.PingersOf(pid).empty());
-  }
-  const std::vector<PathId> back = {0, 3};
-  expect_same(controller.UpdatePinglists(blind, matrix_, watchdog_, {}, back),
-              controller.UpdatePinglists(indexed, matrix_, watchdog_, {}, back, {}, {}, &index));
-  // A repair-shaped mixed delta: one standing slot vacated, one absent slot re-selected.
-  const std::vector<PathId> removed_again = {0};
-  const std::vector<PathId> added_again = {7};
-  expect_same(
-      controller.UpdatePinglists(blind, matrix_, watchdog_, removed_again, added_again),
-      controller.UpdatePinglists(indexed, matrix_, watchdog_, removed_again, added_again, {},
-                                 {}, &index));
+  // Removal, re-addition, and a repair-shaped mixed delta (one standing slot vacated, one
+  // absent slot re-selected), with the index kept current across calls.
+  dispatch({0, 3, 7}, {});
+  dispatch({}, {0, 3});
+  dispatch({0}, {7});
   EXPECT_EQ(index.NumIndexedPaths(), matrix_.NumPaths() - 1);  // path 0 still out
 }
 
 TEST_F(PinglistUpdateTest, EmptyDeltaTouchesNothing) {
   Controller controller(ft_.topology(), ControllerOptions{});
   std::vector<Pinglist> lists = controller.BuildPinglists(matrix_, watchdog_);
-  const PinglistUpdate update = controller.UpdatePinglists(lists, matrix_, watchdog_, {}, {});
+  PathPingerIndex index = PathPingerIndex::Build(lists);
+  const PinglistUpdate update =
+      controller.UpdatePinglists(lists, matrix_, watchdog_, {}, {}, {}, {}, &index);
   EXPECT_TRUE(update.diffs.empty());
   for (const Pinglist& list : lists) {
     EXPECT_EQ(list.version, 1);
@@ -608,8 +614,9 @@ TEST_F(PinglistUpdateTest, UpdatedPinglistXmlRoundTripWithIntraRack) {
   options.intra_rack_probes = true;
   Controller controller(ft_.topology(), options);
   std::vector<Pinglist> lists = controller.BuildPinglists(matrix_, watchdog_);
+  PathPingerIndex index = PathPingerIndex::Build(lists);
   const std::vector<PathId> removed_one = {0};
-  controller.UpdatePinglists(lists, matrix_, watchdog_, removed_one, {});
+  controller.UpdatePinglists(lists, matrix_, watchdog_, removed_one, {}, {}, {}, &index);
 
   // Round-trip a post-update pinglist that still carries intra-rack entries: the bumped
   // version and every entry (including kIntraRackPath markers) must survive serialization.

@@ -460,9 +460,9 @@ class KillableTransport final : public Transport {
 };
 
 // The collector dies mid-window: every later frame is a counted send failure rather than
-// silent loss, and the accounting stays exact — every emitted frame is folded or counted.
-TEST(SendFailure, DeadCollectorCountsEveryLaterFrame) {
-  KillableTransport transport;
+// silent loss, and the accounting stays exact — every emitted frame is folded or counted. The
+// emitter sends through `transport`, which is `wire` itself or a decorator over it.
+void ExpectDeadCollectorCountsEveryLaterFrame(Transport& transport, KillableTransport& wire) {
   ObservationStore store;
   store.EnsureSlots(256);
   Collector collector(store);
@@ -471,7 +471,7 @@ TEST(SendFailure, DeadCollectorCountsEveryLaterFrame) {
                         /*batch_observations=*/1);  // one frame per observation
   for (PathId slot = 0; slot < 100; ++slot) {
     if (slot == 40) {
-      transport.Kill();  // the collector process dies mid-window
+      wire.Kill();  // the collector process dies mid-window
     }
     emitter.OnPath(slot, /*target=*/slot, /*sent=*/3, /*lost=*/0);
   }
@@ -486,6 +486,23 @@ TEST(SendFailure, DeadCollectorCountsEveryLaterFrame) {
       << "a refused frame was neither folded nor counted";
   EXPECT_EQ(stats.duplicates_dropped, 0u);
   EXPECT_EQ(stats.decode_errors, 0u);
+}
+
+// Bare, and behind the impairment decorator with an empty profile — which must hand each
+// refused forward back to the sender, not swallow it as an in-flight loss.
+TEST(SendFailure, DeadCollectorCountsEveryLaterFrame) {
+  {
+    SCOPED_TRACE("bare wire");
+    KillableTransport wire;
+    ExpectDeadCollectorCountsEveryLaterFrame(wire, wire);
+  }
+  {
+    SCOPED_TRACE("empty impairment profile");
+    auto owned = std::make_unique<KillableTransport>();
+    KillableTransport& wire = *owned;
+    ImpairmentTransport impaired(std::move(owned), ImpairmentProfile{});
+    ExpectDeadCollectorCountsEveryLaterFrame(impaired, wire);
+  }
 }
 
 }  // namespace

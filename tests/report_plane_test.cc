@@ -19,7 +19,6 @@
 #include "src/history/window_log.h"
 #include "src/net/impairment.h"
 #include "src/net/loopback.h"
-#include "src/net/trace.h"
 #include "src/net/udp.h"
 #include "src/report/codec.h"
 #include "src/report/collector.h"
@@ -497,8 +496,28 @@ class CollectingSink : public WindowSink {
   std::vector<SealedWindow> windows_;
 };
 
-// A deployed collector closes windows through the same Analyzer as DetectorSystem. Record
-// the frames a report-plane system's collector receives, then replay them into a standalone
+// Lossless loopback that keeps a copy of every frame it hands the collector, in order.
+class CapturingLoopback final : public Transport {
+ public:
+  explicit CapturingLoopback(std::vector<std::vector<uint8_t>>& captured)
+      : captured_(captured) {}
+  bool Send(std::span<const uint8_t> frame) override { return inner_.Send(frame); }
+  bool Receive(std::vector<uint8_t>& out) override {
+    if (!inner_.Receive(out)) {
+      return false;
+    }
+    captured_.push_back(out);
+    return true;
+  }
+  TransportStats stats() const override { return inner_.stats(); }
+
+ private:
+  LoopbackTransport inner_;
+  std::vector<std::vector<uint8_t>>& captured_;
+};
+
+// A deployed collector closes windows through the same Analyzer as DetectorSystem. Capture
+// the frames a report-plane system's collector receives, then feed them into a standalone
 // Collector behind Analyzer::Serve, as fleet_runner runs it: windows flip when a newer
 // window's frame arrives, and the last one closes when the stream ends. Every window must seal
 // what the system's own sink sealed — suspects, server-link alarms, anomalies, and boundary
@@ -517,11 +536,9 @@ TEST(DeployedCollector, SealsWhatTheSystemSeals) {
   DetectorSystem system(routing, options);
   CollectingSink live;
   system.set_history_sink(&live);
-  const std::string trace =
-      (std::filesystem::temp_directory_path() / "detector_deployed_collector.trace").string();
-  system.SetReportTransportFactory([&](size_t) {
-    return std::make_unique<RecordingTransport>(std::make_unique<LoopbackTransport>(), trace);
-  });
+  std::vector<std::vector<uint8_t>> captured;
+  system.SetReportTransportFactory(
+      [&](size_t) { return std::make_unique<CapturingLoopback>(captured); });
 
   // Lossy server link towards a rack-mate that only answers probes, so the intra-rack probes
   // raise a server-link alarm without blinding a pinger.
@@ -554,21 +571,23 @@ TEST(DeployedCollector, SealsWhatTheSystemSeals) {
   for (int w = 0; w < 5; ++w) {
     system.RunWindowStreaming(w < 2 ? FailureScenario{} : failing, {}, rng);
   }
-  ASSERT_TRUE(static_cast<RecordingTransport*>(system.report_transport())->ok());
-  system.SetReportTransportFactory(nullptr);  // closes the trace
-
-  TraceReplayTransport replay(trace);
-  ASSERT_TRUE(replay.ok()) << replay.error();
   const Watchdog watchdog(ft.topology());
   Analyzer analyzer(options, system.probe_matrix(), watchdog);
   CollectingSink deployed;
   analyzer.set_sink(&deployed);
   Collector collector(analyzer.diagnoser().store());
   std::vector<uint64_t> closed;
+  size_t next = 0;
   analyzer.Serve(
-      collector, [&](std::vector<uint8_t>& frame) { return replay.Receive(frame); },
+      collector,
+      [&](std::vector<uint8_t>& frame) {
+        if (next == captured.size()) {
+          return false;
+        }
+        frame = captured[next++];
+        return true;
+      },
       [&](uint64_t window, const WindowDiagnosis&) { closed.push_back(window); });
-  std::filesystem::remove(trace);
 
   EXPECT_EQ(closed, (std::vector<uint64_t>{1, 2, 3, 4, 5}));
   ASSERT_EQ(deployed.windows().size(), live.windows().size());
@@ -690,7 +709,8 @@ TEST(ReportPlane, UdpLoopbackDeliversFrames) {
 
 // A dead collector over real sockets: once the bound socket closes, the kernel answers the
 // agent's datagrams with port-unreachable, and each such error fails the agent's next send —
-// so a connected UdpTransport reports the dead collector instead of swallowing it.
+// so a connected UdpTransport reports the dead collector instead of swallowing it, bare or
+// behind an empty impairment profile (fleet_runner's agent shape).
 TEST(ReportPlane, UdpSendFailsAfterCollectorCloses) {
   std::string error;
   auto collector_side = UdpTransport::Bind(0, &error);
@@ -703,14 +723,21 @@ TEST(ReportPlane, UdpSendFailsAfterCollectorCloses) {
     GTEST_SKIP() << "UDP connect unavailable in this sandbox (" << error
                  << ") — skipping the UDP send-failure test";
   }
+  auto impaired_wire = UdpTransport::Connect(collector_side->port(), &error);
+  ASSERT_NE(impaired_wire, nullptr) << error;
+  ImpairmentTransport impaired_side(std::move(impaired_wire), ImpairmentProfile{});
   collector_side.reset();  // the collector process dies
 
   const uint8_t frame[4] = {1, 2, 3, 4};
-  int failed = 0;
-  for (int i = 0; i < 10; ++i) {
-    failed += agent_side->Send(frame) ? 0 : 1;
+  for (Transport* agent : {static_cast<Transport*>(agent_side.get()),
+                           static_cast<Transport*>(&impaired_side)}) {
+    int failed = 0;
+    for (int i = 0; i < 10; ++i) {
+      failed += agent->Send(frame) ? 0 : 1;
+    }
+    EXPECT_GE(failed, 1) << "10 sends to a closed port all reported success"
+                         << (agent == &impaired_side ? " through the impairment decorator" : "");
   }
-  EXPECT_GE(failed, 1) << "10 sends to a closed port all reported success";
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #define SRC_COMMON_RNG_H_
 
 #include <cstdint>
+#include <mutex>
 #include <random>
 
 #include "src/common/check.h"
@@ -76,7 +77,7 @@ class Rng {
 
   bool NextBernoulli(double p) { return NextDouble() < p; }
 
-  // Binomial(n, p) sample. Exact summation for small n, normal approximation for large n·p·(1−p).
+  // Binomial(n, p) sample, drawn by std::binomial_distribution (see BinomialUsesLgamma).
   int64_t NextBinomial(int64_t n, double p);
 
   // Log-uniform double in [lo, hi]; both must be positive.
@@ -94,8 +95,23 @@ class Rng {
  private:
   static constexpr uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
+  // Held while building and drawing a binomial for which BinomialUsesLgamma holds.
+  static std::mutex& LgammaMutex() {
+    static std::mutex mutex;
+    return mutex;
+  }
+
   uint64_t state_[4];
 };
+
+// libstdc++'s std::binomial_distribution switches from its waiting-time sampler to a
+// rejection method once n * min(p, 1 - p) >= 8, and that method's set-up and draw call
+// lgamma, which writes libm's process-wide signgam — the only lgamma caller in src/. Such
+// binomials are built and drawn under one process-wide lock, so concurrent probe shards do not
+// race on signgam; the draws themselves are unchanged.
+inline bool BinomialUsesLgamma(int64_t n, double p) {
+  return static_cast<double>(n) * (p <= 0.5 ? p : 1.0 - p) >= 8.0;
+}
 
 inline int64_t Rng::NextBinomial(int64_t n, double p) {
   DCHECK(n >= 0);
@@ -106,6 +122,11 @@ inline int64_t Rng::NextBinomial(int64_t n, double p) {
     return n;
   }
   // std::binomial_distribution handles both regimes with acceptable speed and full accuracy.
+  if (BinomialUsesLgamma(n, p)) {
+    const std::lock_guard<std::mutex> lock(LgammaMutex());
+    std::binomial_distribution<int64_t> dist(n, p);
+    return dist(*this);
+  }
   std::binomial_distribution<int64_t> dist(n, p);
   return dist(*this);
 }

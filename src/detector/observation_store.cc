@@ -104,11 +104,15 @@ ObservationStore::DirtySlots ObservationStore::TakeDirtySlots() {
 }
 
 ObservationStore::Shard& ObservationStore::OpenShard(NodeId pinger) {
-  auto [it, inserted] = shard_of_pinger_.try_emplace(pinger, shards_.size());
-  if (inserted) {
-    shards_.emplace_back(new Shard(this, pinger));
+  std::unique_ptr<Shard>& shard = shard_of_pinger_[pinger];
+  if (shard == nullptr) {
+    shard.reset(new Shard(this, pinger));
   }
-  return *shards_[it->second];
+  if (!shard->open_) {
+    shard->open_ = true;
+    shards_.push_back(shard.get());
+  }
+  return *shard;
 }
 
 void ObservationStore::InvalidateSlots(std::span<const PathId> slots) {
@@ -145,7 +149,7 @@ void ObservationStore::AdjustForNode(NodeId node, int sign) {
   // Pinger role: the node's own shard, minus records excluded by a still-filtered target.
   const auto shard_it = shard_of_pinger_.find(node);
   if (shard_it != shard_of_pinger_.end()) {
-    const Shard& shard = *shards_[shard_it->second];
+    const Shard& shard = *shard_it->second;
     for (size_t i = 0; i < shard.folded_; ++i) {
       const Shard::PathRecord& record = shard.paths_[i];
       // node itself is outside applied_down_ (caller contract), so this also admits
@@ -172,16 +176,16 @@ void ObservationStore::AdjustForNode(NodeId node, int sign) {
 
 void ObservationStore::BuildTargetIndex() {
   records_by_target_.clear();
-  for (const auto& shard : shards_) {
+  for (const Shard* shard : shards_) {
     for (size_t i = 0; i < shard->folded_; ++i) {
-      records_by_target_[shard->paths_[i].target].emplace_back(shard.get(), i);
+      records_by_target_[shard->paths_[i].target].emplace_back(shard, i);
     }
   }
   target_index_built_ = true;
 }
 
 void ObservationStore::FoldNewRecords() {
-  for (const auto& shard : shards_) {
+  for (Shard* shard : shards_) {
     const bool pinger_down = applied_down_.count(shard->pinger_) > 0;
     for (size_t i = shard->folded_; i < shard->paths_.size(); ++i) {
       const Shard::PathRecord& record = shard->paths_[i];
@@ -200,7 +204,7 @@ void ObservationStore::FoldNewRecords() {
       // pinger/target later recovers, AdjustForNode(+1) re-adds exactly the ones whose epoch
       // is still current.
       if (target_index_built_) {
-        records_by_target_[record.target].emplace_back(shard.get(), i);
+        records_by_target_[record.target].emplace_back(shard, i);
       }
     }
     shard->folded_ = shard->paths_.size();
@@ -236,7 +240,7 @@ ObservationView ObservationStore::RunningTotals(size_t num_slots, const Watchdog
 std::vector<IntraRackObservation> ObservationStore::IntraRackObservations(
     const Watchdog& watchdog) const {
   std::vector<IntraRackObservation> out;
-  for (const auto& shard : shards_) {
+  for (const Shard* shard : shards_) {
     if (!watchdog.IsHealthy(shard->pinger_)) {
       continue;
     }
@@ -250,8 +254,20 @@ std::vector<IntraRackObservation> ObservationStore::IntraRackObservations(
 }
 
 void ObservationStore::Clear() {
+  for (auto it = shard_of_pinger_.begin(); it != shard_of_pinger_.end();) {
+    Shard& shard = *it->second;
+    if (!shard.open_) {
+      it = shard_of_pinger_.erase(it);
+      continue;
+    }
+    shard.open_ = false;
+    shard.paths_.clear();
+    shard.rtt_.clear();
+    shard.intra_.clear();
+    shard.folded_ = 0;
+    ++it;
+  }
   shards_.clear();
-  shard_of_pinger_.clear();
   slot_epoch_.assign(slot_epoch_.size(), 0);
   running_.assign(running_.size(), PathObservation{});
   rtt_running_.assign(rtt_running_.size(), RttSketch{});

@@ -89,6 +89,7 @@ class ObservationStore {
 
     const ObservationStore* store_;
     NodeId pinger_;
+    bool open_ = false;  // opened since the last Clear(); idle shards hold no records
     std::vector<PathRecord> paths_;
     std::vector<RttSketch> rtt_;  // sketches referenced by PathRecord::rtt
     std::vector<IntraRackObservation> intra_;
@@ -101,8 +102,9 @@ class ObservationStore {
   // only: records may not be streamed for a slot the table does not cover yet.
   void EnsureSlots(size_t num_slots);
 
-  // Returns the accumulation shard for `pinger`, creating it on first use. Serial phase only;
-  // the returned reference stays valid until Clear().
+  // Returns the accumulation shard for `pinger`, creating it on first use. A pinger reopened
+  // in the window after a Clear() gets its shard back empty, with its buffers' capacity kept.
+  // Serial phase only; the returned reference stays valid until Clear().
   Shard& OpenShard(NodeId pinger);
 
   // Orphans every buffered counter on the given slots (stale after a mid-window topology delta
@@ -150,7 +152,9 @@ class ObservationStore {
   };
   DirtySlots TakeDirtySlots();
 
-  // Drops every shard and resets all epochs and running totals (end of an aggregation window).
+  // Empties every shard and resets all epochs and running totals (end of an aggregation
+  // window). An emptied shard keeps its buffers for its pinger's next OpenShard; a shard its
+  // pinger did not reopen since the previous Clear() is freed.
   void Clear();
 
   size_t num_slots() const { return slot_epoch_.size(); }
@@ -177,8 +181,9 @@ class ObservationStore {
   // them by target.
   void FoldNewRecords();
 
-  std::vector<std::unique_ptr<Shard>> shards_;  // stable addresses, creation order
-  std::map<NodeId, size_t> shard_of_pinger_;    // ordered: snapshot order independent of churn
+  std::vector<Shard*> shards_;  // the window's open shards, in OpenShard order
+  // Every shard held: the window's open ones plus those idle since the last Clear().
+  std::map<NodeId, std::unique_ptr<Shard>> shard_of_pinger_;
   std::vector<uint32_t> slot_epoch_;
   // Running-totals state: running_[slot] always equals the sum of folded records whose epoch
   // is the slot's current one and whose pinger/target are outside applied_down_.

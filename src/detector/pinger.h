@@ -61,10 +61,14 @@ class ReportSink {
   }
 };
 
+// A pinger is a view over its pinglist: the caller keeps the pinglist alive and unchanged
+// while the pinger runs (pinglists change only at serial points, so concurrent shards share
+// them without a copy). A temporary pinglist does not bind.
 class Pinger {
  public:
-  explicit Pinger(Pinglist pinglist, int confirm_packets = 2)
-      : pinglist_(std::move(pinglist)), confirm_packets_(confirm_packets) {}
+  explicit Pinger(const Pinglist& pinglist, int confirm_packets = 2)
+      : pinglist_(pinglist), confirm_packets_(confirm_packets) {}
+  Pinger(const Pinglist&& pinglist, int confirm_packets = 2) = delete;
 
   // Executes one aggregation window: the packet budget (pps x seconds) is spread round-robin
   // over the pinglist entries. With a watchdog, intra-rack entries targeting flagged servers
@@ -100,7 +104,7 @@ class Pinger {
   PingerTraffic RunEntries(const ProbeEngine& engine, double window_seconds, Rng& rng,
                            const Watchdog* watchdog, Sink&& sink) const;
 
-  Pinglist pinglist_;
+  const Pinglist& pinglist_;
   int confirm_packets_;
 };
 

@@ -23,6 +23,54 @@ ProbeEngine::ProbeEngine(const Topology& topo, const FailureScenario& scenario,
       }
     }
   }
+  // Same factors, same order as FlowSuccessProbability over healthy links, so every cached
+  // loss is bit-equal to the per-flow product.
+  healthy_draws_.resize(kCachedPathLinks + 1);
+  double success = 1.0;
+  for (size_t links = 0; links <= kCachedPathLinks; ++links) {
+    if (links > 0) {
+      success *= (1.0 - config_.base_loss_rate);
+      success *= (1.0 - config_.base_loss_rate);
+    }
+    HealthyPathDraws& draws = healthy_draws_[links];
+    draws.loss = 1.0 - success;
+    if (draws.loss <= 0.0 || draws.loss >= 1.0) {
+      continue;
+    }
+    for (int n = 1; n <= kCachedFlowPackets && !BinomialUsesLgamma(n, draws.loss); ++n) {
+      draws.by_count.emplace_back(n, draws.loss);
+    }
+  }
+}
+
+int64_t ProbeEngine::HealthyPathDraws::Draw(int packets, Rng& rng) const {
+  // Rng::NextBinomial's order of cases, so deterministic losses consume no randomness.
+  if (loss <= 0.0) {
+    return 0;
+  }
+  if (loss >= 1.0) {
+    return packets;
+  }
+  return std::binomial_distribution<int64_t>(by_count[static_cast<size_t>(packets) - 1])(rng);
+}
+
+const ProbeEngine::HealthyPathDraws* ProbeEngine::HealthyDraws(std::span<const LinkId> links,
+                                                               int max_flow_packets) const {
+  if (links.size() > kCachedPathLinks) {
+    return nullptr;
+  }
+  if (failures_active_ && !failures_.empty()) {
+    for (const LinkId link : links) {
+      if (failure_of_link_[static_cast<size_t>(link)] >= 0) {
+        return nullptr;
+      }
+    }
+  }
+  const HealthyPathDraws& draws = healthy_draws_[links.size()];
+  if (!draws.by_count.empty() && static_cast<size_t>(max_flow_packets) > draws.by_count.size()) {
+    return nullptr;
+  }
+  return &draws;
 }
 
 double ProbeEngine::LinkDropProbability(LinkId link, const FlowKey& flow) const {
@@ -93,9 +141,14 @@ PathObservation ProbeEngine::SimulatePath(std::span<const LinkId> links, NodeId 
   const int ports = std::max(1, config_.port_count);
   const int base = packets / ports;
   const int remainder = packets % ports;
+  const HealthyPathDraws* healthy = HealthyDraws(links, base + (remainder > 0 ? 1 : 0));
   for (int p = 0; p < ports; ++p) {
     const int n = base + (p < remainder ? 1 : 0);
     if (n == 0) {
+      continue;
+    }
+    if (healthy != nullptr) {
+      obs.lost += healthy->Draw(n, rng);
       continue;
     }
     FlowKey flow;

@@ -15,6 +15,7 @@
 #ifndef SRC_SIM_PROBE_ENGINE_H_
 #define SRC_SIM_PROBE_ENGINE_H_
 
+#include <random>
 #include <span>
 #include <vector>
 
@@ -64,7 +65,9 @@ class ProbeEngine {
   // the RTT of up to rtt_samples_per_path() surviving probes into the sketch (drawn from the
   // same `rng` stream, after the loss draws, so loss trajectories with observation disabled
   // are untouched). Links under a kLatencyInflation failure add their extra delay to every
-  // sample — the gray-failure signal.
+  // sample — the gray-failure signal. Each port's loss draw equals SimulateFlow's for that
+  // port's flow; a path whose links carry no active failure draws from the healthy-path cache
+  // (see HealthyPathDraws) instead of recomputing the same product per flow.
   PathObservation SimulatePath(std::span<const LinkId> links, NodeId src, NodeId dst,
                                int packets, Rng& rng, RttSketch* rtt = nullptr) const;
 
@@ -99,8 +102,33 @@ class ProbeEngine {
   const Topology& topology() const { return topo_; }
 
  private:
+  friend class ProbeEngineCachePeer;  // reads the healthy-path cache (tests/sim_test.cc)
+
   // Per-traversal drop probability of one link for one flow.
   double LinkDropProbability(LinkId link, const FlowKey& flow) const;
+
+  // Healthy-path draws. On a path none of whose links carries an active failure every flow
+  // loses a probe with the same probability: the round trip at base_loss_rate over each link.
+  // The constructor multiplies it out per path length, in FlowSuccessProbability's order, and
+  // builds the binomial parameters of each small per-flow count whose draw stays off
+  // libstdc++'s lgamma sampler (BinomialUsesLgamma). Drawing from them is the draw
+  // Rng::NextBinomial makes from (count, loss), minus the product and the set-up's log.
+  static constexpr size_t kCachedPathLinks = 8;
+  static constexpr int kCachedFlowPackets = 16;
+  struct HealthyPathDraws {
+    double loss = 0.0;  // 1 - FlowSuccessProbability of a healthy path of this length
+    // Parameters for per-flow counts 1..by_count.size(); empty when `loss` is 0 or 1, whose
+    // draws consume no randomness and so serve every count.
+    std::vector<std::binomial_distribution<int64_t>::param_type> by_count;
+
+    // The loss count of `packets` probes of one flow, a count these draws serve.
+    int64_t Draw(int packets, Rng& rng) const;
+  };
+  // The cached draws for `links` when no link carries an active failure, the path is at most
+  // kCachedPathLinks long and every per-flow count up to `max_flow_packets` is served; null
+  // otherwise (the per-flow loop runs).
+  const HealthyPathDraws* HealthyDraws(std::span<const LinkId> links,
+                                       int max_flow_packets) const;
 
   const Topology& topo_;
   ProbeConfig config_;
@@ -108,6 +136,7 @@ class ProbeEngine {
   // Dense per-link failure lookup (a link can carry at most one injected failure).
   std::vector<int32_t> failure_of_link_;
   std::vector<LinkFailure> failures_;
+  std::vector<HealthyPathDraws> healthy_draws_;  // by path length, [0, kCachedPathLinks]
   // Optional RTT observation state.
   const LatencyModel* rtt_model_ = nullptr;
   std::vector<double> rtt_link_load_mbps_;

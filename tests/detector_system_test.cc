@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <type_traits>
 
 #include "src/detector/controller.h"
 #include "src/detector/diagnoser.h"
@@ -166,6 +167,9 @@ TEST(ControllerBcube, ServerEndpointsPingThemselves) {
 }
 
 TEST(Pinger, WindowBudgetAndConfirmation) {
+  // A pinger views its pinglist, so a temporary one must not bind.
+  static_assert(!std::is_constructible_v<Pinger, Pinglist&&, int>);
+  static_assert(std::is_constructible_v<Pinger, const Pinglist&, int>);
   const FatTree ft(4);
   Pinglist list;
   list.pinger = ft.Server(0, 0, 0);

@@ -2,7 +2,12 @@
 // agreement), failure sampling distributions, workload and latency models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <random>
+#include <span>
+#include <vector>
 
 #include "src/sim/failure_model.h"
 #include "src/sim/latency_model.h"
@@ -13,6 +18,16 @@
 #include "src/topo/fattree.h"
 
 namespace detector {
+
+// Reads ProbeEngine's healthy-path cache (a friend of the engine).
+class ProbeEngineCachePeer {
+ public:
+  static size_t CachedLengths(const ProbeEngine& engine) { return engine.healthy_draws_.size(); }
+  static const auto& Draws(const ProbeEngine& engine, size_t links) {
+    return engine.healthy_draws_[links];
+  }
+};
+
 namespace {
 
 FlowKey MakeFlow(NodeId src, NodeId dst, uint16_t sport = 1000) {
@@ -202,6 +217,162 @@ TEST(ProbeEngine, OneWayPrefixProbability) {
       engine.OneWaySuccessProbability(std::span<const LinkId>(path.data(), 1), flow), 1.0);
   EXPECT_DOUBLE_EQ(
       engine.OneWaySuccessProbability(std::span<const LinkId>(path.data(), 2), flow), 0.0);
+}
+
+// SimulatePath's per-flow reference: one SimulateFlow per port with the flow SimulatePath
+// builds, then its RTT sampling over the survivors (unloaded links, `inflation_us` added to
+// every sample).
+PathObservation PerFlowReference(const ProbeEngine& engine, const LatencyModel& model,
+                                 std::span<const LinkId> links, NodeId src, NodeId dst,
+                                 int packets, double inflation_us, Rng& rng, RttSketch* rtt) {
+  PathObservation obs;
+  obs.sent = packets;
+  if (packets <= 0) {
+    return obs;
+  }
+  const ProbeConfig& config = engine.config();
+  const int ports = std::max(1, config.port_count);
+  for (int p = 0; p < ports; ++p) {
+    const int n = packets / ports + (p < packets % ports ? 1 : 0);
+    if (n == 0) {
+      continue;
+    }
+    FlowKey flow;
+    flow.src = src;
+    flow.dst = dst;
+    flow.src_port = static_cast<uint16_t>(config.src_port_base + p);
+    flow.dst_port = config.dst_port;
+    obs.lost += engine.SimulateFlow(links, flow, n, rng).lost;
+  }
+  if (rtt != nullptr && obs.lost < obs.sent) {
+    const std::vector<double> idle(engine.topology().NumLinks(), 0.0);
+    const int64_t samples = std::min<int64_t>(obs.sent - obs.lost, engine.rtt_samples_per_path());
+    for (int64_t i = 0; i < samples; ++i) {
+      rtt->Record(static_cast<int64_t>(model.SampleRttUs(links, idle, rng) + inflation_us));
+    }
+  }
+  return obs;
+}
+
+// SimulatePath draws healthy paths from per-length cached parameters; every draw must equal
+// the per-flow loop's, for paths longer than the cache, per-flow counts beyond it, failures on
+// and off the path (active or not), any base loss rate, port count and RTT observation.
+TEST(ProbeEngine, HealthyPathDrawsMatchPerFlowReference) {
+  const FatTree ft(8);
+  const Topology& topo = ft.topology();
+  const LinkId failed = ft.AggCoreLink(0, 0, 0);
+  std::vector<LinkId> others;
+  for (size_t link = 0; link < topo.NumLinks(); ++link) {
+    if (static_cast<LinkId>(link) != failed) {
+      others.push_back(static_cast<LinkId>(link));
+    }
+  }
+  const NodeId src = ft.Server(0, 0, 0);
+  const NodeId dst = ft.Server(3, 1, 2);
+  const LatencyModel model(LatencyModelOptions{});
+  constexpr double kDelayUs = 2500.0;
+
+  std::vector<std::optional<LinkFailure>> failures = {std::nullopt};
+  for (const FailureType type :
+       {FailureType::kFullLoss, FailureType::kRandomPartial, FailureType::kDeterministicPartial,
+        FailureType::kLatencyInflation}) {
+    LinkFailure f;
+    f.link = failed;
+    f.type = type;
+    f.loss_rate = type == FailureType::kRandomPartial ? 0.05 : 1.0;
+    f.match_fraction = 0.5;
+    f.rule_seed = 7;
+    f.added_delay_us = type == FailureType::kLatencyInflation ? kDelayUs : 0.0;
+    failures.push_back(f);
+  }
+  std::vector<int> packet_counts;
+  for (int n = 0; n <= 20; ++n) {
+    packet_counts.push_back(n);
+  }
+  for (const int n : {31, 32, 33, 127, 128, 129, 200}) {
+    packet_counts.push_back(n);
+  }
+
+  uint64_t case_id = 0;
+  int64_t lost_total = 0;
+  for (const double base_loss : {0.0, 1e-5, 0.3}) {
+    for (const int ports : {1, 8}) {
+      for (const bool observe_rtt : {false, true}) {
+        for (const auto& failure : failures) {
+          for (const bool active : {true, false}) {
+            FailureScenario scenario;
+            if (failure.has_value()) {
+              scenario.failures.push_back(*failure);
+            }
+            ProbeConfig config;
+            config.base_loss_rate = base_loss;
+            config.port_count = ports;
+            ProbeEngine engine(topo, scenario, config);
+            engine.SetFailuresActive(active);
+            if (observe_rtt) {
+              engine.AttachRttObservation(&model, {}, /*samples_per_path=*/4);
+            }
+            // The cache itself: each length's loss bit-equals the per-flow product, and each
+            // cached count's parameters are the ones Rng::NextBinomial builds, off lgamma.
+            for (size_t length = 0; length < ProbeEngineCachePeer::CachedLengths(engine);
+                 ++length) {
+              const std::span<const LinkId> healthy(others.data(), length);
+              const double loss =
+                  1.0 - engine.FlowSuccessProbability(healthy, MakeFlow(src, dst));
+              const auto& draws = ProbeEngineCachePeer::Draws(engine, length);
+              ASSERT_EQ(draws.loss, loss) << "length " << length;
+              for (size_t n = 1; n <= draws.by_count.size(); ++n) {
+                ASSERT_TRUE(draws.by_count[n - 1] ==
+                            std::binomial_distribution<int64_t>::param_type(
+                                static_cast<int64_t>(n), loss));
+                ASSERT_FALSE(BinomialUsesLgamma(static_cast<int64_t>(n), loss));
+              }
+            }
+            Rng picker(HashCombine(17, case_id));
+            for (size_t length = 1; length <= 20; ++length) {
+              for (const bool on_path : {false, true}) {
+                std::vector<LinkId> links;
+                for (size_t i = 0; i < length; ++i) {
+                  links.push_back(others[picker.NextBounded(others.size())]);
+                }
+                if (on_path) {
+                  links[picker.NextBounded(length)] = failed;
+                }
+                const bool inflated = on_path && active && failure.has_value() &&
+                                      failure->type == FailureType::kLatencyInflation;
+                const double inflation = inflated ? 2.0 * kDelayUs : 0.0;
+                for (const int packets : packet_counts) {
+                  ++case_id;
+                  SCOPED_TRACE(testing::Message()
+                               << "base_loss " << base_loss << " ports " << ports << " rtt "
+                               << observe_rtt << " failure "
+                               << (failure.has_value() ? FailureTypeName(failure->type) : "none")
+                               << " active " << active << " length " << length << " on_path "
+                               << on_path << " packets " << packets);
+                  Rng cached_rng(HashCombine(29, case_id));
+                  Rng reference_rng(HashCombine(29, case_id));
+                  RttSketch cached_rtt(engine.rtt_sketch_bins());
+                  RttSketch reference_rtt(engine.rtt_sketch_bins());
+                  const PathObservation cached = engine.SimulatePath(
+                      links, src, dst, packets, cached_rng, observe_rtt ? &cached_rtt : nullptr);
+                  const PathObservation reference =
+                      PerFlowReference(engine, model, links, src, dst, packets, inflation,
+                                       reference_rng, observe_rtt ? &reference_rtt : nullptr);
+                  ASSERT_EQ(cached.sent, reference.sent);
+                  ASSERT_EQ(cached.lost, reference.lost);
+                  ASSERT_EQ(cached_rtt.total(), reference_rtt.total());
+                  ASSERT_TRUE(std::ranges::equal(cached_rtt.bins(), reference_rtt.bins()));
+                  ASSERT_EQ(cached_rng(), reference_rng());
+                  lost_total += cached.lost;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(lost_total, 0);
 }
 
 TEST(FailureModel, SamplesRequestedCount) {

@@ -1,10 +1,14 @@
 // Continuous-diagnosis tests: the ObservationStore's maintained running totals must stay
 // bit-identical to the rebuilt reference (tests/store_reference.h) under slot invalidation,
-// watchdog retro-drops and recoveries, and concurrent shard ingest at any thread count — and
-// a streaming window's final-segment diagnosis must be bit-identical to the batch window on
-// the same seed.
+// watchdog retro-drops and recoveries, concurrent shard ingest at any thread count, and
+// windows that reuse the previous window's shard buffers — and a streaming window's
+// final-segment diagnosis must be bit-identical to the batch window on the same seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "src/detector/observation_store.h"
@@ -98,6 +102,145 @@ TEST(RunningTotals, GrowsWithTheSlotTable) {
   ExpectRunningMatchesSnapshot(store, 6, wd, "grown table");
   EXPECT_EQ(store.RunningTotals(6, wd)[1].sent, 10);
   EXPECT_EQ(store.RunningTotals(6, wd)[5].sent, 20);
+}
+
+// What one store exposes at a diagnosis boundary, read in the order a boundary reads it.
+struct BoundaryReads {
+  std::vector<PathObservation> totals;
+  std::vector<RttSketch> rtt;  // per slot; a slot beyond the RTT span reads empty
+  std::vector<IntraRackObservation> intra;
+  ObservationStore::DirtySlots dirty;
+};
+
+BoundaryReads ReadBoundary(ObservationStore& store, size_t num_slots, const Watchdog& wd) {
+  BoundaryReads reads;
+  const ObservationView view = store.RunningTotals(num_slots, wd);
+  reads.totals.assign(view.begin(), view.end());
+  const std::span<const RttSketch> rtt = store.RttRunningTotals();
+  reads.rtt.resize(num_slots);
+  for (size_t s = 0; s < num_slots && s < rtt.size(); ++s) {
+    reads.rtt[s] = rtt[s];
+  }
+  reads.intra = store.IntraRackObservations(wd);
+  reads.dirty = store.TakeDirtySlots();
+  return reads;
+}
+
+void ExpectSameSketches(const std::vector<RttSketch>& a, const std::vector<RttSketch>& b,
+                        const std::string& when) {
+  ASSERT_EQ(a.size(), b.size()) << when;
+  for (size_t s = 0; s < a.size(); ++s) {
+    EXPECT_EQ(a[s].total(), b[s].total()) << when << " slot " << s;
+    EXPECT_TRUE(std::ranges::equal(a[s].bins(), b[s].bins())) << when << " slot " << s;
+  }
+}
+
+// Clear() keeps each pinger's shard (and its buffers) for the pinger's next window. Across
+// three windows whose pinger set and open order change, a reused store must read exactly
+// like a fresh store fed the same records — totals, RTT totals, intra-rack order and dirty
+// slots — and both must match the rebuilt reference.
+TEST(ObservationStore, ClearKeepsBuffersNotResults) {
+  const FatTree ft(4);
+  Watchdog wd(ft.topology());
+  constexpr size_t kSlots = 12;
+  const NodeId a = ft.Server(0, 0, 0);
+  const NodeId b = ft.Server(0, 0, 1);
+  const NodeId c = ft.Server(1, 0, 0);
+  const NodeId d = ft.Server(2, 1, 1);  // appears in the second window
+  const NodeId far = ft.Server(3, 0, 0);
+  // b drops out of the second window and returns in the third; the open order changes.
+  const std::vector<std::vector<NodeId>> open_order = {{a, b, c}, {c, d, a}, {b, a, d, c}};
+  const std::vector<NodeId> targets = {far, ft.Server(3, 1, 1), ft.Server(2, 0, 0), a, c};
+
+  // One phase of a window's records: the same calls on whichever store it is given.
+  auto stream = [&](ObservationStore& store, size_t window, int phase) {
+    Rng rng(HashCombine(window, static_cast<uint64_t>(phase)));
+    for (const NodeId pinger : open_order[window]) {
+      ObservationStore::Shard& shard = store.OpenShard(pinger);
+      for (int i = 0; i < 6; ++i) {
+        const PathId slot = static_cast<PathId>(rng.NextBounded(kSlots));
+        NodeId target = targets[rng.NextBounded(targets.size())];
+        if (target == pinger) {
+          target = far;
+        }
+        const int64_t sent = 1 + static_cast<int64_t>(rng.NextBounded(20));
+        const int64_t lost = static_cast<int64_t>(rng.NextBounded(static_cast<uint64_t>(sent)));
+        if (i % 3 == 0) {
+          shard.RecordPath(slot, target, sent, lost);
+        } else if (i % 3 == 1) {
+          RttSketch sketch(RttSketch::kDefaultBins);
+          sketch.Record(100 + static_cast<int64_t>(rng.NextBounded(5000)));
+          sketch.Record(100 + static_cast<int64_t>(rng.NextBounded(5000)));
+          shard.RecordPathWithRtt(slot, target, sent, lost, std::move(sketch));
+        } else {
+          shard.RecordIntraRack(target, sent, lost);
+        }
+      }
+    }
+  };
+
+  ObservationStore reused;
+  reused.EnsureSlots(kSlots);
+  std::map<NodeId, const ObservationStore::Shard*> last_window_shards;
+  for (size_t window = 0; window < open_order.size(); ++window) {
+    ObservationStore fresh;
+    fresh.EnsureSlots(kSlots);
+    auto compare = [&](const std::string& step) {
+      const std::string when = "window " + std::to_string(window) + " " + step;
+      const BoundaryReads r = ReadBoundary(reused, kSlots, wd);
+      const BoundaryReads f = ReadBoundary(fresh, kSlots, wd);
+      const Observations reference = StoreReference::Snapshot(fresh, kSlots, wd);
+      ASSERT_EQ(r.totals.size(), kSlots) << when;
+      ASSERT_EQ(f.totals.size(), kSlots) << when;
+      for (size_t s = 0; s < kSlots; ++s) {
+        EXPECT_EQ(r.totals[s].sent, f.totals[s].sent) << when << " slot " << s;
+        EXPECT_EQ(r.totals[s].lost, f.totals[s].lost) << when << " slot " << s;
+        EXPECT_EQ(r.totals[s].sent, reference[s].sent) << when << " slot " << s;
+        EXPECT_EQ(r.totals[s].lost, reference[s].lost) << when << " slot " << s;
+      }
+      ExpectSameSketches(r.rtt, f.rtt, when + " rtt");
+      ExpectSameSketches(r.rtt, StoreReference::RttSnapshot(reused, kSlots, wd),
+                         when + " rtt reference");
+      ASSERT_EQ(r.intra.size(), f.intra.size()) << when;
+      for (size_t i = 0; i < r.intra.size(); ++i) {
+        EXPECT_EQ(r.intra[i].pinger, f.intra[i].pinger) << when << " intra " << i;
+        EXPECT_EQ(r.intra[i].target, f.intra[i].target) << when << " intra " << i;
+        EXPECT_EQ(r.intra[i].sent, f.intra[i].sent) << when << " intra " << i;
+        EXPECT_EQ(r.intra[i].lost, f.intra[i].lost) << when << " intra " << i;
+      }
+      EXPECT_EQ(r.dirty.all, f.dirty.all) << when;
+      EXPECT_EQ(r.dirty.slots, f.dirty.slots) << when;
+      EXPECT_EQ(r.dirty.watchdog_flipped, f.dirty.watchdog_flipped) << when;
+    };
+
+    stream(reused, window, 0);
+    stream(fresh, window, 0);
+    compare("first phase");
+    // A pinger open in consecutive windows gets its own shard back.
+    std::map<NodeId, const ObservationStore::Shard*> shards;
+    for (const NodeId pinger : open_order[window]) {
+      shards[pinger] = &reused.OpenShard(pinger);
+      const auto last = last_window_shards.find(pinger);
+      if (last != last_window_shards.end()) {
+        EXPECT_EQ(shards[pinger], last->second) << "window " << window;
+      }
+    }
+    EXPECT_EQ(reused.num_shards(), open_order[window].size());
+    if (window == 1) {
+      wd.MarkDown(c);  // a pinger and a target at once
+      compare("pinger flagged");
+    } else if (window == 2) {
+      wd.MarkUp(c);
+      wd.MarkDown(far);
+      compare("watchdog flip");
+    }
+    stream(reused, window, 1);
+    stream(fresh, window, 1);
+    compare("second phase");
+    reused.Clear();
+    EXPECT_EQ(reused.num_shards(), 0u);
+    last_window_shards = std::move(shards);
+  }
 }
 
 // End-to-end acceptance: streaming diagnosis at a segment cadence produces a final result

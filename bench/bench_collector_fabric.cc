@@ -98,7 +98,7 @@ StormRun DrainStormSharded(const std::vector<std::vector<uint8_t>>& storm, size_
   for (int r = 0; r < repeat; ++r) {
     ObservationStore store;
     store.EnsureSlots(kStormSlots);
-    Collector collector(store, CollectorOptions{.ingest_shards = shards});
+    Collector collector(store, CollectorOptions{.ingest_shards = shards, .key = {}});
     collector.BeginWindow(1);
     for (const auto& wire : storm) {
       collector.OfferUnbounded(wire);

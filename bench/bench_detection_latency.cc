@@ -14,10 +14,6 @@
 //                on divergence). The table reports the one-shot cost alongside.
 //   sliding      mid-window diagnoses localize over the trailing --sliding-window segment
 //                deltas instead of the whole accumulated window.
-//   decay        mid-window diagnoses localize over exponentially-decayed totals
-//                (--decay-factor per segment); --decay-quantized switches the view to
-//                shift-based halving at fixed boundaries, which rides LocalizeIncremental
-//                instead of running full PLL every boundary.
 //
 // Bit-exactness gate (always enforced): for every trial and cadence, the streaming window's
 // final localization must equal the batch window's on the same seed and slicing — the running
@@ -26,23 +22,15 @@
 // --speedup-gate: measures one-dirty-component incremental vs full diagnosis on a structured
 // fat-tree(--gate-k, default 48) matrix — the north-star scale — and enforces >= 5x (exit 2)
 // unless the host needed more than --gate-build-budget seconds to build and warm the matrix,
-// in which case the gate is printed and skipped. In --mode=decay the gate instead compares
-// the quantized decay view (shift-halving + LocalizeIncremental) against the exact view
-// (full PLL every boundary) on the same boundary sequence: the quantized diagnosis must be
-// >= 5x cheaper per boundary and agree with the exact view on the suspect-link set (the
-// quantized totals are an approximation, so the contract is agreement, not bit-exactness).
-// Quantization pays on the boundaries between halvings, so the gate wants a halving period
-// of several segments — gentle factors (the 0.98 default; period 34), not 0.5 (period 1).
+// in which case the gate is printed and skipped.
 //
 // Flags: --k=16            fat-tree arity
 //        --trials=10       failure scenarios per cadence
 //        --pps=200         probe packets per second per pinger
 //        --segments=10     probe slices per window (diagnosis can only happen on a boundary)
 //        --cadences=1,5    comma-separated diagnosis cadences, in segments
-//        --mode=incremental|sliding|decay
+//        --mode=incremental|sliding
 //        --sliding-window=4 trailing width for --mode=sliding, in segments
-//        --decay-factor=0.98 per-segment decay for --mode=decay
-//        --decay-quantized  quantized (shift-halving) decay view for --mode=decay
 //        --alpha, --beta   PMC configuration (default 1/1)
 //        --seed
 //        --speedup-gate [--gate-k=48] [--gate-trials=20] [--gate-build-budget=180]
@@ -124,7 +112,7 @@ bool RunSpeedupGate(const Flags& flags, uint64_t seed) {
   clean.reports.reserve(num_paths);
   for (size_t p = 0; p < num_paths; ++p) {
     clean.reports.push_back(
-        PathReport{static_cast<PathId>(p), ft.Server(0, 0, 1), 1000, 0});
+        PathReport{static_cast<PathId>(p), ft.Server(0, 0, 1), 1000, 0, {}});
   }
   diagnoser.Ingest(clean);
   (void)diagnoser.DiagnoseRunning(matrix, watchdog);
@@ -141,7 +129,7 @@ bool RunSpeedupGate(const Flags& flags, uint64_t seed) {
     PingerWindowResult lossy;
     lossy.pinger = clean.pinger;
     lossy.reports.push_back(PathReport{static_cast<PathId>(rng() % num_paths),
-                                       ft.Server(0, 0, 1), 500, 400});
+                                       ft.Server(0, 0, 1), 500, 400, {}});
     diagnoser.Ingest(lossy);
     // Full first: it reads the totals without consuming the dirty set the incremental
     // diagnosis needs.
@@ -174,106 +162,6 @@ bool RunSpeedupGate(const Flags& flags, uint64_t seed) {
   return pass;
 }
 
-// Sorted link-id view of a localization, for the decay agreement check (scores may differ
-// between the quantized integer totals and the exact decayed doubles; the suspect set is the
-// contract).
-std::vector<LinkId> SuspectSet(const LocalizeResult& result) {
-  std::vector<LinkId> links;
-  links.reserve(result.links.size());
-  for (const SuspectLink& s : result.links) {
-    links.push_back(s.link);
-  }
-  std::sort(links.begin(), links.end());
-  return links;
-}
-
-// Decay-view gate at --gate-k: identical clean totals + one fresh lossy path per boundary
-// through two diagnosers — exact decay (multiplies every active slot every boundary, then
-// full PLL) and quantized decay (delta-touched slots only + LocalizeIncremental, with the
-// all-slot shift-halving amortized over its period). Per-boundary cost is AdvanceSegment +
-// DiagnoseDecayed, measured over whole halving periods so every halving is paid for.
-// Returns false on gate failure.
-bool RunDecayGate(const Flags& flags, uint64_t seed) {
-  const int gate_k = static_cast<int>(flags.GetInt("gate-k", 48));
-  const int gate_trials = std::max(3, static_cast<int>(flags.GetInt("gate-trials", 20)));
-  const double build_budget = flags.GetDouble("gate-build-budget", 180.0);
-  const double factor = flags.GetDouble("decay-factor", 0.98);
-
-  std::printf("\n== decay gate: quantized vs exact decay boundaries at structured "
-              "fat-tree(%d), factor %.2f ==\n", gate_k, factor);
-  WallTimer build_timer;
-  const FatTree ft(gate_k);
-  const ProbeMatrix matrix = StructuredFatTreeProbeMatrix(ft, /*alpha=*/1, /*beta=*/2);
-  const Watchdog watchdog(ft.topology());
-  Diagnoser exact;
-  Diagnoser quantized;
-  exact.set_decay_factor(factor);
-  quantized.set_decay_factor(factor);
-  quantized.set_decay_quantized(true);
-
-  const size_t num_paths = matrix.NumPaths();
-  PingerWindowResult clean;
-  clean.pinger = ft.Server(0, 0, 0);
-  clean.reports.reserve(num_paths);
-  for (size_t p = 0; p < num_paths; ++p) {
-    clean.reports.push_back(PathReport{static_cast<PathId>(p), ft.Server(0, 0, 1), 1000, 0});
-  }
-  exact.Ingest(clean);
-  quantized.Ingest(clean);
-  exact.AdvanceSegment(matrix, watchdog);
-  quantized.AdvanceSegment(matrix, watchdog);
-  (void)exact.DiagnoseDecayed(matrix, watchdog);
-  (void)quantized.DiagnoseDecayed(matrix, watchdog);
-  const double build_seconds = build_timer.ElapsedSeconds();
-  // Whole halving periods only, so the amortized quantized cost includes every all-slot
-  // halving it is responsible for.
-  const int64_t period = quantized.DecayHalvingPeriod();
-  const int64_t cycles = std::max<int64_t>(1, (gate_trials + period - 1) / period);
-  const int64_t boundaries = period * cycles;
-  std::printf("build+warm: %.1f s, %zu paths, halving every %lld boundaries, measuring %lld\n",
-              build_seconds, num_paths, static_cast<long long>(period),
-              static_cast<long long>(boundaries));
-
-  OnlineStats exact_ms;
-  OnlineStats quantized_ms;
-  Rng rng(seed);
-  bool agree = true;
-  for (int64_t t = 0; t < boundaries; ++t) {
-    PingerWindowResult lossy;
-    lossy.pinger = clean.pinger;
-    lossy.reports.push_back(PathReport{static_cast<PathId>(rng() % num_paths),
-                                       ft.Server(0, 0, 1), 500, 400});
-    exact.Ingest(lossy);
-    quantized.Ingest(lossy);
-    WallTimer exact_timer;
-    exact.AdvanceSegment(matrix, watchdog);
-    const LocalizeResult e = exact.DiagnoseDecayed(matrix, watchdog);
-    exact_ms.Add(exact_timer.ElapsedSeconds() * 1e3);
-    WallTimer quantized_timer;
-    quantized.AdvanceSegment(matrix, watchdog);
-    const LocalizeResult q = quantized.DiagnoseDecayed(matrix, watchdog);
-    quantized_ms.Add(quantized_timer.ElapsedSeconds() * 1e3);
-    agree &= SuspectSet(e) == SuspectSet(q);
-  }
-  const double speedup =
-      quantized_ms.mean() > 0.0 ? exact_ms.mean() / quantized_ms.mean() : 0.0;
-  std::printf("per-boundary diagnosis: exact %.3f ms, quantized %.3f ms => %.1fx speedup\n",
-              exact_ms.mean(), quantized_ms.mean(), speedup);
-  if (!agree) {
-    std::printf("FAIL: quantized decay disagreed with the exact view on a suspect set\n");
-    return false;
-  }
-  if (build_seconds > build_budget) {
-    std::printf("decay gate SKIPPED: build+warm took %.1f s (> %.0f s budget)\n",
-                build_seconds, build_budget);
-    return true;
-  }
-  const bool pass = speedup >= 5.0;
-  std::printf("decay gate %s: %.1fx %s 5x (suspect sets agree at every boundary)\n",
-              pass ? "PASS" : "FAIL", speedup, pass ? ">=" : "<");
-  return pass;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -283,12 +171,9 @@ int main(int argc, char** argv) {
   flags.Describe("pps", "probe packets per second per pinger (default 200)");
   flags.Describe("segments", "probe slices per window (default 10)");
   flags.Describe("cadences", "comma-separated diagnosis cadences in segments (default 1,5)");
-  flags.Describe("mode", "mid-window diagnosis mode: incremental|sliding|decay (default "
+  flags.Describe("mode", "mid-window diagnosis mode: incremental|sliding (default "
                  "incremental; incremental also gates bit-exactness vs full)");
   flags.Describe("sliding-window", "trailing window for --mode=sliding, in segments (default 4)");
-  flags.Describe("decay-factor", "per-segment decay for --mode=decay (default 0.98)");
-  flags.Describe("decay-quantized",
-                 "quantized (shift-halving, incremental-PLL) decay view for --mode=decay");
   flags.Describe("alpha", "coverage target (default 1)");
   flags.Describe("beta", "identifiability target (default 1)");
   flags.Describe("seed", "rng seed (default 1)");
@@ -310,8 +195,8 @@ int main(int argc, char** argv) {
   const int segments = std::max(1, static_cast<int>(flags.GetInt("segments", 10)));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   const std::string mode = flags.GetString("mode", "incremental");
-  if (mode != "incremental" && mode != "sliding" && mode != "decay") {
-    std::fprintf(stderr, "--mode must be incremental, sliding or decay\n");
+  if (mode != "incremental" && mode != "sliding") {
+    std::fprintf(stderr, "--mode must be incremental or sliding\n");
     return 1;
   }
   std::vector<int> cadences;
@@ -349,10 +234,6 @@ int main(int argc, char** argv) {
       std::max(1, static_cast<int>(flags.GetInt("sliding-window", 4)));
   if (mode == "sliding") {
     options.streaming_view = StreamingViewMode::kSliding;
-  } else if (mode == "decay") {
-    options.streaming_view = StreamingViewMode::kDecay;
-    options.decay_factor = flags.GetDouble("decay-factor", 0.98);
-    options.decay_quantized = flags.GetBool("decay-quantized", false);
   }
   // One system per diagnosis schedule. The batch baseline (same slicing, one diagnosis at
   // window end) builds the matrix; every other schedule reuses it.
@@ -469,7 +350,7 @@ int main(int argc, char** argv) {
     }
   }
   if (flags.GetBool("speedup-gate", false)) {
-    ok &= mode == "decay" ? RunDecayGate(flags, seed) : RunSpeedupGate(flags, seed);
+    ok &= RunSpeedupGate(flags, seed);
   }
   return ok ? 0 : 2;
 }

@@ -1,5 +1,6 @@
 #include "src/detector/analyzer.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -36,9 +37,14 @@ Analyzer::Analyzer(const DetectorSystemOptions& options, const ProbeMatrix& matr
     : matrix_(matrix),
       watchdog_(watchdog),
       anomaly_(options.anomaly),
+      sliding_view_(options.streaming_view == StreamingViewMode::kSliding),
       window_seconds_(options.window_seconds),
       diagnoser_(options.pll),
       anomaly_engine_(options.anomaly_options) {
+  // The sliding ring costs O(changed slots) per segment boundary, so only the sliding view
+  // keeps one.
+  diagnoser_.set_sliding_segments(sliding_view_ ? std::max(1, options.sliding_window_segments)
+                                                : 0);
   if (options.history_dir.empty()) {
     return;
   }
@@ -94,10 +100,10 @@ std::vector<LinkAnomaly> Analyzer::ObserveAnomalies() {
   return anomaly_engine_.Observe(matrix_, totals, diagnoser_.store().RttRunningTotals());
 }
 
-WindowDiagnosis Analyzer::DiagnoseBoundary(int segment, double time_seconds,
-                                           LocalizeResult localization) {
+WindowDiagnosis Analyzer::DiagnoseBoundary(int segment, double time_seconds) {
   WindowDiagnosis out;
-  out.localization = std::move(localization);
+  out.localization = sliding_view_ ? diagnoser_.DiagnoseTrailing(matrix_, watchdog_)
+                                   : diagnoser_.DiagnoseRunning(matrix_, watchdog_);
   out.server_link_alarms = diagnoser_.ServerLinkAlarms(watchdog_);
   if (anomaly_) {
     out.anomalies = ObserveAnomalies();

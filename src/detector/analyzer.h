@@ -7,15 +7,15 @@
 //
 //   OpenWindow        size the store, re-base the anomaly totals, and start the window's
 //                     sealed record;
-//   DiagnoseBoundary  a non-consuming mid-window boundary: server-link alarms, anomalies, and
-//                     the history delta cut, attached to the caller's localization;
+//   DiagnoseBoundary  a non-consuming mid-window boundary: localization over the streaming
+//                     view, server-link alarms, anomalies, and the history delta cut;
 //   CloseWindow       alarms; anomalies and the RTT capture; the delta cut; the consuming
 //                     Diagnose(); attach; seal; publish.
 //
 // Observing and cutting must happen before Diagnose() clears the store; CloseWindow owns that
 // order so no caller has to. Settings come from the DetectorSystemOptions the caller already
-// builds (pll, window_seconds, anomaly, anomaly_options, history_*, report_key), read once at
-// construction.
+// builds (pll, streaming_view, sliding_window_segments, window_seconds, anomaly,
+// anomaly_options, history_*, report_key), read once at construction.
 #ifndef SRC_DETECTOR_ANALYZER_H_
 #define SRC_DETECTOR_ANALYZER_H_
 
@@ -85,10 +85,11 @@ class Analyzer {
   void OpenWindow();
   void OpenWindow(uint64_t index);
 
-  // A mid-window boundary: pairs the caller's non-consuming `localization` with the
-  // server-link alarms and anomalies at this serial point and cuts the history delta.
-  WindowDiagnosis DiagnoseBoundary(int segment, double time_seconds,
-                                   LocalizeResult localization);
+  // A mid-window boundary, after the caller's Diagnoser::AdvanceSegment: localizes over the
+  // options' streaming view without consuming the window (the whole accumulated window, or
+  // the trailing sliding_window_segments deltas), then judges server-link alarms and anomalies
+  // at this serial point and cuts the history delta.
+  WindowDiagnosis DiagnoseBoundary(int segment, double time_seconds);
 
   // Closes the window at its final boundary: runs the consuming Diagnose() and seals the
   // window with the given metadata.
@@ -112,6 +113,7 @@ class Analyzer {
   const ProbeMatrix& matrix_;
   const Watchdog& watchdog_;
   const bool anomaly_;
+  const bool sliding_view_;  // boundaries localize over the trailing segments, not the window
   const double window_seconds_;
   Diagnoser diagnoser_;
   AnomalyEngine anomaly_engine_;

@@ -1,7 +1,6 @@
 #include "src/detector/diagnoser.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace detector {
 
@@ -60,10 +59,8 @@ void Diagnoser::Ingest(const PingerWindowResult& window) {
 void Diagnoser::InvalidateLocalizeCache() {
   running_state_.structure_valid = false;
   trailing_state_.structure_valid = false;
-  decay_state_.structure_valid = false;
   running_dirty_.Reset(/*to_all=*/true);
   trailing_dirty_.Reset(/*to_all=*/true);
-  decay_dirty_.Reset(/*to_all=*/true);
 }
 
 std::vector<ServerLinkAlarm> Diagnoser::ServerLinkAlarms(const Watchdog& watchdog) const {
@@ -92,7 +89,7 @@ void Diagnoser::AdvanceSegment(const ProbeMatrix& matrix, const Watchdog& watchd
   ObservationStore::DirtySlots segment_dirty;
   const ObservationView view = RefreshTotals(matrix, watchdog, &segment_dirty);
   const size_t num_slots = view.size();
-  if (sliding_segments_ <= 0 && decay_factor_ <= 0.0) {
+  if (sliding_segments_ <= 0) {
     return;
   }
   if (boundary_totals_.size() < num_slots) {
@@ -104,8 +101,8 @@ void Diagnoser::AdvanceSegment(const ProbeMatrix& matrix, const Watchdog& watchd
   // Watchdog flips adjust the running totals without an epoch bump, and a retraction is not
   // probe traffic: pushed as a delta it would ride the ring as transiently negative (sent,
   // lost) sums that preprocessing must treat as unusable. Restart flipped slots instead —
-  // purge their ring history, re-cut the boundary at the adjusted totals, reset their decayed
-  // values — so the trailing view resumes from the flip carrying real traffic only.
+  // purge their ring history and re-cut the boundary at the adjusted totals — so the trailing
+  // view resumes from the flip carrying real traffic only.
   std::vector<uint8_t> flipped_mark;
   if (!segment_dirty.watchdog_flipped.empty()) {
     flipped_mark.resize(num_slots, 0);
@@ -115,7 +112,6 @@ void Diagnoser::AdvanceSegment(const ProbeMatrix& matrix, const Watchdog& watchd
       }
     }
   }
-  std::vector<size_t> restarted;
 
   // The boundary's sparse delta: totals now minus totals at the previous boundary, nonzero
   // only on slots the store marked dirty this segment.
@@ -126,7 +122,6 @@ void Diagnoser::AdvanceSegment(const ProbeMatrix& matrix, const Watchdog& watchd
       PurgeRingEntries(slot, epoch, /*all_epochs=*/true);
       boundary_totals_[slot] = view[slot];
       boundary_epoch_[slot] = epoch;
-      restarted.push_back(slot);
       return;
     }
     if (epoch != boundary_epoch_[slot]) {
@@ -158,89 +153,21 @@ void Diagnoser::AdvanceSegment(const ProbeMatrix& matrix, const Watchdog& watchd
     }
   }
 
-  if (decay_factor_ > 0.0 && decay_quantized_) {
-    if (qdecayed_.size() < num_slots) {
-      qdecayed_.resize(num_slots, PathObservation{});
-      decay_active_mark_.resize(num_slots, 0);
-    }
-    for (const size_t slot : restarted) {
-      if (qdecayed_[slot].sent != 0 || qdecayed_[slot].lost != 0) {
-        qdecayed_[slot] = PathObservation{};
-        decay_dirty_.Add(slot);
-      }
-    }
-    // Shift-based halving at fixed boundaries: decay_factor^period ~ 1/2, so one >>= 1 every
-    // `period` boundaries replaces a float multiply over every active slot every boundary.
-    // Only halving boundaries dirty the whole active set; every other boundary perturbs just
-    // the delta's slots, which is what lets DiagnoseDecayed ride LocalizeIncremental.
-    ++decay_boundaries_;
-    if (decay_boundaries_ % DecayHalvingPeriod() == 0) {
-      size_t kept = 0;
-      for (const size_t slot : decay_active_) {
-        PathObservation& totals = qdecayed_[slot];
-        totals.sent >>= 1;
-        totals.lost >>= 1;
-        decay_dirty_.Add(slot);
-        if (totals.sent == 0 && totals.lost == 0) {
-          decay_active_mark_[slot] = 0;  // decayed away — leaves the active set for good
-        } else {
-          decay_active_[kept++] = slot;
-        }
-      }
-      decay_active_.resize(kept);
-    }
-    for (const DeltaEntry& entry : delta) {
-      const size_t slot = static_cast<size_t>(entry.slot);
-      qdecayed_[slot].sent += entry.sent;
-      qdecayed_[slot].lost += entry.lost;
-      decay_dirty_.Add(slot);
-      if (!decay_active_mark_[slot]) {
-        decay_active_mark_[slot] = 1;
-        decay_active_.push_back(slot);
-      }
-    }
-  } else if (decay_factor_ > 0.0) {
-    if (decayed_sent_.size() < num_slots) {
-      decayed_sent_.resize(num_slots, 0.0);
-      decayed_lost_.resize(num_slots, 0.0);
-      decay_active_mark_.resize(num_slots, 0);
-    }
-    for (const size_t slot : restarted) {
-      decayed_sent_[slot] = 0.0;
-      decayed_lost_[slot] = 0.0;
-    }
-    for (const size_t slot : decay_active_) {
-      decayed_sent_[slot] *= decay_factor_;
-      decayed_lost_[slot] *= decay_factor_;
-    }
-    for (const DeltaEntry& entry : delta) {
-      const size_t slot = static_cast<size_t>(entry.slot);
-      decayed_sent_[slot] += static_cast<double>(entry.sent);
-      decayed_lost_[slot] += static_cast<double>(entry.lost);
-      if (!decay_active_mark_[slot]) {
-        decay_active_mark_[slot] = 1;
-        decay_active_.push_back(slot);
-      }
-    }
+  for (const DeltaEntry& entry : delta) {
+    const size_t slot = static_cast<size_t>(entry.slot);
+    trailing_[slot].sent += entry.sent;
+    trailing_[slot].lost += entry.lost;
+    trailing_dirty_.Add(slot);
   }
-
-  if (sliding_segments_ > 0) {
-    for (const DeltaEntry& entry : delta) {
+  ring_.push_back(std::move(delta));
+  if (static_cast<int>(ring_.size()) > sliding_segments_) {
+    for (const DeltaEntry& entry : ring_.front()) {
       const size_t slot = static_cast<size_t>(entry.slot);
-      trailing_[slot].sent += entry.sent;
-      trailing_[slot].lost += entry.lost;
+      trailing_[slot].sent -= entry.sent;
+      trailing_[slot].lost -= entry.lost;
       trailing_dirty_.Add(slot);
     }
-    ring_.push_back(std::move(delta));
-    if (static_cast<int>(ring_.size()) > sliding_segments_) {
-      for (const DeltaEntry& entry : ring_.front()) {
-        const size_t slot = static_cast<size_t>(entry.slot);
-        trailing_[slot].sent -= entry.sent;
-        trailing_[slot].lost -= entry.lost;
-        trailing_dirty_.Add(slot);
-      }
-      ring_.pop_front();
-    }
+    ring_.pop_front();
   }
 }
 
@@ -292,37 +219,6 @@ LocalizeResult Diagnoser::DiagnoseTrailing(const ProbeMatrix& matrix,
   return result;
 }
 
-int64_t Diagnoser::DecayHalvingPeriod() const {
-  if (decay_factor_ <= 0.0 || decay_factor_ >= 1.0) {
-    return 1;
-  }
-  return std::max<int64_t>(1, std::llround(std::log(0.5) / std::log(decay_factor_)));
-}
-
-LocalizeResult Diagnoser::DiagnoseDecayed(const ProbeMatrix& matrix,
-                                          const Watchdog& /*watchdog*/) {
-  // As in DiagnoseTrailing: the filter is already applied to the deltas' source totals.
-  const size_t num_slots = matrix.NumPaths();
-  if (decay_quantized_) {
-    if (qdecayed_.size() < num_slots) {
-      qdecayed_.resize(num_slots, PathObservation{});
-    }
-    const ObservationView view(qdecayed_.data(), num_slots);
-    LocalizeResult result = pll_.LocalizeIncremental(matrix, view, decay_dirty_.slots,
-                                                     decay_dirty_.all, decay_state_);
-    decay_dirty_.Reset(/*to_all=*/false);
-    return result;
-  }
-  decayed_rounded_.assign(num_slots, PathObservation{});
-  for (const size_t slot : decay_active_) {
-    if (slot < num_slots) {
-      decayed_rounded_[slot].sent = std::llround(decayed_sent_[slot]);
-      decayed_rounded_[slot].lost = std::llround(decayed_lost_[slot]);
-    }
-  }
-  return pll_.LocalizeView(matrix, ObservationView(decayed_rounded_.data(), num_slots));
-}
-
 LocalizeResult Diagnoser::Diagnose(const ProbeMatrix& matrix, const Watchdog& watchdog) {
   LocalizeResult result = DiagnoseRunning(matrix, watchdog);
   Clear();
@@ -332,19 +228,10 @@ LocalizeResult Diagnoser::Diagnose(const ProbeMatrix& matrix, const Watchdog& wa
 void Diagnoser::ResetWindowState() {
   running_dirty_.Reset(/*to_all=*/true);
   trailing_dirty_.Reset(/*to_all=*/true);
-  decay_dirty_.Reset(/*to_all=*/true);
   ring_.clear();
   boundary_totals_.assign(boundary_totals_.size(), PathObservation{});
   boundary_epoch_.assign(boundary_epoch_.size(), 0);  // store epochs reset with the window
   trailing_.assign(trailing_.size(), PathObservation{});
-  decayed_sent_.assign(decayed_sent_.size(), 0.0);
-  decayed_lost_.assign(decayed_lost_.size(), 0.0);
-  qdecayed_.assign(qdecayed_.size(), PathObservation{});
-  decay_boundaries_ = 0;
-  for (const size_t slot : decay_active_) {
-    decay_active_mark_[slot] = 0;
-  }
-  decay_active_.clear();
 }
 
 void Diagnoser::Clear() {

@@ -20,13 +20,6 @@
 //    loss episode that appears *and clears* inside one window stands out instead of being
 //    diluted into the whole-window totals. Also incremental (its own PLL state, dirtied by
 //    delta pushes and ring evictions).
-//  - DiagnoseDecayed(): optional exponential-decay view — AdvanceSegment folds each segment
-//    delta into decayed per-slot totals (decayed = decay_factor * decayed + delta), and the
-//    diagnosis runs full PLL over their rounded values. In quantized mode (set_decay_quantized)
-//    the decay is instead a shift-based halving (totals >>= 1) applied only every
-//    DecayHalvingPeriod() boundaries — the period where decay_factor^period ~ 1/2 — so
-//    ordinary boundaries perturb only the slots the segment delta touched, dirtiness stays
-//    sparse, and the view rides LocalizeIncremental like the trailing view does.
 //
 // Also judges the window's intra-rack probe totals for server-link alarms.
 #ifndef SRC_DETECTOR_DIAGNOSER_H_
@@ -36,6 +29,7 @@
 #include <span>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/detector/observation_store.h"
 #include "src/detector/pinger.h"
 #include "src/localize/pll.h"
@@ -63,19 +57,11 @@ class Diagnoser {
   // Sliding-segment window width, in segments (0 disables the ring; then AdvanceSegment only
   // feeds the cumulative dirty set and DiagnoseTrailing degenerates to empty observations).
   void set_sliding_segments(int segments) { sliding_segments_ = segments < 0 ? 0 : segments; }
-  int sliding_segments() const { return sliding_segments_; }
-  // Per-segment decay factor in (0, 1) for DiagnoseDecayed; <= 0 disables the decayed totals.
-  void set_decay_factor(double factor) { decay_factor_ = factor; }
-  double decay_factor() const { return decay_factor_; }
-  // Quantized decay: integer totals halved by shift every DecayHalvingPeriod() boundaries
-  // instead of multiplied by decay_factor every boundary (see the class comment). An
-  // approximation of the exact exponential view — episode-detection agreement is gated in
-  // tests, not bit-exactness. Toggle between windows; takes effect at the next AdvanceSegment.
-  void set_decay_quantized(bool quantized) { decay_quantized_ = quantized; }
-  bool decay_quantized() const { return decay_quantized_; }
-  // Boundaries between quantized halvings: the period where decay_factor^period ~ 1/2
-  // (>= 1; meaningless when decay is disabled).
-  int64_t DecayHalvingPeriod() const;
+  // Held only for perfbench/traced_pipeline.cc, which switches the deleted decay view off
+  // through these two calls, until its traced copy is deleted (ROADMAP item 5): "off" is the
+  // only value either accepts.
+  void set_decay_factor(double factor) { CHECK(factor <= 0.0); }
+  void set_decay_quantized(bool quantized) { CHECK(!quantized); }
 
   // Bulk ingestion of a finished pinger report into the store — the non-streaming path used by
   // standalone pingers and tests.
@@ -98,8 +84,8 @@ class Diagnoser {
   std::vector<ServerLinkAlarm> ServerLinkAlarms(const Watchdog& watchdog) const;
 
   // Segment-boundary bookkeeping for the streaming views: folds the boundary's dirty slots
-  // into the pending cumulative dirty set and (when enabled) advances the sliding ring and the
-  // decayed totals by one segment. Call exactly once per segment boundary, before any
+  // into the pending cumulative dirty set and (when enabled) advances the sliding ring by one
+  // segment. Call exactly once per segment boundary, before any
   // boundary diagnosis. O(slots changed this segment).
   void AdvanceSegment(const ProbeMatrix& matrix, const Watchdog& watchdog);
 
@@ -109,7 +95,7 @@ class Diagnoser {
   // components), not a full dense rebuild plus a full PLL pass.
   LocalizeResult DiagnoseRunning(const ProbeMatrix& matrix, const Watchdog& watchdog);
 
-  // Localizes over the trailing sliding_segments() segment deltas (see AdvanceSegment).
+  // Localizes over the trailing sliding-window segment deltas (see AdvanceSegment).
   // Non-consuming. Ring deltas are keyed by (slot, epoch): a mid-window invalidation purges
   // the dead epoch's deltas outright, so a repaired-and-reused slot is diagnosable from its
   // first post-repair segment instead of being blinded for up to W segments. Watchdog flips
@@ -124,15 +110,8 @@ class Diagnoser {
   // AdvanceSegment/Clear.
   ObservationView TrailingTotals(size_t num_slots);
 
-  // Localizes over the exponentially-decayed totals. Non-consuming. Exact mode runs full PLL
-  // (the decayed doubles change on every active slot every segment, so there is nothing
-  // incremental to exploit); quantized mode runs LocalizeIncremental over the integer totals
-  // with only the slots AdvanceSegment actually perturbed dirty — O(dirty components) on the
-  // boundaries between halvings.
-  LocalizeResult DiagnoseDecayed(const ProbeMatrix& matrix, const Watchdog& watchdog);
-
   // DiagnoseRunning on everything accumulated since the last call, then clears the buffer (and
-  // all per-window streaming state: pending dirty sets, sliding ring, decayed totals). The
+  // all per-window streaming state: pending dirty sets, sliding ring). The
   // cumulative verdict cache is exact at every boundary, so a window's final diagnosis is
   // bit-identical whether or not mid-window diagnoses were taken.
   LocalizeResult Diagnose(const ProbeMatrix& matrix, const Watchdog& watchdog);
@@ -157,7 +136,7 @@ class Diagnoser {
     int64_t lost;
   };
 
-  // Drops accumulated per-window view state (ring, trailing/decayed totals, pending dirty).
+  // Drops accumulated per-window view state (ring, trailing totals, pending dirty).
   void ResetWindowState();
   // RunningTotals + TakeDirtySlots, merged into the cumulative pending set; returns the view.
   ObservationView RefreshTotals(const ProbeMatrix& matrix, const Watchdog& watchdog,
@@ -185,22 +164,6 @@ class Diagnoser {
   Observations trailing_;                     // sum of the ring's deltas
   PllIncrementalState trailing_state_;
   DirtyAccum trailing_dirty_;
-
-  // Exponential-decay view.
-  double decay_factor_ = 0.0;
-  std::vector<double> decayed_sent_;
-  std::vector<double> decayed_lost_;
-  std::vector<uint8_t> decay_active_mark_;
-  std::vector<size_t> decay_active_;  // slots with a nonzero decayed value
-  Observations decayed_rounded_;      // materialized int64 view for PLL
-
-  // Quantized decay view: int64 totals halved in place at fixed boundaries; between halvings
-  // only delta-touched slots change, so the view localizes incrementally over decay_dirty_.
-  bool decay_quantized_ = false;
-  int64_t decay_boundaries_ = 0;  // AdvanceSegment count, schedules the halvings
-  Observations qdecayed_;
-  PllIncrementalState decay_state_;
-  DirtyAccum decay_dirty_;
 };
 
 }  // namespace detector

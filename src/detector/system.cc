@@ -10,22 +10,6 @@
 #include "src/report/emitter.h"
 
 namespace detector {
-namespace {
-
-// Enables exactly the diagnoser view state the selected streaming_view reads: the sliding ring
-// and the decayed totals cost O(changed slots) per segment boundary, so the default cumulative
-// view must not maintain them.
-void ConfigureViews(const DetectorSystemOptions& options, Diagnoser& diagnoser) {
-  diagnoser.set_sliding_segments(options.streaming_view == StreamingViewMode::kSliding
-                                     ? std::max(1, options.sliding_window_segments)
-                                     : 0);
-  diagnoser.set_decay_factor(
-      options.streaming_view == StreamingViewMode::kDecay ? options.decay_factor : 0.0);
-  diagnoser.set_decay_quantized(options.streaming_view == StreamingViewMode::kDecay &&
-                                options.decay_quantized);
-}
-
-}  // namespace
 
 DetectorSystem::DetectorSystem(const PathProvider& provider, DetectorSystemOptions options)
     : topo_(provider.topology()),
@@ -39,7 +23,6 @@ DetectorSystem::DetectorSystem(const PathProvider& provider, DetectorSystemOptio
       controller_(topo_, options.controller),
       analyzer_(options_, matrix_, watchdog_),
       latency_model_(options.latency) {
-  ConfigureViews(options_, analyzer_.diagnoser());
   incremental_->set_repair_threads(std::max(0, options_.pmc_repair_threads));
   pinglists_ = controller_.BuildPinglists(matrix_, watchdog_);
   path_index_ = PathPingerIndex::Build(pinglists_);
@@ -58,7 +41,6 @@ DetectorSystem::DetectorSystem(const Topology& topo, ProbeMatrix matrix,
       controller_(topo_, options.controller),
       analyzer_(options_, matrix_, watchdog_),
       latency_model_(options.latency) {
-  ConfigureViews(options_, analyzer_.diagnoser());
   pinglists_ = controller_.BuildPinglists(matrix_, watchdog_);
   path_index_ = PathPingerIndex::Build(pinglists_);
   for (const Pinglist& list : pinglists_) {
@@ -487,19 +469,6 @@ void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds,
   }
 }
 
-LocalizeResult DetectorSystem::LocalizeBoundary() {
-  Diagnoser& diagnoser = analyzer_.diagnoser();
-  switch (options_.streaming_view) {
-    case StreamingViewMode::kSliding:
-      return diagnoser.DiagnoseTrailing(matrix_, watchdog_);
-    case StreamingViewMode::kDecay:
-      return diagnoser.DiagnoseDecayed(matrix_, watchdog_);
-    case StreamingViewMode::kCumulative:
-      break;
-  }
-  return diagnoser.DiagnoseRunning(matrix_, watchdog_);
-}
-
 double DetectorSystem::StreamingWindowResult::FirstDetectionSeconds(LinkId link) const {
   for (const SegmentDiagnosis& d : timeline) {
     for (const SuspectLink& suspect : d.localization.links) {
@@ -566,13 +535,13 @@ DetectorSystem::StreamingWindowResult DetectorSystem::RunWindowStreaming(
       // of ticks reads as stale.
       collector_group_->AdvanceBoundary();
     }
-    // Every boundary advances the streaming views (cumulative dirty set, sliding ring,
-    // decayed totals) — O(slots changed this segment) — whether or not it diagnoses.
+    // Every boundary advances the streaming views (cumulative dirty set, sliding ring) —
+    // O(slots changed this segment) — whether or not it diagnoses.
     analyzer_.diagnoser().AdvanceSegment(matrix_, watchdog_);
     if (seg % cadence == 0) {
       // Non-consuming diagnosis: the window keeps accumulating, and the close below sees
       // exactly what it would without mid-window diagnoses.
-      WindowDiagnosis d = analyzer_.DiagnoseBoundary(seg, boundary, LocalizeBoundary());
+      WindowDiagnosis d = analyzer_.DiagnoseBoundary(seg, boundary);
       out.timeline.push_back(SegmentDiagnosis{seg, boundary, std::move(d.localization),
                                               std::move(d.server_link_alarms),
                                               std::move(d.anomalies)});

@@ -54,15 +54,14 @@
 
 namespace detector {
 
-// What the mid-window diagnoses of RunWindowStreaming localize over. The window-end diagnosis
-// is always the cumulative whole-window one, through the same incremental PLL state the
-// kCumulative boundaries keep, so the final result is bit-identical at every cadence in every
-// mode.
+// What the mid-window diagnoses of RunWindowStreaming localize over; the Analyzer that closes
+// the window's boundaries selects it. The window-end diagnosis is always the cumulative
+// whole-window one, through the same incremental PLL state the kCumulative boundaries keep, so
+// the final result is bit-identical at every cadence in either view.
 enum class StreamingViewMode {
   kCumulative,  // the whole accumulated window (incremental PLL over dirty components)
   kSliding,     // the trailing sliding_window_segments segment deltas — localizes loss
                 // episodes that appear and clear inside one window
-  kDecay,       // exponentially-decayed per-slot totals (decay_factor per segment)
 };
 
 struct DetectorSystemOptions {
@@ -88,17 +87,11 @@ struct DetectorSystemOptions {
   // same slicing.
   int segments_per_window = 1;
   int diagnose_every_segments = 1;
-  // Mid-window diagnosis view (see StreamingViewMode) and its parameters. The ring/decay
-  // state behind the non-cumulative views is only maintained while its view is selected, so
-  // the default cumulative view pays nothing for them.
+  // Mid-window diagnosis view (see StreamingViewMode) and its width. The ring behind the
+  // sliding view is only maintained while that view is selected, so the default cumulative
+  // view pays nothing for it.
   StreamingViewMode streaming_view = StreamingViewMode::kCumulative;
   int sliding_window_segments = 4;  // trailing window width, in segments (kSliding only)
-  double decay_factor = 0.5;        // per-segment decay (kDecay only)
-  // kDecay only: quantize the decay to shift-based halving at fixed boundaries (totals >>= 1
-  // every ~log(0.5)/log(decay_factor) segments) so ordinary boundaries perturb only dirty
-  // slots and the decay view localizes incrementally. An approximation — episode-detection
-  // agreement with the exact view is test-gated, not bit-exactness.
-  bool decay_quantized = false;
   // Report plane: shards emit their counters as encoded wire frames (src/report) over a
   // transport (src/net) into a Collector that folds them back into the ObservationStore,
   // instead of writing the store directly — the deployed pinger -> analyzer seam. Under the
@@ -244,7 +237,6 @@ class DetectorSystem {
   const LinkStateOverlay& overlay() const { return overlay_; }
   // Null when constructed from a fixed matrix.
   const IncrementalPmc* incremental() const { return incremental_.get(); }
-  const PathPingerIndex& path_index() const { return path_index_; }
   // Per-partition transport factory for the collector fabric: called once per collector
   // index at the next report-plane window open, replacing the default lossless
   // LoopbackTransports (a null factory restores them). Each transport must round-trip its own
@@ -282,8 +274,6 @@ class DetectorSystem {
   // and takes probe shards itself whenever a pass over the transports folds nothing.
   void RunSegment(const FailureScenario& scenario, double seconds, Rng& rng,
                   WindowResult& result);
-  // The localization for one mid-window boundary, per options_.streaming_view.
-  LocalizeResult LocalizeBoundary();
   FailureScenario OverlaidScenario(const FailureScenario& scenario) const;
   // For each diffed pinglist: raises its version above the pinger's recorded high-water mark
   // (a pinger reappearing after an absence would otherwise restart at the default), patches

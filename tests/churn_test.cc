@@ -417,10 +417,10 @@ TEST(Diagnoser, DropReportsDiscardsBufferedPaths) {
   Diagnoser diagnoser;
   PingerWindowResult window;
   window.pinger = ft.Server(0, 0, 0);
-  window.reports.push_back(PathReport{3, ft.Server(1, 0, 0), 100, 40});
-  window.reports.push_back(PathReport{5, ft.Server(2, 0, 0), 100, 0});
+  window.reports.push_back(PathReport{3, ft.Server(1, 0, 0), 100, 40, {}});
+  window.reports.push_back(PathReport{5, ft.Server(2, 0, 0), 100, 0, {}});
   window.reports.push_back(
-      PathReport{PinglistEntry::kIntraRackPath, ft.Server(0, 0, 1), 100, 10});
+      PathReport{PinglistEntry::kIntraRackPath, ft.Server(0, 0, 1), 100, 10, {}});
   diagnoser.Ingest(window);
 
   const std::vector<PathId> dropped = {3};

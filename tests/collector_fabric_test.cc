@@ -198,7 +198,7 @@ TEST(Collector, ShardedIngestFoldsIdenticalTotals) {
   auto fold = [&](size_t shards, CollectorStats* stats) {
     ObservationStore store;
     store.EnsureSlots(8);
-    Collector collector(store, CollectorOptions{.ingest_shards = shards});
+    Collector collector(store, CollectorOptions{.ingest_shards = shards, .key = {}});
     EXPECT_EQ(collector.num_ingest_shards(), shards);
     collector.BeginWindow(1);
     for (const auto& wire : frames) {
@@ -239,7 +239,7 @@ TEST(Collector, ConcurrentOfferDrainAccounting) {
   ObservationStore store;
   store.EnsureSlots(8);
   Collector collector(store,
-                      CollectorOptions{.queue_capacity = 4, .ingest_shards = 4});
+                      CollectorOptions{.queue_capacity = 4, .ingest_shards = 4, .key = {}});
   collector.BeginWindow(1);
 
   constexpr size_t kProducers = 8;

@@ -210,13 +210,13 @@ TEST(Diagnoser, MergesReplicasAndDropsOutliers) {
 
   PingerWindowResult w1;
   w1.pinger = ft.Server(0, 0, 0);
-  w1.reports.push_back(PathReport{0, ft.Server(1, 0, 0), 100, 10});
+  w1.reports.push_back(PathReport{0, ft.Server(1, 0, 0), 100, 10, {}});
   PingerWindowResult w2;
   w2.pinger = ft.Server(0, 0, 1);
-  w2.reports.push_back(PathReport{0, ft.Server(1, 0, 0), 100, 8});
+  w2.reports.push_back(PathReport{0, ft.Server(1, 0, 0), 100, 8, {}});
   PingerWindowResult bad;
   bad.pinger = ft.Server(2, 0, 0);
-  bad.reports.push_back(PathReport{1, ft.Server(1, 0, 1), 100, 100});
+  bad.reports.push_back(PathReport{1, ft.Server(1, 0, 1), 100, 100, {}});
   wd.MarkDown(bad.pinger);
 
   diagnoser.Ingest(w1);
@@ -235,8 +235,8 @@ TEST(Diagnoser, ServerLinkAlarmsFromIntraRackProbes) {
   PingerWindowResult w;
   w.pinger = ft.Server(0, 0, 0);
   w.reports.push_back(
-      PathReport{PinglistEntry::kIntraRackPath, ft.Server(0, 0, 1), 100, 50});
-  w.reports.push_back(PathReport{PinglistEntry::kIntraRackPath, ft.Server(0, 1, 0), 100, 0});
+      PathReport{PinglistEntry::kIntraRackPath, ft.Server(0, 0, 1), 100, 50, {}});
+  w.reports.push_back(PathReport{PinglistEntry::kIntraRackPath, ft.Server(0, 1, 0), 100, 0, {}});
   diagnoser.Ingest(w);
   const auto alarms = diagnoser.ServerLinkAlarms(wd);
   ASSERT_EQ(alarms.size(), 1u);

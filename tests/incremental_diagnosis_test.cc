@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
+#include "src/detector/analyzer.h"
 #include "src/detector/diagnoser.h"
 #include "src/detector/system.h"
 #include "src/localize/preprocess.h"
@@ -92,7 +94,7 @@ TEST(IncrementalDiagnosis, MatchesFullAtEveryBoundary) {
   auto ingest = [&](NodeId pinger, PathId slot, int64_t sent, int64_t lost) {
     PingerWindowResult report;
     report.pinger = pinger;
-    report.reports.push_back(PathReport{slot, t1, sent, lost});
+    report.reports.push_back(PathReport{slot, t1, sent, lost, {}});
     diagnoser.Ingest(report);
   };
 
@@ -219,6 +221,96 @@ TEST(IncrementalDiagnosis, SystemTimelinesMatchFullUnderChurn) {
   }
 }
 
+// Pins both partition resets in Diagnoser::InvalidateLocalizeCache. Repair reuses vacated
+// slots for paths through other links without changing the matrix dimensions, so a PLL
+// partition kept across a delta scores a rewired slot under its old path's component; the
+// fat-tree(8) PMC matrix has enough components for that to change verdicts. After every
+// ChurnGenerator delta, each rewired slot's new path carries full loss on a link its old path
+// did not cross, and at every following boundary the cumulative and trailing diagnoses must
+// equal the reference pass over RunningTotals and TrailingTotals.
+TEST(IncrementalDiagnosis, PartitionResetsHoldUnderChurnAtK8) {
+  const FatTree ft(8);
+  const FatTreeRouting routing(ft);
+  DetectorSystemOptions options;
+  options.pmc.alpha = 1;
+  options.pmc.beta = 1;
+  DetectorSystem shadow(routing, options);  // repairs the matrix; never probes
+  const Watchdog& wd = shadow.watchdog();
+  Diagnoser diagnoser(options.pll);
+  diagnoser.set_sliding_segments(2);
+  const ReferencePll reference(options.pll);
+  const NodeId pinger = ft.Server(0, 0, 0);
+  const NodeId target = ft.Server(1, 0, 0);
+
+  ChurnOptions churn_options;
+  churn_options.link_events_per_minute = 6.0;
+  Rng churn_rng(808);
+  const std::vector<ChurnEvent> trace =
+      ChurnGenerator(ft.topology(), churn_options).Sample(600.0, churn_rng);
+  ASSERT_GT(trace.size(), 20u);
+
+  std::vector<uint8_t> failed(static_cast<size_t>(ft.topology().NumLinks()), 0);
+  auto boundary = [&](const std::string& when) {
+    const ProbeMatrix& matrix = shadow.probe_matrix();
+    const size_t num_slots = matrix.NumPaths();
+    diagnoser.store().EnsureSlots(num_slots);
+    ObservationStore::Shard& shard = diagnoser.store().OpenShard(pinger);
+    for (size_t slot = 0; slot < num_slots; ++slot) {
+      const auto links = matrix.paths().Links(static_cast<PathId>(slot));
+      if (links.empty()) {
+        continue;  // vacated, not reused
+      }
+      const bool lossy = std::any_of(links.begin(), links.end(), [&](LinkId link) {
+        return failed[static_cast<size_t>(link)] != 0;
+      });
+      shard.RecordPath(static_cast<PathId>(slot), target, 100, lossy ? 100 : 0);
+    }
+    diagnoser.AdvanceSegment(matrix, wd);
+    const LocalizeResult running =
+        reference.LocalizeView(matrix, diagnoser.store().RunningTotals(num_slots, wd));
+    ExpectIdenticalLocalizations(diagnoser.DiagnoseRunning(matrix, wd), running,
+                                 "running, " + when);
+    const LocalizeResult trailing =
+        reference.LocalizeView(matrix, diagnoser.TrailingTotals(num_slots));
+    ExpectIdenticalLocalizations(diagnoser.DiagnoseTrailing(matrix, wd), trailing,
+                                 "trailing, " + when);
+  };
+
+  size_t rewired_total = 0;
+  for (size_t e = 0; e < trace.size(); ++e) {
+    // Every link the slot crossed before the delta, to find the slots repair rewired.
+    const ProbeMatrix before = shadow.probe_matrix();
+    const DetectorSystem::ChurnApplyResult applied = shadow.ApplyTopologyDelta(trace[e].delta);
+    diagnoser.DropReports(applied.slots_vacated);
+    if (applied.paths_removed + applied.paths_added > 0) {
+      diagnoser.InvalidateLocalizeCache();  // what Analyzer::InvalidateSlots does
+    }
+    const ProbeMatrix& after = shadow.probe_matrix();
+    std::fill(failed.begin(), failed.end(), 0);
+    for (size_t slot = 0; slot < std::min(before.NumPaths(), after.NumPaths()); ++slot) {
+      const auto old_links = before.paths().Links(static_cast<PathId>(slot));
+      for (const LinkId link : after.paths().Links(static_cast<PathId>(slot))) {
+        if (std::find(old_links.begin(), old_links.end(), link) == old_links.end()) {
+          failed[static_cast<size_t>(link)] = 1;
+          ++rewired_total;
+          break;
+        }
+      }
+    }
+    for (int segment = 0; segment < 3; ++segment) {
+      boundary("delta " + std::to_string(e) + " segment " + std::to_string(segment));
+    }
+    if (e % 4 == 3) {
+      // A window end: the consuming diagnosis closes through the cumulative state.
+      const LocalizeResult expected = reference.LocalizeView(
+          after, diagnoser.store().RunningTotals(after.NumPaths(), wd));
+      ExpectIdenticalLocalizations(diagnoser.Diagnose(after, wd), expected,
+                                   "window end after delta " + std::to_string(e));
+    }
+  }
+  EXPECT_GT(rewired_total, 0u) << "no delta rewired a slot";
+}
+
 // The headline scenario: a full-loss episode spanning two of fifteen segments. Whole-window
 // totals dilute it below the loss threshold (4 s of loss over 30 s ~ 13% < the 20% threshold
 // used here), so batch diagnosis and the window-end diagnosis miss it; the trailing
@@ -305,109 +397,74 @@ TEST(SlidingSegmentDiagnosis, LocalizesAppearAndClearEpisode) {
       << "cumulative diagnosis should still name the episode after the sliding view cleared";
 }
 
-TEST(SlidingSegmentDiagnosis, DecayViewSeesPersistentFailure) {
-  // Smoke for the optional exponential-decay view: a persistent failure keeps showing up in
-  // decayed totals, and the final window result stays the cumulative one.
-  const FatTree ft(4);
-  const FatTreeRouting routing(ft);
-  DetectorSystemOptions options;
-  options.pmc.alpha = 1;
-  options.pmc.beta = 1;
-  options.controller.packets_per_second = 60;
-  options.segments_per_window = 6;
-  options.diagnose_every_segments = 2;
-  options.streaming_view = StreamingViewMode::kDecay;
-  options.decay_factor = 0.5;
+// The boundary view belongs to the Analyzer: one built straight from options, as a deployed
+// collector builds it, localizes every mid-window boundary over the view the options name. Fed
+// the same records, a sliding-view Analyzer names an episode's link only while the episode is
+// inside its trailing width, and a default-view Analyzer keeps naming it from the whole
+// window; both close the window on the cumulative totals.
+TEST(SlidingSegmentDiagnosis, AnalyzerLocalizesOverItsOptionsView) {
+  // The toy of SlotReuseDoesNotBlindTrailingView below: slot i covers exactly link i.
+  Topology topo("toy");
+  std::vector<NodeId> nodes;
+  for (int i = 0; i <= 3; ++i) {
+    nodes.push_back(topo.AddNode(NodeKind::kTor, 0, i, "n" + std::to_string(i)));
+  }
+  std::vector<LinkId> links;
+  for (int i = 0; i < 3; ++i) {
+    links.push_back(topo.AddLink(nodes[static_cast<size_t>(i)],
+                                 nodes[static_cast<size_t>(i) + 1], 1));
+  }
+  PathStore paths;
+  for (int i = 0; i < 3; ++i) {
+    const std::vector<LinkId> path_links = {links[static_cast<size_t>(i)]};
+    paths.Add(0, 1, path_links);
+  }
+  const ProbeMatrix matrix(std::move(paths), LinkIndex::ForMonitored(topo));
+  const Watchdog wd(topo);
 
-  FailureScenario scenario;
-  LinkFailure f;
-  f.link = ft.AggCoreLink(0, 1, 0);
-  f.type = FailureType::kFullLoss;
-  scenario.failures.push_back(f);
+  DetectorSystemOptions sliding_options;
+  sliding_options.streaming_view = StreamingViewMode::kSliding;
+  sliding_options.sliding_window_segments = 2;
+  Analyzer sliding(sliding_options, matrix, wd);
+  Analyzer cumulative(DetectorSystemOptions{}, matrix, wd);
 
-  DetectorSystem system(routing, options);
-  Rng rng(11);
-  const auto streamed = system.RunWindowStreaming(scenario, {}, rng);
-  EXPECT_GT(streamed.FirstDetectionSeconds(f.link), 0.0);
-  ExpectIdenticalLocalizations(streamed.timeline.back().localization,
-                               streamed.window.localization, "final entry is cumulative");
-}
-
-TEST(SlidingSegmentDiagnosis, QuantizedDecayHalvingPeriod) {
-  Diagnoser diagnoser;
-  diagnoser.set_decay_factor(0.5);
-  EXPECT_EQ(diagnoser.DecayHalvingPeriod(), 1);  // halve every boundary
-  diagnoser.set_decay_factor(0.9);
-  EXPECT_EQ(diagnoser.DecayHalvingPeriod(), 7);  // 0.9^7 ~ 0.478
-  diagnoser.set_decay_factor(0.99);
-  EXPECT_EQ(diagnoser.DecayHalvingPeriod(), 69);
-}
-
-TEST(SlidingSegmentDiagnosis, QuantizedDecayAgreesWithExactOnEpisodes) {
-  // Quantized decay (integer totals, shift-halving at fixed boundaries) is an approximation
-  // of the exact per-boundary multiply — the contract is episode-detection agreement, not
-  // bit-exactness: both views must see an appear-and-clear loss episode while its decayed
-  // residue is above threshold and report it gone at (nearly) the same boundary after.
-  const FatTree ft(4);
-  const FatTreeRouting routing(ft);
-  DetectorSystemOptions options;
-  options.pmc.alpha = 1;
-  options.pmc.beta = 1;
-  options.controller.packets_per_second = 120;
-  options.confirm_packets = 0;
-  options.probe.base_loss_rate = 0.0;
-  options.pll.preprocess.path_loss_ratio_threshold = 0.2;
-  options.segments_per_window = 15;  // 2 s slices
-  options.diagnose_every_segments = 1;
-  options.streaming_view = StreamingViewMode::kDecay;
-  options.decay_factor = 0.5;
-
-  const LinkId episode_link = ft.EdgeAggLink(1, 0, 1);
-  FailureScenario scenario;
-  FailureEpisode episode;
-  episode.failure.link = episode_link;
-  episode.failure.type = FailureType::kFullLoss;
-  episode.start_seconds = 4.0;
-  episode.end_seconds = 8.0;
-  scenario.episodes.push_back(episode);
-
-  auto detection_interval = [&](bool quantized) {
-    DetectorSystemOptions opts = options;
-    opts.decay_quantized = quantized;
-    DetectorSystem system(routing, opts);
-    Rng rng(77);
-    const auto streamed = system.RunWindowStreaming(scenario, {}, rng);
-    double first = -1.0;
-    double last = -1.0;
-    for (const auto& d : streamed.timeline) {
-      for (const SuspectLink& s : d.localization.links) {
-        if (s.link == episode_link) {
-          if (first < 0.0) {
-            first = d.time_seconds;
-          }
-          last = d.time_seconds;
-        }
+  auto names_episode = [&](const LocalizeResult& result) {
+    for (const SuspectLink& s : result.links) {
+      if (s.link == links[1]) {
+        return true;
       }
     }
-    return std::pair<double, double>{first, last};
+    return false;
+  };
+  // Link 1 loses everything in segments 3 and 4 and nothing before or after.
+  constexpr int kSegments = 8;
+  auto record_segment = [&](Analyzer& analyzer, int segment) {
+    ObservationStore::Shard& shard = analyzer.diagnoser().store().OpenShard(nodes[0]);
+    const bool lossy = segment == 3 || segment == 4;
+    shard.RecordPath(0, nodes[1], 100, 0);
+    shard.RecordPath(1, nodes[2], 100, lossy ? 100 : 0);
+    shard.RecordPath(2, nodes[3], 100, 0);
+    analyzer.diagnoser().AdvanceSegment(matrix, wd);
   };
 
-  const auto [exact_first, exact_last] = detection_interval(false);
-  const auto [quant_first, quant_last] = detection_interval(true);
-
-  // Both views detect the episode while it is live...
-  EXPECT_GT(exact_first, episode.start_seconds);
-  EXPECT_GT(quant_first, episode.start_seconds);
-  EXPECT_LE(exact_first, episode.end_seconds + 1e-9);
-  EXPECT_LE(quant_first, episode.end_seconds + 1e-9);
-  // ...both report it cleared before the window ends (decayed residue under threshold)...
-  EXPECT_LT(exact_last, options.window_seconds - 1e-9);
-  EXPECT_LT(quant_last, options.window_seconds - 1e-9);
-  // ...and the detection interval endpoints agree to within one segment boundary (the only
-  // divergence quantization can introduce here is integer-vs-rounded-double residue).
-  const double segment = options.window_seconds / options.segments_per_window;
-  EXPECT_NEAR(exact_first, quant_first, segment + 1e-9);
-  EXPECT_NEAR(exact_last, quant_last, segment + 1e-9);
+  sliding.OpenWindow();
+  cumulative.OpenWindow();
+  for (int segment = 1; segment < kSegments; ++segment) {
+    const double t = 2.0 * segment;
+    record_segment(sliding, segment);
+    record_segment(cumulative, segment);
+    // The trailing two segments hold a lossy one at boundaries 3, 4 and 5.
+    EXPECT_EQ(names_episode(sliding.DiagnoseBoundary(segment, t).localization),
+              segment >= 3 && segment <= 5)
+        << "sliding view at boundary " << segment;
+    EXPECT_EQ(names_episode(cumulative.DiagnoseBoundary(segment, t).localization), segment >= 3)
+        << "cumulative view at boundary " << segment;
+  }
+  const WindowDiagnosis sliding_end = sliding.CloseWindow(kSegments, 2.0 * kSegments);
+  const WindowDiagnosis cumulative_end = cumulative.CloseWindow(kSegments, 2.0 * kSegments);
+  EXPECT_TRUE(names_episode(sliding_end.localization));
+  ExpectIdenticalLocalizations(sliding_end.localization, cumulative_end.localization,
+                               "the window end is cumulative in either view");
 }
 
 // ROADMAP open item, closed in PR 5: the trailing ring keys its per-segment deltas by

@@ -259,7 +259,7 @@ TEST(ObservationStore, MidWindowInvalidationFlowsThroughDiagnose) {
 
   PingerWindowResult seg1;
   seg1.pinger = ft.Server(0, 0, 0);
-  seg1.reports.push_back(PathReport{0, ft.Server(1, 0, 0), 200, 200});
+  seg1.reports.push_back(PathReport{0, ft.Server(1, 0, 0), 200, 200, {}});
   diagnoser.Ingest(seg1);
 
   const std::vector<PathId> vacated = {0};
@@ -267,7 +267,7 @@ TEST(ObservationStore, MidWindowInvalidationFlowsThroughDiagnose) {
 
   PingerWindowResult seg2;
   seg2.pinger = ft.Server(0, 0, 0);
-  seg2.reports.push_back(PathReport{0, ft.Server(1, 0, 0), 100, 0});
+  seg2.reports.push_back(PathReport{0, ft.Server(1, 0, 0), 100, 0, {}});
   diagnoser.Ingest(seg2);
 
   const Observations obs = StoreReference::Snapshot(diagnoser.store(), matrix.NumPaths(), wd);

@@ -285,7 +285,7 @@ TEST(Collector, CorruptFramesFoldNothing) {
 TEST(Collector, StaleWindowAndOverflowDropCleanly) {
   ObservationStore store;
   store.EnsureSlots(2);
-  Collector collector(store, CollectorOptions{.queue_capacity = 2});
+  Collector collector(store, CollectorOptions{.queue_capacity = 2, .key = {}});
   collector.BeginWindow(5);
 
   ReportFrame stale;
@@ -312,7 +312,7 @@ TEST(Collector, PumpDrainsInsteadOfDroppingWhenQueueFills) {
   // a tiny queue. (External producers racing a stalled drain still hit the Offer bound.)
   ObservationStore store;
   store.EnsureSlots(1);
-  Collector collector(store, CollectorOptions{.queue_capacity = 4});
+  Collector collector(store, CollectorOptions{.queue_capacity = 4, .key = {}});
   collector.BeginWindow(1);
   LoopbackTransport transport;
   std::vector<uint8_t> wire;

@@ -399,6 +399,7 @@ TEST(FailureModel, TypeMixRoughlyMatchesConfig) {
   int full = 0;
   int det = 0;
   int rand_partial = 0;
+  int latency = 0;
   const int trials = 3000;
   for (int i = 0; i < trials; ++i) {
     const auto s = model.SampleLinkFailures(1, rng);
@@ -412,11 +413,15 @@ TEST(FailureModel, TypeMixRoughlyMatchesConfig) {
       case FailureType::kRandomPartial:
         ++rand_partial;
         break;
+      case FailureType::kLatencyInflation:
+        ++latency;
+        break;
     }
   }
   EXPECT_NEAR(full / static_cast<double>(trials), 0.5, 0.05);
   EXPECT_NEAR(det / static_cast<double>(trials), 0.25, 0.05);
   EXPECT_NEAR(rand_partial / static_cast<double>(trials), 0.25, 0.05);
+  EXPECT_EQ(latency, 0);  // the model samples loss failures only
 }
 
 TEST(FailureModel, SwitchFailureCoversAllAdjacentLinks) {

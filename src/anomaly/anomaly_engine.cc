@@ -42,7 +42,7 @@ AnomalyEngine::SlotState AnomalyEngine::MakeSlotState() const {
 void AnomalyEngine::BeginWindow() {
   for (SlotState& slot : slots_) {
     slot.prev = PathObservation{};
-    slot.prev_rtt = RttSketch{};
+    slot.prev_rtt.Clear();  // keeps its pair storage for the window's first copy
   }
 }
 

@@ -9,33 +9,39 @@ int64_t RttSketch::Count(int bin) const {
   return it != bins_.end() && it->bin == bin ? it->count : 0;
 }
 
-void RttSketch::Merge(const RttSketch& other, int64_t sign) {
-  DCHECK(&other != this) << "merge a copy to retract a sketch from itself";
-  if (other.empty()) return;
-  if (empty()) num_bins_ = other.num_bins_;
-  CHECK(num_bins_ == other.num_bins_)
-      << "merging sketches with different bin counts: " << num_bins_ << " vs "
-      << other.num_bins_;
-  if (bins_.empty()) {
-    bins_ = other.bins_;
-    if (sign != 1) {
-      for (BinCount& b : bins_) b.count *= sign;
-    }
-  } else {
-    // Both sides ascend, so each search starts where the previous one ended.
-    auto it = bins_.begin();
-    for (const BinCount& add : other.bins_) {
-      it = std::lower_bound(it, bins_.end(), add.bin, BinBelow);
-      if (it == bins_.end() || it->bin != add.bin) {
-        it = bins_.insert(it, BinCount{add.bin, sign * add.count}) + 1;
-      } else if ((it->count += sign * add.count) == 0) {
-        it = bins_.erase(it);
-      } else {
-        ++it;
-      }
+void RttSketch::Merge(std::span<const BinCount> bins, int num_bins, int64_t sign) {
+  if (num_bins == 0) return;
+  if (empty()) num_bins_ = num_bins;
+  CHECK(num_bins_ == num_bins)
+      << "merging sketches with different bin counts: " << num_bins_ << " vs " << num_bins;
+  // The merged pairs are this sketch's plus the added bins it lacks; grow once to that size.
+  size_t missing = 0;
+  for (size_t i = 0, j = 0; j < bins.size(); ++j) {
+    while (i < bins_.size() && bins_[i].bin < bins[j].bin) ++i;
+    if (i == bins_.size() || bins_[i].bin != bins[j].bin) ++missing;
+  }
+  size_t i = bins_.size();
+  size_t out = i + missing;
+  bins_.resize(out);
+  // Fill from the top: each slot written is at or above every pair still to be read, so the
+  // pairs below the lowest added bin never move.
+  int64_t added = 0;
+  bool cancelled = false;
+  for (size_t j = bins.size(); j-- > 0;) {
+    added += bins[j].count;
+    while (i > 0 && bins_[i - 1].bin > bins[j].bin) bins_[--out] = bins_[--i];
+    if (i > 0 && bins_[i - 1].bin == bins[j].bin) {
+      const int64_t count = bins_[--i].count + sign * bins[j].count;
+      cancelled = cancelled || count == 0;
+      bins_[--out] = BinCount{bins[j].bin, count};
+    } else {
+      bins_[--out] = BinCount{bins[j].bin, sign * bins[j].count};
     }
   }
-  total_ += sign * other.total_;
+  if (cancelled) {
+    std::erase_if(bins_, [](const BinCount& b) { return b.count == 0; });
+  }
+  total_ += sign * added;
   if (total_ == 0 && bins_.empty()) {
     // A merge that cancels every count (the watchdog retract path) returns the sketch to
     // the empty state, so a running fold stays bit-identical to a view rebuilt from the

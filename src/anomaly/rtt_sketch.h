@@ -90,6 +90,13 @@ class RttSketch {
   // Pre-sizes the pair storage for `n` distinct bins (a capacity hint only).
   void Reserve(int n) { bins_.reserve(static_cast<size_t>(n)); }
 
+  // Drops every count but keeps the bin count and the pair storage: a zero sketch, ready to
+  // record the next path's samples without a new heap block.
+  void ClearCounts() {
+    bins_.clear();
+    total_ = 0;
+  }
+
   void Record(int64_t rtt_us) {
     DCHECK(num_bins_ != 0) << "recording into an unallocated sketch";
     AddCount(BinOf(rtt_us, num_bins_), 1);
@@ -98,10 +105,19 @@ class RttSketch {
   // Adds (sign = +1) or retracts (sign = -1) every count of `other`. Merging a
   // non-empty sketch into an empty one adopts its bin count; merging an empty
   // sketch is a no-op.
-  void Merge(const RttSketch& other, int64_t sign = 1);
+  void Merge(const RttSketch& other, int64_t sign = 1) {
+    DCHECK(&other != this) << "merge a copy to retract a sketch from itself";
+    Merge(other.bins_, other.num_bins_, sign);
+  }
 
-  // Raw count accumulation for wire decode. Appending past the highest bin —
-  // what a decoder reading ascending bins does — costs O(1).
+  // The same merge for a sketch held as its parts: the ascending non-zero bins of a
+  // `num_bins`-bin sketch (num_bins = 0 is the empty sketch) — how the store and the report
+  // frames keep a record's bins, in one flat array per shard or frame. One descending pass
+  // moves every pair at most once. `bins` must not alias this sketch's storage.
+  void Merge(std::span<const BinCount> bins, int num_bins, int64_t sign = 1);
+
+  // Raw count accumulation. Appending past the highest bin — what adding ascending
+  // bins does — costs O(1).
   void AddCount(int bin, int64_t count) {
     DCHECK(bin >= 0 && bin < num_bins_);
     total_ += count;
@@ -121,6 +137,7 @@ class RttSketch {
   // true quantile lies in [result, BinUpperUs(bin)). Returns 0 when empty.
   int64_t Quantile(double q) const;
 
+  // Back to the empty sketch; the pair storage is kept for the next merge.
   void Clear() {
     bins_.clear();
     num_bins_ = 0;

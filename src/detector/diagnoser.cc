@@ -92,11 +92,7 @@ void Diagnoser::AdvanceSegment(const ProbeMatrix& matrix, const Watchdog& watchd
   if (sliding_segments_ <= 0) {
     return;
   }
-  if (boundary_totals_.size() < num_slots) {
-    boundary_totals_.resize(num_slots, PathObservation{});
-    boundary_epoch_.resize(num_slots, 0);
-    trailing_.resize(num_slots, PathObservation{});
-  }
+  GrowTrailing(num_slots);
 
   // Watchdog flips adjust the running totals without an epoch bump, and a retraction is not
   // probe traffic: pushed as a delta it would ride the ring as transiently negative (sent,
@@ -196,11 +192,16 @@ LocalizeResult Diagnoser::DiagnoseRunning(const ProbeMatrix& matrix, const Watch
   return result;
 }
 
-ObservationView Diagnoser::TrailingTotals(size_t num_slots) {
+void Diagnoser::GrowTrailing(size_t num_slots) {
   if (trailing_.size() < num_slots) {
     boundary_totals_.resize(num_slots, PathObservation{});
+    boundary_epoch_.resize(num_slots, 0);
     trailing_.resize(num_slots, PathObservation{});
   }
+}
+
+ObservationView Diagnoser::TrailingTotals(size_t num_slots) {
+  GrowTrailing(num_slots);
   return ObservationView(trailing_.data(), num_slots);
 }
 
@@ -208,10 +209,7 @@ LocalizeResult Diagnoser::DiagnoseTrailing(const ProbeMatrix& matrix,
                                            const Watchdog& /*watchdog*/) {
   // The watchdog filter is already reflected in the totals the segment deltas were cut from.
   const size_t num_slots = matrix.NumPaths();
-  if (trailing_.size() < num_slots) {
-    boundary_totals_.resize(num_slots, PathObservation{});
-    trailing_.resize(num_slots, PathObservation{});
-  }
+  GrowTrailing(num_slots);
   const ObservationView view(trailing_.data(), num_slots);
   LocalizeResult result = pll_.LocalizeIncremental(matrix, view, trailing_dirty_.slots,
                                                    trailing_dirty_.all, trailing_state_);

@@ -157,6 +157,9 @@ class Diagnoser {
   // Removes the slot's ring entries — stale epochs only, or every epoch (`all_epochs`, the
   // watchdog-flip restart) — keeping the trailing sums consistent.
   void PurgeRingEntries(size_t slot, uint32_t current_epoch, bool all_epochs);
+  // Grows boundary_totals_, boundary_epoch_ and trailing_ together to cover num_slots — every
+  // reader and writer of the trailing view sizes them here, so they never differ in length.
+  void GrowTrailing(size_t num_slots);
   int sliding_segments_ = 0;
   std::deque<std::vector<DeltaEntry>> ring_;  // most recent sliding_segments_ segment deltas
   Observations boundary_totals_;              // running totals at the last AdvanceSegment

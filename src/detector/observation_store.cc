@@ -17,22 +17,30 @@ void ObservationStore::Shard::RecordPathAtEpoch(PathId slot, uint32_t epoch, Nod
   paths_.push_back(PathRecord{slot, target, sent, lost, epoch});
 }
 
+int32_t ObservationStore::Shard::AppendRtt(int num_bins,
+                                           std::span<const RttSketch::BinCount> bins) {
+  DCHECK(num_bins > 0) << "record RTT-less paths via RecordPath";
+  const int32_t rtt = static_cast<int32_t>(rtt_runs_.size());
+  rtt_runs_.push_back(RttRun{static_cast<uint32_t>(rtt_bins_.size()),
+                             static_cast<uint16_t>(bins.size()),
+                             static_cast<uint16_t>(num_bins)});
+  rtt_bins_.insert(rtt_bins_.end(), bins.begin(), bins.end());
+  return rtt;
+}
+
 void ObservationStore::Shard::RecordPathWithRtt(PathId slot, NodeId target, int64_t sent,
-                                                int64_t lost, RttSketch sketch) {
+                                                int64_t lost, const RttSketch& sketch) {
   DCHECK(slot >= 0 && static_cast<size_t>(slot) < store_->slot_epoch_.size());
-  DCHECK(!sketch.empty()) << "record RTT-less paths via RecordPath";
-  const int32_t rtt = static_cast<int32_t>(rtt_.size());
-  rtt_.push_back(std::move(sketch));
+  const int32_t rtt = AppendRtt(sketch.num_bins(), sketch.bins());
   paths_.push_back(PathRecord{slot, target, sent, lost,
                               store_->slot_epoch_[static_cast<size_t>(slot)], rtt});
 }
 
 void ObservationStore::Shard::RecordPathRttAtEpoch(PathId slot, uint32_t epoch, NodeId target,
-                                                   RttSketch sketch) {
+                                                   int num_bins,
+                                                   std::span<const RttSketch::BinCount> bins) {
   DCHECK(slot >= 0 && static_cast<size_t>(slot) < store_->slot_epoch_.size());
-  DCHECK(!sketch.empty());
-  const int32_t rtt = static_cast<int32_t>(rtt_.size());
-  rtt_.push_back(std::move(sketch));
+  const int32_t rtt = AppendRtt(num_bins, bins);
   paths_.push_back(PathRecord{slot, target, 0, 0, epoch, rtt});
 }
 
@@ -68,6 +76,12 @@ void ObservationStore::EnsureRttRunning() {
   if (rtt_running_.empty()) {
     rtt_running_.resize(slot_epoch_.size());
   }
+}
+
+void ObservationStore::MergeRtt(size_t slot, const Shard& shard, int32_t rtt, int sign) {
+  EnsureRttRunning();
+  const Shard::RttRun& run = shard.rtt_runs_[static_cast<size_t>(rtt)];
+  rtt_running_[slot].Merge(shard.RttBins(run), run.num_bins, sign);
 }
 
 void ObservationStore::MarkDirty(size_t slot) {
@@ -124,7 +138,7 @@ void ObservationStore::InvalidateSlots(std::span<const PathId> slots) {
       ++slot_epoch_[static_cast<size_t>(slot)];
       running_[static_cast<size_t>(slot)] = PathObservation{};
       if (static_cast<size_t>(slot) < rtt_running_.size()) {
-        rtt_running_[static_cast<size_t>(slot)] = RttSketch{};
+        rtt_running_[static_cast<size_t>(slot)].Clear();
       }
       MarkDirty(static_cast<size_t>(slot));
     }
@@ -140,8 +154,7 @@ void ObservationStore::AdjustForNode(NodeId node, int sign) {
     running_[slot].sent += sign * record.sent;
     running_[slot].lost += sign * record.lost;
     if (record.rtt >= 0) {
-      EnsureRttRunning();
-      rtt_running_[slot].Merge(owner.rtt_[static_cast<size_t>(record.rtt)], sign);
+      MergeRtt(slot, owner, record.rtt, sign);
     }
     MarkDirty(slot);
     MarkWatchdogFlipped(slot);
@@ -195,8 +208,7 @@ void ObservationStore::FoldNewRecords() {
         running_[slot].sent += record.sent;
         running_[slot].lost += record.lost;
         if (record.rtt >= 0) {
-          EnsureRttRunning();
-          rtt_running_[slot].Merge(shard->rtt_[static_cast<size_t>(record.rtt)]);
+          MergeRtt(slot, *shard, record.rtt, +1);
         }
         MarkDirty(slot);
       }
@@ -262,7 +274,8 @@ void ObservationStore::Clear() {
     }
     shard.open_ = false;
     shard.paths_.clear();
-    shard.rtt_.clear();
+    shard.rtt_runs_.clear();
+    shard.rtt_bins_.clear();
     shard.intra_.clear();
     shard.folded_ = 0;
     ++it;
@@ -270,7 +283,10 @@ void ObservationStore::Clear() {
   shards_.clear();
   slot_epoch_.assign(slot_epoch_.size(), 0);
   running_.assign(running_.size(), PathObservation{});
-  rtt_running_.assign(rtt_running_.size(), RttSketch{});
+  // Emptied in place: each running sketch keeps its pair storage for the next window.
+  for (RttSketch& sketch : rtt_running_) {
+    sketch.Clear();
+  }
   applied_down_.clear();
   records_by_target_.clear();
   target_index_built_ = false;

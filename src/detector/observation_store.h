@@ -59,14 +59,17 @@ class ObservationStore {
     void RecordPathAtEpoch(PathId slot, uint32_t epoch, NodeId target, int64_t sent,
                            int64_t lost);
     // Streams one observation that also carries the path's RTT sample sketch (the anomaly
-    // plane's direct-mode write). The sketch rides on the same record, so epoch orphaning and
-    // watchdog retract/re-add apply to the loss counters and the sketch together. Callers
-    // skip paths with no samples (empty sketch) rather than recording an allocated-zero one.
+    // plane's direct-mode write). The sketch's bins are copied into the shard's bin arena and
+    // ride on the same record, so epoch orphaning and watchdog retract/re-add apply to the
+    // loss counters and the sketch together. Callers skip paths with no samples (empty
+    // sketch) rather than recording an allocated-zero one.
     void RecordPathWithRtt(PathId slot, NodeId target, int64_t sent, int64_t lost,
-                           RttSketch sketch);
-    // RTT-sketch-only record with an explicit epoch stamp — the report plane's fold path for
-    // extension records, whose loss counters travel in a separate wire record.
-    void RecordPathRttAtEpoch(PathId slot, uint32_t epoch, NodeId target, RttSketch sketch);
+                           const RttSketch& sketch);
+    // RTT-only record with an explicit epoch stamp — the report plane's fold path for
+    // extension records, whose loss counters travel in a separate wire record. `bins` are the
+    // non-zero bins of a `num_bins`-bin sketch, ascending (a decoded frame's arena slice).
+    void RecordPathRttAtEpoch(PathId slot, uint32_t epoch, NodeId target, int num_bins,
+                              std::span<const RttSketch::BinCount> bins);
     // Streams one intra-rack (server-link) observation, added into the shard's one record for
     // `target` — created at the target's first observation, so records keep first-seen order.
     void RecordIntraRack(NodeId target, int64_t sent, int64_t lost);
@@ -84,14 +87,33 @@ class ObservationStore {
       int64_t sent;
       int64_t lost;
       uint32_t epoch;  // slot epoch at record time; stale when the slot was since invalidated
-      int32_t rtt = -1;  // index into the shard's rtt_ sketches, -1 when the record has none
+      int32_t rtt = -1;  // index into the shard's rtt_runs_, -1 when the record has none
     };
+    // steady-k32 keeps 327,680 records per window: 8 more bytes would be +2.6 MB.
+    static_assert(sizeof(PathRecord) == 32);
+
+    // One record's RTT sketch: its non-zero bins, rtt_bins_[begin, begin + size), ascending.
+    struct RttRun {
+      uint32_t begin;
+      uint16_t size;
+      uint16_t num_bins;
+    };
+    static_assert(RttSketch::kMaxBins <= UINT16_MAX);
+
+    // Appends one record's bins to the arena; returns its rtt_runs_ index.
+    int32_t AppendRtt(int num_bins, std::span<const RttSketch::BinCount> bins);
+    std::span<const RttSketch::BinCount> RttBins(const RttRun& run) const {
+      return std::span<const RttSketch::BinCount>(rtt_bins_).subspan(run.begin, run.size);
+    }
 
     const ObservationStore* store_;
     NodeId pinger_;
     bool open_ = false;  // opened since the last Clear(); idle shards hold no records
     std::vector<PathRecord> paths_;
-    std::vector<RttSketch> rtt_;  // sketches referenced by PathRecord::rtt
+    // Every RTT-carrying record's bins, back to back in record order: one arena per shard,
+    // kept across windows like paths_, so a record's sketch is never a heap block of its own.
+    std::vector<RttRun> rtt_runs_;  // referenced by PathRecord::rtt
+    std::vector<RttSketch::BinCount> rtt_bins_;
     std::vector<IntraRackObservation> intra_;
     // Records below this index are reflected in the store's running totals (under the filter
     // and epochs applied at fold time); records at/after it stream in between serial reads.
@@ -192,6 +214,8 @@ class ObservationStore {
   std::vector<RttSketch> rtt_running_;
   // Sizes rtt_running_ to the slot table on the first sketch-carrying fold/adjust.
   void EnsureRttRunning();
+  // Folds (sign = +1) or retracts (-1) one record's RTT run into its slot's running sketch.
+  void MergeRtt(size_t slot, const Shard& shard, int32_t rtt, int sign);
   std::set<NodeId> applied_down_;  // watchdog filter currently reflected in running_
   // Folded records by target server, as (shard, record index) — a watchdog flip of a target
   // retracts/re-adds only that node's records instead of scanning every shard. Built lazily

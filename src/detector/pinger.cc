@@ -1,7 +1,6 @@
 #include "src/detector/pinger.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace detector {
 
@@ -44,6 +43,15 @@ PingerTraffic Pinger::RunEntries(const ProbeEngine& engine, double window_second
   const int64_t extra_packets =
       redistributing ? std::max<int64_t>(0, budget - per_entry * eligible) : 0;
 
+  // One RTT scratch for the whole shard: each sampled entry records into it from zero, and
+  // the sink copies the bins out before the next entry.
+  RttSketch rtt;
+  if (engine.rtt_observation()) {
+    rtt = RttSketch(engine.rtt_sketch_bins());
+    // At most one bin per sample, over the probe draw and a confirmation draw.
+    rtt.Reserve(2 * engine.rtt_samples_per_path());
+  }
+
   int64_t eligible_index = 0;
   for (const PinglistEntry& entry : pinglist_.entries) {
     if (!EntryEligible(entry, watchdog)) {
@@ -54,10 +62,8 @@ PingerTraffic Pinger::RunEntries(const ProbeEngine& engine, double window_second
     // Matrix entries sample RTTs when the engine observes them; intra-rack probes stay
     // loss-only (the anomaly plane runs over the probe matrix).
     const bool sample_rtt = engine.rtt_observation() && entry.path_id >= 0;
-    RttSketch rtt = sample_rtt ? RttSketch(engine.rtt_sketch_bins()) : RttSketch{};
     if (sample_rtt) {
-      // At most one bin per sample, over the probe draw and a confirmation draw.
-      rtt.Reserve(2 * engine.rtt_samples_per_path());
+      rtt.ClearCounts();
     }
     RttSketch* rtt_ptr = sample_rtt ? &rtt : nullptr;
     PathObservation obs = engine.SimulatePath(entry.route, pinglist_.pinger,
@@ -73,7 +79,7 @@ PingerTraffic Pinger::RunEntries(const ProbeEngine& engine, double window_second
     traffic.probes_sent += obs.sent;
     traffic.bytes_sent += obs.sent * engine.config().probe_bytes * 2;  // request + echo
     sink(entry.path_id, entry.target_server, obs.sent, obs.lost,
-         rtt.total() > 0 ? &rtt : nullptr);
+         sample_rtt && rtt.total() > 0 ? &rtt : nullptr);
   }
   return traffic;
 }
@@ -85,9 +91,9 @@ PingerWindowResult Pinger::RunWindow(const ProbeEngine& engine, double window_se
   result.reports.reserve(pinglist_.entries.size());
   const PingerTraffic traffic = RunEntries(
       engine, window_seconds, rng, watchdog,
-      [&](PathId path_id, NodeId target, int64_t sent, int64_t lost, RttSketch* rtt) {
-        result.reports.push_back(PathReport{path_id, target, sent, lost,
-                                            rtt != nullptr ? std::move(*rtt) : RttSketch{}});
+      [&](PathId path_id, NodeId target, int64_t sent, int64_t lost, const RttSketch* rtt) {
+        result.reports.push_back(
+            PathReport{path_id, target, sent, lost, rtt != nullptr ? *rtt : RttSketch{}});
       });
   result.probes_sent = traffic.probes_sent;
   result.bytes_sent = traffic.bytes_sent;
@@ -99,14 +105,14 @@ PingerTraffic Pinger::RunWindowInto(const ProbeEngine& engine, double window_sec
                                     const Watchdog* watchdog) const {
   return RunEntries(
       engine, window_seconds, rng, watchdog,
-      [&](PathId path_id, NodeId target, int64_t sent, int64_t lost, RttSketch* rtt) {
+      [&](PathId path_id, NodeId target, int64_t sent, int64_t lost, const RttSketch* rtt) {
         if (path_id == PinglistEntry::kIntraRackPath) {
           shard.RecordIntraRack(target, sent, lost);
         } else if (path_id >= 0) {
           // Other negative ids (a corrupt wire pinglist) are dropped, matching
           // Diagnoser::Ingest.
           if (rtt != nullptr) {
-            shard.RecordPathWithRtt(path_id, target, sent, lost, std::move(*rtt));
+            shard.RecordPathWithRtt(path_id, target, sent, lost, *rtt);
           } else {
             shard.RecordPath(path_id, target, sent, lost);
           }
@@ -118,7 +124,7 @@ PingerTraffic Pinger::RunWindowTo(const ProbeEngine& engine, double window_secon
                                   ReportSink& sink, const Watchdog* watchdog) const {
   return RunEntries(
       engine, window_seconds, rng, watchdog,
-      [&](PathId path_id, NodeId target, int64_t sent, int64_t lost, RttSketch* rtt) {
+      [&](PathId path_id, NodeId target, int64_t sent, int64_t lost, const RttSketch* rtt) {
         if (path_id == PinglistEntry::kIntraRackPath) {
           sink.OnIntraRack(target, sent, lost);
         } else if (path_id >= 0) {

@@ -52,8 +52,9 @@ class ReportSink {
   virtual void OnPath(PathId slot, NodeId target, int64_t sent, int64_t lost) = 0;
   virtual void OnIntraRack(NodeId target, int64_t sent, int64_t lost) = 0;
   // RTT sample sketch of the path reported by the immediately preceding OnPath call, delivered
-  // only when RTT observation is enabled and the sketch is non-empty. Default: discard — a
-  // sink predating the anomaly plane keeps working on loss records alone.
+  // only when RTT observation is enabled and the sketch is non-empty. The sketch is the
+  // pinger's scratch, valid only for the call. Default: discard — a sink predating the
+  // anomaly plane keeps working on loss records alone.
   virtual void OnPathRtt(PathId slot, NodeId target, const RttSketch& sketch) {
     (void)slot;
     (void)target;
@@ -98,8 +99,9 @@ class Pinger {
 
  private:
   // Shared core: runs every eligible entry and hands (path_id, target, sent, lost, rtt) to
-  // `sink`; rtt is null unless the engine samples RTTs and the entry's sketch is non-empty,
-  // and the sink may move the sketch out (each entry gets a fresh one).
+  // `sink`; rtt is null unless the engine samples RTTs and the entry's sketch is non-empty.
+  // The sketch is the shard's one scratch, valid only for the call: the sink copies what it
+  // keeps.
   template <typename Sink>
   PingerTraffic RunEntries(const ProbeEngine& engine, double window_seconds, Rng& rng,
                            const Watchdog* watchdog, Sink&& sink) const;

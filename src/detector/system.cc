@@ -7,7 +7,6 @@
 #include <unordered_set>
 
 #include "src/net/loopback.h"
-#include "src/report/emitter.h"
 
 namespace detector {
 
@@ -346,7 +345,8 @@ void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds,
   struct ShardWork {
     const Pinglist* list;
     ObservationStore::Shard* shard;
-    std::unique_ptr<ReportEmitter> emitter;  // report-plane sink; null in direct mode
+    Transport* transport;  // report mode: the owning collector partition's transport
+    uint64_t seq;          // report mode: the pinger's next frame seq in this window
   };
   std::vector<ShardWork> work;
   work.reserve(pinglists_.size());
@@ -357,17 +357,26 @@ void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds,
     // Report mode opens the shards here too: the collector folds into shards looked up by
     // pinger id, and opening them at this serial point in pinglist order keeps shard creation
     // order — and with it intra-rack record order — identical to direct mode.
-    ShardWork shard_work{&list, &store.OpenShard(list.pinger), nullptr};
+    ShardWork shard_work{&list, &store.OpenShard(list.pinger), nullptr, 0};
     if (report) {
       // Frames route to the transport of the collector partition that owns this pinger —
       // the agent side of the fabric's partition map.
-      Transport& transport =
-          *report_transports_[static_cast<size_t>(collector_group_->RouteOf(list.pinger))];
-      shard_work.emitter = std::make_unique<ReportEmitter>(
-          list.pinger, report_window_id_, report_seq_[list.pinger], store.slot_epochs(),
-          transport, options_.report_batch_entries, options_.report_key);
+      shard_work.transport =
+          report_transports_[static_cast<size_t>(collector_group_->RouteOf(list.pinger))].get();
+      shard_work.seq = report_seq_[list.pinger];
     }
-    work.push_back(std::move(shard_work));
+    work.push_back(shard_work);
+  }
+
+  // The pool is sized by the configured thread count alone — shard-count fluctuations across
+  // segments (churn emptying a pinglist) must not tear workers down and restart them.
+  const size_t configured = options_.probe_threads != 0
+                                ? options_.probe_threads
+                                : std::max<size_t>(1, std::thread::hardware_concurrency());
+  // One emitter per pool task (at most one per configured thread), re-armed for every shard
+  // the task runs and kept across segments and windows with the buffers it grew.
+  if (report && report_emitters_.size() < configured) {
+    report_emitters_.resize(configured);
   }
 
   // Parallel phase: each shard is written by exactly one worker; traffic totals land in a
@@ -376,36 +385,44 @@ void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds,
   // store's only writer.
   std::vector<PingerTraffic> traffic(work.size());
   std::atomic<size_t> shards_left{work.size()};
-  auto run_shard = [&](size_t i) {
-    Rng shard_rng = ProbeEngine::ShardRng(window_seed, static_cast<uint64_t>(
-                                                           work[i].list->pinger));
-    Pinger pinger(*work[i].list, options_.confirm_packets);
+  auto run_shard = [&](size_t i, size_t task) {
+    ShardWork& w = work[i];
+    Rng shard_rng = ProbeEngine::ShardRng(window_seed, static_cast<uint64_t>(w.list->pinger));
+    Pinger pinger(*w.list, options_.confirm_packets);
     // The watchdog filters intra-rack entries towards downed servers (it mutates only at
     // serial points, so concurrent shards may read it).
-    if (work[i].emitter != nullptr) {
-      traffic[i] =
-          pinger.RunWindowTo(engine, seconds, shard_rng, *work[i].emitter, &watchdog_);
-      work[i].emitter->Flush();
+    if (report) {
+      std::unique_ptr<ReportEmitter>& emitter = report_emitters_[task];
+      if (emitter == nullptr) {
+        emitter = std::make_unique<ReportEmitter>(w.list->pinger, report_window_id_, w.seq,
+                                                  store.slot_epochs(), *w.transport,
+                                                  options_.report_batch_entries,
+                                                  options_.report_key);
+      } else {
+        emitter->Rearm(w.list->pinger, report_window_id_, w.seq, store.slot_epochs(),
+                       *w.transport);
+      }
+      traffic[i] = pinger.RunWindowTo(engine, seconds, shard_rng, *emitter, &watchdog_);
+      emitter->Flush();
+      w.seq = emitter->next_seq();
     } else {
-      traffic[i] =
-          pinger.RunWindowInto(engine, seconds, shard_rng, *work[i].shard, &watchdog_);
+      traffic[i] = pinger.RunWindowInto(engine, seconds, shard_rng, *w.shard, &watchdog_);
     }
     shards_left.fetch_sub(1, std::memory_order_release);
   };
-  // The pool is sized by the configured thread count alone — shard-count fluctuations across
-  // segments (churn emptying a pinglist) must not tear workers down and restart them.
-  const size_t configured = options_.probe_threads != 0
-                                ? options_.probe_threads
-                                : std::max<size_t>(1, std::thread::hardware_concurrency());
   if (configured <= 1 || work.size() <= 1) {
     for (size_t i = 0; i < work.size(); ++i) {
-      run_shard(i);
+      run_shard(i, 0);
     }
   } else {
     if (pool_ == nullptr) {
       pool_ = std::make_unique<ThreadPool>(configured);
     }
     std::atomic<size_t> next{0};
+    // In report mode one worker runs the pump (which also takes shards when idle); the shard
+    // loop tasks share the rest.
+    const size_t shard_workers = report ? configured - 1 : configured;
+    const size_t tasks = std::min(shard_workers, work.size());
     if (report) {
       // Concurrent ingest on the same pool, submitted FIRST so one worker pumps from the
       // start: frames decode and fold while the other workers probe, instead of piling up in
@@ -429,7 +446,7 @@ void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds,
           if (!shards_taken) {
             const size_t i = next.fetch_add(1);
             if (i < work.size()) {
-              run_shard(i);
+              run_shard(i, tasks);
               continue;
             }
             shards_taken = true;
@@ -438,14 +455,10 @@ void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds,
         }
       });
     }
-    // In report mode one worker runs the pump (which also takes shards when idle); the shard
-    // loop tasks share the rest.
-    const size_t shard_workers = report ? configured - 1 : configured;
-    const size_t tasks = std::min(shard_workers, work.size());
     for (size_t t = 0; t < tasks; ++t) {
-      pool_->Submit([&] {
+      pool_->Submit([&, t] {
         for (size_t i = next.fetch_add(1); i < work.size(); i = next.fetch_add(1)) {
-          run_shard(i);
+          run_shard(i, t);
         }
       });
     }
@@ -460,7 +473,7 @@ void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds,
       collector_group_->collector(c).PumpFrom(*report_transports_[c]);
     }
     for (const ShardWork& shard_work : work) {
-      report_seq_[shard_work.list->pinger] = shard_work.emitter->next_seq();
+      report_seq_[shard_work.list->pinger] = shard_work.seq;
     }
   }
   for (const PingerTraffic& t : traffic) {

@@ -45,6 +45,7 @@
 #include "src/pmc/pmc.h"
 #include "src/report/collector.h"
 #include "src/report/collector_group.h"
+#include "src/report/emitter.h"
 #include "src/report/partition.h"
 #include "src/routing/path_provider.h"
 #include "src/sim/churn.h"
@@ -314,6 +315,8 @@ class DetectorSystem {
   std::unique_ptr<CollectorGroup> collector_group_;
   uint64_t report_window_id_ = 0;
   std::map<NodeId, uint64_t> report_seq_;
+  // Report-plane emitters by pool task, re-armed per shard (see RunSegment).
+  std::vector<std::unique_ptr<ReportEmitter>> report_emitters_;
   // Per-pinger version high-water marks. Outlives the pinglists themselves: a pinger whose
   // list vanishes for a cycle (unhealthy, no entries) must not restart at version 1, or a
   // diff consumer would discard everything after its return as stale.

@@ -1,7 +1,7 @@
 #include "src/report/codec.h"
 
-#include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "src/common/crc32.h"
 #include "src/common/siphash.h"
@@ -48,6 +48,25 @@ const char* DecodeStatusName(DecodeStatus status) {
     case DecodeStatus::kMalformed: return "malformed";
   }
   return "unknown";
+}
+
+void ReportFrame::AddRtt(PathId slot, uint32_t epoch, NodeId target, const RttSketch& sketch) {
+  const std::span<const RttSketch::BinCount> bins = sketch.bins();
+  rtt.push_back(WireRttDelta{slot, epoch, target, sketch.num_bins(),
+                             static_cast<uint32_t>(rtt_bins.size()),
+                             static_cast<uint32_t>(bins.size())});
+  rtt_bins.insert(rtt_bins.end(), bins.begin(), bins.end());
+}
+
+void ReportFrame::Clear() {
+  pinger = kInvalidNode;
+  window_id = 0;
+  seq = 0;
+  paths.clear();
+  intra.clear();
+  rtt.clear();
+  rtt_bins.clear();
+  unknown_records = 0;
 }
 
 namespace {
@@ -97,11 +116,11 @@ void ReportCodec::Encode(const ReportFrame& frame, std::vector<uint8_t>& out,
     for (const WireRttDelta& record : frame.rtt) {
       // Payload: slot, epoch, target, bin count, non-zero bin count, then (gap, count) per
       // non-zero bin. Its length prefixes it, so size it first and write it in place.
-      const std::span<const RttSketch::BinCount> bins = record.sketch.bins();
+      const std::span<const RttSketch::BinCount> bins = frame.RttBins(record);
       size_t length = VarintSize(static_cast<uint64_t>(record.slot)) +
                       VarintSize(record.epoch) +
                       VarintSize(static_cast<uint64_t>(record.target)) +
-                      VarintSize(static_cast<uint64_t>(record.sketch.num_bins())) +
+                      VarintSize(static_cast<uint64_t>(record.num_bins)) +
                       VarintSize(bins.size());
       int prev_bin = 0;
       for (const RttSketch::BinCount& b : bins) {
@@ -114,7 +133,7 @@ void ReportCodec::Encode(const ReportFrame& frame, std::vector<uint8_t>& out,
       PutVarint(out, static_cast<uint64_t>(record.slot));
       PutVarint(out, record.epoch);
       PutVarint(out, static_cast<uint64_t>(record.target));
-      PutVarint(out, static_cast<uint64_t>(record.sketch.num_bins()));
+      PutVarint(out, static_cast<uint64_t>(record.num_bins));
       PutVarint(out, bins.size());
       prev_bin = 0;
       for (const RttSketch::BinCount& b : bins) {
@@ -168,6 +187,13 @@ bool ReadI32(std::span<const uint8_t> bytes, size_t& pos, int32_t& value) {
 
 DecodeStatus ReportCodec::Decode(std::span<const uint8_t> bytes, ReportFrame& out,
                                  const ReportKey& key, uint64_t max_known_ext_type) {
+  ReportFrame scratch;
+  return Decode(bytes, out, scratch, key, max_known_ext_type);
+}
+
+DecodeStatus ReportCodec::Decode(std::span<const uint8_t> bytes, ReportFrame& out,
+                                 ReportFrame& scratch, const ReportKey& key,
+                                 uint64_t max_known_ext_type) {
   // magic(2) + version(1) + tag(8) + 5 one-byte header varints + crc(4)
   if (bytes.size() < 20) {
     return DecodeStatus::kTooShort;
@@ -201,7 +227,9 @@ DecodeStatus ReportCodec::Decode(std::span<const uint8_t> bytes, ReportFrame& ou
 
   const std::span<const uint8_t> body = bytes.subspan(0, body_size);
   size_t pos = kHeaderPos;
-  ReportFrame frame;
+  DCHECK(&scratch != &out) << "decoding in place would break the all-or-nothing contract";
+  ReportFrame& frame = scratch;
+  frame.Clear();
   if (!ReadI32(body, pos, frame.pinger)) {
     return DecodeStatus::kMalformed;
   }
@@ -282,8 +310,10 @@ DecodeStatus ReportCodec::Decode(std::span<const uint8_t> bytes, ReportFrame& ou
         ++frame.unknown_records;
         continue;
       }
-      // type == kExtTypeRttSketch — the only known extension type.
+      // type == kExtTypeRttSketch — the only known extension type. Its bins append to the
+      // frame's arena.
       WireRttDelta record;
+      record.bins_begin = static_cast<uint32_t>(frame.rtt_bins.size());
       size_t rpos = 0;
       uint64_t slot = 0;
       uint64_t epoch = 0;
@@ -301,10 +331,7 @@ DecodeStatus ReportCodec::Decode(std::span<const uint8_t> bytes, ReportFrame& ou
       }
       record.slot = static_cast<PathId>(slot);
       record.epoch = static_cast<uint32_t>(epoch);
-      record.sketch = RttSketch(static_cast<int>(num_bins));
-      // Every pair costs >= 2 bytes, which bounds the reservation for a lying count.
-      record.sketch.Reserve(static_cast<int>(
-          std::min<uint64_t>(n_nonzero, (payload.size() - rpos) / 2)));
+      record.num_bins = static_cast<int32_t>(num_bins);
       int64_t bin = -1;
       for (uint64_t j = 0; j < n_nonzero; ++j) {
         uint64_t gap = 0;
@@ -312,22 +339,33 @@ DecodeStatus ReportCodec::Decode(std::span<const uint8_t> bytes, ReportFrame& ou
         if (!GetVarint(payload, rpos, gap) || !ReadI64(payload, rpos, count)) {
           return DecodeStatus::kTruncated;
         }
+        const bool repeat = bin >= 0 && gap == 0;
         bin = (bin < 0 ? 0 : bin) + static_cast<int64_t>(gap);
         if (bin >= static_cast<int64_t>(num_bins) || count <= 0) {
           return DecodeStatus::kMalformed;
         }
-        record.sketch.AddCount(static_cast<int>(bin), count);
+        if (repeat) {
+          // A zero gap repeats the previous bin: its counts add up, as recording them would.
+          int64_t& sum = frame.rtt_bins.back().count;
+          if (count > std::numeric_limits<int64_t>::max() - sum) {
+            return DecodeStatus::kMalformed;
+          }
+          sum += count;
+          continue;
+        }
+        frame.rtt_bins.push_back(RttSketch::BinCount{static_cast<int32_t>(bin), count});
       }
       if (rpos != payload.size()) {
         return DecodeStatus::kMalformed;  // a known type must parse exactly to its length
       }
-      frame.rtt.push_back(std::move(record));
+      record.bins_size = static_cast<uint32_t>(frame.rtt_bins.size() - record.bins_begin);
+      frame.rtt.push_back(record);
     }
   }
   if (pos != body_size) {
     return DecodeStatus::kMalformed;  // trailing garbage that somehow CRC'd clean
   }
-  out = std::move(frame);
+  std::swap(out, frame);
   return DecodeStatus::kOk;
 }
 

@@ -70,13 +70,17 @@ struct WireIntraDelta {
   bool operator==(const WireIntraDelta&) const = default;
 };
 
-// One per-path RTT sketch delta, carried in the frame's extension section. Epoch semantics
-// match WirePathDelta: a sketch for a stale slot orphans instead of folding.
+// One per-path RTT sketch delta, carried in the frame's extension section: a `num_bins`-bin
+// sketch whose non-zero bins are the frame's rtt_bins[bins_begin, bins_begin + bins_size),
+// ascending. Epoch semantics match WirePathDelta: a sketch for a stale slot orphans instead
+// of folding.
 struct WireRttDelta {
   PathId slot = -1;
   uint32_t epoch = 0;
   NodeId target = kInvalidNode;
-  RttSketch sketch;
+  int32_t num_bins = 0;
+  uint32_t bins_begin = 0;
+  uint32_t bins_size = 0;
 
   bool operator==(const WireRttDelta&) const = default;
 };
@@ -88,11 +92,23 @@ struct ReportFrame {
   std::vector<WirePathDelta> paths;
   std::vector<WireIntraDelta> intra;
   std::vector<WireRttDelta> rtt;  // extension records; empty frames omit the ext section
+  // Every RTT record's non-zero bins, back to back in record order: one arena per frame, so
+  // a frame reused across batches holds its sketches without a heap block per record.
+  std::vector<RttSketch::BinCount> rtt_bins;
   // Decode-side only: extension records whose type the decoder does not know, skipped over
   // their declared length. Encode ignores it.
   uint64_t unknown_records = 0;
 
   size_t num_observations() const { return paths.size() + intra.size() + rtt.size(); }
+
+  // Appends an RTT record carrying `sketch`'s bins.
+  void AddRtt(PathId slot, uint32_t epoch, NodeId target, const RttSketch& sketch);
+  std::span<const RttSketch::BinCount> RttBins(const WireRttDelta& record) const {
+    return std::span<const RttSketch::BinCount>(rtt_bins).subspan(record.bins_begin,
+                                                                  record.bins_size);
+  }
+  // Empties every record and the header, keeping the buffers for the next batch.
+  void Clear();
 
   bool operator==(const ReportFrame&) const = default;
 };
@@ -144,6 +160,12 @@ class ReportCodec {
   // max_known_ext_type emulates an older decoder against a newer emitter (regression-tested).
   static DecodeStatus Decode(std::span<const uint8_t> bytes, ReportFrame& out,
                              const ReportKey& key = {},
+                             uint64_t max_known_ext_type = kMaxKnownExtType);
+  // The same decode, parsed into `scratch` (whose buffers it reuses) and swapped into `out`
+  // on success, so a drain loop that keeps both frames decodes without allocating once their
+  // buffers have grown. On error `out` is untouched and `scratch` holds no meaning.
+  static DecodeStatus Decode(std::span<const uint8_t> bytes, ReportFrame& out,
+                             ReportFrame& scratch, const ReportKey& key = {},
                              uint64_t max_known_ext_type = kMaxKnownExtType);
 
   // Reads just the pinger id out of the frame header (magic + version + first varint) without

@@ -88,7 +88,8 @@ size_t Collector::DrainShard(IngestShard& shard) {
       shard.raw = std::move(shard.queue.front());
       shard.queue.pop_front();
     }
-    const DecodeStatus status = ReportCodec::Decode(shard.raw, shard.decoded, options_.key);
+    const DecodeStatus status =
+        ReportCodec::Decode(shard.raw, shard.decoded, shard.decode_scratch, options_.key);
     if (status != DecodeStatus::kOk) {
       // Tamper (CRC-clean, tag-failed) is an attack signal; everything else is damage.
       if (status == DecodeStatus::kBadAuth) {
@@ -199,7 +200,7 @@ size_t Collector::Drain() {
   return folded;
 }
 
-void Collector::FoldFrame(IngestShard& shard, ReportFrame& frame) {
+void Collector::FoldFrame(IngestShard& shard, const ReportFrame& frame) {
   ObservationStore::Shard* store_shard = nullptr;
   const auto it = shard.store_shards.find(frame.pinger);
   if (it != shard.store_shards.end()) {
@@ -227,19 +228,19 @@ void Collector::FoldFrame(IngestShard& shard, ReportFrame& frame) {
     store_shard->RecordIntraRack(record.target, record.sent, record.lost);
     ++shard.stats.observations_folded;
   }
-  for (WireRttDelta& record : frame.rtt) {
+  for (const WireRttDelta& record : frame.rtt) {
     if (record.slot < 0 || static_cast<size_t>(record.slot) >= num_slots) {
       ++shard.stats.unknown_slot_dropped;
       continue;
     }
-    if (record.sketch.num_bins() != options_.rtt_bins) {
+    if (record.num_bins != options_.rtt_bins) {
       // Merging it into the slot's running sketch would abort the diagnoser; the frame's loss
       // records above still fold.
       ++shard.stats.rtt_bins_mismatched;
       continue;
     }
     store_shard->RecordPathRttAtEpoch(record.slot, record.epoch, record.target,
-                                      std::move(record.sketch));
+                                      record.num_bins, frame.RttBins(record));
     ++shard.stats.observations_folded;
   }
   // Extension records the decoder skipped (newer emitter during a mixed-version rollout): the

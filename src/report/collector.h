@@ -188,13 +188,16 @@ class Collector {
     uint64_t pending_window = 0;  // newer window id seen at the queue head
     bool has_pending = false;
     std::vector<uint8_t> raw;  // drain scratch
-    ReportFrame decoded;       // drain scratch
+    // Drain scratch: Decode parses into `decode_scratch` and swaps it with `decoded` on
+    // success, so both keep their buffers from frame to frame.
+    ReportFrame decoded;
+    ReportFrame decode_scratch;
   };
 
   bool OfferToShard(size_t index, std::vector<uint8_t> frame, bool bounded);
   size_t DrainShard(IngestShard& shard);
-  // Folds a decoded frame; its RTT sketches move into the store.
-  void FoldFrame(IngestShard& shard, ReportFrame& frame);
+  // Folds a decoded frame; its RTT records' bins are copied into the store shard's arena.
+  void FoldFrame(IngestShard& shard, const ReportFrame& frame);
 
   ObservationStore& store_;
   const CollectorOptions options_;

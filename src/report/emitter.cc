@@ -5,22 +5,28 @@ namespace detector {
 ReportEmitter::ReportEmitter(NodeId pinger, uint64_t window_id, uint64_t start_seq,
                              std::span<const uint32_t> slot_epochs, Transport& transport,
                              size_t batch_observations, const ReportKey& key)
-    : pinger_(pinger),
-      window_id_(window_id),
-      slot_epochs_(slot_epochs),
-      transport_(transport),
+    : slot_epochs_(slot_epochs),
+      transport_(&transport),
       batch_observations_(batch_observations == 0 ? 1 : batch_observations),
       key_(key),
       next_seq_(start_seq) {
-  pending_.pinger = pinger_;
-  pending_.window_id = window_id_;
+  pending_.pinger = pinger;
+  pending_.window_id = window_id;
+}
+
+void ReportEmitter::Rearm(NodeId pinger, uint64_t window_id, uint64_t start_seq,
+                          std::span<const uint32_t> slot_epochs, Transport& transport) {
+  DCHECK(pending_.num_observations() == 0) << "rearming an emitter with an unflushed batch";
+  slot_epochs_ = slot_epochs;
+  transport_ = &transport;
+  next_seq_ = start_seq;
+  pending_.pinger = pinger;
+  pending_.window_id = window_id;
+  stats_ = ReportEmitterStats{};
 }
 
 void ReportEmitter::OnPath(PathId slot, NodeId target, int64_t sent, int64_t lost) {
-  const uint32_t epoch = static_cast<size_t>(slot) < slot_epochs_.size()
-                             ? slot_epochs_[static_cast<size_t>(slot)]
-                             : 0;
-  pending_.paths.push_back(WirePathDelta{slot, epoch, target, sent, lost});
+  pending_.paths.push_back(WirePathDelta{slot, EpochOf(slot), target, sent, lost});
   if (pending_.num_observations() >= batch_observations_) {
     Flush();
   }
@@ -34,10 +40,7 @@ void ReportEmitter::OnIntraRack(NodeId target, int64_t sent, int64_t lost) {
 }
 
 void ReportEmitter::OnPathRtt(PathId slot, NodeId target, const RttSketch& sketch) {
-  const uint32_t epoch = static_cast<size_t>(slot) < slot_epochs_.size()
-                             ? slot_epochs_[static_cast<size_t>(slot)]
-                             : 0;
-  pending_.rtt.push_back(WireRttDelta{slot, epoch, target, sketch});
+  pending_.AddRtt(slot, EpochOf(slot), target, sketch);
   if (pending_.num_observations() >= batch_observations_) {
     Flush();
   }
@@ -49,7 +52,7 @@ void ReportEmitter::Flush() {
   }
   pending_.seq = next_seq_++;
   ReportCodec::Encode(pending_, encode_buf_, key_);
-  if (!transport_.Send(encode_buf_)) {
+  if (!transport_->Send(encode_buf_)) {
     ++stats_.frames_send_failed;
   }
   ++stats_.frames_emitted;
@@ -58,6 +61,7 @@ void ReportEmitter::Flush() {
   pending_.paths.clear();
   pending_.intra.clear();
   pending_.rtt.clear();
+  pending_.rtt_bins.clear();
 }
 
 }  // namespace detector

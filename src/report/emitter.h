@@ -1,10 +1,11 @@
-// ReportEmitter: the pinger-side half of the report plane. One emitter per pinger per probe
-// segment adapts the pinger's streamed counters (ReportSink) into batched wire frames: every
-// path record is stamped with the slot epoch current at probe time, records accumulate until
-// the batch fills, and Flush() seals the batch into one ReportCodec frame — sequence-numbered
-// per (pinger, window) — and Send()s it on the transport. Runs entirely on the shard's own
-// thread; the only shared things it touches are the read-only epoch view and the
-// thread-safe transport.
+// ReportEmitter: the pinger-side half of the report plane. An emitter armed for one pinger's
+// probe segment adapts the pinger's streamed counters (ReportSink) into batched wire frames:
+// every path record is stamped with the slot epoch current at probe time, records accumulate
+// until the batch fills, and Flush() seals the batch into one ReportCodec frame —
+// sequence-numbered per (pinger, window) — and Send()s it on the transport. Runs entirely on
+// the shard's own thread; the only shared things it touches are the read-only epoch view and
+// the thread-safe transport. Rearm() points it at the next shard, so one emitter per probe
+// worker serves every segment with the batch and encode buffers it already grew.
 #ifndef SRC_REPORT_EMITTER_H_
 #define SRC_REPORT_EMITTER_H_
 
@@ -38,10 +39,15 @@ class ReportEmitter final : public ReportSink {
                 size_t batch_observations = 64, const ReportKey& key = {});
   ~ReportEmitter() override = default;
 
+  // Re-targets the emitter as if freshly constructed with these arguments and its batch size
+  // and key, keeping the batch and encode buffers. The pending batch must have been flushed.
+  void Rearm(NodeId pinger, uint64_t window_id, uint64_t start_seq,
+             std::span<const uint32_t> slot_epochs, Transport& transport);
+
   void OnPath(PathId slot, NodeId target, int64_t sent, int64_t lost) override;
   void OnIntraRack(NodeId target, int64_t sent, int64_t lost) override;
-  // Buffers the path's RTT sketch as an extension record in the pending frame, stamped with
-  // the same probe-time epoch as the loss record it accompanies.
+  // Copies the path's RTT sketch into the pending frame's bin arena as an extension record,
+  // stamped with the same probe-time epoch as the loss record it accompanies.
   void OnPathRtt(PathId slot, NodeId target, const RttSketch& sketch) override;
 
   // Seals and sends the pending batch (no-op when empty). Call after the window/segment's
@@ -53,10 +59,14 @@ class ReportEmitter final : public ReportSink {
   const ReportEmitterStats& stats() const { return stats_; }
 
  private:
-  const NodeId pinger_;
-  const uint64_t window_id_;
-  const std::span<const uint32_t> slot_epochs_;
-  Transport& transport_;
+  uint32_t EpochOf(PathId slot) const {
+    return static_cast<size_t>(slot) < slot_epochs_.size()
+               ? slot_epochs_[static_cast<size_t>(slot)]
+               : 0;
+  }
+
+  std::span<const uint32_t> slot_epochs_;
+  Transport* transport_;
   const size_t batch_observations_;
   const ReportKey key_;
   uint64_t next_seq_;

@@ -24,7 +24,11 @@ class LatencyModel {
  public:
   explicit LatencyModel(LatencyModelOptions options) : options_(options) {}
 
-  // One RTT sample (microseconds) along the path given per-link offered load (Mbps).
+  // One RTT sample (microseconds) along the path given per-link offered load (Mbps). An empty
+  // load span means unloaded links: every hop's jitter then has the same scale, and the hops'
+  // exponential jitters are summed as -scale * ln(prod(1 - U_i)) — one log over the same
+  // uniforms, drawn in the same order, as the per-hop formula a zero-filled span takes
+  // (their integer samples are pinned equal in tests/sim_test.cc).
   double SampleRttUs(std::span<const LinkId> links, std::span<const double> link_load_mbps,
                      Rng& rng) const;
 

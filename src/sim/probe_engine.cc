@@ -103,11 +103,8 @@ void ProbeEngine::AttachRttObservation(const LatencyModel* model,
   CHECK(samples_per_path > 0);
   CHECK(link_load_mbps.empty() || link_load_mbps.size() == topo_.NumLinks());
   rtt_model_ = model;
-  if (link_load_mbps.empty()) {
-    rtt_link_load_mbps_.assign(topo_.NumLinks(), 0.0);
-  } else {
-    rtt_link_load_mbps_.assign(link_load_mbps.begin(), link_load_mbps.end());
-  }
+  // Kept empty for unloaded links, so every sample takes the model's one-log draw.
+  rtt_link_load_mbps_.assign(link_load_mbps.begin(), link_load_mbps.end());
   rtt_samples_per_path_ = samples_per_path;
   rtt_sketch_bins_ = sketch_bins;
 }

@@ -91,7 +91,7 @@ class ProbeEngine {
   // RTT observation (the anomaly plane's measurement channel, the one way latency reaches
   // diagnosis): with a model attached, SimulatePath fills the caller's RttSketch with up to
   // samples_per_path per-survivor RTT draws. An empty link_load_mbps span means unloaded
-  // links (load 0 everywhere).
+  // links (load 0 everywhere), which LatencyModel samples with one log per draw.
   void AttachRttObservation(const LatencyModel* model, std::span<const double> link_load_mbps,
                             int samples_per_path, int sketch_bins = RttSketch::kDefaultBins);
   bool rtt_observation() const { return rtt_model_ != nullptr; }
@@ -139,7 +139,7 @@ class ProbeEngine {
   std::vector<HealthyPathDraws> healthy_draws_;  // by path length, [0, kCachedPathLinks]
   // Optional RTT observation state.
   const LatencyModel* rtt_model_ = nullptr;
-  std::vector<double> rtt_link_load_mbps_;
+  std::vector<double> rtt_link_load_mbps_;  // empty: unloaded links
   int rtt_samples_per_path_ = 0;
   int rtt_sketch_bins_ = RttSketch::kDefaultBins;
   // Extra one-way delay (us) of each link's active kLatencyInflation failure, dense by link;

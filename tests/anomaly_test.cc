@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -312,12 +313,12 @@ ReportFrame RttFrame() {
   for (int i = 0; i < 50; ++i) {
     dense.Record(90 + 7 * i);
   }
-  frame.rtt.push_back(WireRttDelta{5, 0, 101, dense});
+  frame.AddRtt(5, 0, 101, dense);
 
   RttSketch sparse(16);  // non-default bin count, gap-coded non-zero runs at both ends
   sparse.AddCount(0, 3);
   sparse.AddCount(15, 2);
-  frame.rtt.push_back(WireRttDelta{700, 2, 99, sparse});
+  frame.AddRtt(700, 2, 99, sparse);
   return frame;
 }
 
@@ -366,6 +367,7 @@ TEST(AnomalyCodec, LossOnlyFramesCarryNoExtSection) {
   // "old" decoder (max_known_ext_type = 0) accepts it without any unknown-record tally.
   ReportFrame frame = RttFrame();
   frame.rtt.clear();
+  frame.rtt_bins.clear();
   std::vector<uint8_t> wire;
   ReportCodec::Encode(frame, wire);
   ReportFrame decoded;
@@ -387,6 +389,48 @@ TEST(AnomalyCodec, EveryTruncationOfAnRttFrameIsAnError) {
     EXPECT_EQ(decoded.pinger, -7) << "output mutated on error at length " << len;
     EXPECT_TRUE(decoded.rtt.empty()) << "sketches leaked on error at length " << len;
   }
+}
+
+TEST(AnomalyCodec, ScratchDecodeKeepsTheLastGoodFrameOnError) {
+  // A collector lane decodes every frame into its scratch and swaps it in on success: its
+  // buffers are reused, yet a damaged frame still leaves the lane's decoded frame untouched.
+  std::vector<uint8_t> wire;
+  ReportCodec::Encode(RttFrame(), wire);
+  ReportFrame decoded;
+  ReportFrame scratch;
+  ASSERT_EQ(ReportCodec::Decode(wire, decoded, scratch), DecodeStatus::kOk);
+  EXPECT_EQ(decoded, RttFrame());
+  for (size_t len = 0; len < wire.size(); ++len) {
+    EXPECT_NE(ReportCodec::Decode(std::span<const uint8_t>(wire.data(), len), decoded, scratch),
+              DecodeStatus::kOk)
+        << "prefix of length " << len << " decoded";
+    EXPECT_EQ(decoded, RttFrame()) << "output mutated on error at length " << len;
+  }
+  ReportFrame other = RttFrame();
+  other.seq = 4;
+  other.rtt.pop_back();
+  other.rtt_bins.resize(other.rtt.back().bins_begin + other.rtt.back().bins_size);
+  ReportCodec::Encode(other, wire);
+  ASSERT_EQ(ReportCodec::Decode(wire, decoded, scratch), DecodeStatus::kOk);
+  EXPECT_EQ(decoded, other);
+}
+
+TEST(AnomalyCodec, RepeatedBinOnTheWireAddsItsCounts) {
+  // The encoder writes each bin once, but a zero gap after the first pair is well-formed:
+  // the decoder adds the repeated bin's counts, as recording them one by one would.
+  ReportFrame frame;
+  frame.pinger = 3;
+  frame.window_id = 1;
+  frame.rtt.push_back(WireRttDelta{2, 0, 9, RttSketch::kDefaultBins, 0, 3});
+  frame.rtt_bins = {{20, 2}, {20, 3}, {31, 1}};
+  std::vector<uint8_t> wire;
+  ReportCodec::Encode(frame, wire);
+  ReportFrame decoded;
+  ASSERT_EQ(ReportCodec::Decode(wire, decoded), DecodeStatus::kOk);
+  ASSERT_EQ(decoded.rtt.size(), 1u);
+  const std::vector<RttSketch::BinCount> bins(decoded.RttBins(decoded.rtt[0]).begin(),
+                                              decoded.RttBins(decoded.rtt[0]).end());
+  EXPECT_EQ(bins, (std::vector<RttSketch::BinCount>{{20, 5}, {31, 1}}));
 }
 
 TEST(AnomalyCodec, EverySingleByteCorruptionOfAnRttFrameIsAnError) {
@@ -442,7 +486,7 @@ TEST(CollectorRtt, SkipsSketchesOfAnotherBinCount) {
     frame.pinger = pinger++;
     frame.window_id = 1;
     frame.paths.push_back(WirePathDelta{0, 0, /*target=*/9, 50, 1});
-    frame.rtt.push_back(WireRttDelta{0, 0, /*target=*/9, sketch});
+    frame.AddRtt(0, 0, /*target=*/9, sketch);
     std::vector<uint8_t> wire;
     ReportCodec::Encode(frame, wire);
     ASSERT_TRUE(collector.Offer(std::move(wire)));
@@ -674,8 +718,9 @@ TEST(ObservationStoreRtt, RunningSketchesMatchSnapshotUnderFlipsAndInvalidation)
   // one stamped with the current epoch folds.
   RttSketch late(RttSketch::kDefaultBins);
   late.Record(77);
-  shard_a.RecordPathRttAtEpoch(0, /*epoch=*/0, /*target=*/2, late);
-  shard_a.RecordPathRttAtEpoch(1, store.SlotEpoch(1), /*target=*/2, late);
+  shard_a.RecordPathRttAtEpoch(0, /*epoch=*/0, /*target=*/2, late.num_bins(), late.bins());
+  shard_a.RecordPathRttAtEpoch(1, store.SlotEpoch(1), /*target=*/2, late.num_bins(),
+                               late.bins());
   ExpectRttAgreement(store, 4, watchdog, "stale and current epoch records");
   const std::vector<RttSketch> merged = SnapshotVector(store, 4, watchdog);
   EXPECT_TRUE(merged[0].empty() || merged[0].total() == 0);  // stale record orphaned
@@ -859,6 +904,78 @@ TEST(AnomalyEndToEnd, WindowsBitIdenticalAcrossThreadsAndPlanes) {
   const auto top = engine.TopAnomalies();
   ASSERT_FALSE(top.empty());
   EXPECT_EQ(top[0].link, gray);
+}
+
+// Every observable result of a gray run folded into one value, doubles by their bits:
+// probe and byte counts, every boundary's suspects, server-link alarms and anomalies, the
+// window-end results, and the final merged RTT sketches.
+uint64_t FingerprintOf(const AnomalyRun& run) {
+  uint64_t h = 0;
+  const auto mix = [&h](uint64_t value) { h = HashCombine(h, value); };
+  const auto mix_double = [&mix](double value) { mix(std::bit_cast<uint64_t>(value)); };
+  const auto mix_diagnosis = [&](const LocalizeResult& localization,
+                                 const std::vector<ServerLinkAlarm>& alarms,
+                                 const std::vector<LinkAnomaly>& anomalies) {
+    mix(localization.links.size());
+    for (const SuspectLink& suspect : localization.links) {
+      mix(static_cast<uint64_t>(suspect.link));
+      mix_double(suspect.estimated_loss_rate);
+      mix_double(suspect.hit_ratio);
+      mix(static_cast<uint64_t>(suspect.explained_losses));
+    }
+    mix(alarms.size());
+    for (const ServerLinkAlarm& alarm : alarms) {
+      mix(static_cast<uint64_t>(alarm.pinger));
+      mix(static_cast<uint64_t>(alarm.target));
+      mix_double(alarm.loss_ratio);
+    }
+    mix(anomalies.size());
+    for (const LinkAnomaly& anomaly : anomalies) {
+      mix(static_cast<uint64_t>(anomaly.link));
+      mix(anomaly.signal);
+      mix_double(anomaly.score);
+      mix(static_cast<uint64_t>(anomaly.sustained));
+    }
+  };
+  for (const DetectorSystem::StreamingWindowResult& result : run.results) {
+    mix(static_cast<uint64_t>(result.window.probes_sent));
+    mix(static_cast<uint64_t>(result.window.bytes_sent));
+    mix_diagnosis(result.window.localization, result.window.server_link_alarms,
+                  result.window.anomalies);
+    for (const DetectorSystem::SegmentDiagnosis& d : result.timeline) {
+      mix(static_cast<uint64_t>(d.segment));
+      mix_double(d.time_seconds);
+      mix_diagnosis(d.localization, d.server_link_alarms, d.anomalies);
+    }
+  }
+  for (const RttSketch& sketch : run.final_rtt) {
+    mix(static_cast<uint64_t>(sketch.num_bins()));
+    mix(static_cast<uint64_t>(sketch.total()));
+    for (const RttSketch::BinCount& b : sketch.bins()) {
+      mix(static_cast<uint64_t>(b.bin));
+      mix(static_cast<uint64_t>(b.count));
+    }
+  }
+  return h;
+}
+
+TEST(AnomalyEndToEnd, WindowResultsMatchPinnedFingerprint) {
+  // The gray sequence's results pinned across commits, not only across execution shapes: a
+  // change that claims to move no RNG draw, fold order or wire byte must hash to the literal
+  // captured before it. The draws go through libstdc++'s std::binomial_distribution, so a
+  // different standard library, or a deliberate change of the binomial sampler, changes the
+  // trajectory; such a change re-captures the literal and declares it.
+  constexpr uint64_t kPinned = 0xc546c372ef521ac8ULL;
+  const FatTree ft(4);
+  const FatTreeRouting routing(ft);
+  Rng pick(99);
+  const LinkId gray = SampleMonitoredLink(ft.topology(), pick);
+
+  const AnomalyRun direct = RunGraySequence(routing, gray, /*threads=*/1, false);
+  const AnomalyRun fabric = RunGraySequence(routing, gray, /*threads=*/4, true,
+                                            /*collectors=*/2, /*lanes=*/2);
+  EXPECT_EQ(FingerprintOf(direct), kPinned) << std::hex << FingerprintOf(direct);
+  EXPECT_EQ(FingerprintOf(fabric), kPinned) << std::hex << FingerprintOf(fabric);
 }
 
 }  // namespace

@@ -616,6 +616,52 @@ TEST(SlidingSegmentDiagnosis, WatchdogFlipNeverTurnsTrailingTotalsNegative) {
   EXPECT_GT(result.links[0].estimated_loss_rate, 0.9);
 }
 
+// A trailing read over a matrix that grew since the last boundary sizes the trailing view to
+// the new slot count, and the next AdvanceSegment must find every per-slot array of the
+// view — boundary totals, boundary epochs, trailing sums — that long. When the read grew the
+// totals but not the epochs, that boundary indexed past the end of the epochs (an abort
+// under -D_GLIBCXX_ASSERTIONS).
+TEST(SlidingSegmentDiagnosis, TrailingReadOverGrownMatrixKeepsTheViewWhole) {
+  Topology topo("toy");
+  std::vector<NodeId> nodes;
+  for (int i = 0; i <= 3; ++i) {
+    nodes.push_back(topo.AddNode(NodeKind::kTor, 0, i, "n" + std::to_string(i)));
+  }
+  std::vector<LinkId> links;
+  for (int i = 0; i < 3; ++i) {
+    links.push_back(topo.AddLink(nodes[static_cast<size_t>(i)],
+                                 nodes[static_cast<size_t>(i) + 1], 1));
+  }
+  // The same single-link probe paths, over two links and then over all three.
+  auto matrix_over = [&](int num_links) {
+    PathStore paths;
+    for (int i = 0; i < num_links; ++i) {
+      const std::vector<LinkId> path_links = {links[static_cast<size_t>(i)]};
+      paths.Add(0, 1, path_links);
+    }
+    return ProbeMatrix(std::move(paths), LinkIndex::ForMonitored(topo));
+  };
+  const ProbeMatrix two = matrix_over(2);
+  const ProbeMatrix three = matrix_over(3);
+  Watchdog wd(topo);
+
+  Diagnoser diagnoser;
+  diagnoser.set_sliding_segments(2);
+  ObservationStore& store = diagnoser.store();
+  diagnoser.AdvanceSegment(two, wd);
+  EXPECT_TRUE(diagnoser.DiagnoseTrailing(three, wd).links.empty());
+
+  store.EnsureSlots(3);
+  store.OpenShard(nodes[0]).RecordPath(2, nodes[3], 100, 40);
+  diagnoser.AdvanceSegment(three, wd);
+
+  const ObservationView trailing = diagnoser.TrailingTotals(3);
+  EXPECT_EQ(trailing[0].sent, 0);
+  EXPECT_EQ(trailing[1].sent, 0);
+  EXPECT_EQ(trailing[2].sent, 100);
+  EXPECT_EQ(trailing[2].lost, 40);
+}
+
 // End-to-end churn-during-episode gate: a loss episode is live while a topology delta forces
 // an incremental repair (slot vacate + reuse) on the same probe plane. The sliding view must
 // localize the episode despite the mid-episode churn and report it gone after it leaves the

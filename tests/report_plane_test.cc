@@ -218,6 +218,52 @@ Observations FoldedTotals(const std::vector<std::vector<uint8_t>>& frames, size_
   return Observations(view.begin(), view.end());
 }
 
+TEST(ReportEmitter, RearmedEmitterSendsWhatAFreshOneSends) {
+  // One emitter per probe worker serves every shard: re-armed for another pinger, window and
+  // transport, it must put exactly the frames a freshly constructed emitter would on the wire.
+  const std::vector<uint32_t> epochs = {0, 3, 1};
+  auto emit = [&](ReportEmitter& emitter) {
+    for (PathId slot = 0; slot < 3; ++slot) {
+      emitter.OnPath(slot, /*target=*/40 + slot, /*sent=*/20, /*lost=*/slot);
+      RttSketch sketch(RttSketch::kDefaultBins);
+      sketch.Record(100 + 50 * slot);
+      sketch.Record(90);
+      emitter.OnPathRtt(slot, 40 + slot, sketch);
+    }
+    emitter.OnIntraRack(/*target=*/7, /*sent=*/5, /*lost=*/1);
+    emitter.Flush();
+  };
+  auto frames_of = [](LoopbackTransport& transport) {
+    std::vector<std::vector<uint8_t>> frames;
+    std::vector<uint8_t> frame;
+    while (transport.Receive(frame)) {
+      frames.push_back(frame);
+    }
+    return frames;
+  };
+
+  LoopbackTransport fresh_wire;
+  ReportEmitter fresh(/*pinger=*/5, /*window_id=*/2, /*start_seq=*/4, epochs, fresh_wire,
+                      /*batch_observations=*/4);
+  emit(fresh);
+
+  LoopbackTransport first_wire;
+  LoopbackTransport rearmed_wire;
+  ReportEmitter reused(/*pinger=*/8, /*window_id=*/1, /*start_seq=*/0, {}, first_wire,
+                       /*batch_observations=*/4);
+  emit(reused);
+  reused.Rearm(/*pinger=*/5, /*window_id=*/2, /*start_seq=*/4, epochs, rearmed_wire);
+  emit(reused);
+
+  const std::vector<std::vector<uint8_t>> expected = frames_of(fresh_wire);
+  ASSERT_EQ(expected.size(), 2u);  // 7 observations in batches of 4
+  EXPECT_EQ(frames_of(rearmed_wire), expected);
+  EXPECT_EQ(frames_of(first_wire).size(), 2u);
+  EXPECT_EQ(reused.next_seq(), fresh.next_seq());
+  EXPECT_EQ(reused.stats().frames_emitted, fresh.stats().frames_emitted);
+  EXPECT_EQ(reused.stats().bytes_emitted, fresh.stats().bytes_emitted);
+}
+
 TEST(Collector, DuplicateAndReorderedDeliveryIsIdempotent) {
   const FatTree ft(4);
   Watchdog wd(ft.topology());

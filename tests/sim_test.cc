@@ -484,6 +484,34 @@ TEST(Workload, GeneratesRoutedFlows) {
   EXPECT_GT(total, 0.0);
 }
 
+// Unloaded links (an empty load span) sum the hops' exponential jitters with one log over
+// the product of (1 - U_i); a zero-filled span takes one log1p per hop. The two are equal in
+// exact arithmetic but not by construction in floating point, so this pins what the probe
+// engine relies on: the same integer sample (what a sketch records) from the same uniforms,
+// and the same draws consumed, at every path length a fat-tree route has.
+TEST(Latency, UnloadedOneLogDrawMatchesPerHopFormula) {
+  const FatTree ft(4);
+  const LatencyModel model(LatencyModelOptions{});
+  const std::vector<double> idle(ft.topology().NumLinks(), 0.0);
+  constexpr int kDraws = 200000;
+  for (int length = 1; length <= 8; ++length) {
+    std::vector<LinkId> path;
+    for (int i = 0; i < length; ++i) {
+      path.push_back(static_cast<LinkId>(i));
+    }
+    Rng per_hop(1000 + static_cast<uint64_t>(length));
+    Rng one_log(1000 + static_cast<uint64_t>(length));
+    int mismatched = 0;
+    for (int i = 0; i < kDraws; ++i) {
+      const auto expected = static_cast<int64_t>(model.SampleRttUs(path, idle, per_hop));
+      const auto sampled = static_cast<int64_t>(model.SampleRttUs(path, {}, one_log));
+      mismatched += expected != sampled ? 1 : 0;
+    }
+    EXPECT_EQ(mismatched, 0) << "path length " << length;
+    EXPECT_EQ(per_hop(), one_log()) << "path length " << length;
+  }
+}
+
 TEST(Latency, RttGrowsWithLoad) {
   const FatTree ft(4);
   LatencyModel model(LatencyModelOptions{});

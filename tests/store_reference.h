@@ -66,7 +66,8 @@ inline std::vector<RttSketch> StoreReference::RttSnapshot(const ObservationStore
           !watchdog.IsHealthy(record.target)) {
         continue;
       }
-      out[slot].Merge(shard->rtt_[static_cast<size_t>(record.rtt)]);
+      const auto& run = shard->rtt_runs_[static_cast<size_t>(record.rtt)];
+      out[slot].Merge(shard->RttBins(run), run.num_bins);
     }
   }
   return out;

@@ -340,8 +340,7 @@ int main(int argc, char** argv) {
 
     const uint64_t accounted = stats.frames_folded + stats.duplicates_dropped +
                                stats.decode_errors + stats.tampered_dropped +
-                               stats.stale_window_dropped + stats.queue_overflow_dropped +
-                               stats.wrong_partition_dropped;
+                               stats.stale_window_dropped + stats.wrong_partition_dropped;
     TablePrinter hostile_table({"metric", "value", "gate"});
     hostile_table.AddRow({"frames folded",
                           TablePrinter::FmtInt(static_cast<int64_t>(stats.frames_folded)),

@@ -159,7 +159,7 @@ void Analyzer::Serve(
   const uint64_t first_index = windows_sealed();
   collector.BeginWindow(1);
   OpenWindow(first_index);
-  // Runs at the collector's serial flip point, before it moves to `opened`.
+  // Runs when a frame of a newer window arrives, before the collector moves to `opened`.
   collector.set_on_window_advance([&](uint64_t closed, uint64_t opened) {
     on_close(closed, CloseWindow(1, window_seconds_));
     OpenWindow(first_index + opened - 1);
@@ -170,8 +170,7 @@ void Analyzer::Serve(
     if (!frames(frame)) {
       break;
     }
-    collector.Offer(std::move(frame));
-    collector.Drain();
+    collector.Offer(frame);
     any_frames = true;
   }
   collector.set_on_window_advance(nullptr);

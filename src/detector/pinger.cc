@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/report/emitter.h"
+
 namespace detector {
 
 namespace {
@@ -121,16 +123,16 @@ PingerTraffic Pinger::RunWindowInto(const ProbeEngine& engine, double window_sec
 }
 
 PingerTraffic Pinger::RunWindowTo(const ProbeEngine& engine, double window_seconds, Rng& rng,
-                                  ReportSink& sink, const Watchdog* watchdog) const {
+                                  ReportEmitter& emitter, const Watchdog* watchdog) const {
   return RunEntries(
       engine, window_seconds, rng, watchdog,
       [&](PathId path_id, NodeId target, int64_t sent, int64_t lost, const RttSketch* rtt) {
         if (path_id == PinglistEntry::kIntraRackPath) {
-          sink.OnIntraRack(target, sent, lost);
+          emitter.OnIntraRack(target, sent, lost);
         } else if (path_id >= 0) {
-          sink.OnPath(path_id, target, sent, lost);
+          emitter.OnPath(path_id, target, sent, lost);
           if (rtt != nullptr) {
-            sink.OnPathRtt(path_id, target, *rtt);
+            emitter.OnPathRtt(path_id, target, *rtt);
           }
         }
       });

@@ -43,24 +43,7 @@ struct PingerTraffic {
   int64_t bytes_sent = 0;
 };
 
-// Destination for streamed per-entry counters when the pinger reports somewhere other than a
-// local ObservationStore shard — the report plane's emitter encodes these into wire frames.
-// Calls arrive in pinglist-entry order from the single thread running the window.
-class ReportSink {
- public:
-  virtual ~ReportSink() = default;
-  virtual void OnPath(PathId slot, NodeId target, int64_t sent, int64_t lost) = 0;
-  virtual void OnIntraRack(NodeId target, int64_t sent, int64_t lost) = 0;
-  // RTT sample sketch of the path reported by the immediately preceding OnPath call, delivered
-  // only when RTT observation is enabled and the sketch is non-empty. The sketch is the
-  // pinger's scratch, valid only for the call. Default: discard — a sink predating the
-  // anomaly plane keeps working on loss records alone.
-  virtual void OnPathRtt(PathId slot, NodeId target, const RttSketch& sketch) {
-    (void)slot;
-    (void)target;
-    (void)sketch;
-  }
-};
+class ReportEmitter;
 
 // A pinger is a view over its pinglist: the caller keeps the pinglist alive and unchanged
 // while the pinger runs (pinglists change only at serial points, so concurrent shards share
@@ -88,12 +71,13 @@ class Pinger {
                               ObservationStore::Shard& shard,
                               const Watchdog* watchdog = nullptr) const;
 
-  // Same window, streamed into a ReportSink instead of a local shard — the report-plane
-  // execution mode, where counters leave the pinger as encoded wire frames. Identical probe
+  // Same window, streamed into a report emitter instead of a local shard — the report-plane
+  // execution mode, where counters leave the pinger as encoded wire frames. Calls reach the
+  // emitter in pinglist-entry order from the thread running the window. Identical probe
   // trajectory to RunWindowInto on the same rng (both run the same entry loop), so the two
   // modes are bit-identical when every report is delivered.
   PingerTraffic RunWindowTo(const ProbeEngine& engine, double window_seconds, Rng& rng,
-                            ReportSink& sink, const Watchdog* watchdog = nullptr) const;
+                            ReportEmitter& emitter, const Watchdog* watchdog = nullptr) const;
 
   const Pinglist& pinglist() const { return pinglist_; }
 

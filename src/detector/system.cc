@@ -67,7 +67,6 @@ void DetectorSystem::PrepareReportFabric() {
   if (collector_group_ == nullptr) {
     CollectorGroupOptions group_options;
     group_options.num_collectors = n;
-    group_options.collector.ingest_shards = std::max<size_t>(1, options_.report_ingest_shards);
     group_options.collector.key = options_.report_key;
     group_options.collector.liveness_horizon = options_.report_liveness_horizon;
     group_options.collector.rtt_bins = options_.rtt_bins;

@@ -108,13 +108,11 @@ struct DetectorSystemOptions {
   // Collector fabric: the report plane runs N collector instances, each owning a static
   // partition of the pinger space (a deterministic PartitionMap over the pinglists, rebuilt
   // at every window open), each with its own transport; emitters route frames by the map.
-  // All N fold into the one diagnosis-tier store — their partitions are disjoint, so they
-  // ingest in parallel with no cross-collector barrier.
+  // All N fold into the one diagnosis-tier store; their partitions are disjoint, so no
+  // observation folds twice.
   size_t report_collectors = 1;
-  // Ingest shards per collector instance: pinger-affine decode/fold lanes. In-process windows
-  // drain every lane from RunSegment's one ingest pump, so the lane count changes no result;
-  // concurrent lane drains (Collector::DrainShardRange) serve callers with their own drain
-  // threads.
+  // Held unread for perfbench/, which sets it, until the benchmark's next change: a collector
+  // folds every frame on receipt, on one lane.
   size_t report_ingest_shards = 1;
   // Frame-authentication key shared by every emitter and collector in this system (see
   // ReportKey) — frames tagged under any other key are rejected kBadAuth and counted as

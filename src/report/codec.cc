@@ -369,20 +369,6 @@ DecodeStatus ReportCodec::Decode(std::span<const uint8_t> bytes, ReportFrame& ou
   return DecodeStatus::kOk;
 }
 
-bool ReportCodec::PeekPinger(std::span<const uint8_t> bytes, NodeId& pinger) {
-  if (bytes.size() < kHeaderPos + 1 || bytes[0] != kMagic0 || bytes[1] != kMagic1 ||
-      bytes[2] != kVersion) {
-    return false;
-  }
-  size_t pos = kHeaderPos;  // skip the auth tag; the full Decode on the shard verifies it
-  int32_t value = 0;
-  if (!ReadI32(bytes, pos, value)) {
-    return false;
-  }
-  pinger = value;
-  return true;
-}
-
 size_t ReportCodec::FixedWidthBytes(const ReportFrame& frame) {
   // pinger(4) + window(8) + seq(8) + two counts(4+4) fixed header, magic/version/tag/crc as
   // ours (both encodings carry the 8-byte auth tag).

@@ -162,17 +162,11 @@ class ReportCodec {
                              const ReportKey& key = {},
                              uint64_t max_known_ext_type = kMaxKnownExtType);
   // The same decode, parsed into `scratch` (whose buffers it reuses) and swapped into `out`
-  // on success, so a drain loop that keeps both frames decodes without allocating once their
+  // on success, so a collector that keeps both frames decodes without allocating once their
   // buffers have grown. On error `out` is untouched and `scratch` holds no meaning.
   static DecodeStatus Decode(std::span<const uint8_t> bytes, ReportFrame& out,
                              ReportFrame& scratch, const ReportKey& key = {},
                              uint64_t max_known_ext_type = kMaxKnownExtType);
-
-  // Reads just the pinger id out of the frame header (magic + version + first varint) without
-  // touching the CRC or the records — the sharded collector's ingest router peeks this to pick
-  // a queue. False when the bytes cannot carry a header; a frame that peeks but is otherwise
-  // damaged still lands on a queue and is rejected by the full Decode there.
-  static bool PeekPinger(std::span<const uint8_t> bytes, NodeId& pinger);
 
   // Bytes the same frame would occupy in a naive fixed-width encoding (the bench's packing
   // baseline): per path record slot/epoch/target at 4 bytes and sent/lost at 8, per intra

@@ -13,7 +13,6 @@ CollectorGroup::CollectorGroup(ObservationStore& store, PartitionMap map,
   for (size_t i = 0; i < n; ++i) {
     auto collector = std::make_unique<Collector>(store, options.collector);
     collector->SetPartition(&map_, static_cast<int>(i));
-    collector->set_store_open_mutex(&store_open_mu_);
     collectors_.push_back(std::move(collector));
   }
 }

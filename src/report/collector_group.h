@@ -1,15 +1,15 @@
 // CollectorGroup: N collector instances fronting one diagnosis tier. Each collector owns a
 // static partition of the pinger space (PartitionMap), so the N instances fold into disjoint
-// shards of the single shared ObservationStore and can ingest fully in parallel — the
-// partitioned counters merge by simply living in one store, no cross-collector barrier. The
-// group fans window/boundary control out to every instance and rolls their stats up into one
-// view; a frame that lands on the wrong instance is rejected-and-counted there, never folded.
+// shards of the single shared ObservationStore — the partitioned counters merge by simply
+// living in one store, no cross-collector barrier. The group fans window/boundary control out
+// to every instance and rolls their stats up into one view; a frame that lands on the wrong
+// instance is rejected-and-counted there, never folded. One thread drives every instance (see
+// Collector's threading contract).
 #ifndef SRC_REPORT_COLLECTOR_GROUP_H_
 #define SRC_REPORT_COLLECTOR_GROUP_H_
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "src/detector/observation_store.h"
@@ -20,7 +20,7 @@ namespace detector {
 
 struct CollectorGroupOptions {
   size_t num_collectors = 1;  // clamped >= 1
-  CollectorOptions collector;  // per-instance queue capacity and ingest shards
+  CollectorOptions collector;  // every instance's options
 };
 
 class CollectorGroup {
@@ -31,29 +31,26 @@ class CollectorGroup {
   Collector& collector(size_t i) { return *collectors_[i]; }
   const Collector& collector(size_t i) const { return *collectors_[i]; }
 
-  const PartitionMap& partition_map() const { return map_; }
   // The collector instance that owns `pinger` — agents route frames with this, identically
   // to the collectors' own ownership check.
   int RouteOf(NodeId pinger) const { return map_.RouteOf(pinger); }
 
-  // Replaces the partition map after topology churn (pingers added/removed). Serial point —
-  // no concurrent Offer/drain; queued frames are re-judged against the new map at fold time.
+  // Replaces the partition map after topology churn (pingers added/removed); later frames are
+  // judged against the new map.
   void Repartition(PartitionMap map);
 
-  // Fan-out control — each is a serial point, like the Collector calls they forward to.
+  // Fan-out control, forwarded to every instance.
   void BeginWindow(uint64_t window_id);
   void AdvanceBoundary();
 
-  // Sum of all instances' stats. Serial point wrt concurrent drains.
+  // Sum of all instances' stats.
   CollectorStats stats() const;
 
-  // Union of every instance's stale-pinger report (partitions are disjoint), sorted. Serial
-  // point wrt concurrent drains.
+  // Union of every instance's stale-pinger report (partitions are disjoint), sorted.
   std::vector<NodeId> StalePingers() const;
 
  private:
   PartitionMap map_;
-  std::mutex store_open_mu_;  // shared OpenShard guard across all instances' fold lanes
   std::vector<std::unique_ptr<Collector>> collectors_;
 };
 

@@ -1,7 +1,7 @@
 // ReportEmitter: the pinger-side half of the report plane. An emitter armed for one pinger's
-// probe segment adapts the pinger's streamed counters (ReportSink) into batched wire frames:
-// every path record is stamped with the slot epoch current at probe time, records accumulate
-// until the batch fills, and Flush() seals the batch into one ReportCodec frame —
+// probe segment adapts the pinger's streamed counters (Pinger::RunWindowTo) into batched wire
+// frames: every path record is stamped with the slot epoch current at probe time, records
+// accumulate until the batch fills, and Flush() seals the batch into one ReportCodec frame —
 // sequence-numbered per (pinger, window) — and Send()s it on the transport. Runs entirely on
 // the shard's own thread; the only shared things it touches are the read-only epoch view and
 // the thread-safe transport. Rearm() points it at the next shard, so one emitter per probe
@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <span>
 
-#include "src/detector/pinger.h"
+#include "src/anomaly/rtt_sketch.h"
 #include "src/net/transport.h"
 #include "src/report/codec.h"
 
@@ -28,7 +28,7 @@ struct ReportEmitterStats {
   uint64_t frames_send_failed = 0;
 };
 
-class ReportEmitter final : public ReportSink {
+class ReportEmitter {
  public:
   // `slot_epochs` is the store's per-slot epoch view (may be empty: every record then carries
   // epoch 0, the fresh-store default — what a remote agent without a local store sends).
@@ -37,18 +37,18 @@ class ReportEmitter final : public ReportSink {
   ReportEmitter(NodeId pinger, uint64_t window_id, uint64_t start_seq,
                 std::span<const uint32_t> slot_epochs, Transport& transport,
                 size_t batch_observations = 64, const ReportKey& key = {});
-  ~ReportEmitter() override = default;
 
   // Re-targets the emitter as if freshly constructed with these arguments and its batch size
   // and key, keeping the batch and encode buffers. The pending batch must have been flushed.
   void Rearm(NodeId pinger, uint64_t window_id, uint64_t start_seq,
              std::span<const uint32_t> slot_epochs, Transport& transport);
 
-  void OnPath(PathId slot, NodeId target, int64_t sent, int64_t lost) override;
-  void OnIntraRack(NodeId target, int64_t sent, int64_t lost) override;
+  void OnPath(PathId slot, NodeId target, int64_t sent, int64_t lost);
+  void OnIntraRack(NodeId target, int64_t sent, int64_t lost);
   // Copies the path's RTT sketch into the pending frame's bin arena as an extension record,
-  // stamped with the same probe-time epoch as the loss record it accompanies.
-  void OnPathRtt(PathId slot, NodeId target, const RttSketch& sketch) override;
+  // stamped with the same probe-time epoch as the loss record it accompanies. Follows the
+  // path's OnPath call, only when the sketch is non-empty.
+  void OnPathRtt(PathId slot, NodeId target, const RttSketch& sketch);
 
   // Seals and sends the pending batch (no-op when empty). Call after the window/segment's
   // last record; OnPath/OnIntraRack flush full batches themselves.

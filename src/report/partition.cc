@@ -1,8 +1,20 @@
 #include "src/report/partition.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace detector {
+namespace {
+
+// Multiplicative hash over a pinger id — fixed constants so every process spreads the same
+// pinger the same way.
+uint64_t PingerHash(NodeId pinger) {
+  uint64_t h = static_cast<uint64_t>(static_cast<uint32_t>(pinger));
+  h *= 0x9E3779B97F4A7C15ULL;  // golden-ratio multiplier
+  return h >> 32;
+}
+
+}  // namespace
 
 PartitionMap PartitionMap::Build(std::vector<NodeId> pingers, size_t num_partitions) {
   PartitionMap out;

@@ -13,21 +13,12 @@
 #define SRC_REPORT_PARTITION_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <map>
 #include <vector>
 
 #include "src/topo/topology.h"
 
 namespace detector {
-
-// Multiplicative hash over a pinger id — fixed constants so every process (and the ingest
-// shard router in Collector) spreads the same pinger the same way.
-inline uint64_t PingerHash(NodeId pinger) {
-  uint64_t h = static_cast<uint64_t>(static_cast<uint32_t>(pinger));
-  h *= 0x9E3779B97F4A7C15ULL;  // golden-ratio multiplier
-  return h >> 32;
-}
 
 class PartitionMap {
  public:

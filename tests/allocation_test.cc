@@ -3,13 +3,13 @@
 // process — probe shards, emitters, codec, collectors, store, analyzer — is counted.
 //
 // The shape is the report-plane ingest pipeline with the anomaly plane's RTT channel on:
-// PMC fat-tree(8), 10 probe segments per window, 2 collectors x 2 ingest lanes, a gray link,
-// one probe thread (so the count is deterministic). After warm-up windows every per-record
-// buffer — store shard arenas, emitter frames, decode scratch, running sketches — has
-// reached its size, and a window allocates only what scales with frames, shards, segments
-// and diagnoses: per frame the collector's dedup-set node and the loopback's frame copy
+// PMC fat-tree(8), 10 probe segments per window, 2 collectors, a gray link, one probe
+// thread (so the count is deterministic). After warm-up windows every per-record buffer —
+// store shard arenas, emitter frames, decode scratch, running sketches — has reached its
+// size, and a window allocates only what scales with frames, shards, segments and
+// diagnoses: per frame the collector's dedup-set node and the loopback's frame copy
 // (2 x 640 here), per shard and segment the pinger's RTT scratch (640), per segment the
-// probe engine (~440), and the analyzer's boundary results (~550): 2,914 in all. The same
+// probe engine (~440), and the analyzer's boundary results: 2,820 in all. The same
 // window allocated 24,868 times (38.9 per frame) when every RTT record carried its own
 // sketch, every segment built fresh emitters and every frame decoded into a fresh frame; a
 // per-record or per-frame heap block anywhere on that path breaks the bound.
@@ -65,7 +65,6 @@ TEST(Allocations, SteadyStateReportPlaneWindowWithRtt) {
   options.probe_threads = 1;
   options.report_plane = true;
   options.report_collectors = 2;
-  options.report_ingest_shards = 2;
   options.anomaly = true;
   DetectorSystem system(routing, options);
 

@@ -392,8 +392,8 @@ TEST(AnomalyCodec, EveryTruncationOfAnRttFrameIsAnError) {
 }
 
 TEST(AnomalyCodec, ScratchDecodeKeepsTheLastGoodFrameOnError) {
-  // A collector lane decodes every frame into its scratch and swaps it in on success: its
-  // buffers are reused, yet a damaged frame still leaves the lane's decoded frame untouched.
+  // A collector decodes every frame into its scratch and swaps it in on success: its buffers
+  // are reused, yet a damaged frame still leaves the collector's decoded frame untouched.
   std::vector<uint8_t> wire;
   ReportCodec::Encode(RttFrame(), wire);
   ReportFrame decoded;
@@ -489,9 +489,8 @@ TEST(CollectorRtt, SkipsSketchesOfAnotherBinCount) {
     frame.AddRtt(0, 0, /*target=*/9, sketch);
     std::vector<uint8_t> wire;
     ReportCodec::Encode(frame, wire);
-    ASSERT_TRUE(collector.Offer(std::move(wire)));
+    ASSERT_TRUE(collector.Offer(wire)) << "both frames' loss records fold";
   }
-  EXPECT_EQ(collector.Drain(), 2u);
   const CollectorStats stats = collector.stats();
   EXPECT_EQ(stats.rtt_bins_mismatched, 1u);
   EXPECT_EQ(stats.decode_errors, 0u);
@@ -817,7 +816,7 @@ struct AnomalyRun {
 };
 
 AnomalyRun RunGraySequence(const FatTreeRouting& routing, LinkId gray, size_t threads,
-                           bool report_plane, size_t collectors = 1, size_t lanes = 1) {
+                           bool report_plane, size_t collectors = 1) {
   DetectorSystemOptions options;
   options.controller.packets_per_second = 50;
   options.segments_per_window = 4;
@@ -825,7 +824,6 @@ AnomalyRun RunGraySequence(const FatTreeRouting& routing, LinkId gray, size_t th
   options.probe_threads = threads;
   options.report_plane = report_plane;
   options.report_collectors = collectors;
-  options.report_ingest_shards = lanes;
   options.anomaly = true;
   DetectorSystem system(routing, options);
   CollectingSink sink;
@@ -853,10 +851,10 @@ TEST(AnomalyEndToEnd, WindowsBitIdenticalAcrossThreadsAndPlanes) {
   const AnomalyRun reference = RunGraySequence(routing, gray, /*threads=*/1, false);
   const AnomalyRun threaded = RunGraySequence(routing, gray, /*threads=*/2, false);
   const AnomalyRun reported = RunGraySequence(routing, gray, /*threads=*/1, true);
-  // A multi-lane fabric at 4 threads: one ingest pump drains all four lanes while three
+  // A 2-collector fabric at 4 threads: one ingest pump folds for both collectors while three
   // workers probe.
   const AnomalyRun fabric = RunGraySequence(routing, gray, /*threads=*/4, true,
-                                            /*collectors=*/2, /*lanes=*/2);
+                                            /*collectors=*/2);
 
   // Non-vacuous: the gray windows must actually raise anomalies naming the gray link, and
   // the merged sketches must carry samples.
@@ -879,7 +877,7 @@ TEST(AnomalyEndToEnd, WindowsBitIdenticalAcrossThreadsAndPlanes) {
   const std::pair<const AnomalyRun*, std::string> others[] = {
       {&threaded, "2 threads"},
       {&reported, "report plane"},
-      {&fabric, "report plane, 2 collectors x 2 lanes, 4 threads"}};
+      {&fabric, "report plane, 2 collectors, 4 threads"}};
   for (const auto& [other, which] : others) {
     ASSERT_EQ(other->results.size(), reference.results.size()) << which;
     for (size_t w = 0; w < reference.results.size(); ++w) {
@@ -973,7 +971,7 @@ TEST(AnomalyEndToEnd, WindowResultsMatchPinnedFingerprint) {
 
   const AnomalyRun direct = RunGraySequence(routing, gray, /*threads=*/1, false);
   const AnomalyRun fabric = RunGraySequence(routing, gray, /*threads=*/4, true,
-                                            /*collectors=*/2, /*lanes=*/2);
+                                            /*collectors=*/2);
   EXPECT_EQ(FingerprintOf(direct), kPinned) << std::hex << FingerprintOf(direct);
   EXPECT_EQ(FingerprintOf(fabric), kPinned) << std::hex << FingerprintOf(fabric);
 }

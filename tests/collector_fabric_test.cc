@@ -1,15 +1,11 @@
 // Collector-fabric tests (PR 6): the PartitionMap ownership function (exactly-one owner,
 // deterministic rebuild after churn, hash fallback for unmapped pingers), wrong-partition
-// rejection across a CollectorGroup, the group's stats rollup, sharded ingest equivalence
-// (K shards fold the same totals as one), overflow accounting under concurrent bounded
-// Offer/Drain (8 producers: folded + dropped == offered, exactly), and the system-level gate
-// — multi-collector windows bit-identical to direct mode through churn.
+// rejection across a CollectorGroup, the group's stats rollup, and the system-level gate —
+// multi-collector windows bit-identical to direct mode through churn.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/common/crc32.h"
@@ -116,8 +112,7 @@ TEST(CollectorFabric, WrongPartitionFramesRejectedAndCounted) {
   // Pinger 2's frame lands on collector 0: rejected-and-counted, nothing folds — the
   // fabric cannot double-count even if an agent misroutes.
   const std::vector<uint8_t> wire = EncodedFrame(2, 1, 0, 0, 100, 10);
-  ASSERT_TRUE(group.collector(0).Offer(wire));
-  EXPECT_EQ(group.collector(0).Drain(), 0u);
+  EXPECT_FALSE(group.collector(0).Offer(wire));
   EXPECT_EQ(group.collector(0).stats().wrong_partition_dropped, 1u);
   EXPECT_EQ(group.collector(0).stats().frames_folded, 0u);
   {
@@ -127,8 +122,7 @@ TEST(CollectorFabric, WrongPartitionFramesRejectedAndCounted) {
   }
 
   // The same frame on its rightful owner folds normally — the misroute burned nothing.
-  ASSERT_TRUE(group.collector(1).Offer(wire));
-  EXPECT_EQ(group.collector(1).Drain(), 1u);
+  EXPECT_TRUE(group.collector(1).Offer(wire));
   const CollectorStats rolled = group.stats();
   EXPECT_EQ(rolled.frames_folded, 1u);
   EXPECT_EQ(rolled.wrong_partition_dropped, 1u);
@@ -142,10 +136,8 @@ TEST(CollectorFabric, WrongPartitionFramesRejectedAndCounted) {
   const int owner = group.RouteOf(born);
   const int other = 1 - owner;
   const std::vector<uint8_t> born_wire = EncodedFrame(born, 1, 0, 1, 30, 3);
-  ASSERT_TRUE(group.collector(static_cast<size_t>(other)).Offer(born_wire));
-  group.collector(static_cast<size_t>(other)).Drain();
-  ASSERT_TRUE(group.collector(static_cast<size_t>(owner)).Offer(born_wire));
-  group.collector(static_cast<size_t>(owner)).Drain();
+  EXPECT_FALSE(group.collector(static_cast<size_t>(other)).Offer(born_wire));
+  EXPECT_TRUE(group.collector(static_cast<size_t>(owner)).Offer(born_wire));
   EXPECT_EQ(group.stats().wrong_partition_dropped, 2u);
   EXPECT_EQ(group.stats().frames_folded, 2u);
 }
@@ -174,130 +166,11 @@ TEST(CollectorFabric, GroupStatsCountUnknownRecords) {
     wire.push_back(static_cast<uint8_t>(crc >> (8 * b)));
   }
 
-  ASSERT_TRUE(group.collector(0).Offer(wire));
-  EXPECT_EQ(group.collector(0).Drain(), 1u);
+  EXPECT_TRUE(group.collector(0).Offer(wire));
   EXPECT_EQ(group.collector(0).stats().unknown_records, 1u);
   const CollectorStats rolled = group.stats();
   EXPECT_EQ(rolled.unknown_records, 1u);
   EXPECT_EQ(rolled.observations_folded, 1u) << "the known loss record must still fold";
-}
-
-TEST(Collector, ShardedIngestFoldsIdenticalTotals) {
-  const Topology empty_topo("none");
-  Watchdog wd(empty_topo);
-  // 12 pingers x 3 frames, slots spread over 8; fold through 1 and 4 ingest shards.
-  std::vector<std::vector<uint8_t>> frames;
-  for (NodeId pinger = 100; pinger < 112; ++pinger) {
-    for (uint64_t seq = 0; seq < 3; ++seq) {
-      frames.push_back(EncodedFrame(pinger, 1, seq, static_cast<PathId>(pinger % 8),
-                                    10 + static_cast<int64_t>(seq),
-                                    static_cast<int64_t>(seq)));
-    }
-  }
-
-  auto fold = [&](size_t shards, CollectorStats* stats) {
-    ObservationStore store;
-    store.EnsureSlots(8);
-    Collector collector(store, CollectorOptions{.ingest_shards = shards, .key = {}});
-    EXPECT_EQ(collector.num_ingest_shards(), shards);
-    collector.BeginWindow(1);
-    for (const auto& wire : frames) {
-      EXPECT_TRUE(collector.Offer(wire));
-    }
-    // Drain shard-by-shard, the way concurrent pool tasks would split the work.
-    size_t folded = 0;
-    for (size_t s = 0; s < shards; ++s) {
-      folded += collector.DrainShardRange(s, s + 1);
-    }
-    EXPECT_EQ(folded, frames.size());
-    EXPECT_EQ(collector.queued(), 0u);
-    *stats = collector.stats();
-    const ObservationView view = store.RunningTotals(8, wd);
-    return Observations(view.begin(), view.end());
-  };
-
-  CollectorStats serial_stats;
-  CollectorStats sharded_stats;
-  const Observations serial = fold(1, &serial_stats);
-  const Observations sharded = fold(4, &sharded_stats);
-  EXPECT_EQ(serial_stats.frames_folded, sharded_stats.frames_folded);
-  EXPECT_EQ(serial_stats.observations_folded, sharded_stats.observations_folded);
-  ASSERT_EQ(serial.size(), sharded.size());
-  for (size_t slot = 0; slot < serial.size(); ++slot) {
-    EXPECT_EQ(serial[slot].sent, sharded[slot].sent) << "slot " << slot;
-    EXPECT_EQ(serial[slot].lost, sharded[slot].lost) << "slot " << slot;
-  }
-}
-
-// Satellite gate: 8 producer threads hammer bounded shard queues while 4 drain threads fold
-// concurrently. Every Offer is accounted exactly once under the shard lock, so
-// folded + overflow-dropped == offered holds to the frame, and the store's global totals
-// equal 10/1 per folded frame — no lost, double-counted, or phantom folds.
-TEST(Collector, ConcurrentOfferDrainAccounting) {
-  const Topology empty_topo("none");
-  Watchdog wd(empty_topo);
-  ObservationStore store;
-  store.EnsureSlots(8);
-  Collector collector(store,
-                      CollectorOptions{.queue_capacity = 4, .ingest_shards = 4, .key = {}});
-  collector.BeginWindow(1);
-
-  constexpr size_t kProducers = 8;
-  constexpr size_t kFramesPerProducer = 400;
-  std::atomic<bool> done{false};
-  std::atomic<uint64_t> accepted{0};
-
-  std::vector<std::thread> drain_threads;
-  for (size_t s = 0; s < 4; ++s) {
-    drain_threads.emplace_back([&, s] {
-      while (!done.load(std::memory_order_acquire)) {
-        collector.DrainShardRange(s, s + 1);
-        std::this_thread::yield();
-      }
-      collector.DrainShardRange(s, s + 1);  // sweep what landed after the last pass
-    });
-  }
-  std::vector<std::thread> producers;
-  for (size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      const NodeId pinger = static_cast<NodeId>(200 + p);
-      uint64_t ok = 0;
-      for (uint64_t seq = 0; seq < kFramesPerProducer; ++seq) {
-        if (collector.Offer(
-                EncodedFrame(pinger, 1, seq, static_cast<PathId>(p), 10, 1))) {
-          ++ok;
-        }
-      }
-      accepted.fetch_add(ok, std::memory_order_acq_rel);
-    });
-  }
-  for (auto& t : producers) {
-    t.join();
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& t : drain_threads) {
-    t.join();
-  }
-
-  EXPECT_EQ(collector.queued(), 0u);
-  const CollectorStats stats = collector.stats();
-  const uint64_t offered = kProducers * kFramesPerProducer;
-  EXPECT_EQ(stats.frames_folded + stats.queue_overflow_dropped, offered);
-  EXPECT_EQ(stats.frames_folded, accepted.load());
-  EXPECT_GT(stats.frames_folded, 0u);
-  EXPECT_EQ(stats.decode_errors, 0u);
-  EXPECT_EQ(stats.duplicates_dropped, 0u);
-  EXPECT_EQ(stats.observations_folded, stats.frames_folded);  // one record per frame
-
-  const ObservationView totals = store.RunningTotals(8, wd);
-  int64_t sent = 0;
-  int64_t lost = 0;
-  for (const PathObservation& obs : totals) {
-    sent += obs.sent;
-    lost += obs.lost;
-  }
-  EXPECT_EQ(sent, static_cast<int64_t>(stats.frames_folded) * 10);
-  EXPECT_EQ(lost, static_cast<int64_t>(stats.frames_folded));
 }
 
 DetectorSystemOptions FabricTestOptions(double pps) {
@@ -318,10 +191,9 @@ std::vector<ChurnEvent> FabricChurn(const FatTree& ft) {
   return churn;
 }
 
-// The fabric acceptance gate: N collectors x K ingest shards stay bit-identical to direct
-// mode — totals, verdicts, alarms, traffic — through mid-window churn (which forces a
-// repartition at the next window open: the dead server's pinglist is gone) and across probe
-// thread counts.
+// The fabric acceptance gate: N collectors stay bit-identical to direct mode — totals,
+// verdicts, alarms, traffic — through mid-window churn (which forces a repartition at the next
+// window open: the dead server's pinglist is gone) and across probe thread counts.
 TEST(CollectorFabric, BarrieredWindowsBitIdenticalToDirect) {
   const FatTree ft(4);
   const FatTreeRouting routing(ft);
@@ -340,7 +212,6 @@ TEST(CollectorFabric, BarrieredWindowsBitIdenticalToDirect) {
         options.probe_threads = threads;
         options.report_plane = report_plane;
         options.report_collectors = collectors;
-        options.report_ingest_shards = 2;
         DetectorSystem system(routing, options);
         Rng rng(99);
         std::vector<DetectorSystem::StreamingWindowResult> out;

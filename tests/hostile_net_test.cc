@@ -86,14 +86,13 @@ TEST(FrameAuthTest, TamperVsCorruptVsStaleCounters) {
   collector.Offer(TamperWithCrcFixup(good, ReportCodec::kHeaderPos + 2, 0x10));
   std::vector<uint8_t> corrupt = good;
   corrupt[ReportCodec::kHeaderPos + 2] ^= 0x10;  // no CRC fixup: in-flight damage
-  collector.Offer(std::move(corrupt));
+  collector.Offer(corrupt);
   ReportFrame stale = frame;
   stale.window_id = 1;
   std::vector<uint8_t> stale_wire;
   ReportCodec::Encode(stale, stale_wire);
-  collector.Offer(std::move(stale_wire));
+  collector.Offer(stale_wire);
   collector.Offer(good);
-  collector.Drain();
 
   const CollectorStats stats = collector.stats();
   EXPECT_EQ(stats.tampered_dropped, 1u);
@@ -365,7 +364,6 @@ TEST(Liveness, SilentAgentFlagsStaleWithinHorizon) {
   // Both agents report in window 1.
   collector.Offer(LivenessFrame(5, 1, 0));
   collector.Offer(LivenessFrame(6, 1, 0));
-  collector.Drain();
   EXPECT_EQ(collector.stats().pingers_tracked, 2u);
   EXPECT_TRUE(collector.StalePingers().empty());
 
@@ -375,21 +373,18 @@ TEST(Liveness, SilentAgentFlagsStaleWithinHorizon) {
   for (uint64_t tick = 0; tick < options.liveness_horizon; ++tick) {
     collector.AdvanceBoundary();
     collector.Offer(LivenessFrame(5, 1, seq++));
-    collector.Drain();
     EXPECT_TRUE(collector.StalePingers().empty())
         << "flagged " << tick + 1 << " ticks into a horizon of " << options.liveness_horizon;
   }
   // One tick past the horizon: agent 6 is the alarm, agent 5 is not.
   collector.AdvanceBoundary();
   collector.Offer(LivenessFrame(5, 1, seq++));
-  collector.Drain();
   EXPECT_EQ(collector.StalePingers(), std::vector<NodeId>{6});
   EXPECT_EQ(collector.stats().stale_pingers, 1u);
   EXPECT_EQ(collector.stats().pingers_tracked, 2u) << "stale is tracked, not forgotten";
 
   // The agent comes back — even a duplicate of an old frame proves liveness.
-  collector.Offer(LivenessFrame(6, 1, 0));
-  collector.Drain();
+  EXPECT_FALSE(collector.Offer(LivenessFrame(6, 1, 0)));
   EXPECT_TRUE(collector.StalePingers().empty());
   EXPECT_EQ(collector.stats().duplicates_dropped, 1u);
 }
@@ -405,34 +400,48 @@ TEST(Liveness, TrackingSurvivesWindowFlips) {
   collector.BeginWindow(1);
   collector.Offer(LivenessFrame(5, 1, 0));
   collector.Offer(LivenessFrame(6, 1, 0));
-  collector.Drain();
 
   for (uint64_t w = 2; w <= 4; ++w) {
     collector.BeginWindow(w);
     collector.Offer(LivenessFrame(5, w, 0));
-    collector.Drain();
   }
   EXPECT_EQ(collector.StalePingers(), std::vector<NodeId>{6})
       << "window flips cleared liveness state";
   EXPECT_EQ(collector.stats().pingers_tracked, 2u);
 
-  // The deployed collectors' flips: a newer-window frame flips the window through
-  // AdvancePendingWindows, which must tick the clock like BeginWindow does.
+  // The deployed collectors' flips: a newer-window frame flips the window itself, which must
+  // tick the clock like BeginWindow does.
   ObservationStore deployed_store;
   deployed_store.EnsureSlots(32);
   Collector deployed(deployed_store, options);
   deployed.BeginWindow(1);
   deployed.Offer(LivenessFrame(5, 1, 0));
   deployed.Offer(LivenessFrame(6, 1, 0));
-  deployed.Drain();
   for (uint64_t w = 2; w <= 4; ++w) {
-    deployed.Offer(LivenessFrame(5, w, 0));
-    deployed.Drain();
+    EXPECT_TRUE(deployed.Offer(LivenessFrame(5, w, 0)));
   }
   EXPECT_EQ(deployed.current_window(), 4u);
   EXPECT_EQ(deployed.liveness_clock(), 4u);
   EXPECT_EQ(deployed.StalePingers(), std::vector<NodeId>{6})
       << "frame-driven window flips did not tick the liveness clock";
+}
+
+// A frame that flips the window is heard at the tick of the window it opens, not at the tick
+// of the window it closes: one boundary later its pinger is still within a horizon of 1.
+TEST(Liveness, FlippingFrameRefreshesAtTheNewWindowsTick) {
+  ObservationStore store;
+  store.EnsureSlots(32);
+  CollectorOptions options;
+  options.liveness_horizon = 1;
+  Collector collector(store, options);
+  collector.BeginWindow(1);
+  EXPECT_TRUE(collector.Offer(LivenessFrame(5, 1, 0)));
+  EXPECT_TRUE(collector.Offer(LivenessFrame(5, 2, 0)));
+  EXPECT_EQ(collector.current_window(), 2u);
+  collector.AdvanceBoundary();
+  EXPECT_TRUE(collector.StalePingers().empty())
+      << "the flipping frame refreshed liveness before its window opened";
+  EXPECT_EQ(collector.stats().stale_pingers, 0u);
 }
 
 // ---------------------------------------------------------------------------

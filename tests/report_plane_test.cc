@@ -1,11 +1,11 @@
 // Report-plane tests: wire-format round-trips and robustness (truncated / corrupted / short
 // frames must decode to an error, never crash or partially fold), collector tolerance
-// (duplicate and out-of-order delivery keep totals bit-identical; stale windows and queue
-// overflow drop cleanly), transport fault injection, the report-vs-direct bit-exactness gate
-// at 1, 2 and 8 probe threads, the deployed collector sealing what the in-process system
-// seals and continuing its log's window numbering across a restart, and real UDP over
-// localhost, including the sends a closed collector port refuses (skipped with a notice when
-// the sandbox forbids sockets).
+// (duplicate and out-of-order delivery keep totals bit-identical; stale windows drop cleanly;
+// the pump folds a whole lossless backlog), transport fault injection, the report-vs-direct
+// bit-exactness gate at 1, 2 and 8 probe threads, the deployed collector sealing what the
+// in-process system seals and continuing its log's window numbering across a restart, and
+// real UDP over localhost, including the sends a closed collector port refuses (skipped with
+// a notice when the sandbox forbids sockets).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -210,7 +210,6 @@ Observations FoldedTotals(const std::vector<std::vector<uint8_t>>& frames, size_
   for (const auto& frame : frames) {
     collector.Offer(frame);
   }
-  collector.Drain();
   if (stats != nullptr) {
     *stats = collector.stats();
   }
@@ -328,10 +327,10 @@ TEST(Collector, CorruptFramesFoldNothing) {
   }
 }
 
-TEST(Collector, StaleWindowAndOverflowDropCleanly) {
+TEST(Collector, StaleWindowDropsCleanly) {
   ObservationStore store;
   store.EnsureSlots(2);
-  Collector collector(store, CollectorOptions{.queue_capacity = 2, .key = {}});
+  Collector collector(store);
   collector.BeginWindow(5);
 
   ReportFrame stale;
@@ -341,24 +340,17 @@ TEST(Collector, StaleWindowAndOverflowDropCleanly) {
   stale.paths.push_back(WirePathDelta{0, 0, 2, 10, 1});
   std::vector<uint8_t> wire;
   ReportCodec::Encode(stale, wire);
-  ASSERT_TRUE(collector.Offer(wire));
-  EXPECT_EQ(collector.Drain(), 0u);
-  EXPECT_EQ(collector.stats().stale_window_dropped, 1u);
-
-  // Queue holds 2; the third Offer before a drain is dropped and counted.
-  EXPECT_TRUE(collector.Offer(wire));
-  EXPECT_TRUE(collector.Offer(wire));
   EXPECT_FALSE(collector.Offer(wire));
-  EXPECT_EQ(collector.stats().queue_overflow_dropped, 1u);
+  EXPECT_EQ(collector.stats().stale_window_dropped, 1u);
+  EXPECT_EQ(collector.stats().frames_folded, 0u);
 }
 
-TEST(Collector, PumpDrainsInsteadOfDroppingWhenQueueFills) {
-  // The pump owns both queue sides, so a backlog larger than the bounded queue drains early
-  // instead of dropping — a lossless transport must stay lossless through PumpFrom even with
-  // a tiny queue. (External producers racing a stalled drain still hit the Offer bound.)
+TEST(Collector, PumpFoldsAWholeLosslessBacklog) {
+  // A backlog of 64 frames waiting on the transport all fold in one pump: a lossless
+  // transport stays lossless through PumpFrom.
   ObservationStore store;
   store.EnsureSlots(1);
-  Collector collector(store, CollectorOptions{.queue_capacity = 4, .key = {}});
+  Collector collector(store);
   collector.BeginWindow(1);
   LoopbackTransport transport;
   std::vector<uint8_t> wire;
@@ -372,7 +364,6 @@ TEST(Collector, PumpDrainsInsteadOfDroppingWhenQueueFills) {
     transport.Send(wire);
   }
   EXPECT_EQ(collector.PumpFrom(transport), 64u);
-  EXPECT_EQ(collector.stats().queue_overflow_dropped, 0u);
   const Topology empty_topo("x");
   Watchdog wd(empty_topo);
   const ObservationView totals = store.RunningTotals(1, wd);
@@ -401,7 +392,6 @@ TEST(Collector, WireEpochStampsOrphanLikeDirectWrites) {
   const std::vector<PathId> vacated = {0};
   store.InvalidateSlots(vacated);  // epoch 0 -> 1 before the frame arrives
   collector.Offer(wire);
-  collector.Drain();
   const ObservationView totals = store.RunningTotals(2, wd);
   EXPECT_EQ(totals[0].sent, 0);
   EXPECT_EQ(totals[0].lost, 0);
@@ -738,9 +728,8 @@ TEST(ReportPlane, UdpLoopbackDeliversFrames) {
   size_t folded = 0;
   for (int attempt = 0; attempt < 100 && folded < 3; ++attempt) {
     std::vector<uint8_t> frame;
-    if (collector_side->ReceiveTimeout(frame, 50)) {
-      collector.Offer(std::move(frame));
-      folded += collector.Drain();
+    if (collector_side->ReceiveTimeout(frame, 50) && collector.Offer(frame)) {
+      ++folded;
     }
   }
   ASSERT_EQ(folded, 3u) << "UDP frames did not arrive within the deadline";

@@ -20,8 +20,9 @@
 //        --seed=1
 //
 // Default scale note: the overhead gate divides ~tens of microseconds of sealing + append
-// work by the window-path time, so the window must be big enough to measure against — k=10
-// puts it around 2 ms; at k=6 the ~0.5 ms windows make the ratio syscall-noise-bound.
+// work by the window-path time, so the window must be big enough to measure against. k=10
+// puts it at 0.4-1 ms on a shared 4-vCPU host, where the 5% bound is about the log path's own
+// cost and the ratio is syscall-noise-bound: it reads 1-14% from run to run.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>

@@ -97,6 +97,33 @@ void BM_SimulatePathWindow(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatePathWindow);
 
+// One pinglist entry's probes on a healthy 4-link path: 1 packet per entry is steady-k32's
+// shape and 3 is ingest-k16's. The draw comes from the healthy-path cache, decided by the
+// first raw value of the stream nearly every time.
+void BM_SimulatePathHealthy(benchmark::State& state) {
+  const FatTree ft(8);
+  const ProbeEngine engine(ft.topology(), FailureScenario{}, ProbeConfig{});
+  const std::vector<LinkId> path{ft.EdgeAggLink(0, 0, 0), ft.AggCoreLink(0, 0, 0),
+                                 ft.AggCoreLink(1, 0, 0), ft.EdgeAggLink(1, 0, 0)};
+  const int packets = static_cast<int>(state.range(0));
+  Rng rng(3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        engine.SimulatePath(path, ft.Server(0, 0, 0), ft.Server(1, 0, 0), packets, rng));
+  }
+}
+BENCHMARK(BM_SimulatePathHealthy)->Arg(1)->Arg(3);
+
+// Building an engine: the dense per-link failure table and the healthy-path thresholds, found
+// by bisection for every cached (path length, per-flow count).
+void BM_ProbeEngineBuild(benchmark::State& state) {
+  const FatTree ft(8);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ProbeEngine(ft.topology(), FailureScenario{}, ProbeConfig{}));
+  }
+}
+BENCHMARK(BM_ProbeEngineBuild)->Unit(benchmark::kMicrosecond);
+
 // §6.1: the controller serves pinglist files over HTTP; serialization dominates. The paper
 // measured 4473 requests/s on one core.
 void BM_PinglistServe(benchmark::State& state) {

@@ -7,8 +7,10 @@
 #ifndef SRC_COMMON_SIPHASH_H_
 #define SRC_COMMON_SIPHASH_H_
 
-#include <cstdint>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <span>
 
 namespace detector {
@@ -47,9 +49,11 @@ inline uint64_t SipHash24(uint64_t k0, uint64_t k1, std::span<const uint8_t> byt
   const size_t len = bytes.size();
   const size_t full_words = len / 8;
   for (size_t w = 0; w < full_words; ++w) {
-    uint64_t m = 0;
-    for (size_t b = 0; b < 8; ++b) {
-      m |= static_cast<uint64_t>(bytes[w * 8 + b]) << (8 * b);
+    // The word's bytes in little-endian order: one load on a little-endian host.
+    uint64_t m;
+    std::memcpy(&m, bytes.data() + w * 8, sizeof(m));
+    if constexpr (std::endian::native == std::endian::big) {
+      m = __builtin_bswap64(m);
     }
     v3 ^= m;
     SipRound(v0, v1, v2, v3);

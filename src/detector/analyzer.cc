@@ -138,7 +138,7 @@ WindowDiagnosis Analyzer::CloseWindow(int segment, double time_seconds, uint64_t
   if (sealing_) {
     sealer_.AttachDiagnosis(out.localization.links, out.server_link_alarms);
     sealer_.AttachAnomalies(out.anomalies);
-    const SealedWindow sealed =
+    const SealedWindow& sealed =
         sealer_.Finish(matrix_.NumPaths(), churn_events, dead_links, probes_sent, bytes_sent);
     if (log_ != nullptr) {
       log_->OnWindowSealed(sealed);

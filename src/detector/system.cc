@@ -10,6 +10,23 @@
 
 namespace detector {
 
+namespace {
+
+// The system's one probe engine, healthy and observing RTTs when the anomaly plane is on. RTT
+// observation rides the same per-shard RNG streams; sampling draws happen after all loss
+// draws, so the loss counters match an anomaly-off run draw for draw.
+ProbeEngine BuildProbeEngine(const Topology& topo, const DetectorSystemOptions& options,
+                             const LatencyModel& latency_model) {
+  ProbeEngine engine(topo, FailureScenario{}, options.probe);
+  if (options.anomaly) {
+    engine.AttachRttObservation(&latency_model, {}, options.rtt_samples_per_path,
+                                options.rtt_bins);
+  }
+  return engine;
+}
+
+}  // namespace
+
 DetectorSystem::DetectorSystem(const PathProvider& provider, DetectorSystemOptions options)
     : topo_(provider.topology()),
       options_(options),
@@ -21,7 +38,8 @@ DetectorSystem::DetectorSystem(const PathProvider& provider, DetectorSystemOptio
       watchdog_(topo_),
       controller_(topo_, options.controller),
       analyzer_(options_, matrix_, watchdog_),
-      latency_model_(options.latency) {
+      latency_model_(options.latency),
+      engine_(BuildProbeEngine(topo_, options_, latency_model_)) {
   incremental_->set_repair_threads(std::max(0, options_.pmc_repair_threads));
   pinglists_ = controller_.BuildPinglists(matrix_, watchdog_);
   path_index_ = PathPingerIndex::Build(pinglists_);
@@ -39,7 +57,8 @@ DetectorSystem::DetectorSystem(const Topology& topo, ProbeMatrix matrix,
       watchdog_(topo_),
       controller_(topo_, options.controller),
       analyzer_(options_, matrix_, watchdog_),
-      latency_model_(options.latency) {
+      latency_model_(options.latency),
+      engine_(BuildProbeEngine(topo_, options_, latency_model_)) {
   pinglists_ = controller_.BuildPinglists(matrix_, watchdog_);
   path_index_ = PathPingerIndex::Build(pinglists_);
   for (const Pinglist& list : pinglists_) {
@@ -309,9 +328,6 @@ void DetectorSystem::RunSpan(const FailureScenario& scenario, double t0, double 
 }
 
 FailureScenario DetectorSystem::OverlaidScenario(const FailureScenario& scenario) const {
-  if (overlay_.NumDeadLinks() == 0) {
-    return scenario;
-  }
   FailureScenario overlaid = scenario;  // scenario failures win ProbeEngine's first-wins dedup
   for (const LinkId link : overlay_.FailedLinks()) {
     LinkFailure failure;
@@ -325,12 +341,11 @@ FailureScenario DetectorSystem::OverlaidScenario(const FailureScenario& scenario
 
 void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds, Rng& rng,
                                 WindowResult& result) {
-  ProbeEngine engine(topo_, OverlaidScenario(scenario), options_.probe);
-  if (options_.anomaly) {
-    // RTT observation rides the same per-shard RNG streams; sampling draws happen after all
-    // loss draws, so the loss counters match an anomaly-off run draw for draw.
-    engine.AttachRttObservation(&latency_model_, {}, options_.rtt_samples_per_path,
-                                options_.rtt_bins);
+  // The one engine, re-armed at this serial point; no shard of another segment is running.
+  if (overlay_.NumDeadLinks() == 0) {
+    engine_.SetScenario(scenario);
+  } else {
+    engine_.SetScenario(OverlaidScenario(scenario));
   }
 
   // Serial phase: one shard per non-empty pinglist, opened before any thread runs. The caller's
@@ -401,11 +416,11 @@ void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds,
         emitter->Rearm(w.list->pinger, report_window_id_, w.seq, store.slot_epochs(),
                        *w.transport);
       }
-      traffic[i] = pinger.RunWindowTo(engine, seconds, shard_rng, *emitter, &watchdog_);
+      traffic[i] = pinger.RunWindowTo(engine_, seconds, shard_rng, *emitter, &watchdog_);
       emitter->Flush();
       w.seq = emitter->next_seq();
     } else {
-      traffic[i] = pinger.RunWindowInto(engine, seconds, shard_rng, *w.shard, &watchdog_);
+      traffic[i] = pinger.RunWindowInto(engine_, seconds, shard_rng, *w.shard, &watchdog_);
     }
     shards_left.fetch_sub(1, std::memory_order_release);
   };

@@ -273,6 +273,8 @@ class DetectorSystem {
   // and takes probe shards itself whenever a pass over the transports folds nothing.
   void RunSegment(const FailureScenario& scenario, double seconds, Rng& rng,
                   WindowResult& result);
+  // The scenario plus a full-loss failure on every overlay dead link, listed after the
+  // scenario's own failures so those win the engine's first-wins dedup.
   FailureScenario OverlaidScenario(const FailureScenario& scenario) const;
   // For each diffed pinglist: raises its version above the pinger's recorded high-water mark
   // (a pinger reappearing after an absence would otherwise restart at the default), patches
@@ -293,6 +295,9 @@ class DetectorSystem {
   Analyzer analyzer_;
   // The RTT model probe slices sample from when options_.anomaly is on.
   LatencyModel latency_model_;
+  // Probes every segment: built once with its healthy-path thresholds, re-armed with each
+  // segment's scenario by RunSegment (ProbeEngine::SetScenario).
+  ProbeEngine engine_;
   std::vector<Pinglist> pinglists_;
   // path -> pinger replica index over pinglists_, kept current by UpdatePinglists so delta
   // dispatch touches only the diff (rebuilt wholesale when BuildPinglists replaces the lists).

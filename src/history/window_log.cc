@@ -263,27 +263,35 @@ const char* WindowLogStatusName(WindowLogStatus status) {
 
 void EncodeWindowRecord(const SealedWindow& window, const ReportKey& key,
                         std::vector<uint8_t>& out) {
-  std::vector<uint8_t> frame;
-  frame.push_back(kRecordMagic0);
-  frame.push_back(kRecordMagic1);
-  frame.push_back(kRecordVersion);
-  for (int i = 0; i < 8; ++i) {
-    frame.push_back(0);  // tag placeholder
-  }
-  EncodePayload(window, frame);
+  // The frame is built in place at the end of `out`, whose buffer the writer reuses.
+  const size_t start = out.size();
+  out.push_back(kRecordMagic0);
+  out.push_back(kRecordMagic1);
+  out.push_back(kRecordVersion);
+  out.insert(out.end(), 8, 0);  // tag placeholder
+  EncodePayload(window, out);
   const uint64_t tag =
       SipHash24(key.k0, key.k1,
-                std::span<const uint8_t>(frame.data() + kPayloadOffset,
-                                         frame.size() - kPayloadOffset));
+                std::span<const uint8_t>(out.data() + start + kPayloadOffset,
+                                         out.size() - start - kPayloadOffset));
   for (int i = 0; i < 8; ++i) {
-    frame[kTagOffset + static_cast<size_t>(i)] = static_cast<uint8_t>(tag >> (8 * i));
+    out[start + kTagOffset + static_cast<size_t>(i)] = static_cast<uint8_t>(tag >> (8 * i));
   }
-  const uint32_t crc = Crc32(frame);
+  const uint32_t crc = Crc32(std::span<const uint8_t>(out.data() + start, out.size() - start));
   for (int i = 0; i < 4; ++i) {
-    frame.push_back(static_cast<uint8_t>(crc >> (8 * i)));
+    out.push_back(static_cast<uint8_t>(crc >> (8 * i)));
   }
-  PutVarint(out, frame.size());
-  out.insert(out.end(), frame.begin(), frame.end());
+  // The length prefix, known only now, goes in front of the frame: PutVarint's bytes, moved in
+  // by one memmove.
+  uint8_t prefix[10];
+  size_t prefix_size = 0;
+  uint64_t length = out.size() - start;
+  while (length >= 0x80) {
+    prefix[prefix_size++] = static_cast<uint8_t>(length) | 0x80;
+    length >>= 7;
+  }
+  prefix[prefix_size++] = static_cast<uint8_t>(length);
+  out.insert(out.begin() + static_cast<std::ptrdiff_t>(start), prefix, prefix + prefix_size);
 }
 
 WindowLogStatus DecodeWindowRecord(std::span<const uint8_t> bytes, size_t& pos,

@@ -21,6 +21,7 @@
 #define SRC_HISTORY_WINDOW_SINK_H_
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -80,13 +81,24 @@ class WindowSink {
 
 // Builds SealedWindows incrementally as a window runs: CutBoundary diffs the store's merged
 // running totals against the previous boundary's, AttachDiagnosis fills in what the live
-// diagnosis said there. Window drivers keep one sealer alive across windows (the scratch
-// dense-totals buffer is reused).
+// diagnosis said there. Window drivers keep one sealer alive across windows: it keeps the
+// pending window, each boundary's vectors and the dense-totals scratch from window to window,
+// so sealing allocates only while a window outgrows the buffers of the ones before it.
 class WindowSealer {
  public:
   void BeginWindow(uint64_t window_index) {
-    pending_ = SealedWindow{};
+    // The closed window's boundaries go to the spares in reverse, so the next window's first
+    // boundary — the widest delta, cut against zero — reuses the previous first one's buffers.
+    while (!pending_.boundaries.empty()) {
+      spare_.push_back(std::move(pending_.boundaries.back()));
+      pending_.boundaries.pop_back();
+    }
     pending_.window_index = window_index;
+    pending_.num_slots = 0;
+    pending_.churn_events = 0;
+    pending_.dead_links = 0;
+    pending_.probes_sent = 0;
+    pending_.bytes_sent = 0;
     prev_totals_.clear();
   }
 
@@ -94,14 +106,25 @@ class WindowSealer {
   // diagnosis boundary, *before* anything consumes the store (the window-end Diagnose clears
   // it). `totals` is ObservationStore::RunningTotals — watchdog filter already applied.
   void CutBoundary(int segment, double time_seconds, ObservationView totals) {
-    SealedBoundary boundary;
+    const bool first = pending_.boundaries.empty();
+    if (spare_.empty()) {
+      pending_.boundaries.emplace_back();
+    } else {
+      pending_.boundaries.push_back(std::move(spare_.back()));
+      spare_.pop_back();
+    }
+    SealedBoundary& boundary = pending_.boundaries.back();
     boundary.segment = segment;
     boundary.time_seconds = time_seconds;
+    boundary.deltas.clear();
+    boundary.suspects.clear();
+    boundary.alarms.clear();
+    boundary.anomalies.clear();
     if (prev_totals_.size() < totals.size()) {
       prev_totals_.resize(totals.size(), PathObservation{});
     }
     // First boundary of a window diffs against zero — nearly every probed slot changes.
-    boundary.deltas.reserve(pending_.boundaries.empty() ? totals.size() : 64);
+    boundary.deltas.reserve(first ? totals.size() : 64);
     for (size_t slot = 0; slot < totals.size(); ++slot) {
       const int64_t d_sent = totals[slot].sent - prev_totals_[slot].sent;
       const int64_t d_lost = totals[slot].lost - prev_totals_[slot].lost;
@@ -110,43 +133,44 @@ class WindowSealer {
         prev_totals_[slot] = totals[slot];
       }
     }
-    pending_.boundaries.push_back(std::move(boundary));
   }
 
   // Fills the most recent boundary's diagnosis. Separate from CutBoundary because at window
   // end the delta must be cut before Diagnose() (it clears the store) while the suspects only
   // exist after it.
-  void AttachDiagnosis(std::vector<SuspectLink> suspects, std::vector<ServerLinkAlarm> alarms) {
+  void AttachDiagnosis(std::span<const SuspectLink> suspects,
+                       std::span<const ServerLinkAlarm> alarms) {
     if (pending_.boundaries.empty()) {
       return;
     }
-    pending_.boundaries.back().suspects = std::move(suspects);
-    pending_.boundaries.back().alarms = std::move(alarms);
+    pending_.boundaries.back().suspects.assign(suspects.begin(), suspects.end());
+    pending_.boundaries.back().alarms.assign(alarms.begin(), alarms.end());
   }
 
   // Fills the most recent boundary's anomaly-plane alarms (same discipline as
-  // AttachDiagnosis; call with an empty vector — or not at all — on loss-only runs).
-  void AttachAnomalies(std::vector<LinkAnomaly> anomalies) {
+  // AttachDiagnosis; call with an empty span — or not at all — on loss-only runs).
+  void AttachAnomalies(std::span<const LinkAnomaly> anomalies) {
     if (pending_.boundaries.empty()) {
       return;
     }
-    pending_.boundaries.back().anomalies = std::move(anomalies);
+    pending_.boundaries.back().anomalies.assign(anomalies.begin(), anomalies.end());
   }
 
-  // Seals and returns the pending window; the sealer is ready for the next BeginWindow.
-  SealedWindow Finish(uint64_t num_slots, uint64_t churn_events, uint64_t dead_links,
-                      int64_t probes_sent, int64_t bytes_sent) {
+  // Seals the pending window and returns it, valid until the next BeginWindow.
+  const SealedWindow& Finish(uint64_t num_slots, uint64_t churn_events, uint64_t dead_links,
+                             int64_t probes_sent, int64_t bytes_sent) {
     pending_.num_slots = num_slots;
     pending_.churn_events = churn_events;
     pending_.dead_links = dead_links;
     pending_.probes_sent = probes_sent;
     pending_.bytes_sent = bytes_sent;
-    return std::move(pending_);
+    return pending_;
   }
 
  private:
   SealedWindow pending_;
-  Observations prev_totals_;  // dense totals at the previous boundary
+  std::vector<SealedBoundary> spare_;  // boundaries of closed windows, buffers kept
+  Observations prev_totals_;           // dense totals at the previous boundary
 };
 
 }  // namespace detector

@@ -8,34 +8,6 @@
 
 namespace detector {
 
-void PutVarint(std::vector<uint8_t>& out, uint64_t value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<uint8_t>(value) | 0x80);
-    value >>= 7;
-  }
-  out.push_back(static_cast<uint8_t>(value));
-}
-
-bool GetVarint(std::span<const uint8_t> bytes, size_t& pos, uint64_t& value) {
-  uint64_t result = 0;
-  for (int shift = 0; shift < 64; shift += 7) {
-    if (pos >= bytes.size()) {
-      return false;
-    }
-    const uint8_t byte = bytes[pos++];
-    // The 10th byte may only carry the top bit of a 64-bit value.
-    if (shift == 63 && (byte & ~uint8_t{1}) != 0) {
-      return false;
-    }
-    result |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) {
-      value = result;
-      return true;
-    }
-  }
-  return false;
-}
-
 const char* DecodeStatusName(DecodeStatus status) {
   switch (status) {
     case DecodeStatus::kOk: return "ok";

@@ -176,11 +176,36 @@ class ReportCodec {
   static size_t FixedWidthBytes(const ReportFrame& frame);
 };
 
-// LEB128 varint + zigzag building blocks, exposed for the codec tests and bench.
-void PutVarint(std::vector<uint8_t>& out, uint64_t value);
+// LEB128 varint + zigzag building blocks, shared by the report codec and the window log and
+// exposed for the codec tests and bench. Inline: a window-log record runs thousands of them.
+inline void PutVarint(std::vector<uint8_t>& out, uint64_t value) {
+  while (value >= 0x80) {
+    out.push_back(static_cast<uint8_t>(value) | 0x80);
+    value >>= 7;
+  }
+  out.push_back(static_cast<uint8_t>(value));
+}
 // Reads a varint at *pos, advancing it. False when the bytes run out or the value would
 // overflow 64 bits.
-bool GetVarint(std::span<const uint8_t> bytes, size_t& pos, uint64_t& value);
+inline bool GetVarint(std::span<const uint8_t> bytes, size_t& pos, uint64_t& value) {
+  uint64_t result = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    if (pos >= bytes.size()) {
+      return false;
+    }
+    const uint8_t byte = bytes[pos++];
+    // The 10th byte may only carry the top bit of a 64-bit value.
+    if (shift == 63 && (byte & ~uint8_t{1}) != 0) {
+      return false;
+    }
+    result |= static_cast<uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) {
+      value = result;
+      return true;
+    }
+  }
+  return false;
+}
 constexpr uint64_t ZigzagEncode(int64_t v) {
   return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
 }

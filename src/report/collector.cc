@@ -1,5 +1,7 @@
 #include "src/report/collector.h"
 
+#include <algorithm>
+
 namespace detector {
 
 CollectorStats& CollectorStats::operator+=(const CollectorStats& other) {
@@ -26,7 +28,9 @@ Collector::Collector(ObservationStore& store, CollectorOptions options)
 void Collector::BeginWindow(uint64_t window_id) {
   current_window_ = window_id;
   ++liveness_clock_;
-  folded_seqs_.clear();
+  for (auto& [pinger, state] : pingers_) {
+    state.folded_seqs.clear();
+  }
 }
 
 void Collector::SetPartition(const PartitionMap* map, int partition) {
@@ -64,7 +68,8 @@ bool Collector::Offer(std::span<const uint8_t> bytes) {
   // Any authenticated frame from a pinger we own refreshes its liveness — even a duplicate or
   // a stale-window straggler proves the agent is alive. A flipping frame counts at the tick of
   // the window it opened.
-  PingerLiveness& live = last_seen_[frame.pinger];
+  PingerState& state = pingers_[frame.pinger];
+  PingerLiveness& live = state.live;
   if (frame.window_id > live.window || (frame.window_id == live.window && frame.seq > live.seq)) {
     live.window = frame.window_id;
     live.seq = frame.seq;
@@ -74,9 +79,17 @@ bool Collector::Offer(std::span<const uint8_t> bytes) {
     ++stats_.stale_window_dropped;
     return false;
   }
-  if (!folded_seqs_[frame.pinger].insert(frame.seq).second) {
-    ++stats_.duplicates_dropped;
-    return false;
+  // A pinger's frames mostly arrive in seq order, so the sorted insert is usually an append.
+  std::vector<uint64_t>& seqs = state.folded_seqs;
+  if (seqs.empty() || frame.seq > seqs.back()) {
+    seqs.push_back(frame.seq);
+  } else {
+    const auto at = std::lower_bound(seqs.begin(), seqs.end(), frame.seq);
+    if (*at == frame.seq) {
+      ++stats_.duplicates_dropped;
+      return false;
+    }
+    seqs.insert(at, frame.seq);
   }
   FoldFrame(frame);
   return true;
@@ -123,9 +136,8 @@ void Collector::FoldFrame(const ReportFrame& frame) {
 
 size_t Collector::PumpFrom(Transport& transport) {
   size_t folded = 0;
-  std::vector<uint8_t> frame;
-  while (transport.Receive(frame)) {
-    if (Offer(frame)) {
+  while (transport.Receive(received_)) {
+    if (Offer(received_)) {
       ++folded;
     }
   }
@@ -134,9 +146,9 @@ size_t Collector::PumpFrom(Transport& transport) {
 
 CollectorStats Collector::stats() const {
   CollectorStats total = stats_;
-  total.pingers_tracked = last_seen_.size();
-  for (const auto& [pinger, live] : last_seen_) {
-    if (IsStale(live)) {
+  total.pingers_tracked = pingers_.size();
+  for (const auto& [pinger, state] : pingers_) {
+    if (IsStale(state.live)) {
       ++total.stale_pingers;
     }
   }
@@ -145,8 +157,8 @@ CollectorStats Collector::stats() const {
 
 std::vector<NodeId> Collector::StalePingers() const {
   std::vector<NodeId> stale;
-  for (const auto& [pinger, live] : last_seen_) {
-    if (IsStale(live)) {
+  for (const auto& [pinger, state] : pingers_) {
+    if (IsStale(state.live)) {
       stale.push_back(pinger);  // the map iterates in pinger order
     }
   }

@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <span>
 #include <utility>
 #include <vector>
@@ -91,7 +90,7 @@ class Collector {
   explicit Collector(ObservationStore& store, CollectorOptions options = {});
 
   // Opens aggregation window `window_id`: later frames carrying an older id are stale.
-  // Dedup state of closed windows is pruned here.
+  // Dedup state of closed windows is emptied here.
   void BeginWindow(uint64_t window_id);
   uint64_t current_window() const { return current_window_; }
 
@@ -148,13 +147,19 @@ class Collector {
   const PartitionMap* partition_map_ = nullptr;
   int partition_ = 0;
 
-  // Folded frame seqs per pinger for the current window — the idempotence filter. Pruned at
-  // window opens; seq ranges are small (frames per pinger per window).
-  std::map<NodeId, std::set<uint64_t>> folded_seqs_;
-  // Per-pinger liveness. NOT pruned at window opens — silence is precisely what it must
-  // remember across windows.
-  std::map<NodeId, PingerLiveness> last_seen_;
+  // What the collector keeps per pinger it has heard from.
+  struct PingerState {
+    // NOT reset at window opens — silence is precisely what it must remember across windows.
+    PingerLiveness live;
+    // Seqs of the pinger's frames folded in the current window, sorted — the idempotence
+    // filter. Emptied in place at window opens, so it keeps its buffer from window to window.
+    std::vector<uint64_t> folded_seqs;
+  };
+  std::map<NodeId, PingerState> pingers_;
   CollectorStats stats_;
+  // PumpFrom receives into it; a LoopbackTransport hands its buffers back and forth with it,
+  // so receiving allocates nothing once the buffers have grown.
+  std::vector<uint8_t> received_;
   // Decode parses into `decode_scratch_` and swaps it with `decoded_` on success, so both
   // keep their buffers from frame to frame.
   ReportFrame decoded_;

@@ -7,22 +7,6 @@ namespace detector {
 ProbeEngine::ProbeEngine(const Topology& topo, const FailureScenario& scenario,
                          ProbeConfig config)
     : topo_(topo), config_(config), failure_of_link_(topo.NumLinks(), -1) {
-  for (const LinkFailure& failure : scenario.failures) {
-    CHECK(failure.link >= 0 && static_cast<size_t>(failure.link) < topo.NumLinks());
-    // Last failure wins if a scenario lists a link twice (e.g. switch-down overlapping a link
-    // failure); semantically they overlap anyway.
-    if (failure_of_link_[static_cast<size_t>(failure.link)] < 0) {
-      failure_of_link_[static_cast<size_t>(failure.link)] =
-          static_cast<int32_t>(failures_.size());
-      failures_.push_back(failure);
-      if (failure.type == FailureType::kLatencyInflation && failure.added_delay_us > 0.0) {
-        if (inflation_us_.empty()) {
-          inflation_us_.assign(topo.NumLinks(), 0.0);
-        }
-        inflation_us_[static_cast<size_t>(failure.link)] = failure.added_delay_us;
-      }
-    }
-  }
   // Same factors, same order as FlowSuccessProbability over healthy links, so every cached
   // loss is bit-equal to the per-flow product.
   healthy_draws_.resize(kCachedPathLinks + 1);
@@ -41,17 +25,35 @@ ProbeEngine::ProbeEngine(const Topology& topo, const FailureScenario& scenario,
       draws.by_count.emplace_back(n, draws.loss);
     }
   }
+  SetScenario(scenario);
 }
 
-int64_t ProbeEngine::HealthyPathDraws::Draw(int packets, Rng& rng) const {
-  // Rng::NextBinomial's order of cases, so deterministic losses consume no randomness.
-  if (loss <= 0.0) {
-    return 0;
+void ProbeEngine::SetScenario(const FailureScenario& scenario) {
+  for (const LinkFailure& failure : failures_) {
+    failure_of_link_[static_cast<size_t>(failure.link)] = -1;
+    if (!inflation_us_.empty()) {
+      inflation_us_[static_cast<size_t>(failure.link)] = 0.0;
+    }
   }
-  if (loss >= 1.0) {
-    return packets;
+  failures_.clear();
+  inflated_ = false;
+  for (const LinkFailure& failure : scenario.failures) {
+    CHECK(failure.link >= 0 && static_cast<size_t>(failure.link) < topo_.NumLinks());
+    const size_t link = static_cast<size_t>(failure.link);
+    // First failure wins if a scenario lists a link twice; semantically they overlap anyway.
+    if (failure_of_link_[link] >= 0) {
+      continue;
+    }
+    failure_of_link_[link] = static_cast<int32_t>(failures_.size());
+    failures_.push_back(failure);
+    if (failure.type == FailureType::kLatencyInflation && failure.added_delay_us > 0.0) {
+      if (inflation_us_.empty()) {
+        inflation_us_.assign(topo_.NumLinks(), 0.0);
+      }
+      inflation_us_[link] = failure.added_delay_us;
+      inflated_ = true;
+    }
   }
-  return std::binomial_distribution<int64_t>(by_count[static_cast<size_t>(packets) - 1])(rng);
 }
 
 const ProbeEngine::HealthyPathDraws* ProbeEngine::HealthyDraws(std::span<const LinkId> links,
@@ -159,7 +161,7 @@ PathObservation ProbeEngine::SimulatePath(std::span<const LinkId> links, NodeId 
     // RTT samples draw from the same stream *after* every loss draw, so enabling observation
     // never perturbs the loss trajectory of a run without it.
     double inflation = 0.0;
-    if (failures_active_ && !inflation_us_.empty()) {
+    if (failures_active_ && inflated_) {
       for (LinkId link : links) {
         // Round trip: the link's extra delay is paid in both directions.
         inflation += 2.0 * inflation_us_[static_cast<size_t>(link)];

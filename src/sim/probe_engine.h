@@ -15,7 +15,6 @@
 #ifndef SRC_SIM_PROBE_ENGINE_H_
 #define SRC_SIM_PROBE_ENGINE_H_
 
-#include <random>
 #include <span>
 #include <vector>
 
@@ -43,8 +42,16 @@ class ProbeEngine {
  public:
   ProbeEngine(const Topology& topo, const FailureScenario& scenario, ProbeConfig config);
 
-  // Shard API: the engine is immutable once built, so one instance serves any number of
-  // concurrent pinger shards; each shard draws from its own RNG stream derived here. Keying by
+  // Re-arms the engine for another scenario, as if built anew with it: the previous
+  // scenario's per-link entries are cleared (O(its failures), not O(links)) and the new
+  // failures applied. The first failure listed for a link wins — a switch-down overlapping a
+  // link failure, or an overlay's dead link appended after the scenario's own failure of it
+  // (DetectorSystem::OverlaidScenario). The healthy-path cache, the RTT observation and
+  // failures_active() are kept. Not thread-safe: call it where no shard is probing.
+  void SetScenario(const FailureScenario& scenario);
+
+  // Shard API: the engine is read-only while shards probe, so one instance serves any number
+  // of concurrent pinger shards; each shard draws from its own RNG stream derived here. Keying by
   // a stable shard identity (the pinger's node id) rather than the shard's position makes the
   // streams invariant to scheduling order and thread count — a window executed over N threads
   // is bit-identical to the same window executed serially.
@@ -110,19 +117,29 @@ class ProbeEngine {
   // Healthy-path draws. On a path none of whose links carries an active failure every flow
   // loses a probe with the same probability: the round trip at base_loss_rate over each link.
   // The constructor multiplies it out per path length, in FlowSuccessProbability's order, and
-  // builds the binomial parameters of each small per-flow count whose draw stays off
-  // libstdc++'s lgamma sampler (BinomialUsesLgamma). Drawing from them is the draw
-  // Rng::NextBinomial makes from (count, loss), minus the product and the set-up's log.
+  // builds a WaitingBinomial for each small per-flow count whose draw stays off libstdc++'s
+  // lgamma sampler (BinomialUsesLgamma): the draw Rng::NextBinomial makes from (count, loss),
+  // decided from its first raw value unless that value is at or below the count's threshold.
   static constexpr size_t kCachedPathLinks = 8;
   static constexpr int kCachedFlowPackets = 16;
   struct HealthyPathDraws {
     double loss = 0.0;  // 1 - FlowSuccessProbability of a healthy path of this length
-    // Parameters for per-flow counts 1..by_count.size(); empty when `loss` is 0 or 1, whose
+    // Samplers for per-flow counts 1..by_count.size(); empty when `loss` is 0 or 1, whose
     // draws consume no randomness and so serve every count.
-    std::vector<std::binomial_distribution<int64_t>::param_type> by_count;
+    std::vector<WaitingBinomial> by_count;
 
     // The loss count of `packets` probes of one flow, a count these draws serve.
-    int64_t Draw(int packets, Rng& rng) const;
+    template <typename Urng>
+    int64_t Draw(int packets, Urng& urng) const {
+      // Rng::NextBinomial's order of cases, so deterministic losses consume no randomness.
+      if (loss <= 0.0) {
+        return 0;
+      }
+      if (loss >= 1.0) {
+        return packets;
+      }
+      return by_count[static_cast<size_t>(packets) - 1](urng);
+    }
   };
   // The cached draws for `links` when no link carries an active failure, the path is at most
   // kCachedPathLinks long and every per-flow count up to `max_flow_packets` is served; null
@@ -142,9 +159,11 @@ class ProbeEngine {
   std::vector<double> rtt_link_load_mbps_;  // empty: unloaded links
   int rtt_samples_per_path_ = 0;
   int rtt_sketch_bins_ = RttSketch::kDefaultBins;
-  // Extra one-way delay (us) of each link's active kLatencyInflation failure, dense by link;
-  // empty when the scenario has none (the common case pays one branch).
+  // Extra one-way delay (us) of each link's kLatencyInflation failure, dense by link: sized at
+  // the first such failure the engine sees, and read only while the scenario has one
+  // (`inflated_`), so the common case pays one branch.
   std::vector<double> inflation_us_;
+  bool inflated_ = false;
 };
 
 }  // namespace detector

@@ -8,11 +8,13 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/crc32.h"
 #include "src/common/flags.h"
 #include "src/common/rng.h"
+#include "src/common/siphash.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
 #include "src/common/thread_pool.h"
@@ -144,6 +146,28 @@ TEST(Crc32, KnownAnswersChainingAndReference) {
     if (len > 0) {
       EXPECT_EQ(Crc32(all.subspan(1, len - 1)), ReferenceCrc32(all.subspan(1, len - 1)))
           << "offset 1, len " << len - 1;
+    }
+  }
+}
+
+// SipHash-2-4's reference vectors (key 00..0f, message 00..n-1): the empty message, the
+// paper's 15-byte example, one and several whole words — read at every byte offset, since
+// the word loop loads from whatever alignment the frame or record buffer has.
+TEST(SipHash, ReferenceVectorsAtAnyAlignment) {
+  constexpr uint64_t k0 = 0x0706050403020100ULL;
+  constexpr uint64_t k1 = 0x0f0e0d0c0b0a0908ULL;
+  const std::pair<size_t, uint64_t> vectors[] = {{0, 0x726fdb47dd0e0e31ULL},
+                                                 {8, 0x93f5f5799a932462ULL},
+                                                 {15, 0xa129ca6149be45e5ULL},
+                                                 {63, 0x958a324ceb064572ULL}};
+  for (const auto& [length, expected] : vectors) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      std::vector<uint8_t> buffer(offset + length);
+      for (size_t i = 0; i < length; ++i) {
+        buffer[offset + i] = static_cast<uint8_t>(i);
+      }
+      EXPECT_EQ(SipHash24(k0, k1, std::span<const uint8_t>(buffer).subspan(offset)), expected)
+          << "length " << length << " offset " << offset;
     }
   }
 }

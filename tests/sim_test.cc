@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <optional>
 #include <random>
@@ -33,6 +34,23 @@ namespace {
 FlowKey MakeFlow(NodeId src, NodeId dst, uint16_t sport = 1000) {
   return FlowKey{src, dst, sport, 2000, 17};
 }
+
+// A 64-bit generator whose first output is scripted and whose later outputs are an Rng
+// stream's, counting its outputs — how a test feeds one raw value to two samplers and checks
+// that they consume the same number of values.
+struct ScriptedRng {
+  using result_type = uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~0ULL; }
+
+  ScriptedRng(uint64_t first_value, uint64_t tail_seed) : first(first_value), tail(tail_seed) {}
+
+  result_type operator()() { return calls++ == 0 ? first : tail(); }
+
+  uint64_t first;
+  Rng tail;
+  uint64_t calls = 0;
+};
 
 TEST(LossModel, FullLossDropsEverything) {
   LinkFailure f;
@@ -313,7 +331,9 @@ TEST(ProbeEngine, HealthyPathDrawsMatchPerFlowReference) {
               engine.AttachRttObservation(&model, {}, /*samples_per_path=*/4);
             }
             // The cache itself: each length's loss bit-equals the per-flow product, and each
-            // cached count's parameters are the ones Rng::NextBinomial builds, off lgamma.
+            // cached count, off lgamma, stores libstdc++'s own threshold: the sampler
+            // Rng::NextBinomial builds returns 0 (n past the p > 0.5 flip) from the next raw
+            // value alone, and something else from the threshold itself.
             for (size_t length = 0; length < ProbeEngineCachePeer::CachedLengths(engine);
                  ++length) {
               const std::span<const LinkId> healthy(others.data(), length);
@@ -322,10 +342,17 @@ TEST(ProbeEngine, HealthyPathDrawsMatchPerFlowReference) {
               const auto& draws = ProbeEngineCachePeer::Draws(engine, length);
               ASSERT_EQ(draws.loss, loss) << "length " << length;
               for (size_t n = 1; n <= draws.by_count.size(); ++n) {
-                ASSERT_TRUE(draws.by_count[n - 1] ==
-                            std::binomial_distribution<int64_t>::param_type(
-                                static_cast<int64_t>(n), loss));
-                ASSERT_FALSE(BinomialUsesLgamma(static_cast<int64_t>(n), loss));
+                const int64_t count = static_cast<int64_t>(n);
+                ASSERT_FALSE(BinomialUsesLgamma(count, loss));
+                const uint64_t zero_above = draws.by_count[n - 1].zero_above();
+                const int64_t zero = loss > 0.5 ? count : 0;
+                std::binomial_distribution<int64_t> dist(count, loss);
+                ASSERT_LT(zero_above, ~0ULL);
+                ScriptedRng above(zero_above + 1, 1);
+                ASSERT_EQ(dist(above), zero);
+                ASSERT_EQ(above.calls, 1u);
+                ScriptedRng at(zero_above, 1);
+                ASSERT_NE(dist(at), zero) << "length " << length << " count " << n;
               }
             }
             Rng picker(HashCombine(17, case_id));
@@ -373,6 +400,169 @@ TEST(ProbeEngine, HealthyPathDrawsMatchPerFlowReference) {
     }
   }
   EXPECT_GT(lost_total, 0);
+}
+
+// Every cached healthy-path draw equals libstdc++'s std::binomial_distribution for the same
+// raw values, around each threshold and at both ends of the raw range: same count, same
+// number of raw values consumed, streams still aligned after. Base loss 0.3 puts every path's
+// loss above 0.5, where the sampler draws for 1 - p and flips its count.
+TEST(ProbeEngine, HealthyDrawsMatchLibstdcxxAroundThresholds) {
+  const FatTree ft(4);
+  uint64_t case_id = 0;
+  int64_t waited = 0;   // draws whose first raw value did not decide them
+  int64_t flipped = 0;  // draws past the p > 0.5 flip
+  for (const double base_loss : {1e-5, 1e-3, 0.3}) {
+    ProbeConfig config;
+    config.base_loss_rate = base_loss;
+    const ProbeEngine engine(ft.topology(), FailureScenario{}, config);
+    for (size_t length = 1; length < ProbeEngineCachePeer::CachedLengths(engine); ++length) {
+      const auto& draws = ProbeEngineCachePeer::Draws(engine, length);
+      ASSERT_EQ(draws.by_count.size(), 16u) << "base_loss " << base_loss;
+      for (int n = 1; n <= static_cast<int>(draws.by_count.size()); ++n) {
+        const uint64_t zero_above = draws.by_count[static_cast<size_t>(n) - 1].zero_above();
+        std::vector<uint64_t> firsts = {0, ~0ULL, zero_above};
+        for (int k = 0; k <= 20; ++k) {
+          const uint64_t step = uint64_t{1} << k;
+          if (zero_above >= step) {
+            firsts.push_back(zero_above - step);
+          }
+          if (zero_above <= ~0ULL - step) {
+            firsts.push_back(zero_above + step);
+          }
+        }
+        std::binomial_distribution<int64_t> dist(n, draws.loss);
+        for (const uint64_t first : firsts) {
+          ++case_id;
+          ScriptedRng reference(first, case_id);
+          ScriptedRng cached(first, case_id);
+          const int64_t expected = dist(reference);
+          ASSERT_EQ(draws.Draw(n, cached), expected)
+              << "base_loss " << base_loss << " length " << length << " count " << n
+              << " first " << first << " zero_above " << zero_above;
+          ASSERT_EQ(cached.calls, reference.calls);
+          ASSERT_EQ(cached.tail(), reference.tail());
+          waited += first <= zero_above ? 1 : 0;
+          flipped += draws.loss > 0.5 ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(waited, 0);
+  EXPECT_GT(flipped, 0);
+}
+
+// One engine re-armed through a run of scenarios draws exactly what an engine built fresh for
+// each scenario draws — losses, RTT bins and stream positions — with and without RTT
+// observation: clearing the previous scenario's entries leaves nothing behind.
+TEST(ProbeEngine, RearmedEngineDrawsWhatAFreshOneDraws) {
+  const FatTree ft(8);
+  const Topology& topo = ft.topology();
+  const LatencyModel model(LatencyModelOptions{});
+  const LinkId a = ft.AggCoreLink(0, 0, 0);
+  const LinkId b = ft.EdgeAggLink(0, 0, 0);
+  const LinkId c = ft.AggCoreLink(1, 0, 0);
+  const LinkId d = ft.EdgeAggLink(1, 0, 0);
+  auto make = [](LinkId link, FailureType type, double loss_rate, double delay_us) {
+    LinkFailure f;
+    f.link = link;
+    f.type = type;
+    f.loss_rate = loss_rate;
+    f.match_fraction = 0.5;
+    f.rule_seed = 11;
+    f.added_delay_us = delay_us;
+    return f;
+  };
+  const LinkFailure full_a = make(a, FailureType::kFullLoss, 1.0, 0.0);
+  const LinkFailure full_b = make(b, FailureType::kFullLoss, 1.0, 0.0);
+  const LinkFailure partial_c = make(c, FailureType::kRandomPartial, 0.05, 0.0);
+  const LinkFailure blackhole_d = make(d, FailureType::kDeterministicPartial, 1.0, 0.0);
+  const LinkFailure slow_a = make(a, FailureType::kLatencyInflation, 1.0, 2500.0);
+  const LinkFailure slow_b = make(b, FailureType::kLatencyInflation, 1.0, 900.0);
+  std::vector<FailureScenario> sequence(6);
+  sequence[1].failures = {full_a, full_b};                   // full loss
+  sequence[2].failures = {partial_c, blackhole_d, slow_a};   // partial loss + inflation
+  sequence[3].failures = {slow_b, partial_c, full_b, full_a, slow_a};  // b and a twice
+  // Dead overlay links, appended after the scenario's own failures as
+  // DetectorSystem::OverlaidScenario does: c's partial failure wins over its dead entry.
+  sequence[4].failures = {partial_c, slow_b, make(c, FailureType::kFullLoss, 1.0, 0.0),
+                          make(d, FailureType::kFullLoss, 1.0, 0.0)};
+  // sequence[0] and sequence[5]: no failure.
+
+  std::vector<LinkId> others;
+  for (size_t link = 0; link < topo.NumLinks(); ++link) {
+    const LinkId id = static_cast<LinkId>(link);
+    if (id != a && id != b && id != c && id != d) {
+      others.push_back(id);
+    }
+  }
+  const NodeId src = ft.Server(0, 0, 0);
+  const NodeId dst = ft.Server(3, 1, 2);
+  uint64_t case_id = 0;
+  int64_t lost_total = 0;
+  int64_t samples_total = 0;
+  for (const bool observe_rtt : {false, true}) {
+    ProbeEngine rearmed(topo, FailureScenario{}, ProbeConfig{});
+    if (observe_rtt) {
+      rearmed.AttachRttObservation(&model, {}, /*samples_per_path=*/4);
+    }
+    for (const FailureScenario& scenario : sequence) {
+      rearmed.SetScenario(scenario);
+      ProbeEngine fresh(topo, scenario, ProbeConfig{});
+      if (observe_rtt) {
+        fresh.AttachRttObservation(&model, {}, /*samples_per_path=*/4);
+      }
+      // The first failure listed for a link wins: each link drops what it drops in an engine
+      // given only those first failures.
+      FailureScenario first_per_link;
+      for (const LinkFailure& f : scenario.failures) {
+        if (std::ranges::none_of(first_per_link.failures,
+                                 [&](const LinkFailure& g) { return g.link == f.link; })) {
+          first_per_link.failures.push_back(f);
+        }
+      }
+      const ProbeEngine deduped(topo, first_per_link, ProbeConfig{});
+      for (const LinkId link : {a, b, c, d}) {
+        const std::span<const LinkId> one(&link, 1);
+        for (uint16_t port = 0; port < 8; ++port) {
+          const FlowKey flow = MakeFlow(src, dst, static_cast<uint16_t>(33434 + port));
+          ASSERT_EQ(rearmed.FlowSuccessProbability(one, flow),
+                    deduped.FlowSuccessProbability(one, flow));
+        }
+      }
+      Rng picker(HashCombine(41, case_id));
+      for (int path = 0; path < 40; ++path) {
+        std::vector<LinkId> links;
+        const size_t length = 1 + picker.NextBounded(6);
+        for (size_t i = 0; i < length; ++i) {
+          links.push_back(others[picker.NextBounded(others.size())]);
+        }
+        // Most paths cross one of the links the scenarios fail.
+        if (path % 5 != 0) {
+          links[picker.NextBounded(length)] = std::array{a, b, c, d}[picker.NextBounded(4)];
+        }
+        for (const int packets : {1, 3, 8, 20, 100}) {
+          ++case_id;
+          Rng rearmed_rng(HashCombine(43, case_id));
+          Rng fresh_rng(HashCombine(43, case_id));
+          RttSketch rearmed_rtt(rearmed.rtt_sketch_bins());
+          RttSketch fresh_rtt(fresh.rtt_sketch_bins());
+          const PathObservation got = rearmed.SimulatePath(
+              links, src, dst, packets, rearmed_rng, observe_rtt ? &rearmed_rtt : nullptr);
+          const PathObservation want = fresh.SimulatePath(
+              links, src, dst, packets, fresh_rng, observe_rtt ? &fresh_rtt : nullptr);
+          ASSERT_EQ(got.sent, want.sent);
+          ASSERT_EQ(got.lost, want.lost) << "case " << case_id;
+          ASSERT_EQ(rearmed_rtt.total(), fresh_rtt.total());
+          ASSERT_TRUE(std::ranges::equal(rearmed_rtt.bins(), fresh_rtt.bins()));
+          ASSERT_EQ(rearmed_rng(), fresh_rng());
+          lost_total += got.lost;
+          samples_total += got.sent > got.lost ? rearmed_rtt.total() : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(lost_total, 0);
+  EXPECT_GT(samples_total, 0);
 }
 
 TEST(FailureModel, SamplesRequestedCount) {

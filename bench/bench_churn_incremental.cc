@@ -7,25 +7,12 @@
 // buys on top: per-delta repair restricted to the touched decomposition component, which must
 // come out >= 10x cheaper than the rebuild for single-link deltas on fat-tree k=16.
 //
-// --wave-gate: multi-component maintenance-wave mode. A ToR-down delta dirties one
-// decomposition component per uplink core group — k/2 of them, 16 at the default
-// --gate-k=32 — and the component-restricted greedy repairs run concurrently
-// (IncrementalPmc::set_repair_threads). Two solvers consume the identical delta sequence,
-// serial and parallel; every delta's slot churn and repair stats must match bit-for-bit
-// (always enforced), and the parallel repair must come out >= 2x faster when the host has
-// >= 8 cores. --strict-gate makes a skipped speedup check fail, for CI branches that already
-// verified the runner's core count.
-//
 // Flags: --scale=small|paper  (small: k=8/16 full enumeration; paper adds k=24 symmetry-reduced)
 //        --deltas=N           (churn trials per row, default 20)
 //        --alpha, --beta      (PMC configuration, default 1/1)
 //        --seed
-//        --wave-gate [--gate-k=32] [--wave-trials=6] [--pmc-repair-threads=8]
-//                    [--gate-build-budget=300] [--strict-gate]
 #include <algorithm>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/harness.h"
@@ -137,103 +124,6 @@ void RunSwitchChurn(const FatTree& ft, int alpha, int beta, int deltas, Rng& rng
   table.Print();
 }
 
-// Stats equality minus wall-clock: the serial and parallel solvers must agree on everything
-// they did, not on how long it took.
-bool SameRepairWork(const ChurnRepairStats& a, const ChurnRepairStats& b) {
-  return a.dropped_paths == b.dropped_paths && a.added_paths == b.added_paths &&
-         a.repaired_links == b.repaired_links && a.pool_candidates == b.pool_candidates &&
-         a.score_evaluations == b.score_evaluations &&
-         a.touched_components == b.touched_components &&
-         a.uncoverable_live_links == b.uncoverable_live_links &&
-         a.alpha_satisfied == b.alpha_satisfied && a.fully_resolved == b.fully_resolved;
-}
-
-// The maintenance-wave gate (see the file comment). Returns false on gate failure.
-bool RunWaveGate(const Flags& flags, int alpha, int beta) {
-  const int gate_k = static_cast<int>(flags.GetInt("gate-k", 32));
-  const int trials = std::max(1, static_cast<int>(flags.GetInt("wave-trials", 6)));
-  const int threads = std::max(2, static_cast<int>(flags.GetInt("pmc-repair-threads", 8)));
-  const double build_budget = flags.GetDouble("gate-build-budget", 300.0);
-
-  std::printf("\n== wave gate: ToR-down maintenance waves at fat-tree(%d), %d repair threads "
-              "==\n", gate_k, threads);
-  WallTimer build_timer;
-  const FatTree ft(gate_k);
-  const FatTreeRouting routing(ft);
-  PmcOptions options;
-  options.alpha = alpha;
-  options.beta = beta;
-  const PathStore paths = routing.Enumerate(PathEnumMode::kSymmetryReduced);
-  IncrementalPmc serial(ft.topology(), paths, options);
-  IncrementalPmc parallel(ft.topology(), paths, options);
-  const double build_seconds = build_timer.ElapsedSeconds();
-  serial.set_repair_threads(1);
-  parallel.set_repair_threads(threads);
-  std::printf("build: %.1f s x2 solvers, %zu candidates\n", build_seconds,
-              serial.candidates().size());
-
-  // Identical ToR-down/up waves through both solvers; each solver replays the deltas against
-  // its own overlay so the resolved link effects match too.
-  LinkStateOverlay serial_overlay(ft.topology());
-  LinkStateOverlay parallel_overlay(ft.topology());
-  const std::vector<NodeId> tors = ft.topology().NodesOfKind(NodeKind::kTor);
-  double serial_seconds = 0.0;
-  double parallel_seconds = 0.0;
-  int max_components = 0;
-  bool identical = true;
-  bool invariants = true;
-  TablePrinter table({"wave", "components", "serial ms", "parallel ms", "speedup", "identical"});
-  for (int t = 0; t < trials; ++t) {
-    const NodeId victim = tors[(static_cast<size_t>(t) * 37) % tors.size()];
-    double wave_serial = 0.0;
-    double wave_parallel = 0.0;
-    int components = 0;
-    bool wave_identical = true;
-    for (const bool down : {true, false}) {
-      const TopologyDelta delta =
-          down ? TopologyDelta::NodeDown(victim) : TopologyDelta::NodeUp(victim);
-      const auto s = serial.ApplyDelta(serial_overlay.Apply(delta));
-      const auto p = parallel.ApplyDelta(parallel_overlay.Apply(delta));
-      wave_serial += s.stats.seconds;
-      wave_parallel += p.stats.seconds;
-      wave_identical = wave_identical && SameRepairWork(s.stats, p.stats) &&
-                       s.removed_slots == p.removed_slots && s.added_slots == p.added_slots;
-      invariants = invariants && s.stats.alpha_satisfied && p.stats.alpha_satisfied;
-      components = std::max(components, s.stats.touched_components);
-    }
-    identical = identical && wave_identical;
-    max_components = std::max(max_components, components);
-    serial_seconds += wave_serial;
-    parallel_seconds += wave_parallel;
-    table.AddRow({"tor-down/up " + ft.topology().node(victim).name,
-                  TablePrinter::FmtInt(components), TablePrinter::Fmt(wave_serial * 1e3, 2),
-                  TablePrinter::Fmt(wave_parallel * 1e3, 2),
-                  TablePrinter::Fmt(wave_serial / std::max(wave_parallel, 1e-9), 2),
-                  wave_identical ? "yes" : "NO"});
-  }
-  table.Print();
-  const double speedup = serial_seconds / std::max(parallel_seconds, 1e-9);
-  std::printf("wave totals: serial %.1f ms, parallel %.1f ms => %.2fx, max %d components\n",
-              serial_seconds * 1e3, parallel_seconds * 1e3, speedup, max_components);
-  if (!identical || !invariants) {
-    std::printf("FAIL: parallel repair diverged from serial (identical=%d invariants=%d)\n",
-                identical ? 1 : 0, invariants ? 1 : 0);
-    return false;
-  }
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (cores < 8 || build_seconds > build_budget) {
-    const bool strict = flags.Has("strict-gate");
-    std::printf("speedup gate %s: %u hardware threads, build %.1f s (budget %.0f s)\n",
-                strict ? "FAIL (--strict-gate, cannot run)" : "SKIPPED", cores, build_seconds,
-                build_budget);
-    return !strict;
-  }
-  const bool pass = speedup >= 2.0;
-  std::printf("speedup gate %s: %.2fx %s 2x (bit-exact at every delta)\n",
-              pass ? "PASS" : "FAIL", speedup, pass ? ">=" : "<");
-  return pass;
-}
-
 }  // namespace
 }  // namespace detector
 
@@ -245,13 +135,6 @@ int main(int argc, char** argv) {
   flags.Describe("alpha", "coverage target (default 1)");
   flags.Describe("beta", "identifiability target (default 1)");
   flags.Describe("seed", "rng seed (default 1)");
-  flags.Describe("wave-gate", "run the multi-component maintenance-wave repair gate");
-  flags.Describe("gate-k", "arity for --wave-gate (default 32: 16 components per ToR wave)");
-  flags.Describe("wave-trials", "ToR-down/up waves measured by --wave-gate (default 6)");
-  flags.Describe("pmc-repair-threads", "repair threads for --wave-gate (default 8)");
-  flags.Describe("gate-build-budget",
-                 "seconds the gate host may spend building before the 2x check is skipped");
-  flags.Describe("strict-gate", "exit 2 when the >= 2x wave speedup gate cannot be enforced");
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
@@ -310,10 +193,5 @@ int main(int argc, char** argv) {
 
   std::printf("\nSwitch-down deltas (fat-tree k=8, full enumeration):\n");
   RunSwitchChurn(FatTree(8), alpha, beta, std::min(deltas, 8), rng);
-
-  bool wave_pass = true;
-  if (flags.GetBool("wave-gate", false)) {
-    wave_pass = RunWaveGate(flags, alpha, beta);
-  }
-  return k16_pass && wave_pass ? 0 : 2;
+  return k16_pass ? 0 : 2;
 }

@@ -6,7 +6,7 @@
 // mid-window diagnoses — against the batch baseline on the same probing.
 //
 // Modes (--mode):
-//   incremental  (default) mid-window diagnoses re-score only the PLL-partition components
+//   incremental  (default) mid-window diagnoses re-score only the probe-matrix components
 //                whose observations changed since the last boundary. Every window seals into
 //                an in-memory sink; the sealed deltas rebuild the totals each boundary
 //                localized over, and every timeline entry must equal one-shot PLL
@@ -43,6 +43,7 @@
 #include "bench/harness.h"
 #include "src/detector/system.h"
 #include "src/history/window_sink.h"
+#include "src/pmc/decomposition.h"
 #include "src/pmc/structured_fattree.h"
 #include "src/routing/fattree_routing.h"
 #include "src/topo/fattree.h"
@@ -105,7 +106,7 @@ bool RunSpeedupGate(const Flags& flags, uint64_t seed) {
   const PllLocalizer pll;
 
   // Seed every slot with clean observations from one synthetic pinger, then warm the
-  // incremental state (builds the partition, scores everything once).
+  // incremental state (decomposes the matrix, scores everything once).
   const size_t num_paths = matrix.NumPaths();
   PingerWindowResult clean;
   clean.pinger = ft.Server(0, 0, 0);
@@ -117,9 +118,9 @@ bool RunSpeedupGate(const Flags& flags, uint64_t seed) {
   diagnoser.Ingest(clean);
   (void)diagnoser.DiagnoseRunning(matrix, watchdog);
   const double build_seconds = build_timer.ElapsedSeconds();
-  const MatrixPartition partition = BuildMatrixPartition(matrix);
-  std::printf("build+warm: %.1f s, %zu paths, %d links, %d components\n", build_seconds,
-              num_paths, matrix.NumLinks(), partition.num_components);
+  std::printf("build+warm: %.1f s, %zu paths, %d links, %zu components\n", build_seconds,
+              num_paths, matrix.NumLinks(),
+              DecomposePathLinkGraph(matrix.paths(), matrix.links()).components.size());
 
   OnlineStats full_ms;
   OnlineStats incremental_ms;

@@ -241,8 +241,6 @@ int main(int argc, char** argv) {
   flags.Describe("sliding-window",
                  "trailing window of the mid-window diagnoses, in segments (default 2)");
   flags.Describe("seed", "rng seed (default 9)");
-  flags.Describe("pmc-repair-threads",
-                 "threads for multi-component churn repair (default 1; 0 = hardware)");
   flags.Describe("history-dir",
                  "WindowLog directory: the demo seals windows into it, query mode reads it "
                  "(default off)");
@@ -287,8 +285,6 @@ int main(int argc, char** argv) {
   const FatTree fattree(k);
   const FatTreeRouting routing(fattree);
   DetectorSystemOptions options = MatrixOptions();
-  options.pmc_repair_threads =
-      std::max(0, static_cast<int>(flags.GetInt("pmc-repair-threads", 1)));
   options.segments_per_window = std::max(1, static_cast<int>(flags.GetInt("segments", 10)));
   options.diagnose_every_segments =
       std::max(1, static_cast<int>(flags.GetInt("diagnose-every", 2)));

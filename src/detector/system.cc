@@ -40,7 +40,6 @@ DetectorSystem::DetectorSystem(const PathProvider& provider, DetectorSystemOptio
       analyzer_(options_, matrix_, watchdog_),
       latency_model_(options.latency),
       engine_(BuildProbeEngine(topo_, options_, latency_model_)) {
-  incremental_->set_repair_threads(std::max(0, options_.pmc_repair_threads));
   pinglists_ = controller_.BuildPinglists(matrix_, watchdog_);
   path_index_ = PathPingerIndex::Build(pinglists_);
   for (const Pinglist& list : pinglists_) {

@@ -77,9 +77,8 @@ struct DetectorSystemOptions {
   // many threads (0 = hardware concurrency). Results are bit-identical at any thread count —
   // every shard draws from its own RNG stream keyed by (window seed, pinger id).
   size_t probe_threads = 0;
-  // Threads IncrementalPmc::ApplyDelta may repair touched decomposition components on when a
-  // maintenance wave dirties several at once (0 = hardware concurrency). Bit-identical to
-  // serial repair at any value. Ignored in fixed-matrix mode (no solver to parallelize).
+  // Held unread for perfbench/, which passes it to IncrementalPmc::set_repair_threads, until
+  // the benchmark's next change: matrix repair runs serially.
   int pmc_repair_threads = 1;
   // Continuous diagnosis: probe slices per window (1 = the classic monolithic batch window;
   // higher values execute the same window in equal time slices, each on its own shard seed)

@@ -102,8 +102,7 @@ class QueryEngine {
 
   // ---- Anomaly-plane queries (PR 10) -----------------------------------------------------
   // Anomalies are logged per boundary; these roll them up per window — a window counts as
-  // flagged for a link when any of its boundaries named the link. Pre-anomaly (v1) log
-  // records simply contribute unflagged points.
+  // flagged for a link when any of its boundaries named the link.
 
   struct AnomalyPoint {
     uint64_t window_index = 0;

@@ -17,9 +17,8 @@ namespace fs = std::filesystem;
 
 constexpr uint8_t kRecordMagic0 = 0xD7;  // shared lead byte with the wire frames
 constexpr uint8_t kRecordMagic1 = 0x57;  // 'W' — a log record, not a wire frame (0x52)
-// v1: deltas + suspects + alarms per boundary. v2 appends the anomaly-plane alarms (PR 10) —
-// writers emit v2; readers accept both, so pre-anomaly logs stay queryable.
-constexpr uint8_t kRecordVersionV1 = 1;
+// v2: deltas, suspects, server-link alarms and anomaly-plane alarms per boundary. Readers
+// reject every other version kBadVersion.
 constexpr uint8_t kRecordVersion = 2;
 constexpr size_t kTagOffset = 3;      // 8-byte SipHash tag at [3, 11)
 constexpr size_t kPayloadOffset = 11;
@@ -101,7 +100,7 @@ void EncodePayload(const SealedWindow& w, std::vector<uint8_t>& out) {
   }
 }
 
-bool DecodePayload(std::span<const uint8_t> payload, uint8_t version, SealedWindow& out) {
+bool DecodePayload(std::span<const uint8_t> payload, SealedWindow& out) {
   size_t pos = 0;
   uint64_t u;
   SealedWindow w;
@@ -189,26 +188,24 @@ bool DecodePayload(std::span<const uint8_t> payload, uint8_t version, SealedWind
       a.loss_ratio = DoubleFromBits(ratio);
       b.alarms.push_back(a);
     }
-    if (version >= kRecordVersion) {
-      if (!GetVarint(payload, pos, count) || count > payload.size()) {
+    if (!GetVarint(payload, pos, count) || count > payload.size()) {
+      return false;
+    }
+    b.anomalies.reserve(static_cast<size_t>(count));
+    for (uint64_t j = 0; j < count; ++j) {
+      LinkAnomaly an;
+      uint64_t link, signal, score_bits, sustained;
+      if (!GetVarint(payload, pos, link) || link > INT32_MAX ||
+          !GetVarint(payload, pos, signal) || signal > UINT8_MAX ||
+          !GetFixed64(payload, pos, score_bits) ||
+          !GetVarint(payload, pos, sustained) || sustained > INT32_MAX) {
         return false;
       }
-      b.anomalies.reserve(static_cast<size_t>(count));
-      for (uint64_t j = 0; j < count; ++j) {
-        LinkAnomaly an;
-        uint64_t link, signal, score_bits, sustained;
-        if (!GetVarint(payload, pos, link) || link > INT32_MAX ||
-            !GetVarint(payload, pos, signal) || signal > UINT8_MAX ||
-            !GetFixed64(payload, pos, score_bits) ||
-            !GetVarint(payload, pos, sustained) || sustained > INT32_MAX) {
-          return false;
-        }
-        an.link = static_cast<LinkId>(link);
-        an.signal = static_cast<uint8_t>(signal);
-        an.score = DoubleFromBits(score_bits);
-        an.sustained = static_cast<int32_t>(sustained);
-        b.anomalies.push_back(an);
-      }
+      an.link = static_cast<LinkId>(link);
+      an.signal = static_cast<uint8_t>(signal);
+      an.score = DoubleFromBits(score_bits);
+      an.sustained = static_cast<int32_t>(sustained);
+      b.anomalies.push_back(an);
     }
     w.boundaries.push_back(std::move(b));
   }
@@ -313,7 +310,7 @@ WindowLogStatus DecodeWindowRecord(std::span<const uint8_t> bytes, size_t& pos,
     pos = start;
     return WindowLogStatus::kBadMagic;
   }
-  if (frame[2] != kRecordVersion && frame[2] != kRecordVersionV1) {
+  if (frame[2] != kRecordVersion) {
     pos = start;
     return WindowLogStatus::kBadVersion;
   }
@@ -338,7 +335,7 @@ WindowLogStatus DecodeWindowRecord(std::span<const uint8_t> bytes, size_t& pos,
     pos = start;
     return WindowLogStatus::kBadAuth;
   }
-  if (!DecodePayload(payload, frame[2], out)) {
+  if (!DecodePayload(payload, out)) {
     pos = start;
     return WindowLogStatus::kMalformed;
   }

@@ -226,14 +226,14 @@ LocalizeResult PllLocalizer::LocalizeIncremental(const ProbeMatrix& matrix, Obse
                                                  PllIncrementalState& state) const {
   WallTimer timer;
   CHECK_EQ(obs.size(), matrix.NumPaths());
-  if (!state.structure_valid || state.partition.num_paths != matrix.NumPaths() ||
-      state.partition.num_links != matrix.NumLinks()) {
-    state.partition = BuildMatrixPartition(matrix);
+  Decomposition& part = state.decomposition;
+  if (!state.structure_valid || part.component_of_path.size() != matrix.NumPaths() ||
+      part.component_of_link.size() != static_cast<size_t>(matrix.NumLinks())) {
+    part = DecomposePathLinkGraph(matrix.paths(), matrix.links());
     state.structure_valid = true;
     all_dirty = true;
   }
-  const MatrixPartition& part = state.partition;
-  const size_t num_components = static_cast<size_t>(part.num_components);
+  const size_t num_components = part.components.size();
   if (all_dirty) {
     state.verdicts.assign(num_components, {});
     SizeScratch(matrix, state);
@@ -254,7 +254,7 @@ LocalizeResult PllLocalizer::LocalizeIncremental(const ProbeMatrix& matrix, Obse
   LocalizeResult result;
   for (size_t c = 0; c < num_components; ++c) {
     if (component_dirty[c]) {
-      RescoreComponent(matrix, obs, part.paths_of_component[c], part.links_of_component[c],
+      RescoreComponent(matrix, obs, part.components[c].path_ids, part.components[c].dense_links,
                        state, state.verdicts[c]);
     }
     result.links.insert(result.links.end(), state.verdicts[c].begin(),

@@ -5,32 +5,33 @@
 // disqualify the true culprit or promote innocent links.
 //
 // One scorer implements the rules (PllLocalizer::RescoreComponent): LocalizeIncremental runs it
-// per dirty component of the matrix partition, LocalizeView runs it once over the whole matrix.
-// The independent monolithic pass both are gated against lives in tests/pll_reference.h.
+// per dirty component of the matrix's decomposition, LocalizeView runs it once over the whole
+// matrix. The independent monolithic pass both are gated against lives in tests/pll_reference.h.
 #ifndef SRC_LOCALIZE_PLL_H_
 #define SRC_LOCALIZE_PLL_H_
 
 #include "src/localize/localizer.h"
 #include "src/localize/preprocess.h"
+#include "src/pmc/decomposition.h"
 
 namespace detector {
 
 struct PllOptions {
   double hit_ratio_threshold = 0.6;  // paper default (§5.3)
-  bool decompose = true;
   PreprocessOptions preprocess;
 };
 
-// Carried-over state for LocalizeIncremental: the matrix's component partition, the
-// per-component suspect verdicts from the previous boundary, per-path valid/lossy bits as of
-// each component's last re-score, and scratch buffers reused across re-scores so a
-// single-dirty-component call allocates nothing proportional to the matrix. The owner must
-// clear `structure_valid` whenever the probe matrix changes structurally (slot reuse after an
-// incremental repair keeps the dimensions but rewires paths, so a dimension check alone is not
-// enough) — the next call then rebuilds the partition and re-scores everything.
+// Carried-over state for LocalizeIncremental: the decomposition of the matrix's paths over its
+// links (Observation 1), the per-component suspect verdicts from the previous boundary,
+// per-path valid/lossy bits as of each component's last re-score, and scratch buffers reused
+// across re-scores so a single-dirty-component call allocates nothing proportional to the
+// matrix. The owner must clear `structure_valid` whenever the probe matrix changes
+// structurally (slot reuse after an incremental repair keeps the dimensions but rewires paths,
+// so a dimension check alone is not enough) — the next call then decomposes the matrix again
+// and re-scores everything.
 struct PllIncrementalState {
   bool structure_valid = false;
-  MatrixPartition partition;
+  Decomposition decomposition;
   std::vector<std::vector<SuspectLink>> verdicts;  // by component id
   std::vector<uint8_t> valid;                      // by path, as of the last re-score
   std::vector<uint8_t> lossy;
@@ -54,7 +55,7 @@ class PllLocalizer : public Localizer {
   // LocalizeIncremental runs per component, so the two agree bit-for-bit by construction.
   LocalizeResult LocalizeView(const ProbeMatrix& matrix, ObservationView obs) const;
 
-  // Incremental localization over the matrix's component partition: re-scores only components
+  // Incremental localization over the matrix's components: re-scores only components
   // containing a slot in `dirty_slots` (or everything when `all_dirty`), reuses the verdicts
   // cached in `state` for clean components, and merges in deterministic component order.
   // Bit-identical to LocalizeView on the same observations — the greedy never interacts

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/localize/observations.h"
-#include "src/pmc/probe_matrix.h"
 
 namespace detector {
 
@@ -42,25 +41,6 @@ struct PreprocessedObservations {
 // Applies the per-path rule to a whole window (the Tomo, OMP and SCORE baselines). Takes a view
 // so the ObservationStore's running totals flow through without materializing an owned vector.
 PreprocessedObservations Preprocess(ObservationView obs, const PreprocessOptions& options);
-
-// Connected components of the probe matrix's path-link bipartite graph (the paper's
-// Observation 1, reused here on the localization side). Two paths are in the same component
-// iff they share a chain of links; the greedy hitting-set never interacts across components,
-// so PLL can re-score only the components whose observations changed since the last diagnosis
-// boundary and reuse the previous verdicts for the rest (PllLocalizer::LocalizeIncremental).
-// Component ids are assigned in ascending dense-link order, so the partition — and any merge
-// over it — is deterministic for a given matrix.
-struct MatrixPartition {
-  int32_t num_components = 0;
-  size_t num_paths = 0;   // dimensions the partition was built for: a mismatch means the
-  int32_t num_links = 0;  // matrix changed and the partition is stale
-  std::vector<int32_t> component_of_path;           // -1 for empty (vacated) slots
-  std::vector<int32_t> component_of_link;           // by dense link id
-  std::vector<std::vector<PathId>> paths_of_component;   // ascending path id
-  std::vector<std::vector<int32_t>> links_of_component;  // ascending dense link id
-};
-
-MatrixPartition BuildMatrixPartition(const ProbeMatrix& matrix);
 
 }  // namespace detector
 

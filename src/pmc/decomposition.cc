@@ -1,7 +1,5 @@
 #include "src/pmc/decomposition.h"
 
-#include <unordered_map>
-
 #include "src/common/union_find.h"
 
 namespace detector {
@@ -28,29 +26,31 @@ Decomposition DecomposePathLinkGraph(const PathStore& candidates, const LinkInde
   }
 
   Decomposition result;
-  std::unordered_map<size_t, int> root_to_component;
+  result.component_of_link.assign(n, -1);
+  std::vector<int32_t> id_of_root(n, -1);
   for (size_t d = 0; d < n; ++d) {
     if (!touched[d]) {
       result.uncoverable_links.push_back(static_cast<int32_t>(d));
       continue;
     }
     const size_t root = uf.Find(d);
-    auto [it, inserted] =
-        root_to_component.emplace(root, static_cast<int>(result.components.size()));
-    if (inserted) {
+    if (id_of_root[root] < 0) {
+      id_of_root[root] = static_cast<int32_t>(result.components.size());
       result.components.emplace_back();
     }
-    result.components[static_cast<size_t>(it->second)].dense_links.push_back(
+    result.component_of_link[d] = id_of_root[root];
+    result.components[static_cast<size_t>(id_of_root[root])].dense_links.push_back(
         static_cast<int32_t>(d));
   }
 
+  result.component_of_path.assign(candidates.size(), -1);
   for (size_t p = 0; p < candidates.size(); ++p) {
     for (LinkId link : candidates.Links(static_cast<PathId>(p))) {
       const int32_t dense = links.Dense(link);
       if (dense >= 0) {
-        const size_t root = uf.Find(static_cast<size_t>(dense));
-        result.components[static_cast<size_t>(root_to_component.at(root))].path_ids.push_back(
-            static_cast<PathId>(p));
+        const int32_t c = result.component_of_link[static_cast<size_t>(dense)];
+        result.component_of_path[p] = c;
+        result.components[static_cast<size_t>(c)].path_ids.push_back(static_cast<PathId>(p));
         break;  // one component per path: all its links share the component by construction
       }
     }
@@ -76,9 +76,12 @@ Decomposition SingleComponent(const PathStore& candidates, const LinkIndex& link
   for (size_t p = 0; p < candidates.size(); ++p) {
     comp.path_ids[p] = static_cast<PathId>(p);
   }
+  result.component_of_path.assign(candidates.size(), 0);
+  result.component_of_link.assign(n, -1);
   for (size_t d = 0; d < n; ++d) {
     if (touched[d]) {
       comp.dense_links.push_back(static_cast<int32_t>(d));
+      result.component_of_link[d] = 0;
     } else {
       result.uncoverable_links.push_back(static_cast<int32_t>(d));
     }

@@ -9,6 +9,15 @@
 
 namespace detector {
 
+// A component's live links as a local dense domain [0, m), and the partition the component's
+// selected paths induce over it (replayed in slot order; tracked only at beta >= 1, and always
+// resolved at m == 0).
+struct IncrementalPmc::LiveDomain {
+  std::vector<int32_t> local_to_dense;  // ascending
+  std::vector<int32_t> local_of;        // dense link -> local id, -1 outside the domain
+  PartitionState part;
+};
+
 IncrementalPmc::IncrementalPmc(const Topology& topo, PathStore candidates, PmcOptions options)
     : topo_(topo),
       options_(options),
@@ -19,29 +28,21 @@ IncrementalPmc::IncrementalPmc(const Topology& topo, PathStore candidates, PmcOp
   live_.assign(n, 1);
   w_.assign(n, 0);
 
-  // Static decomposition: repair scopes. Recorded before the solve so weight bookkeeping can
-  // exclude statically uncoverable links (mirroring PmcStats::alpha_satisfied).
-  const Decomposition decomp = DecomposePathLinkGraph(candidates_, links_);
-  comp_of_link_.assign(n, -1);
-  components_.resize(decomp.components.size());
-  for (size_t c = 0; c < decomp.components.size(); ++c) {
-    components_[c].dense_links = decomp.components[c].dense_links;
-    for (const int32_t d : components_[c].dense_links) {
-      comp_of_link_[static_cast<size_t>(d)] = static_cast<int32_t>(c);
-    }
-  }
-  comp_of_path_.assign(candidates_.size(), -1);
-  for (size_t c = 0; c < decomp.components.size(); ++c) {
-    for (const PathId p : decomp.components[c].path_ids) {
-      comp_of_path_[static_cast<size_t>(p)] = static_cast<int32_t>(c);
-    }
-  }
-
+  Decomposition decomp = DecomposePathLinkGraph(candidates_, links_);
   PmcOptions solve_options = options_;
   solve_options.build_matrix = false;  // BuildMatrix() renders the selection from the slots
   PmcResult result = BuildProbeMatrixFromCandidates(
       topo_, candidates_, solve_options, links_, options_.decompose ? &decomp : nullptr);
   initial_stats_ = result.stats;
+
+  // The decomposition stays on as the repair scopes, minus its per-component candidate lists.
+  // Taken before AdoptSelection so weight bookkeeping can exclude statically uncoverable links
+  // (mirroring PmcStats::alpha_satisfied).
+  for (Decomposition::Component& comp : decomp.components) {
+    component_links_.push_back(std::move(comp.dense_links));
+  }
+  comp_of_link_ = std::move(decomp.component_of_link);
+  comp_of_path_ = std::move(decomp.component_of_path);
   AdoptSelection(result.selected_ids, result.stats.fully_resolved);
 }
 
@@ -78,7 +79,7 @@ void IncrementalPmc::AdoptSelection(const std::vector<PathId>& candidate_ids,
   // the verdict. Only a failed resolution needs the per-component replay to learn which
   // components repair should keep chasing.
   if (solver_fully_resolved) {
-    comp_resolved_.assign(components_.size(), 1);
+    comp_resolved_.assign(component_links_.size(), 1);
   } else {
     RefreshComponentResolution();
   }
@@ -95,10 +96,20 @@ void IncrementalPmc::SetLinkLive(int32_t dense, bool live) {
   }
 }
 
-// Slot assignment half of selecting a candidate: runs serially (merge phase), after the
-// collect phase has already applied the candidate's weight/selected/undercovered effects.
-void IncrementalPmc::AssignSlot(PathId candidate, std::vector<PathId>* added_slots) {
-  DCHECK(selected_[static_cast<size_t>(candidate)]);
+void IncrementalPmc::Select(PathId candidate, std::vector<PathId>* added_slots) {
+  DCHECK(!selected_[static_cast<size_t>(candidate)]);
+  selected_[static_cast<size_t>(candidate)] = 1;
+  for (const LinkId link : candidates_.Links(candidate)) {
+    const int32_t dense = links_.Dense(link);
+    if (dense < 0) {
+      continue;
+    }
+    const size_t d = static_cast<size_t>(dense);
+    ++w_[d];
+    if (options_.alpha > 0 && live_[d] && comp_of_link_[d] >= 0 && w_[d] == options_.alpha) {
+      --num_undercovered_;
+    }
+  }
   PathId slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -112,17 +123,6 @@ void IncrementalPmc::AssignSlot(PathId candidate, std::vector<PathId>* added_slo
   ++num_selected_;
   if (added_slots != nullptr) {
     added_slots->push_back(slot);
-  }
-}
-
-void IncrementalPmc::set_repair_threads(int threads) {
-  if (threads == 0) {
-    threads = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  }
-  CHECK(threads >= 1) << "repair_threads must be >= 0";
-  if (threads != repair_threads_) {
-    repair_threads_ = threads;
-    repair_pool_.reset();  // respawned at the right size on the next parallel repair
   }
 }
 
@@ -152,97 +152,73 @@ void IncrementalPmc::Unselect(PathId candidate, std::vector<PathId>* removed_slo
   }
 }
 
-bool IncrementalPmc::ComponentResolved(int32_t comp) const {
-  if (options_.beta < 1) {
-    return true;
-  }
-  // Local live domain.
+IncrementalPmc::LiveDomain IncrementalPmc::ReplayComponent(int32_t comp) const {
   std::vector<int32_t> local_to_dense;
   std::vector<int32_t> local_of(w_.size(), -1);
-  for (const int32_t d : components_[static_cast<size_t>(comp)].dense_links) {
-    if (live_[static_cast<size_t>(d)]) {
-      local_of[static_cast<size_t>(d)] = static_cast<int32_t>(local_to_dense.size());
-      local_to_dense.push_back(d);
-    }
-  }
-  if (local_to_dense.empty()) {
-    return true;
-  }
-  PartitionState part(static_cast<int32_t>(local_to_dense.size()), options_.beta);
-  std::vector<int32_t> local_links;
-  for (const PathId pid : slots_) {
-    if (pid < 0 || comp_of_path_[static_cast<size_t>(pid)] != comp) {
-      continue;
-    }
-    local_links.clear();
-    for (const LinkId link : candidates_.Links(pid)) {
-      const int32_t dense = links_.Dense(link);
-      if (dense >= 0) {
-        DCHECK(local_of[static_cast<size_t>(dense)] >= 0);
-        local_links.push_back(local_of[static_cast<size_t>(dense)]);
-      }
-    }
-    part.ApplySplit(local_links);
-    if (part.resolved()) {
-      break;
-    }
-  }
-  return part.resolved();
-}
-
-void IncrementalPmc::RefreshComponentResolution() {
-  comp_resolved_.assign(components_.size(), 1);
-  for (size_t c = 0; c < components_.size(); ++c) {
-    comp_resolved_[c] = ComponentResolved(static_cast<int32_t>(c)) ? 1 : 0;
-  }
-}
-
-// Greedy repair of one component, collect phase. Thread-safe across distinct components:
-// every write lands either in component-owned state (w_/selected_ entries of the component's
-// own links and candidates, comp_resolved_[comp]) or in `out`. The replay below reads the
-// pre-repair slots_ — equivalent to the serial interleaving because additions from other
-// components are filtered out by comp_of_path_ anyway.
-void IncrementalPmc::RepairComponentCollect(int32_t comp, ComponentRepair& out) {
-  ChurnRepairStats& stats = out.stats;
-  const bool track_sets = options_.beta >= 1;
-
-  // Local dense domain: live links of the component.
-  std::vector<int32_t> local_to_dense;
-  std::vector<int32_t> local_of(w_.size(), -1);
-  for (const int32_t d : components_[static_cast<size_t>(comp)].dense_links) {
+  for (const int32_t d : component_links_[static_cast<size_t>(comp)]) {
     if (live_[static_cast<size_t>(d)]) {
       local_of[static_cast<size_t>(d)] = static_cast<int32_t>(local_to_dense.size());
       local_to_dense.push_back(d);
     }
   }
   const int32_t m = static_cast<int32_t>(local_to_dense.size());
+  LiveDomain domain{std::move(local_to_dense), std::move(local_of),
+                    PartitionState(m, options_.beta)};
+  if (options_.beta < 1 || m == 0) {
+    return domain;
+  }
+  // Splitting a resolved partition changes nothing, so the replay stops once it resolves.
+  std::vector<int32_t> local_links;
+  for (const PathId pid : slots_) {
+    if (domain.part.resolved()) {
+      break;
+    }
+    if (pid < 0 || comp_of_path_[static_cast<size_t>(pid)] != comp) {
+      continue;
+    }
+    LocalLinksOf(domain, pid, local_links);
+    domain.part.ApplySplit(local_links);
+  }
+  return domain;
+}
+
+void IncrementalPmc::LocalLinksOf(const LiveDomain& domain, PathId candidate,
+                                  std::vector<int32_t>& out) const {
+  out.clear();
+  for (const LinkId link : candidates_.Links(candidate)) {
+    const int32_t dense = links_.Dense(link);
+    if (dense >= 0) {
+      DCHECK(domain.local_of[static_cast<size_t>(dense)] >= 0);
+      out.push_back(domain.local_of[static_cast<size_t>(dense)]);
+    }
+  }
+}
+
+void IncrementalPmc::RefreshComponentResolution() {
+  comp_resolved_.assign(component_links_.size(), 1);
+  if (options_.beta < 1) {
+    return;
+  }
+  for (size_t c = 0; c < component_links_.size(); ++c) {
+    comp_resolved_[c] = ReplayComponent(static_cast<int32_t>(c)).part.resolved() ? 1 : 0;
+  }
+}
+
+// Greedy repair of one component over its live links: re-raises links below alpha coverage
+// and re-resolves the partition sets the dropped paths were separating. Each pick is
+// selected and given its slot at once.
+void IncrementalPmc::RepairComponent(int32_t comp, DeltaOutcome& out) {
+  ChurnRepairStats& stats = out.stats;
+  const bool track_sets = options_.beta >= 1;
+  LiveDomain domain = ReplayComponent(comp);
+  const std::vector<int32_t>& local_to_dense = domain.local_to_dense;
+  PartitionState& part = domain.part;
+  const int32_t m = static_cast<int32_t>(local_to_dense.size());
   if (m == 0) {
     comp_resolved_[static_cast<size_t>(comp)] = 1;
     return;
   }
-
-  // Replay the partition of the currently selected paths over the live domain.
-  PartitionState part(m, track_sets ? options_.beta : 0);
   std::vector<int32_t> scratch_links;
-  auto local_links_of = [&](PathId pid, std::vector<int32_t>& out) {
-    out.clear();
-    for (const LinkId link : candidates_.Links(pid)) {
-      const int32_t dense = links_.Dense(link);
-      if (dense >= 0) {
-        DCHECK(local_of[static_cast<size_t>(dense)] >= 0);
-        out.push_back(local_of[static_cast<size_t>(dense)]);
-      }
-    }
-  };
-  if (track_sets) {
-    for (const PathId pid : slots_) {
-      if (pid < 0 || comp_of_path_[static_cast<size_t>(pid)] != comp) {
-        continue;
-      }
-      local_links_of(pid, scratch_links);
-      part.ApplySplit(scratch_links);
-    }
-  }
 
   // Repair targets: live links below alpha coverage, plus every physical constituent of an
   // unresolved partition set (those are the only links a useful candidate can traverse).
@@ -331,7 +307,7 @@ void IncrementalPmc::RepairComponentCollect(int32_t comp, ComponentRepair& out) 
   pool_offsets.reserve(pool.size() + 1);
   pool_offsets.push_back(0);
   for (const PathId pid : pool) {
-    local_links_of(pid, scratch_links);
+    LocalLinksOf(domain, pid, scratch_links);
     pool_links.insert(pool_links.end(), scratch_links.begin(), scratch_links.end());
     pool_offsets.push_back(pool_links.size());
   }
@@ -401,23 +377,7 @@ void IncrementalPmc::RepairComponentCollect(int32_t comp, ComponentRepair& out) 
     if (track_sets) {
       part.ApplySplit(pool_links_of(static_cast<size_t>(i)));
     }
-    // Weight/selected half of the selection; the slot itself is assigned in the serial
-    // merge (AssignSlot), in component-id order, so slot ids match serial repair exactly.
-    const PathId candidate = pool[static_cast<size_t>(i)];
-    DCHECK(!selected_[static_cast<size_t>(candidate)]);
-    selected_[static_cast<size_t>(candidate)] = 1;
-    for (const LinkId link : candidates_.Links(candidate)) {
-      const int32_t dense = links_.Dense(link);
-      if (dense < 0) {
-        continue;
-      }
-      const size_t d = static_cast<size_t>(dense);
-      ++w_[d];
-      if (options_.alpha > 0 && live_[d] && comp_of_link_[d] >= 0 && w_[d] == options_.alpha) {
-        --out.undercovered_delta;
-      }
-    }
-    out.picked.push_back(candidate);
+    Select(pool[static_cast<size_t>(i)], &out.added_slots);
     ++stats.added_paths;
   }
 
@@ -466,38 +426,13 @@ IncrementalPmc::DeltaOutcome IncrementalPmc::ApplyDelta(const LinkStateOverlay::
     }
   }
 
-  // 3. Greedy repair, restricted to the touched components. Collect runs per component —
-  // concurrently when a maintenance wave touches several and repair_threads_ allows — then a
-  // serial merge in ascending component-id order assigns slots and folds the counters,
-  // reproducing the serial repair bit-for-bit (same free_slots_ LIFO walk, same slot ids).
+  // 3. Greedy repair, restricted to the touched components, in ascending component id (the
+  // order fixes which vacated slots each component's picks reuse).
   std::sort(dirty_comps.begin(), dirty_comps.end());
   dirty_comps.erase(std::unique(dirty_comps.begin(), dirty_comps.end()), dirty_comps.end());
   out.stats.touched_components = static_cast<int>(dirty_comps.size());
-  std::vector<ComponentRepair> repairs(dirty_comps.size());
-  if (repair_threads_ > 1 && dirty_comps.size() > 1) {
-    if (repair_pool_ == nullptr) {
-      repair_pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(repair_threads_));
-    }
-    for (size_t i = 0; i < dirty_comps.size(); ++i) {
-      repair_pool_->Submit(
-          [this, &dirty_comps, &repairs, i] { RepairComponentCollect(dirty_comps[i], repairs[i]); });
-    }
-    repair_pool_->WaitAll();
-  } else {
-    for (size_t i = 0; i < dirty_comps.size(); ++i) {
-      RepairComponentCollect(dirty_comps[i], repairs[i]);
-    }
-  }
-  for (ComponentRepair& repair : repairs) {
-    num_undercovered_ += repair.undercovered_delta;
-    for (const PathId pid : repair.picked) {
-      AssignSlot(pid, &out.added_slots);
-    }
-    out.stats.added_paths += repair.stats.added_paths;
-    out.stats.repaired_links += repair.stats.repaired_links;
-    out.stats.pool_candidates += repair.stats.pool_candidates;
-    out.stats.score_evaluations += repair.stats.score_evaluations;
-    out.stats.uncoverable_live_links += repair.stats.uncoverable_live_links;
+  for (const int32_t comp : dirty_comps) {
+    RepairComponent(comp, out);
   }
 
   out.stats.alpha_satisfied = AlphaSatisfied();

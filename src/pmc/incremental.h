@@ -23,11 +23,9 @@
 #define SRC_PMC_INCREMENTAL_H_
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/pmc/pmc.h"
 #include "src/pmc/probe_matrix.h"
 #include "src/routing/path_liveness.h"
@@ -63,14 +61,10 @@ class IncrementalPmc {
   // Applies the effective link transitions of one topology delta (from LinkStateOverlay).
   DeltaOutcome ApplyDelta(const LinkStateOverlay::Effect& effect);
 
-  // Number of threads the repair phase of ApplyDelta may use when a delta touches more than
-  // one decomposition component (maintenance waves). Components are disjoint over links and
-  // candidates, so the greedy repairs run concurrently against component-owned state; slot
-  // assignment stays a serial merge in component-id order, so the outcome is bit-identical
-  // to serial repair at any thread count. 1 (the default) repairs inline; 0 picks
-  // hardware_concurrency.
-  void set_repair_threads(int threads);
-  int repair_threads() const { return repair_threads_; }
+  // Held only for perfbench/traced_pipeline.cc, which passes
+  // DetectorSystemOptions::pmc_repair_threads (1 unless set) until the benchmark's next
+  // change: ApplyDelta repairs serially, so 1 is the only value it accepts.
+  void set_repair_threads(int threads) { CHECK(threads == 1); }
 
   // From-scratch re-solve over the current live topology — the expensive alternative that
   // ApplyDelta is benchmarked against, and what a 10-minute RecomputeCycle uses. Renumbers
@@ -114,27 +108,16 @@ class IncrementalPmc {
   bool AlphaSatisfied() const;
 
  private:
-  struct Component {
-    std::vector<int32_t> dense_links;  // ascending
-  };
-
-  // Result of one component-restricted greedy repair. During the (possibly parallel) collect
-  // phase a repair mutates only component-owned state — w_/selected_/comp_resolved_ entries of
-  // its own component — and records everything cross-component here: picked candidates in
-  // greedy order, partial stats counters, and the net change to num_undercovered_. The merge
-  // phase applies these serially in ascending component-id order.
-  struct ComponentRepair {
-    std::vector<PathId> picked;  // candidate ids in greedy selection order
-    ChurnRepairStats stats;      // counter fields only (added_paths, pool_candidates, ...)
-    int64_t undercovered_delta = 0;
-  };
+  struct LiveDomain;
 
   void AdoptSelection(const std::vector<PathId>& candidate_ids, bool solver_fully_resolved);
-  void AssignSlot(PathId candidate, std::vector<PathId>* added_slots);
+  void Select(PathId candidate, std::vector<PathId>* added_slots);
   void Unselect(PathId candidate, std::vector<PathId>* removed_slots);
   void SetLinkLive(int32_t dense, bool live);
-  void RepairComponentCollect(int32_t comp, ComponentRepair& out);
-  bool ComponentResolved(int32_t comp) const;
+  LiveDomain ReplayComponent(int32_t comp) const;
+  // The candidate's monitored links as local ids of `domain`; every one must be live there.
+  void LocalLinksOf(const LiveDomain& domain, PathId candidate, std::vector<int32_t>& out) const;
+  void RepairComponent(int32_t comp, DeltaOutcome& out);
   void RefreshComponentResolution();
   std::vector<LinkId> LiveMonitoredLinks() const;
 
@@ -147,7 +130,7 @@ class IncrementalPmc {
 
   // Static decomposition of the candidate path-link graph (components can only shrink under
   // churn, so these are sound — if conservative — repair scopes).
-  std::vector<Component> components_;
+  std::vector<std::vector<int32_t>> component_links_;  // dense links by component, ascending
   std::vector<int32_t> comp_of_link_;  // dense link -> component, -1 = statically uncoverable
   std::vector<int32_t> comp_of_path_;  // candidate -> component, -1 = no monitored link
   std::vector<uint8_t> comp_resolved_;
@@ -161,9 +144,6 @@ class IncrementalPmc {
   std::unordered_map<PathId, PathId> slot_of_;  // candidate id -> slot
   std::vector<uint8_t> selected_;               // per candidate
   size_t num_selected_ = 0;
-
-  int repair_threads_ = 1;
-  std::unique_ptr<ThreadPool> repair_pool_;  // lazily spawned on the first parallel repair
 };
 
 }  // namespace detector

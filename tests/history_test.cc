@@ -188,10 +188,11 @@ TEST(WindowLogFormat, VersionAndKeyMismatchAreRejected) {
   uint64_t length = 0;
   ASSERT_TRUE(GetVarint(bytes, cursor, length));
 
-  // Future version byte, CRC re-stamped so only the version check can object.
-  std::vector<uint8_t> versioned = bytes;
-  versioned[cursor + 2] = 9;
-  {
+  // The retired pre-anomaly version byte and a future one, CRC re-stamped so only the
+  // version check can object.
+  for (const uint8_t version : {uint8_t{1}, uint8_t{9}}) {
+    std::vector<uint8_t> versioned = bytes;
+    versioned[cursor + 2] = version;
     const size_t frame_start = cursor;
     const size_t crc_pos = frame_start + static_cast<size_t>(length) - 4;
     const uint32_t crc =
@@ -201,7 +202,8 @@ TEST(WindowLogFormat, VersionAndKeyMismatchAreRejected) {
     }
     size_t pos = 0;
     SealedWindow out;
-    EXPECT_EQ(DecodeWindowRecord(versioned, pos, key, out), WindowLogStatus::kBadVersion);
+    EXPECT_EQ(DecodeWindowRecord(versioned, pos, key, out), WindowLogStatus::kBadVersion)
+        << "version " << static_cast<int>(version);
   }
 
   // Wrong key: CRC is fine (it is keyless), the SipHash tag is not.

@@ -17,9 +17,11 @@
 #include "src/detector/analyzer.h"
 #include "src/detector/diagnoser.h"
 #include "src/detector/system.h"
-#include "src/localize/preprocess.h"
+#include "src/pmc/decomposition.h"
+#include "src/pmc/incremental.h"
 #include "src/routing/fattree_routing.h"
 #include "src/sim/churn.h"
+#include "src/topo/delta.h"
 #include "src/topo/fattree.h"
 #include "tests/pll_reference.h"
 #include "tests/window_equality.h"
@@ -27,40 +29,68 @@
 namespace detector {
 namespace {
 
-TEST(MatrixPartition, ComponentsAreConsistent) {
+TEST(Decomposition, ProbeMatrixComponentsAreConsistent) {
+  // PLL's view of Observation 1: a probe matrix's paths decomposed over its links, for a
+  // PMC-built matrix and for a repaired one whose dead link no path crosses and whose vacated
+  // slots are empty paths.
   const FatTree ft(4);
   const FatTreeRouting routing(ft);
   PmcOptions pmc;
   pmc.alpha = 1;
   pmc.beta = 1;
-  const ProbeMatrix matrix = BuildProbeMatrix(routing, PathEnumMode::kFull, pmc).matrix;
-  const MatrixPartition part = BuildMatrixPartition(matrix);
+  const ProbeMatrix built = BuildProbeMatrix(routing, PathEnumMode::kFull, pmc).matrix;
+  IncrementalPmc inc(ft.topology(), routing.Enumerate(PathEnumMode::kFull), pmc);
+  LinkStateOverlay overlay(ft.topology());
+  inc.ApplyDelta(overlay.Apply(TopologyDelta::LinkDown(ft.AggCoreLink(0, 0, 0))));
+  const ProbeMatrix repaired = inc.BuildMatrix();
 
-  ASSERT_GT(part.num_components, 0);
-  EXPECT_EQ(part.num_paths, matrix.NumPaths());
-  EXPECT_EQ(part.num_links, matrix.NumLinks());
+  size_t empty_slots = 0;
+  for (const ProbeMatrix* matrix : {&built, &repaired}) {
+    const Decomposition part = DecomposePathLinkGraph(matrix->paths(), matrix->links());
+    ASSERT_GT(part.components.size(), 0u);
+    ASSERT_EQ(part.component_of_path.size(), matrix->NumPaths());
+    ASSERT_EQ(part.component_of_link.size(), static_cast<size_t>(matrix->NumLinks()));
 
-  // Every path lands in the component of every link it traverses.
-  for (size_t p = 0; p < matrix.NumPaths(); ++p) {
-    const int32_t c = part.component_of_path[p];
-    ASSERT_GE(c, 0) << "path " << p;
-    for (const LinkId link : matrix.paths().Links(static_cast<PathId>(p))) {
-      const int32_t dense = matrix.links().Dense(link);
-      if (dense >= 0) {
-        EXPECT_EQ(part.component_of_link[static_cast<size_t>(dense)], c)
-            << "path " << p << " link " << link;
+    // Every path lands in the component of every link it traverses; an empty slot in none.
+    size_t nonempty_paths = 0;
+    for (size_t p = 0; p < matrix->NumPaths(); ++p) {
+      const int32_t c = part.component_of_path[p];
+      if (matrix->paths().Links(static_cast<PathId>(p)).empty()) {
+        EXPECT_EQ(c, -1) << "empty slot " << p;
+        ++empty_slots;
+        continue;
+      }
+      ++nonempty_paths;
+      ASSERT_GE(c, 0) << "path " << p;
+      for (const LinkId link : matrix->paths().Links(static_cast<PathId>(p))) {
+        const int32_t dense = matrix->links().Dense(link);
+        if (dense >= 0) {
+          EXPECT_EQ(part.component_of_link[static_cast<size_t>(dense)], c)
+              << "path " << p << " link " << link;
+        }
       }
     }
+    // The member lists partition the domains exactly: the components' paths are the
+    // non-empty ones, and component links plus uncoverable links are the link domain.
+    size_t paths_total = 0;
+    size_t links_total = part.uncoverable_links.size();
+    for (size_t c = 0; c < part.components.size(); ++c) {
+      for (const PathId p : part.components[c].path_ids) {
+        EXPECT_EQ(part.component_of_path[static_cast<size_t>(p)], static_cast<int32_t>(c));
+      }
+      for (const int32_t l : part.components[c].dense_links) {
+        EXPECT_EQ(part.component_of_link[static_cast<size_t>(l)], static_cast<int32_t>(c));
+      }
+      paths_total += part.components[c].path_ids.size();
+      links_total += part.components[c].dense_links.size();
+    }
+    for (const int32_t l : part.uncoverable_links) {
+      EXPECT_EQ(part.component_of_link[static_cast<size_t>(l)], -1) << "link " << l;
+    }
+    EXPECT_EQ(paths_total, nonempty_paths);
+    EXPECT_EQ(links_total, static_cast<size_t>(matrix->NumLinks()));
   }
-  // The member lists partition the domains exactly.
-  size_t paths_total = 0;
-  size_t links_total = 0;
-  for (int32_t c = 0; c < part.num_components; ++c) {
-    paths_total += part.paths_of_component[static_cast<size_t>(c)].size();
-    links_total += part.links_of_component[static_cast<size_t>(c)].size();
-  }
-  EXPECT_EQ(paths_total, matrix.NumPaths());
-  EXPECT_EQ(links_total, static_cast<size_t>(matrix.NumLinks()));
+  EXPECT_GT(empty_slots, 0u) << "the repaired matrix has no vacated slot";
 }
 
 // Drives a Diagnoser through ingest, invalidation, and watchdog flips, asserting at every

@@ -12,7 +12,13 @@ moves. Checked:
     must exist under bench/ or examples/;
   - module-map completeness: every top-level src/ module directory must be mentioned in
     docs/ARCHITECTURE.md and README.md, so a new subsystem (src/history/ in PR 9, say)
-    cannot land without its row in the handbook.
+    cannot land without its row in the handbook;
+  - bare names in README.md and docs/ARCHITECTURE.md: a backtick span shaped like a C++ type
+    or member (`Foo`, `Foo::bar`, with or without a call's parentheses) must name identifiers
+    the code still has — each `::` part must appear as an identifier under src/, tests/,
+    bench/, examples/ or perfbench/ — unless its sentence says the name was deleted, removed
+    or is gone.
+    ROADMAP.md and CHANGES.md are history and may name what the code no longer has.
 
 Run from anywhere: paths resolve against the repo root (the parent of this script's dir).
 Exits non-zero listing every unresolved reference. Stdlib only.
@@ -30,6 +36,13 @@ CODE_SPAN_RE = re.compile(r"`([^`]+)`")
 REPO_PATH_RE = re.compile(r"^(?:src|tests|bench|examples|docs|scripts)/[\w./{},-]+$")
 BINARY_RE = re.compile(r"^(bench_\w+|monitor_daemon|fleet_runner|quickstart|"
                        r"gray_failure_hunt|probe_matrix_explorer)$")
+# `Foo`, `Foo::bar`, `Foo::bar()`: a capitalized name, optionally qualified, optionally called.
+NAME_SPAN_RE = re.compile(r"^([A-Z]\w*(?:::\w+)*)(?:\([^()]*\))?$")
+NAME_DOCS = [REPO / "README.md", REPO / "docs" / "ARCHITECTURE.md"]
+CODE_DIRS = ["src", "tests", "bench", "examples", "perfbench"]
+GONE_RE = re.compile(r"\b(deleted|removed|gone)\b", re.I)
+# Sentence ends: a full stop followed by whitespace, a blank line, or a list bullet.
+SENTENCE_END_RE = re.compile(r"[.!?]\s|\n\s*\n|\n\s*[-*] ")
 
 
 def expand_braces(path: str):
@@ -40,11 +53,15 @@ def expand_braces(path: str):
     return [m.group(1) + alt + m.group(3) for alt in m.group(2).split(",")]
 
 
+def prose(doc: Path):
+    """The doc without fenced code blocks: their backticks would desync inline-span pairing,
+    and their contents (shell commands, ASCII diagrams) are not references."""
+    return re.sub(r"```.*?```", "", doc.read_text(encoding="utf-8"), flags=re.S)
+
+
 def check_doc(doc: Path):
     errors = []
-    # Drop fenced code blocks first: their backticks would desync inline-span pairing, and
-    # their contents (shell commands, ASCII diagrams) are not path references.
-    text = re.sub(r"```.*?```", "", doc.read_text(encoding="utf-8"), flags=re.S)
+    text = prose(doc)
 
     for target in LINK_RE.findall(text):
         if target.startswith(("http://", "https://", "mailto:")):
@@ -87,6 +104,41 @@ def check_doc(doc: Path):
     return errors
 
 
+def code_identifiers():
+    """Every identifier in the C++ and Python sources under CODE_DIRS."""
+    names = set()
+    for top in CODE_DIRS:
+        for path in (REPO / top).rglob("*"):
+            if path.suffix in (".h", ".cc", ".py") and path.is_file():
+                text = path.read_text(encoding="utf-8", errors="replace")
+                names.update(re.findall(r"[A-Za-z_]\w*", text))
+    return names
+
+
+def sentence_around(text: str, start: int, end: int):
+    """The sentence holding text[start:end]."""
+    begin = 0
+    for m in SENTENCE_END_RE.finditer(text, 0, start):
+        begin = m.end()
+    m = SENTENCE_END_RE.search(text, end)
+    return text[begin:m.start() + 1 if m else len(text)]
+
+
+def check_names(doc: Path, identifiers):
+    """Type- and member-shaped spans must name identifiers the code still has."""
+    errors = []
+    text = prose(doc)
+    for m in CODE_SPAN_RE.finditer(text):
+        name = NAME_SPAN_RE.match(m.group(1).strip())
+        if not name:
+            continue
+        missing = [part for part in name.group(1).split("::") if part not in identifiers]
+        if missing and not GONE_RE.search(sentence_around(text, m.start(), m.end())):
+            errors.append(f"{doc.relative_to(REPO)}: `{m.group(1)}` names "
+                          f"{', '.join(missing)}, which the code does not have")
+    return errors
+
+
 def check_module_map():
     """Every top-level src/ module must be mentioned in the handbook and the README."""
     errors = []
@@ -111,6 +163,10 @@ def main():
     for doc in DOCS:
         if doc.exists():
             errors.extend(check_doc(doc))
+    identifiers = code_identifiers()
+    for doc in NAME_DOCS:
+        if doc.exists():
+            errors.extend(check_names(doc, identifiers))
     if errors:
         print(f"docs check FAILED ({len(errors)} problems):")
         for err in errors:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <unordered_set>
 
 namespace detector {
 namespace {
@@ -18,18 +17,35 @@ std::vector<NodeId> HealthyUnder(const Topology& topo, NodeId tor, const Watchdo
   return servers;
 }
 
-// The deterministic intra-rack pinger choice: any pinger under the ToR other than the target
-// itself, rotated by target id (a pinger's own server link is exercised by its outgoing
-// matrix probes anyway). Shared by BuildPinglists and the delta re-add path so a recovered
-// server gets its entry back under the same rule that placed it originally.
-NodeId ChooseIntraRackPinger(const std::vector<NodeId>& pingers, NodeId target) {
+// The intra-rack entry towards `target`, reached from `tor` over `rack_link`, and the pinger
+// that probes it: any pinger under the ToR other than the target itself, rotated by target id
+// (a pinger's own server link is exercised by its outgoing matrix probes anyway). The pinger
+// is kInvalidNode when no other pinger stands under the ToR. Shared by BuildPinglists and the
+// delta re-add path so a recovered server gets its entry back under the same rule that placed
+// it originally.
+std::pair<NodeId, PinglistEntry> IntraRackEntry(const Topology& topo,
+                                                const std::vector<NodeId>& pingers, NodeId tor,
+                                                NodeId target, LinkId rack_link) {
+  std::pair<NodeId, PinglistEntry> out{kInvalidNode, PinglistEntry{}};
   for (size_t i = 0; i < pingers.size(); ++i) {
     const NodeId candidate = pingers[(static_cast<size_t>(target) + i) % pingers.size()];
     if (candidate != target) {
-      return candidate;
+      out.first = candidate;
+      break;
     }
   }
-  return kInvalidNode;
+  if (out.first != kInvalidNode) {
+    out.second.path_id = PinglistEntry::kIntraRackPath;
+    out.second.target_server = target;
+    out.second.route = {topo.FindLink(out.first, tor), rack_link};
+  }
+  return out;
+}
+
+template <typename T>
+void SortUnique(std::vector<T>& v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
 // Pinger/target choices per ToR, cached for one BuildPinglists/UpdatePinglists invocation.
@@ -153,25 +169,11 @@ PathPingerIndex PathPingerIndex::Build(std::span<const Pinglist> lists) {
     for (const PinglistEntry& entry : list.entries) {
       if (entry.path_id >= 0) {
         index.Add(entry.path_id, list.pinger);
-      } else if (entry.path_id == PinglistEntry::kIntraRackPath) {
-        index.AddIntra(entry.target_server, list.pinger);
       }
     }
   }
   return index;
 }
-
-std::span<const NodeId> PathPingerIndex::PingersOfIntra(NodeId target) const {
-  static const std::vector<NodeId> kNone;
-  const auto it = intra_pingers_of_target_.find(target);
-  return it == intra_pingers_of_target_.end() ? kNone : it->second;
-}
-
-void PathPingerIndex::AddIntra(NodeId target, NodeId pinger) {
-  intra_pingers_of_target_[target].push_back(pinger);
-}
-
-void PathPingerIndex::ClearIntra(NodeId target) { intra_pingers_of_target_.erase(target); }
 
 void PathPingerIndex::Add(PathId path, NodeId pinger) {
   CHECK(path >= 0);
@@ -231,23 +233,14 @@ std::vector<Pinglist> Controller::BuildPinglists(const ProbeMatrix& matrix,
   if (options_.intra_rack_probes) {
     for (const NodeId tor : topo_.NodesOfKind(NodeKind::kTor)) {
       const std::vector<NodeId>& pingers = pingers_of_tor.Under(tor);
-      if (pingers.empty()) {
-        continue;
-      }
       for (const Neighbor& nb : topo_.NeighborsOf(tor)) {
         if (!topo_.IsServer(nb.node) || !watchdog.IsHealthy(nb.node)) {
           continue;
         }
-        const NodeId pinger = ChooseIntraRackPinger(pingers, nb.node);
-        if (pinger == kInvalidNode) {
-          continue;
+        auto [pinger, entry] = IntraRackEntry(topo_, pingers, tor, nb.node, nb.link);
+        if (pinger != kInvalidNode) {
+          pinglist_of(pinger).entries.push_back(std::move(entry));
         }
-        PinglistEntry entry;
-        entry.path_id = PinglistEntry::kIntraRackPath;
-        entry.target_server = nb.node;
-        entry.route.push_back(topo_.FindLink(pinger, tor));
-        entry.route.push_back(nb.link);
-        pinglist_of(pinger).entries.push_back(std::move(entry));
       }
     }
   }
@@ -273,6 +266,54 @@ PinglistUpdate Controller::UpdatePinglists(std::vector<Pinglist>& lists,
       recovered_targets.empty()) {
     return update;
   }
+  std::vector<PathId> removed(removed_paths.begin(), removed_paths.end());
+  std::vector<PathId> added(added_paths.begin(), added_paths.end());
+  std::vector<NodeId> downed(downed_targets.begin(), downed_targets.end());
+  std::vector<NodeId> recovered(recovered_targets.begin(), recovered_targets.end());
+  SortUnique(removed);
+  SortUnique(added);
+  SortUnique(downed);
+  SortUnique(recovered);
+  auto is_downed = [&](NodeId node) {
+    return std::binary_search(downed.begin(), downed.end(), node);
+  };
+
+  // Server churn: one walk of the standing lists finds the matrix paths a downed server pings
+  // or answers, the lists holding an intra-rack entry towards a downed server, and the
+  // recovered servers an intra-rack entry still targets. Link- and switch-only deltas skip it.
+  std::set<NodeId> touched;  // lists removal visits, ordered by pinger for a deterministic order
+  std::vector<NodeId> still_targeted;
+  if (!downed.empty() || !recovered.empty()) {
+    std::vector<PathId> moved;
+    for (const Pinglist& list : lists) {
+      const bool pinger_down = is_downed(list.pinger);
+      for (const PinglistEntry& entry : list.entries) {
+        if (entry.path_id >= 0) {
+          if (pinger_down || is_downed(entry.target_server)) {
+            moved.push_back(entry.path_id);
+          }
+        } else if (is_downed(entry.target_server)) {
+          touched.insert(list.pinger);
+        } else if (std::binary_search(recovered.begin(), recovered.end(),
+                                      entry.target_server)) {
+          still_targeted.push_back(entry.target_server);
+        }
+      }
+    }
+    // A moved path is withdrawn from every replica and dispatched again under the watchdog,
+    // unless the delta already removes it or its slot is empty.
+    for (const PathId pid : moved) {
+      if (!std::binary_search(removed.begin(), removed.end(), pid) &&
+          matrix.paths().PathLength(pid) > 0) {
+        added.push_back(pid);
+      }
+    }
+    removed.insert(removed.end(), moved.begin(), moved.end());
+    SortUnique(removed);
+    SortUnique(added);
+  }
+  update.paths_removed = removed.size();
+  update.paths_added = added.size();
 
   std::map<NodeId, size_t> list_of_pinger;
   for (size_t i = 0; i < lists.size(); ++i) {
@@ -282,17 +323,15 @@ PinglistUpdate Controller::UpdatePinglists(std::vector<Pinglist>& lists,
 
   // Removals: drop every entry measuring a removed path, plus every intra-rack entry towards
   // a downed target — both diffed under their (path, target) key. Only the lists the index
-  // names as holding a matching entry are visited.
-  const std::unordered_set<PathId> removed(removed_paths.begin(), removed_paths.end());
-  const std::unordered_set<NodeId> downed(downed_targets.begin(), downed_targets.end());
+  // or the walk names as holding a matching entry are visited.
   auto remove_from_list = [&](Pinglist& list) {
     auto keep = list.entries.begin();
     PinglistDiff* diff = nullptr;
     for (auto it = list.entries.begin(); it != list.entries.end(); ++it) {
-      const bool matrix_hit = it->path_id >= 0 && removed.count(it->path_id) > 0;
-      const bool intra_hit = it->path_id == PinglistEntry::kIntraRackPath &&
-                             downed.count(it->target_server) > 0;
-      if (matrix_hit || intra_hit) {
+      const bool hit = it->path_id >= 0
+                           ? std::binary_search(removed.begin(), removed.end(), it->path_id)
+                           : is_downed(it->target_server);
+      if (hit) {
         if (diff == nullptr) {
           diff = &diffs.try_emplace(list.pinger).first->second;
         }
@@ -307,34 +346,21 @@ PinglistUpdate Controller::UpdatePinglists(std::vector<Pinglist>& lists,
     }
     list.entries.erase(keep, list.entries.end());
   };
-  if (!removed.empty() || !downed.empty()) {
-    std::set<NodeId> touched;  // ordered by pinger for a deterministic removal order
-    for (const PathId pid : removed_paths) {
-      for (const NodeId pinger : index->PingersOf(pid)) {
-        touched.insert(pinger);
-      }
+  for (const PathId pid : removed) {
+    for (const NodeId pinger : index->PingersOf(pid)) {
+      touched.insert(pinger);
     }
-    for (const NodeId target : downed_targets) {
-      for (const NodeId pinger : index->PingersOfIntra(target)) {
-        touched.insert(pinger);
-      }
-    }
-    for (const NodeId pinger : touched) {
-      const auto it = list_of_pinger.find(pinger);
-      CHECK(it != list_of_pinger.end()) << "index names a pinger with no standing list";
-      remove_from_list(lists[it->second]);
-    }
-    for (const PathId pid : removed_paths) {
-      index->ClearPath(pid);
-    }
-    for (const NodeId target : downed_targets) {
-      index->ClearIntra(target);
-    }
+    index->ClearPath(pid);
+  }
+  for (const NodeId pinger : touched) {
+    const auto it = list_of_pinger.find(pinger);
+    CHECK(it != list_of_pinger.end()) << "index names a pinger with no standing list";
+    remove_from_list(lists[it->second]);
   }
 
   // Additions: same assignment rules as BuildPinglists; a pinger that had no list yet gets a
   // fresh one (version 0, bumped to 1 below — its diff carries the full initial contents).
-  auto list_index_of = [&](NodeId pinger) {
+  auto add_entry = [&](NodeId pinger, PinglistEntry entry) {
     auto [it, inserted] = list_of_pinger.try_emplace(pinger, lists.size());
     if (inserted) {
       Pinglist fresh;
@@ -344,60 +370,42 @@ PinglistUpdate Controller::UpdatePinglists(std::vector<Pinglist>& lists,
       fresh.port_count = options_.port_count;
       lists.push_back(std::move(fresh));
     }
-    return it->second;
+    diffs.try_emplace(pinger).first->second.added.push_back(entry);
+    lists[it->second].entries.push_back(std::move(entry));
+    ++update.entries_added;
   };
   PingersOfTor pingers_of_tor(topo_, watchdog, options_);
   std::vector<std::pair<NodeId, PinglistEntry>> assignments;
-  for (const PathId pid : added_paths) {
+  for (const PathId pid : added) {
     assignments.clear();
     EntriesForPath(topo_, options_, watchdog, matrix.paths(), pid, pingers_of_tor, assignments);
     for (auto& [pinger, entry] : assignments) {
-      const size_t li = list_index_of(pinger);
-      PinglistDiff& diff = diffs.try_emplace(pinger).first->second;
-      diff.added.push_back(entry);
       index->Add(pid, pinger);
-      lists[li].entries.push_back(std::move(entry));
-      ++update.entries_added;
+      add_entry(pinger, std::move(entry));
     }
   }
 
   // Intra-rack re-adds for recovered servers: the deterministic BuildPinglists choice, unless
-  // an entry towards the target already stands (the recovery raced a full rebuild).
+  // an entry towards the target still stands (the recovery raced a full rebuild).
   if (options_.intra_rack_probes) {
     for (const NodeId target : recovered_targets) {
-      if (!watchdog.IsHealthy(target)) {
-        continue;  // flagged again before the delta dispatched
-      }
-      if (!index->PingersOfIntra(target).empty()) {
+      if (!watchdog.IsHealthy(target) ||  // flagged again before the delta dispatched
+          std::find(still_targeted.begin(), still_targeted.end(), target) !=
+              still_targeted.end()) {
         continue;
       }
-      NodeId tor = kInvalidNode;
-      LinkId rack_link = kInvalidLink;
       for (const Neighbor& nb : topo_.NeighborsOf(target)) {
-        if (!topo_.IsServer(nb.node)) {
-          tor = nb.node;
-          rack_link = nb.link;
-          break;
+        if (topo_.IsServer(nb.node)) {
+          continue;
         }
+        auto [pinger, entry] =
+            IntraRackEntry(topo_, pingers_of_tor.Under(nb.node), nb.node, target, nb.link);
+        if (pinger != kInvalidNode) {
+          add_entry(pinger, std::move(entry));
+          still_targeted.push_back(target);
+        }
+        break;
       }
-      if (tor == kInvalidNode) {
-        continue;
-      }
-      const NodeId pinger = ChooseIntraRackPinger(pingers_of_tor.Under(tor), target);
-      if (pinger == kInvalidNode) {
-        continue;
-      }
-      PinglistEntry entry;
-      entry.path_id = PinglistEntry::kIntraRackPath;
-      entry.target_server = target;
-      entry.route.push_back(topo_.FindLink(pinger, tor));
-      entry.route.push_back(rack_link);
-      const size_t li = list_index_of(pinger);
-      PinglistDiff& diff = diffs.try_emplace(pinger).first->second;
-      diff.added.push_back(entry);
-      index->AddIntra(target, pinger);
-      lists[li].entries.push_back(std::move(entry));
-      ++update.entries_added;
     }
   }
 

@@ -10,7 +10,6 @@
 #ifndef SRC_DETECTOR_CONTROLLER_H_
 #define SRC_DETECTOR_CONTROLLER_H_
 
-#include <map>
 #include <span>
 #include <vector>
 
@@ -59,9 +58,8 @@ struct PinglistDiff {
 // Maintained path -> pinger replica index over a set of standing pinglists. With it,
 // UpdatePinglists dispatches a probe-matrix delta by consulting only the removed slots'
 // replica pingers instead of scanning every pinglist entry — the dispatch analogue of the
-// component-restricted matrix repair, sized for fat-tree(48) churn. Intra-rack entries are
-// indexed separately by target server, so server churn can withdraw/restore them without a
-// list scan either.
+// component-restricted matrix repair, sized for fat-tree(48) churn. It indexes matrix slots
+// only: server churn finds its entries with one walk of the standing lists.
 class PathPingerIndex {
  public:
   PathPingerIndex() = default;
@@ -76,26 +74,20 @@ class PathPingerIndex {
     return path >= 0 && p < pingers_of_path_.size() ? pingers_of_path_[p] : kNone;
   }
 
-  // Pingers holding an intra-rack entry towards the given target server (empty when none).
-  std::span<const NodeId> PingersOfIntra(NodeId target) const;
-
   void Add(PathId path, NodeId pinger);
   // Drops every replica record for the slot (the slot left the standing lists entirely).
   void ClearPath(PathId path);
-
-  void AddIntra(NodeId target, NodeId pinger);
-  // Drops every intra-rack record towards the target (its entries left the standing lists).
-  void ClearIntra(NodeId target);
 
   size_t NumIndexedPaths() const;
 
  private:
   std::vector<std::vector<NodeId>> pingers_of_path_;  // indexed by matrix slot
-  std::map<NodeId, std::vector<NodeId>> intra_pingers_of_target_;
 };
 
 struct PinglistUpdate {
   std::vector<PinglistDiff> diffs;  // one per touched pinger, ascending pinger id
+  size_t paths_removed = 0;  // distinct matrix paths withdrawn
+  size_t paths_added = 0;    // distinct matrix paths dispatched
   size_t entries_removed = 0;
   size_t entries_added = 0;
   size_t lists_touched = 0;
@@ -113,21 +105,25 @@ class Controller {
 
   // Applies a probe-matrix delta to standing pinglists: removes every entry measuring a path
   // in `removed_paths`, then builds and appends entries for each path in `added_paths` (same
-  // assignment rules as BuildPinglists). Bumps the version of every touched pinglist exactly
-  // once and returns the per-pinger diffs. A pinger with no surviving entries keeps its (empty)
-  // pinglist so a later delta can repopulate it without renumbering versions.
+  // assignment rules as BuildPinglists; both lists are sorted and deduplicated here). Bumps
+  // the version of every touched pinglist exactly once and returns the per-pinger diffs. A
+  // pinger with no surviving entries keeps its (empty) pinglist so a later delta can
+  // repopulate it without renumbering versions.
   //
-  // Server churn rides the same delta: every intra-rack entry targeting a server in
-  // `downed_targets` is removed (diffed as a (kIntraRackPath, target) removal), and for each
-  // server in `recovered_targets` the intra-rack entry towards it is re-added under the same
-  // deterministic pinger choice BuildPinglists makes — unless one already stands. So the
-  // standing pinglists never carry an intra-rack entry towards a watchdog-downed server
-  // past the delta that downed it; the probe-time skip in the pinger stays as
-  // defense-in-depth for servers flagged outside the delta flow.
+  // Server churn rides the same delta, and this is the one place that decides what it does to
+  // the standing lists, found with one walk of them (taken only when `downed_targets` or
+  // `recovered_targets` is non-empty). Every matrix entry a server in `downed_targets` pings
+  // or answers is withdrawn from every replica, and its path is dispatched again under
+  // `watchdog` — unless `removed_paths` already names it or its slot is empty. Every
+  // intra-rack entry targeting a downed server is removed (diffed as a (kIntraRackPath,
+  // target) removal), and for each server in `recovered_targets` the intra-rack entry towards
+  // it is re-added under the same deterministic pinger choice BuildPinglists makes — unless
+  // one still stands. So the standing pinglists never carry an entry towards a
+  // watchdog-downed server past the delta that downed it; the probe-time skip in the pinger
+  // stays as defense-in-depth for servers flagged outside the delta flow.
   //
   // `index` (non-null, built over these lists and kept current across calls) names the
-  // lists removal dispatch visits for the removed slots / downed targets, and is updated in
-  // place.
+  // lists removal dispatch visits for the removed slots, and is updated in place.
   PinglistUpdate UpdatePinglists(std::vector<Pinglist>& lists, const ProbeMatrix& matrix,
                                  const Watchdog& watchdog,
                                  std::span<const PathId> removed_paths,

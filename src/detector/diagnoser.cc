@@ -115,7 +115,7 @@ void Diagnoser::AdvanceSegment(const ProbeMatrix& matrix, const Watchdog& watchd
   auto fold_slot = [&](size_t slot) {
     const uint32_t epoch = store_.SlotEpoch(slot);
     if (!flipped_mark.empty() && flipped_mark[slot]) {
-      PurgeRingEntries(slot, epoch, /*all_epochs=*/true);
+      PurgeRingEntries(slot);
       boundary_totals_[slot] = view[slot];
       boundary_epoch_[slot] = epoch;
       return;
@@ -124,16 +124,17 @@ void Diagnoser::AdvanceSegment(const ProbeMatrix& matrix, const Watchdog& watchd
       // The slot was invalidated (and possibly reused by repair) since the last boundary:
       // the store zeroed its running total, so a plain totals-vs-boundary delta would mix
       // the retraction with the new occupant's counters and leave the trailing sum negative.
-      // Purge the dead epoch's deltas from the ring and cut this delta against zero, so the
-      // trailing view sees exactly the new occupant's observations — no blind spot.
-      PurgeRingEntries(slot, epoch, /*all_epochs=*/false);
+      // Every ring delta of the slot was cut under an older epoch: purge them all and cut this
+      // delta against zero, so the trailing view sees exactly the new occupant's
+      // observations — no blind spot.
+      PurgeRingEntries(slot);
       boundary_totals_[slot] = PathObservation{};
       boundary_epoch_[slot] = epoch;
     }
     const int64_t d_sent = view[slot].sent - boundary_totals_[slot].sent;
     const int64_t d_lost = view[slot].lost - boundary_totals_[slot].lost;
     if (d_sent != 0 || d_lost != 0) {
-      delta.push_back(DeltaEntry{static_cast<PathId>(slot), epoch, d_sent, d_lost});
+      delta.push_back(DeltaEntry{static_cast<PathId>(slot), d_sent, d_lost});
       boundary_totals_[slot] = view[slot];
     }
   };
@@ -167,12 +168,11 @@ void Diagnoser::AdvanceSegment(const ProbeMatrix& matrix, const Watchdog& watchd
   }
 }
 
-void Diagnoser::PurgeRingEntries(size_t slot, uint32_t current_epoch, bool all_epochs) {
+void Diagnoser::PurgeRingEntries(size_t slot) {
   for (std::vector<DeltaEntry>& segment : ring_) {
     size_t kept = 0;
     for (const DeltaEntry& entry : segment) {
-      if (static_cast<size_t>(entry.slot) == slot &&
-          (all_epochs || entry.epoch != current_epoch)) {
+      if (static_cast<size_t>(entry.slot) == slot) {
         trailing_[slot].sent -= entry.sent;
         trailing_[slot].lost -= entry.lost;
         trailing_dirty_.Add(slot);

@@ -96,12 +96,12 @@ class Diagnoser {
   LocalizeResult DiagnoseRunning(const ProbeMatrix& matrix, const Watchdog& watchdog);
 
   // Localizes over the trailing sliding-window segment deltas (see AdvanceSegment).
-  // Non-consuming. Ring deltas are keyed by (slot, epoch): a mid-window invalidation purges
-  // the dead epoch's deltas outright, so a repaired-and-reused slot is diagnosable from its
-  // first post-repair segment instead of being blinded for up to W segments. Watchdog flips
-  // retract without an epoch bump; AdvanceSegment restarts flipped slots (purges their ring
-  // history and re-cuts the boundary at the adjusted totals), so the trailing sums never go
-  // transiently negative — the slot resumes from the flip with real traffic only.
+  // Non-consuming. A mid-window invalidation (the slot's epoch moved since the last boundary)
+  // purges the slot's ring deltas outright, so a repaired-and-reused slot is diagnosable from
+  // its first post-repair segment instead of being blinded for up to W segments. Watchdog
+  // flips retract without an epoch bump; AdvanceSegment restarts flipped slots (purges their
+  // ring history and re-cuts the boundary at the adjusted totals), so the trailing sums never
+  // go transiently negative — the slot resumes from the flip with real traffic only.
   LocalizeResult DiagnoseTrailing(const ProbeMatrix& matrix, const Watchdog& watchdog);
 
   // Zero-copy view over the trailing sliding-window totals (the ring's delta sum) that
@@ -131,7 +131,6 @@ class Diagnoser {
   };
   struct DeltaEntry {
     PathId slot;
-    uint32_t epoch;  // slot epoch the delta was cut under — keys ring purges on slot reuse
     int64_t sent;
     int64_t lost;
   };
@@ -150,20 +149,23 @@ class Diagnoser {
   PllIncrementalState running_state_;
   DirtyAccum running_dirty_;
 
-  // Sliding-segment view. Ring deltas are keyed by (slot, epoch): when a mid-window repair
-  // invalidates (and possibly reuses) a slot, the dead epoch's deltas are purged from the
-  // ring outright instead of lingering as a negative retraction that would blind
-  // DiagnoseTrailing on the slot for up to W segments.
-  // Removes the slot's ring entries — stale epochs only, or every epoch (`all_epochs`, the
-  // watchdog-flip restart) — keeping the trailing sums consistent.
-  void PurgeRingEntries(size_t slot, uint32_t current_epoch, bool all_epochs);
+  // Sliding-segment view. When a mid-window repair invalidates (and possibly reuses) a slot,
+  // or a watchdog flip adjusts it, the slot's deltas are purged from the ring outright
+  // instead of lingering as a negative retraction that would blind DiagnoseTrailing on the
+  // slot for up to W segments.
+  // Removes every ring entry of the slot, keeping the trailing sums consistent. On an epoch
+  // move none can belong to the new epoch: every entry was cut at or before
+  // boundary_epoch_[slot], a slot's epoch only rises within a window, and Clear empties the
+  // ring when the store resets its epochs.
+  void PurgeRingEntries(size_t slot);
   // Grows boundary_totals_, boundary_epoch_ and trailing_ together to cover num_slots — every
   // reader and writer of the trailing view sizes them here, so they never differ in length.
   void GrowTrailing(size_t num_slots);
   int sliding_segments_ = 0;
   std::deque<std::vector<DeltaEntry>> ring_;  // most recent sliding_segments_ segment deltas
   Observations boundary_totals_;              // running totals at the last AdvanceSegment
-  std::vector<uint32_t> boundary_epoch_;      // slot epochs those totals were cut under
+  std::vector<uint32_t> boundary_epoch_;      // slot epochs those totals were cut under —
+                                              // how AdvanceSegment sees an epoch move
   Observations trailing_;                     // sum of the ring's deltas
   PllIncrementalState trailing_state_;
   DirtyAccum trailing_dirty_;

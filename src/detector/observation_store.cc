@@ -172,29 +172,18 @@ void ObservationStore::AdjustForNode(NodeId node, int sign) {
       }
     }
   }
-  // Target role: records towards the node from other shards (its own were handled above),
-  // minus shards excluded by a still-filtered pinger.
-  if (!target_index_built_) {
-    BuildTargetIndex();
-  }
-  const auto by_target = records_by_target_.find(node);
-  if (by_target != records_by_target_.end()) {
-    for (const auto& [shard, index] : by_target->second) {
-      if (shard->pinger_ != node && applied_down_.count(shard->pinger_) == 0) {
-        adjust(*shard, shard->paths_[index]);
+  // Target role: one scan of the other open shards' folded records for those towards the
+  // node (its own shard was handled above), minus shards excluded by a still-filtered pinger.
+  for (const Shard* shard : shards_) {
+    if (shard->pinger_ == node || applied_down_.count(shard->pinger_) > 0) {
+      continue;
+    }
+    for (size_t i = 0; i < shard->folded_; ++i) {
+      if (shard->paths_[i].target == node) {
+        adjust(*shard, shard->paths_[i]);
       }
     }
   }
-}
-
-void ObservationStore::BuildTargetIndex() {
-  records_by_target_.clear();
-  for (const Shard* shard : shards_) {
-    for (size_t i = 0; i < shard->folded_; ++i) {
-      records_by_target_[shard->paths_[i].target].emplace_back(shard, i);
-    }
-  }
-  target_index_built_ = true;
 }
 
 void ObservationStore::FoldNewRecords() {
@@ -212,12 +201,8 @@ void ObservationStore::FoldNewRecords() {
         }
         MarkDirty(slot);
       }
-      // Filtered and orphaned records still count as folded (and indexed): if their
-      // pinger/target later recovers, AdjustForNode(+1) re-adds exactly the ones whose epoch
-      // is still current.
-      if (target_index_built_) {
-        records_by_target_[record.target].emplace_back(shard, i);
-      }
+      // Filtered and orphaned records still count as folded: if their pinger/target later
+      // recovers, AdjustForNode(+1) re-adds exactly the ones whose epoch is still current.
     }
     shard->folded_ = shard->paths_.size();
   }
@@ -288,8 +273,6 @@ void ObservationStore::Clear() {
     sketch.Clear();
   }
   applied_down_.clear();
-  records_by_target_.clear();
-  target_index_built_ = false;
   all_dirty_ = true;
   dirty_slots_.clear();
   slot_dirty_.assign(slot_dirty_.size(), 0);

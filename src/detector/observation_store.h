@@ -8,10 +8,11 @@
 //
 // RunningTotals() is the dense read path: maintained running totals — each record is folded
 // in exactly once (at the first serial read after it streams in), a slot invalidation
-// retracts the slot's contribution in O(1) by zeroing it, and watchdog changes retract/re-add
-// only the flipped node's records. This is what continuous per-segment diagnosis reads: cost
-// per call is O(new records since the last call + watchdog flips), not O(all records in the
-// window). tests/store_reference.h rebuilds the same totals from every record as the oracle.
+// retracts the slot's contribution in O(1) by zeroing it, and a watchdog flip retracts/re-adds
+// only the flipped node's records, found with one scan of the window's folded records. This is
+// what continuous per-segment diagnosis reads: a call costs O(new records since the last call)
+// plus one scan per watchdog flip, not O(all records in the window) every time.
+// tests/store_reference.h rebuilds the same totals from every record as the oracle.
 //
 // Threading contract: OpenShard/EnsureSlots/InvalidateSlots/RunningTotals run in
 // serial phases; between them, each shard may be written by exactly one thread with no locking
@@ -187,20 +188,18 @@ class ObservationStore {
   // during the parallel phase; it is invalidated by EnsureSlots growth and Clear.
   std::span<const uint32_t> slot_epochs() const { return slot_epoch_; }
   // Epoch of one slot (serial phase; slot must be < num_slots()). The diagnoser's sliding
-  // ring keys its per-segment deltas by (slot, epoch) through this.
+  // ring sees a slot's mid-window invalidation through this.
   uint32_t SlotEpoch(size_t slot) const { return slot_epoch_[slot]; }
 
  private:
   friend class StoreReference;  // the test-only oracle (tests/store_reference.h)
 
-  // Adds (`sign` = +1) or retracts (-1) the folded, current-epoch records involving `node` —
-  // its shard's records (via shard_of_pinger_) plus records targeting it (via the per-target
-  // index) — whose other party is not filtered. O(records involving node), not O(all records).
-  // The caller keeps `node` itself out of applied_down_ while this runs so each record
-  // adjusts exactly once.
+  // Adds (`sign` = +1) or retracts (-1) the folded, current-epoch records involving `node`
+  // whose other party is not filtered: its shard's records (via shard_of_pinger_), and the
+  // records targeting it, found with one scan of the other open shards. The caller keeps
+  // `node` itself out of applied_down_ while this runs so each record adjusts exactly once.
   void AdjustForNode(NodeId node, int sign);
-  // Folds records streamed in since the last serial read into the running totals and indexes
-  // them by target.
+  // Folds records streamed in since the last serial read into the running totals.
   void FoldNewRecords();
 
   std::vector<Shard*> shards_;  // the window's open shards, in OpenShard order
@@ -217,13 +216,6 @@ class ObservationStore {
   // Folds (sign = +1) or retracts (-1) one record's RTT run into its slot's running sketch.
   void MergeRtt(size_t slot, const Shard& shard, int32_t rtt, int sign);
   std::set<NodeId> applied_down_;  // watchdog filter currently reflected in running_
-  // Folded records by target server, as (shard, record index) — a watchdog flip of a target
-  // retracts/re-adds only that node's records instead of scanning every shard. Built lazily
-  // at the first flip (one O(folded records) scan) so the common no-flip batch window pays
-  // nothing; once built, folding keeps it current.
-  void BuildTargetIndex();
-  bool target_index_built_ = false;
-  std::map<NodeId, std::vector<std::pair<const Shard*, size_t>>> records_by_target_;
 
   // Marks a slot's running total as changed since the last TakeDirtySlots. O(1), dedup'ed.
   void MarkDirty(size_t slot);

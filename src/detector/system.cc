@@ -4,7 +4,6 @@
 #include <atomic>
 #include <map>
 #include <thread>
-#include <unordered_set>
 
 #include "src/net/loopback.h"
 
@@ -146,8 +145,6 @@ void DetectorSystem::RecomputeCycle() {
       const auto through = matrix_.PathsThroughDense(d);
       dead_paths.insert(dead_paths.end(), through.begin(), through.end());
     }
-    std::sort(dead_paths.begin(), dead_paths.end());
-    dead_paths.erase(std::unique(dead_paths.begin(), dead_paths.end()), dead_paths.end());
     controller_.UpdatePinglists(pinglists_, matrix_, watchdog_, dead_paths, {}, {}, {},
                                 &path_index_);
   }
@@ -165,13 +162,13 @@ void DetectorSystem::RecomputeCycle() {
 DetectorSystem::ChurnApplyResult DetectorSystem::ApplyTopologyDelta(const TopologyDelta& delta) {
   ChurnApplyResult out;
 
-  // Server churn routes to the watchdog (pinger eligibility); the affected paths are
-  // re-dispatched below so replicas move off a downed pinger immediately instead of waiting
-  // for the next recompute cycle, and intra-rack entries targeting the server are withdrawn
-  // from (on recovery: restored to) the standing pinglists. Deliberately NOT gated on a
-  // health transition: the delta may be confirming a server the watchdog already flagged
-  // out-of-band (health telemetry), whose entries still stand and must be moved now. Both
-  // directions are idempotent — removal finds nothing the second time, and the re-add
+  // Server churn routes to the watchdog (pinger eligibility) and to the controller, which
+  // moves the entries a downed server pinged or answered off it immediately instead of
+  // waiting for the next recompute cycle, and withdraws the intra-rack entries targeting the
+  // server from (on recovery: restores them to) the standing pinglists. Deliberately NOT
+  // gated on a health transition: the delta may be confirming a server the watchdog already
+  // flagged out-of-band (health telemetry), whose entries still stand and must be moved now.
+  // Both directions are idempotent — removal finds nothing the second time, and the re-add
   // dedups against standing entries — so a repeated delta is a no-op.
   std::vector<NodeId> downed_servers;
   std::vector<NodeId> recovered_servers;
@@ -244,45 +241,17 @@ DetectorSystem::ChurnApplyResult DetectorSystem::ApplyTopologyDelta(const Topolo
     }
   }
 
-  // Re-dispatch the paths a downed server was pinging or answering for.
-  if (!downed_servers.empty()) {
-    const std::unordered_set<NodeId> down(downed_servers.begin(), downed_servers.end());
-    const std::unordered_set<PathId> already_removed(removed.begin(), removed.end());
-    for (const Pinglist& list : pinglists_) {
-      const bool pinger_down = down.count(list.pinger) > 0;
-      for (const PinglistEntry& entry : list.entries) {
-        if (entry.path_id < 0) {
-          continue;  // intra-rack entries are keyed by target and removed by UpdatePinglists
-        }
-        if (pinger_down || down.count(entry.target_server) > 0) {
-          removed.push_back(entry.path_id);
-          if (already_removed.count(entry.path_id) == 0 &&
-              matrix_.paths().PathLength(entry.path_id) > 0) {
-            added.push_back(entry.path_id);
-          }
-        }
-      }
-    }
-  }
-
-  auto sort_unique = [](std::vector<PathId>& v) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-  };
-  sort_unique(removed);
-  sort_unique(added);
-  out.paths_removed = removed.size();
-  out.paths_added = added.size();
-  if (incremental_ == nullptr) {
-    // Fixed-matrix mode has no solver stats; mirror the deduplicated entry-level counts
-    // (a path through two transitioned links counts once).
-    out.repair.dropped_paths = removed.size();
-    out.repair.added_paths = added.size();
-  }
-
   PinglistUpdate update =
       controller_.UpdatePinglists(pinglists_, matrix_, watchdog_, removed, added,
                                   downed_servers, recovered_servers, &path_index_);
+  out.paths_removed = update.paths_removed;
+  out.paths_added = update.paths_added;
+  if (incremental_ == nullptr) {
+    // Fixed-matrix mode has no solver stats; mirror the deduplicated entry-level counts
+    // (a path through two transitioned links counts once).
+    out.repair.dropped_paths = update.paths_removed;
+    out.repair.added_paths = update.paths_added;
+  }
   out.pinglists_touched = update.lists_touched;
   out.entries_removed = update.entries_removed;
   out.entries_added = update.entries_added;

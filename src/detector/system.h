@@ -165,8 +165,8 @@ class DetectorSystem {
     ChurnRepairStats repair;
     size_t links_gone_dead = 0;
     size_t links_back_live = 0;
-    size_t paths_removed = 0;
-    size_t paths_added = 0;
+    size_t paths_removed = 0;  // distinct matrix paths withdrawn (PinglistUpdate)
+    size_t paths_added = 0;    // distinct matrix paths dispatched (PinglistUpdate)
     size_t pinglists_touched = 0;
     size_t entries_removed = 0;
     size_t entries_added = 0;
@@ -181,7 +181,8 @@ class DetectorSystem {
 
   // Absorbs one topology delta without a full recompute: updates the link-state overlay and
   // watchdog (server churn), repairs the probe matrix incrementally, and dispatches minimal
-  // pinglist diffs. The cheap alternative to RecomputeCycle().
+  // pinglist diffs through Controller::UpdatePinglists, which also decides what a downed or
+  // recovered server's entries become. The cheap alternative to RecomputeCycle().
   ChurnApplyResult ApplyTopologyDelta(const TopologyDelta& delta);
 
   struct WindowResult {

@@ -5,13 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
+#include <memory>
 #include <set>
+#include <sstream>
+#include <string>
 #include <utility>
 
 #include "src/detector/system.h"
 #include "src/pmc/identifiability.h"
 #include "src/pmc/incremental.h"
+#include "src/pmc/structured_fattree.h"
 #include "src/routing/bcube_routing.h"
 #include "src/routing/fattree_routing.h"
 #include "src/routing/path_liveness.h"
@@ -1045,6 +1050,45 @@ TEST(DetectorSystemChurn, FixedMatrixServerChurnKeepsAlphaSatisfied) {
   EXPECT_TRUE(result.repair.alpha_satisfied);
 }
 
+TEST(DetectorSystemChurn, FixedMatrixServerAndLinkDeltaKeepsDeadPathsWithdrawn) {
+  // One delta downs a pinger and a link one of its matrix entries crosses. The pinger's other
+  // entries move to healthy servers, but the paths over the dead link are not dispatched
+  // again: the delta already withdraws them until the link returns.
+  const FatTree ft(4);
+  const FatTreeRouting routing(ft);
+  PmcOptions pmc;
+  pmc.alpha = 1;
+  pmc.beta = 1;
+  ProbeMatrix matrix = BuildProbeMatrix(routing, PathEnumMode::kFull, pmc).matrix;
+  DetectorSystem system(ft.topology(), std::move(matrix), DetectorSystemOptions{});
+  NodeId pinger = kInvalidNode;
+  LinkId dead = kInvalidLink;
+  for (const Pinglist& list : system.pinglists()) {
+    for (const PinglistEntry& entry : list.entries) {
+      if (entry.path_id >= 0 && pinger == kInvalidNode) {
+        pinger = list.pinger;
+        const auto links = system.probe_matrix().paths().Links(entry.path_id);
+        dead = links[links.size() / 2];
+      }
+    }
+  }
+  ASSERT_NE(pinger, kInvalidNode);
+  TopologyDelta delta = TopologyDelta::NodeDown(pinger);
+  delta.links.push_back(LinkChurn{dead, ChurnAction::kDown});
+  const auto down = system.ApplyTopologyDelta(delta);
+  EXPECT_GT(down.entries_added, 0u);
+  for (const Pinglist& list : system.pinglists()) {
+    for (const PinglistEntry& entry : list.entries) {
+      EXPECT_EQ(std::count(entry.route.begin(), entry.route.end(), dead), 0)
+          << "path " << entry.path_id << " dispatched over the dead link";
+      if (entry.path_id >= 0) {
+        EXPECT_NE(list.pinger, pinger);
+        EXPECT_NE(entry.target_server, pinger);
+      }
+    }
+  }
+}
+
 TEST(DetectorSystemChurn, FixedMatrixModeDegradesGracefully) {
   const FatTree ft(4);
   const FatTreeRouting routing(ft);
@@ -1067,6 +1111,360 @@ TEST(DetectorSystemChurn, FixedMatrixModeDegradesGracefully) {
   }
   const auto up = system.ApplyTopologyDelta(TopologyDelta::LinkUp(victim));
   EXPECT_EQ(up.entries_added, down.entries_removed);  // withdrawn entries restored
+}
+
+// Everything a server-churn trace shows, folded into one value with doubles by their bits:
+// every pinglist (pinger, version, entries with their routes), every ChurnApplyResult the
+// trace applies between windows, every window result and timeline, and every sealed window.
+class ServerChurnHash {
+ public:
+  uint64_t value() const { return h_; }
+
+  void Mix(uint64_t value) { h_ = HashCombine(h_, value); }
+  void MixDouble(double value) { Mix(std::bit_cast<uint64_t>(value)); }
+  void MixSigned(int64_t value) { Mix(static_cast<uint64_t>(value)); }
+
+  void MixEntry(const PinglistEntry& entry) {
+    MixSigned(entry.path_id);
+    MixSigned(entry.target_server);
+    Mix(entry.route.size());
+    for (const LinkId link : entry.route) {
+      MixSigned(link);
+    }
+  }
+
+  void MixPinglists(const std::vector<Pinglist>& lists) {
+    Mix(lists.size());
+    for (const Pinglist& list : lists) {
+      MixSigned(list.pinger);
+      MixSigned(list.version);
+      Mix(list.entries.size());
+      for (const PinglistEntry& entry : list.entries) {
+        MixEntry(entry);
+      }
+    }
+  }
+
+  void MixApplied(const DetectorSystem::ChurnApplyResult& applied) {
+    const ChurnRepairStats& stats = applied.repair;
+    Mix(stats.dropped_paths);
+    Mix(stats.added_paths);
+    Mix(stats.repaired_links);
+    Mix(stats.pool_candidates);
+    Mix(stats.score_evaluations);
+    MixSigned(stats.touched_components);
+    MixSigned(stats.uncoverable_live_links);
+    Mix(stats.alpha_satisfied ? 1 : 0);
+    Mix(stats.fully_resolved ? 1 : 0);
+    Mix(applied.links_gone_dead);
+    Mix(applied.links_back_live);
+    Mix(applied.paths_removed);
+    Mix(applied.paths_added);
+    Mix(applied.pinglists_touched);
+    Mix(applied.entries_removed);
+    Mix(applied.entries_added);
+    Mix(applied.overlay_version);
+    Mix(applied.diffs.size());
+    for (const PinglistDiff& diff : applied.diffs) {
+      MixSigned(diff.pinger);
+      MixSigned(diff.version);
+      Mix(diff.removed.size());
+      for (const PinglistRemoval& removal : diff.removed) {
+        MixSigned(removal.path);
+        MixSigned(removal.target);
+      }
+      Mix(diff.added.size());
+      for (const PinglistEntry& entry : diff.added) {
+        MixEntry(entry);
+      }
+    }
+    Mix(applied.slots_vacated.size());
+    for (const PathId slot : applied.slots_vacated) {
+      MixSigned(slot);
+    }
+  }
+
+  void MixDiagnosis(const std::vector<SuspectLink>& suspects,
+                    const std::vector<ServerLinkAlarm>& alarms,
+                    const std::vector<LinkAnomaly>& anomalies) {
+    Mix(suspects.size());
+    for (const SuspectLink& suspect : suspects) {
+      MixSigned(suspect.link);
+      MixDouble(suspect.estimated_loss_rate);
+      MixDouble(suspect.hit_ratio);
+      MixSigned(suspect.explained_losses);
+    }
+    Mix(alarms.size());
+    for (const ServerLinkAlarm& alarm : alarms) {
+      MixSigned(alarm.pinger);
+      MixSigned(alarm.target);
+      MixDouble(alarm.loss_ratio);
+    }
+    Mix(anomalies.size());
+    for (const LinkAnomaly& anomaly : anomalies) {
+      MixSigned(anomaly.link);
+      Mix(anomaly.signal);
+      MixDouble(anomaly.score);
+      MixSigned(anomaly.sustained);
+    }
+  }
+
+  void MixWindow(const DetectorSystem::StreamingWindowResult& result) {
+    const DetectorSystem::WindowResult& window = result.window;
+    MixDiagnosis(window.localization.links, window.server_link_alarms, window.anomalies);
+    MixSigned(window.probes_sent);
+    MixSigned(window.bytes_sent);
+    MixDouble(window.detection_latency_seconds);
+    Mix(window.churn_events_applied);
+    Mix(result.timeline.size());
+    for (const DetectorSystem::SegmentDiagnosis& d : result.timeline) {
+      MixSigned(d.segment);
+      MixDouble(d.time_seconds);
+      MixDiagnosis(d.localization.links, d.server_link_alarms, d.anomalies);
+    }
+  }
+
+  void MixSealed(const SealedWindow& sealed) {
+    Mix(sealed.window_index);
+    Mix(sealed.num_slots);
+    Mix(sealed.churn_events);
+    Mix(sealed.dead_links);
+    MixSigned(sealed.probes_sent);
+    MixSigned(sealed.bytes_sent);
+    Mix(sealed.boundaries.size());
+    for (const SealedBoundary& boundary : sealed.boundaries) {
+      MixSigned(boundary.segment);
+      MixDouble(boundary.time_seconds);
+      Mix(boundary.deltas.size());
+      for (const SealedDelta& delta : boundary.deltas) {
+        MixSigned(delta.slot);
+        MixSigned(delta.sent);
+        MixSigned(delta.lost);
+      }
+      MixDiagnosis(boundary.suspects, boundary.alarms, boundary.anomalies);
+    }
+  }
+
+ private:
+  uint64_t h_ = 0;
+};
+
+class SealedWindowList : public WindowSink {
+ public:
+  void OnWindowSealed(const SealedWindow& window) override { windows.push_back(window); }
+  std::vector<SealedWindow> windows;
+};
+
+struct ServerChurnConfig {
+  bool structured = false;  // fixed structured matrix instead of PMC
+  bool sliding = false;     // sliding mid-window view instead of cumulative
+  bool anomaly = false;
+  bool report = false;      // report plane: 2 collectors, 2 threads
+};
+
+// One window's mid-window server victims, picked from the standing pinglists among healthy
+// servers: a pinger holding matrix entries, the responder of its first matrix entry, the
+// responder of its first entry towards another server (or, failing that, another pinger),
+// and a server only intra-rack entries target.
+struct ServerVictims {
+  NodeId pinger = kInvalidNode;
+  NodeId responder = kInvalidNode;
+  NodeId crosser = kInvalidNode;
+  NodeId intra_only = kInvalidNode;
+};
+
+ServerVictims PickServerVictims(const DetectorSystem& system, const Watchdog& watchdog,
+                                int window) {
+  std::vector<const Pinglist*> pingers;
+  std::set<NodeId> matrix_nodes;
+  std::set<NodeId> intra_targets;
+  for (const Pinglist& list : system.pinglists()) {
+    bool holds_matrix = false;
+    for (const PinglistEntry& entry : list.entries) {
+      if (entry.path_id >= 0) {
+        holds_matrix = true;
+        matrix_nodes.insert(list.pinger);
+        matrix_nodes.insert(entry.target_server);
+      } else {
+        intra_targets.insert(entry.target_server);
+      }
+    }
+    if (holds_matrix && watchdog.IsHealthy(list.pinger)) {
+      pingers.push_back(&list);
+    }
+  }
+  ServerVictims v;
+  EXPECT_FALSE(pingers.empty());
+  if (pingers.empty()) {
+    return v;
+  }
+  const size_t pick = static_cast<size_t>(window) * 5 % pingers.size();
+  const Pinglist& list = *pingers[pick];
+  v.pinger = list.pinger;
+  for (const PinglistEntry& entry : list.entries) {
+    if (entry.path_id < 0 || !watchdog.IsHealthy(entry.target_server)) {
+      continue;
+    }
+    if (v.responder == kInvalidNode) {
+      v.responder = entry.target_server;
+    } else if (entry.target_server != v.responder) {
+      v.crosser = entry.target_server;
+      break;
+    }
+  }
+  for (size_t i = 1; v.crosser == kInvalidNode && i < pingers.size(); ++i) {
+    const NodeId other = pingers[(pick + i) % pingers.size()]->pinger;
+    if (other != v.responder) {
+      v.crosser = other;
+    }
+  }
+  std::vector<NodeId> intra_only;
+  for (const NodeId target : intra_targets) {
+    if (matrix_nodes.count(target) == 0 && watchdog.IsHealthy(target)) {
+      intra_only.push_back(target);
+    }
+  }
+  EXPECT_FALSE(intra_only.empty());
+  if (!intra_only.empty()) {
+    v.intra_only = intra_only[static_cast<size_t>(window) * 3 % intra_only.size()];
+  }
+  EXPECT_NE(v.responder, kInvalidNode);
+  EXPECT_NE(v.crosser, kInvalidNode);
+  return v;
+}
+
+// Fat-tree(8) (4 servers per rack, 2 of them pingers), alpha = 2, 6 segments diagnosed at
+// every boundary, one full-loss agg-core link, 8 windows. In every window a pinger goes down
+// and one of its responders follows while it is down; the pinger comes back while the
+// responder is still down, and inside the same segment another server goes down (crossing
+// flips); an intra-rack-only target goes down and up too. Every third window also takes an
+// agg switch down and back. Between windows one delta downs a server and drains another,
+// and the next restores both. Once, a pinger is flagged out of band for a whole window,
+// after which the trace recomputes the cycle, lifts the flag and sends the matching NodeUp.
+uint64_t ServerChurnTraceHash(const ServerChurnConfig& config) {
+  const FatTree ft(8);
+  const FatTreeRouting routing(ft);
+  DetectorSystemOptions options;
+  options.pmc.alpha = 2;
+  options.pmc.beta = 1;
+  options.controller.packets_per_second = 50;
+  options.segments_per_window = 6;
+  options.diagnose_every_segments = 1;
+  options.streaming_view =
+      config.sliding ? StreamingViewMode::kSliding : StreamingViewMode::kCumulative;
+  options.sliding_window_segments = 3;
+  options.anomaly = config.anomaly;
+  options.report_plane = config.report;
+  options.report_collectors = config.report ? 2 : 1;
+  options.probe_threads = config.report ? 2 : 1;
+  std::unique_ptr<DetectorSystem> system =
+      config.structured
+          ? std::make_unique<DetectorSystem>(ft.topology(),
+                                             StructuredFatTreeProbeMatrix(ft, 2, 1), options)
+          : std::make_unique<DetectorSystem>(routing, options);
+  SealedWindowList sealed;
+  system->set_history_sink(&sealed);
+
+  ServerChurnHash h;
+  h.MixPinglists(system->pinglists());
+  size_t entries_removed = 0;
+  size_t entries_added = 0;
+  auto apply = [&](const TopologyDelta& delta) {
+    const DetectorSystem::ChurnApplyResult applied = system->ApplyTopologyDelta(delta);
+    entries_removed += applied.entries_removed;
+    entries_added += applied.entries_added;
+    h.MixApplied(applied);
+    h.MixPinglists(system->pinglists());
+  };
+  auto node_delta = [](NodeId a, ChurnAction a_action, NodeId b, ChurnAction b_action) {
+    TopologyDelta delta;
+    delta.nodes.push_back(NodeChurn{a, a_action});
+    delta.nodes.push_back(NodeChurn{b, b_action});
+    return delta;
+  };
+
+  FailureScenario scenario;
+  LinkFailure failure;
+  failure.link = ft.AggCoreLink(6, 1, 2);
+  failure.type = FailureType::kFullLoss;
+  scenario.failures.push_back(failure);
+
+  const NodeId out_of_band = ft.Server(4, 2, 0);
+  Rng rng(33);
+  for (int w = 0; w < 8; ++w) {
+    if (w == 5) {
+      system->watchdog().MarkDown(out_of_band);
+    }
+    const ServerVictims v = PickServerVictims(*system, system->watchdog(), w);
+    std::vector<ChurnEvent> churn = {
+        {3.5, TopologyDelta::NodeDown(v.pinger)},
+        {8.0, TopologyDelta::NodeDown(v.intra_only)},
+        {11.0, TopologyDelta::NodeDown(v.responder)},  // while its pinger is down
+        {16.0, TopologyDelta::NodeUp(v.pinger)},       // while its responder is down...
+        {18.0, TopologyDelta::NodeDown(v.crosser)},    // ...and, in the same segment, this
+        {21.0, TopologyDelta::NodeUp(v.responder)},
+        {22.5, TopologyDelta::NodeUp(v.intra_only)},
+        {27.0, TopologyDelta::NodeUp(v.crosser)},
+    };
+    if (w % 3 == 0) {
+      const NodeId agg = ft.Agg((w + 1) % 8, 1);
+      churn.push_back({9.5, TopologyDelta::NodeDown(agg)});
+      churn.push_back({24.0, TopologyDelta::NodeUp(agg)});
+      std::stable_sort(churn.begin(), churn.end(), [](const ChurnEvent& a, const ChurnEvent& b) {
+        return a.time_seconds < b.time_seconds;
+      });
+    }
+    const auto result = system->RunWindowStreaming(scenario, churn, rng);
+    EXPECT_EQ(result.window.churn_events_applied, churn.size());
+    h.MixWindow(result);
+    h.MixPinglists(system->pinglists());
+
+    const NodeId downed = ft.Server((w / 2 * 2 + 2) % 8, 3, 0);
+    const NodeId drained = ft.Server((w / 2 * 2 + 6) % 8, 1, 2);
+    if (w % 2 == 0) {
+      apply(node_delta(downed, ChurnAction::kDown, drained, ChurnAction::kDrain));
+    } else {
+      apply(node_delta(downed, ChurnAction::kUp, drained, ChurnAction::kUndrain));
+    }
+    if (w == 5) {
+      system->RecomputeCycle();
+      h.MixPinglists(system->pinglists());
+      system->watchdog().MarkUp(out_of_band);
+      apply(TopologyDelta::NodeUp(out_of_band));
+    }
+  }
+  EXPECT_GT(entries_removed, 0u);
+  EXPECT_GT(entries_added, 0u);
+  h.Mix(sealed.windows.size());
+  for (const SealedWindow& window : sealed.windows) {
+    h.MixSealed(window);
+  }
+  return h.value();
+}
+
+TEST(DetectorSystemChurn, ServerChurnMatchesPinnedTrace) {
+  // Server churn pinned across commits: a change that claims to move no pinglist, diff,
+  // version, count, running total, suspect or sealed window must hash to the literal captured
+  // before it, on PMC and structured matrices, in both mid-window views, with the anomaly
+  // plane on and off; the report plane must hash equal to direct mode in every configuration.
+  constexpr uint64_t kPinned = 0xc84b08146168fcfcULL;
+  uint64_t combined = 0;
+  std::ostringstream hashes;
+  for (const bool structured : {false, true}) {
+    for (const bool sliding : {false, true}) {
+      for (const bool anomaly : {false, true}) {
+        const std::string name = std::string(structured ? "structured" : "pmc") +
+                                 (sliding ? "/sliding" : "/cumulative") +
+                                 (anomaly ? "/anomaly" : "/loss");
+        const uint64_t direct = ServerChurnTraceHash({structured, sliding, anomaly, false});
+        const uint64_t reported = ServerChurnTraceHash({structured, sliding, anomaly, true});
+        EXPECT_EQ(reported, direct) << name << ": report plane differs from direct mode";
+        combined = HashCombine(combined, direct);
+        hashes << "\n  " << name << " 0x" << std::hex << direct << std::dec;
+      }
+    }
+  }
+  EXPECT_EQ(combined, kPinned) << std::hex << combined << std::dec << hashes.str();
 }
 
 }  // namespace

@@ -84,6 +84,48 @@ TEST(RunningTotals, MatchSnapshotThroughInvalidationAndWatchdogFlips) {
   wd.MarkUp(t1);
   ExpectRunningMatchesSnapshot(store, 4, wd, "stale epoch not resurrected");
 
+  // A record whose pinger and target are both flagged: each retraction or re-add must skip
+  // the record while its other party stays filtered, or it is counted twice.
+  const NodeId p3 = ft.Server(2, 0, 0);
+  const NodeId t3 = ft.Server(3, 0, 0);
+  ObservationStore::Shard& s3 = store.OpenShard(p3);
+  s3.RecordPath(1, t3, 70, 7);
+  s3.RecordPath(3, t2, 20, 2);
+  s1.RecordPath(1, t3, 90, 9);
+  ExpectRunningMatchesSnapshot(store, 4, wd, "pinger and target healthy");
+  wd.MarkDown(p3);
+  ExpectRunningMatchesSnapshot(store, 4, wd, "pinger flagged first");
+  wd.MarkDown(t3);
+  ExpectRunningMatchesSnapshot(store, 4, wd, "target flagged second");
+  wd.MarkUp(p3);
+  ExpectRunningMatchesSnapshot(store, 4, wd, "pinger restored first");
+  wd.MarkUp(t3);
+  ExpectRunningMatchesSnapshot(store, 4, wd, "target restored second");
+  wd.MarkDown(t3);
+  ExpectRunningMatchesSnapshot(store, 4, wd, "target flagged first");
+  wd.MarkDown(p3);
+  ExpectRunningMatchesSnapshot(store, 4, wd, "pinger flagged second");
+  wd.MarkUp(t3);
+  ExpectRunningMatchesSnapshot(store, 4, wd, "target restored first");
+  wd.MarkUp(p3);
+  ExpectRunningMatchesSnapshot(store, 4, wd, "pinger restored second");
+  // Both flagged between two reads, then restored one at a time.
+  wd.MarkDown(p3);
+  wd.MarkDown(t3);
+  ExpectRunningMatchesSnapshot(store, 4, wd, "both flagged at once");
+  wd.MarkUp(t3);
+  ExpectRunningMatchesSnapshot(store, 4, wd, "target restored, pinger still flagged");
+  // Crossing flips between two reads: one comes up while the other goes down, both ways.
+  wd.MarkUp(p3);
+  wd.MarkDown(t3);
+  ExpectRunningMatchesSnapshot(store, 4, wd, "pinger up while target goes down");
+  wd.MarkUp(t3);
+  wd.MarkDown(p3);
+  ExpectRunningMatchesSnapshot(store, 4, wd, "target up while pinger goes down");
+  s3.RecordPath(1, t3, 10, 1);
+  wd.MarkUp(p3);
+  ExpectRunningMatchesSnapshot(store, 4, wd, "both restored");
+
   store.Clear();
   ExpectRunningMatchesSnapshot(store, 4, wd, "after clear");
   EXPECT_EQ(store.RunningTotals(4, wd)[0].sent, 0);

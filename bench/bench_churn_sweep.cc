@@ -64,8 +64,8 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "Churn sweep — localization quality vs topology-churn rate, Fattree(" +
           std::to_string(k) + "), 1 injected failure/window",
-      "Churn events apply mid-window (incremental repair + pinglist diffs + slot\n"
-      "invalidation); switch churn runs at 1/10th of the link rate. Ground truth is the\n"
+      "Churn events apply mid-window (incremental repair + in-place pinglist updates +\n"
+      "slot invalidation); switch churn runs at 1/10th of the link rate. Ground truth is the\n"
       "injected failure; a churn outage that swallows it counts against accuracy.");
 
   const FatTree ft(k);

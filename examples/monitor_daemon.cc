@@ -449,7 +449,7 @@ int main(int argc, char** argv) {
 
   // Phase 6: continuous topology churn. A long generator trace is sliced per window; every
   // slice's events apply mid-window via ApplyTopologyDelta (incremental matrix repair +
-  // pinglist diffs), so probing keeps running while links flap and drain under it.
+  // in-place pinglist updates), so probing keeps running while links flap and drain under it.
   ChurnOptions churn_options;
   churn_options.link_events_per_minute = churn_per_minute;
   churn_options.node_events_per_minute = churn_per_minute / 10.0;

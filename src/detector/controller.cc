@@ -128,41 +128,6 @@ void EntriesForPath(const Topology& topo, const ControllerOptions& options,
 
 }  // namespace
 
-std::string PinglistDiff::ToXml() const {
-  XmlWriter w;
-  w.Open("pinglistdiff");
-  w.Attribute("pinger", static_cast<int64_t>(pinger));
-  w.Attribute("version", static_cast<int64_t>(version));
-  for (const PinglistRemoval& removal : removed) {
-    w.Open("remove");
-    w.Attribute("path", static_cast<int64_t>(removal.path));
-    w.Attribute("target", static_cast<int64_t>(removal.target));
-    w.Close();
-  }
-  for (const PinglistEntry& entry : added) {
-    WriteProbeEntryXml(w, entry);
-  }
-  w.Close();
-  return w.TakeString();
-}
-
-PinglistDiff PinglistDiff::FromXml(const std::string& xml) {
-  const std::unique_ptr<XmlNode> root = ParseXml(xml);
-  CHECK(root->name == "pinglistdiff") << "unexpected root element " << root->name;
-  PinglistDiff diff;
-  diff.pinger = static_cast<NodeId>(root->AttrInt("pinger", kInvalidNode));
-  diff.version = static_cast<int>(root->AttrInt("version", 0));
-  for (const XmlNode* remove : root->Children("remove")) {
-    diff.removed.push_back(
-        PinglistRemoval{static_cast<PathId>(remove->AttrInt("path", -1)),
-                        static_cast<NodeId>(remove->AttrInt("target", kInvalidNode))});
-  }
-  for (const XmlNode* probe : root->Children("probe")) {
-    diff.added.push_back(ProbeEntryFromXml(*probe));
-  }
-  return diff;
-}
-
 PathPingerIndex PathPingerIndex::Build(std::span<const Pinglist> lists) {
   PathPingerIndex index;
   for (const Pinglist& list : lists) {
@@ -199,16 +164,14 @@ size_t PathPingerIndex::NumIndexedPaths() const {
   return n;
 }
 
-std::vector<NodeId> Controller::HealthyServersUnder(NodeId tor, const Watchdog& watchdog) const {
-  return HealthyUnder(topo_, tor, watchdog);
-}
-
 std::vector<Pinglist> Controller::BuildPinglists(const ProbeMatrix& matrix,
-                                                 const Watchdog& watchdog) const {
+                                                 const Watchdog& watchdog) {
+  const int version = ++version_;
   std::map<NodeId, Pinglist> by_pinger;  // ordered for determinism
   auto pinglist_of = [&](NodeId pinger) -> Pinglist& {
     auto [it, inserted] = by_pinger.try_emplace(pinger);
     if (inserted) {
+      it->second.version = version;
       it->second.pinger = pinger;
       it->second.packets_per_second = options_.packets_per_second;
       it->second.port_count = options_.port_count;
@@ -259,7 +222,7 @@ PinglistUpdate Controller::UpdatePinglists(std::vector<Pinglist>& lists,
                                            std::span<const PathId> added_paths,
                                            std::span<const NodeId> downed_targets,
                                            std::span<const NodeId> recovered_targets,
-                                           PathPingerIndex* index) const {
+                                           PathPingerIndex* index) {
   CHECK(index != nullptr) << "UpdatePinglists needs the lists' PathPingerIndex";
   PinglistUpdate update;
   if (removed_paths.empty() && added_paths.empty() && downed_targets.empty() &&
@@ -279,21 +242,27 @@ PinglistUpdate Controller::UpdatePinglists(std::vector<Pinglist>& lists,
   };
 
   // Server churn: one walk of the standing lists finds the matrix paths a downed server pings
-  // or answers, the lists holding an intra-rack entry towards a downed server, and the
-  // recovered servers an intra-rack entry still targets. Link- and switch-only deltas skip it.
-  std::set<NodeId> touched;  // lists removal visits, ordered by pinger for a deterministic order
+  // or answers, the lists holding an intra-rack entry a downed server pings or answers, the
+  // targets a downed pinger probed inside its rack, and the recovered servers an intra-rack
+  // entry still targets. Link- and switch-only deltas skip it.
+  std::set<NodeId> visit;  // lists removal visits, ordered by pinger for a deterministic order
+  std::vector<NodeId> orphaned;  // intra-rack targets of a downed pinger, in walk order
   std::vector<NodeId> still_targeted;
   if (!downed.empty() || !recovered.empty()) {
     std::vector<PathId> moved;
     for (const Pinglist& list : lists) {
       const bool pinger_down = is_downed(list.pinger);
       for (const PinglistEntry& entry : list.entries) {
+        const bool target_down = is_downed(entry.target_server);
         if (entry.path_id >= 0) {
-          if (pinger_down || is_downed(entry.target_server)) {
+          if (pinger_down || target_down) {
             moved.push_back(entry.path_id);
           }
-        } else if (is_downed(entry.target_server)) {
-          touched.insert(list.pinger);
+        } else if (pinger_down || target_down) {
+          visit.insert(list.pinger);
+          if (!target_down) {
+            orphaned.push_back(entry.target_server);
+          }
         } else if (std::binary_search(recovered.begin(), recovered.end(),
                                       entry.target_server)) {
           still_targeted.push_back(entry.target_server);
@@ -301,10 +270,9 @@ PinglistUpdate Controller::UpdatePinglists(std::vector<Pinglist>& lists,
       }
     }
     // A moved path is withdrawn from every replica and dispatched again under the watchdog,
-    // unless the delta already removes it or its slot is empty.
+    // unless the delta already removes it.
     for (const PathId pid : moved) {
-      if (!std::binary_search(removed.begin(), removed.end(), pid) &&
-          matrix.paths().PathLength(pid) > 0) {
+      if (!std::binary_search(removed.begin(), removed.end(), pid)) {
         added.push_back(pid);
       }
     }
@@ -319,23 +287,28 @@ PinglistUpdate Controller::UpdatePinglists(std::vector<Pinglist>& lists,
   for (size_t i = 0; i < lists.size(); ++i) {
     list_of_pinger.emplace(lists[i].pinger, i);
   }
-  std::map<NodeId, PinglistDiff> diffs;  // ordered by pinger for determinism
+  // Every list that loses or gains an entry carries this version; the counter advances only
+  // if one does.
+  const int version = version_ + 1;
+  auto touch = [&](Pinglist& list) {
+    if (list.version != version) {
+      list.version = version;
+      ++update.lists_touched;
+    }
+  };
 
-  // Removals: drop every entry measuring a removed path, plus every intra-rack entry towards
-  // a downed target — both diffed under their (path, target) key. Only the lists the index
-  // or the walk names as holding a matching entry are visited.
+  // Removals: drop every entry measuring a removed path, plus every intra-rack entry a downed
+  // server pings or answers. Only the lists the index or the walk names as holding a matching
+  // entry are visited.
   auto remove_from_list = [&](Pinglist& list) {
+    const bool pinger_down = is_downed(list.pinger);
     auto keep = list.entries.begin();
-    PinglistDiff* diff = nullptr;
     for (auto it = list.entries.begin(); it != list.entries.end(); ++it) {
       const bool hit = it->path_id >= 0
                            ? std::binary_search(removed.begin(), removed.end(), it->path_id)
-                           : is_downed(it->target_server);
+                           : pinger_down || is_downed(it->target_server);
       if (hit) {
-        if (diff == nullptr) {
-          diff = &diffs.try_emplace(list.pinger).first->second;
-        }
-        diff->removed.push_back(PinglistRemoval{it->path_id, it->target_server});
+        touch(list);
         ++update.entries_removed;
         continue;
       }
@@ -348,30 +321,31 @@ PinglistUpdate Controller::UpdatePinglists(std::vector<Pinglist>& lists,
   };
   for (const PathId pid : removed) {
     for (const NodeId pinger : index->PingersOf(pid)) {
-      touched.insert(pinger);
+      visit.insert(pinger);
     }
     index->ClearPath(pid);
   }
-  for (const NodeId pinger : touched) {
+  for (const NodeId pinger : visit) {
     const auto it = list_of_pinger.find(pinger);
     CHECK(it != list_of_pinger.end()) << "index names a pinger with no standing list";
     remove_from_list(lists[it->second]);
   }
 
   // Additions: same assignment rules as BuildPinglists; a pinger that had no list yet gets a
-  // fresh one (version 0, bumped to 1 below — its diff carries the full initial contents).
+  // fresh one.
   auto add_entry = [&](NodeId pinger, PinglistEntry entry) {
     auto [it, inserted] = list_of_pinger.try_emplace(pinger, lists.size());
     if (inserted) {
       Pinglist fresh;
-      fresh.version = 0;
+      fresh.version = 0;  // below every stamped version: the first add stamps it
       fresh.pinger = pinger;
       fresh.packets_per_second = options_.packets_per_second;
       fresh.port_count = options_.port_count;
       lists.push_back(std::move(fresh));
     }
-    diffs.try_emplace(pinger).first->second.added.push_back(entry);
-    lists[it->second].entries.push_back(std::move(entry));
+    Pinglist& list = lists[it->second];
+    touch(list);
+    list.entries.push_back(std::move(entry));
     ++update.entries_added;
   };
   PingersOfTor pingers_of_tor(topo_, watchdog, options_);
@@ -385,18 +359,19 @@ PinglistUpdate Controller::UpdatePinglists(std::vector<Pinglist>& lists,
     }
   }
 
-  // Intra-rack re-adds for recovered servers: the deterministic BuildPinglists choice, unless
-  // an entry towards the target still stands (the recovery raced a full rebuild).
+  // Intra-rack placements, under the deterministic BuildPinglists choice over the rack's
+  // healthy pingers: each healthy target a downed pinger probed, then each recovered server
+  // no standing entry targets (a recovery that raced a full rebuild finds its entry standing).
   if (options_.intra_rack_probes) {
-    for (const NodeId target : recovered_targets) {
+    auto place = [&](NodeId target) {
       if (!watchdog.IsHealthy(target) ||  // flagged again before the delta dispatched
           std::find(still_targeted.begin(), still_targeted.end(), target) !=
               still_targeted.end()) {
-        continue;
+        return;
       }
       for (const Neighbor& nb : topo_.NeighborsOf(target)) {
-        if (topo_.IsServer(nb.node)) {
-          continue;
+        if (topo_.node(nb.node).kind != NodeKind::kTor) {
+          continue;  // BuildPinglists probes inside ToR racks only
         }
         auto [pinger, entry] =
             IntraRackEntry(topo_, pingers_of_tor.Under(nb.node), nb.node, target, nb.link);
@@ -406,19 +381,18 @@ PinglistUpdate Controller::UpdatePinglists(std::vector<Pinglist>& lists,
         }
         break;
       }
+    };
+    for (const NodeId target : orphaned) {
+      place(target);
+    }
+    for (const NodeId target : recovered_targets) {
+      place(target);
     }
   }
 
-  // Version bump: exactly once per touched pinger; the diff records the post-apply version.
-  for (auto& [pinger, diff] : diffs) {
-    diff.pinger = pinger;
-    auto it = list_of_pinger.find(pinger);
-    CHECK(it != list_of_pinger.end());
-    diff.version = ++lists[it->second].version;
-    std::sort(diff.removed.begin(), diff.removed.end());
-    update.diffs.push_back(std::move(diff));
+  if (update.lists_touched > 0) {
+    version_ = version;
   }
-  update.lists_touched = update.diffs.size();
   return update;
 }
 

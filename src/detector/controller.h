@@ -5,8 +5,10 @@
 //
 // Under topology churn the controller does not regenerate every pinglist: UpdatePinglists
 // applies the probe-matrix delta (paths removed / paths added, by stable matrix slot id) to the
-// standing pinglists in place and emits one minimal versioned diff per touched pinger — the
-// wire-sized work order a production pinger would fetch instead of a full pinglist.
+// standing pinglists in place. Versions come from one counter in the controller: each
+// BuildPinglists, and each UpdatePinglists that touches a list, takes the next version and
+// stamps it on every list it built or touched. So a pinger's version rises whenever its list
+// changes and never falls, across deltas, rebuilds and absences from the pinglist set.
 #ifndef SRC_DETECTOR_CONTROLLER_H_
 #define SRC_DETECTOR_CONTROLLER_H_
 
@@ -25,34 +27,6 @@ struct ControllerOptions {
   double packets_per_second = 10.0;
   int port_count = 8;
   bool intra_rack_probes = true;
-};
-
-// One removal in a pinglist diff, keyed by (path, target) — the same key that identifies an
-// entry. Matrix entries are named by their slot id (a pinger holds at most one replica per
-// slot; the target records which one it was), and intra-rack entries (path ==
-// PinglistEntry::kIntraRackPath) are named by their target server — which is what lets a
-// delta withdraw the intra-rack entries towards a downed server instead of leaving them to
-// age out at the next full rebuild.
-struct PinglistRemoval {
-  PathId path = -1;
-  NodeId target = kInvalidNode;
-
-  bool operator==(const PinglistRemoval&) const = default;
-  auto operator<=>(const PinglistRemoval&) const = default;
-};
-
-// Per-pinger pinglist change: entries dropped (by (path, target) key) and entries appended,
-// plus the pinglist version after applying the diff. Serialized/applied in this order:
-// removals, then additions. The XML wire format mirrors the full-pinglist one, so a real
-// pinger can fetch deltas over the same channel it fetches lists.
-struct PinglistDiff {
-  NodeId pinger = kInvalidNode;
-  int version = 0;
-  std::vector<PinglistRemoval> removed;
-  std::vector<PinglistEntry> added;
-
-  std::string ToXml() const;
-  static PinglistDiff FromXml(const std::string& xml);
 };
 
 // Maintained path -> pinger replica index over a set of standing pinglists. With it,
@@ -85,12 +59,11 @@ class PathPingerIndex {
 };
 
 struct PinglistUpdate {
-  std::vector<PinglistDiff> diffs;  // one per touched pinger, ascending pinger id
   size_t paths_removed = 0;  // distinct matrix paths withdrawn
   size_t paths_added = 0;    // distinct matrix paths dispatched
   size_t entries_removed = 0;
   size_t entries_added = 0;
-  size_t lists_touched = 0;
+  size_t lists_touched = 0;  // lists that lost or gained an entry
 };
 
 class Controller {
@@ -101,26 +74,28 @@ class Controller {
   // Splits the matrix into pinglists given current server health. Paths whose source has no
   // healthy server are skipped (their loss of coverage shows up in the diagnoser as untested
   // paths). For server-endpoint topologies (BCube) the path's source server is its own pinger.
-  std::vector<Pinglist> BuildPinglists(const ProbeMatrix& matrix, const Watchdog& watchdog) const;
+  // Every list carries the next version.
+  std::vector<Pinglist> BuildPinglists(const ProbeMatrix& matrix, const Watchdog& watchdog);
 
-  // Applies a probe-matrix delta to standing pinglists: removes every entry measuring a path
-  // in `removed_paths`, then builds and appends entries for each path in `added_paths` (same
-  // assignment rules as BuildPinglists; both lists are sorted and deduplicated here). Bumps
-  // the version of every touched pinglist exactly once and returns the per-pinger diffs. A
-  // pinger with no surviving entries keeps its (empty) pinglist so a later delta can
-  // repopulate it without renumbering versions.
+  // Applies a probe-matrix delta to the standing pinglists this controller built: removes
+  // every entry measuring a path in `removed_paths`, then builds and appends entries for each
+  // path in `added_paths` (same assignment rules as BuildPinglists; both lists are sorted and
+  // deduplicated here). Every list that lost or gained an entry carries the next version; a
+  // call that touches no list takes none. A pinger with no surviving entries keeps its
+  // (empty) pinglist.
   //
   // Server churn rides the same delta, and this is the one place that decides what it does to
   // the standing lists, found with one walk of them (taken only when `downed_targets` or
   // `recovered_targets` is non-empty). Every matrix entry a server in `downed_targets` pings
   // or answers is withdrawn from every replica, and its path is dispatched again under
-  // `watchdog` — unless `removed_paths` already names it or its slot is empty. Every
-  // intra-rack entry targeting a downed server is removed (diffed as a (kIntraRackPath,
-  // target) removal), and for each server in `recovered_targets` the intra-rack entry towards
-  // it is re-added under the same deterministic pinger choice BuildPinglists makes — unless
-  // one still stands. So the standing pinglists never carry an entry towards a
-  // watchdog-downed server past the delta that downed it; the probe-time skip in the pinger
-  // stays as defense-in-depth for servers flagged outside the delta flow.
+  // `watchdog` — unless `removed_paths` already names it. Every intra-rack entry a downed
+  // server pings or answers is removed, and each healthy target a downed pinger probed is
+  // placed again under the deterministic pinger choice BuildPinglists makes over the rack's
+  // healthy pingers. For each server in `recovered_targets` the intra-rack entry towards it
+  // is re-added under the same choice — unless one still stands. So past the delta that
+  // downed a server, the standing pinglists carry no entry it pings or answers; the
+  // probe-time skip in the pinger stays as defense-in-depth for servers flagged outside the
+  // delta flow.
   //
   // `index` (non-null, built over these lists and kept current across calls) names the
   // lists removal dispatch visits for the removed slots, and is updated in place.
@@ -130,15 +105,14 @@ class Controller {
                                  std::span<const PathId> added_paths,
                                  std::span<const NodeId> downed_targets,
                                  std::span<const NodeId> recovered_targets,
-                                 PathPingerIndex* index) const;
+                                 PathPingerIndex* index);
 
   const ControllerOptions& options() const { return options_; }
 
  private:
-  std::vector<NodeId> HealthyServersUnder(NodeId tor, const Watchdog& watchdog) const;
-
   const Topology& topo_;
   ControllerOptions options_;
+  int version_ = 0;  // the last version stamped on a list
 };
 
 }  // namespace detector

@@ -10,11 +10,11 @@ namespace {
 
 // Intra-rack entries towards a watchdog-flagged server are skipped at execution time. Server
 // churn dispatched through UpdatePinglists removes such entries from the standing pinglists
-// outright (diffs key them by (path, target)); this probe-time skip is defense-in-depth for
-// servers flagged outside the delta flow (e.g. a watchdog MarkDown with no topology delta) —
-// probing a downed server only burns budget and records counters the diagnoser would discard
-// anyway. Matrix entries are not filtered here — server churn re-dispatches them off downed
-// endpoints through UpdatePinglists.
+// outright; this probe-time skip is defense-in-depth for servers flagged outside the delta
+// flow (e.g. a watchdog MarkDown with no topology delta) — probing a downed server only burns
+// budget and records counters the diagnoser would discard anyway. Matrix entries are not
+// filtered here — server churn re-dispatches them off downed endpoints through
+// UpdatePinglists.
 bool EntryEligible(const PinglistEntry& entry, const Watchdog* watchdog) {
   return entry.path_id != PinglistEntry::kIntraRackPath || watchdog == nullptr ||
          watchdog->IsHealthy(entry.target_server);

@@ -3,7 +3,9 @@
 #include "src/common/xml.h"
 
 namespace detector {
+namespace {
 
+// One <probe> element on the wire.
 void WriteProbeEntryXml(XmlWriter& w, const PinglistEntry& entry) {
   w.Open("probe");
   w.Attribute("path", static_cast<int64_t>(entry.path_id));
@@ -37,6 +39,8 @@ PinglistEntry ProbeEntryFromXml(const XmlNode& node) {
   }
   return entry;
 }
+
+}  // namespace
 
 std::string Pinglist::ToXml() const {
   XmlWriter w;

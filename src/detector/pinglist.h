@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/xml.h"
 #include "src/routing/path_store.h"
 #include "src/topo/topology.h"
 
@@ -34,10 +33,6 @@ struct Pinglist {
   std::string ToXml() const;
   static Pinglist FromXml(const std::string& xml);
 };
-
-// One <probe> element on the wire — shared by the full-pinglist and PinglistDiff formats.
-void WriteProbeEntryXml(XmlWriter& w, const PinglistEntry& entry);
-PinglistEntry ProbeEntryFromXml(const XmlNode& node);
 
 }  // namespace detector
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <thread>
 
 #include "src/net/loopback.h"
@@ -41,9 +40,6 @@ DetectorSystem::DetectorSystem(const PathProvider& provider, DetectorSystemOptio
       engine_(BuildProbeEngine(topo_, options_, latency_model_)) {
   pinglists_ = controller_.BuildPinglists(matrix_, watchdog_);
   path_index_ = PathPingerIndex::Build(pinglists_);
-  for (const Pinglist& list : pinglists_) {
-    version_floor_[list.pinger] = list.version;
-  }
 }
 
 DetectorSystem::DetectorSystem(const Topology& topo, ProbeMatrix matrix,
@@ -59,9 +55,6 @@ DetectorSystem::DetectorSystem(const Topology& topo, ProbeMatrix matrix,
       engine_(BuildProbeEngine(topo_, options_, latency_model_)) {
   pinglists_ = controller_.BuildPinglists(matrix_, watchdog_);
   path_index_ = PathPingerIndex::Build(pinglists_);
-  for (const Pinglist& list : pinglists_) {
-    version_floor_[list.pinger] = list.version;
-  }
 }
 
 void DetectorSystem::SetReportTransportFactory(
@@ -103,25 +96,6 @@ void DetectorSystem::PrepareReportFabric() {
   }
 }
 
-void DetectorSystem::EnforceVersionFloors(std::vector<PinglistDiff>& diffs) {
-  if (diffs.empty()) {
-    return;
-  }
-  std::map<NodeId, Pinglist*> by_pinger;
-  for (Pinglist& list : pinglists_) {
-    by_pinger.emplace(list.pinger, &list);
-  }
-  for (PinglistDiff& diff : diffs) {
-    Pinglist* list = by_pinger.at(diff.pinger);
-    const auto it = version_floor_.find(diff.pinger);
-    if (it != version_floor_.end() && list->version <= it->second) {
-      list->version = it->second + 1;
-    }
-    diff.version = list->version;
-    version_floor_[diff.pinger] = list->version;
-  }
-}
-
 void DetectorSystem::RecomputeCycle() {
   if (incremental_ != nullptr) {
     pmc_stats_ = incremental_->FullResolve();
@@ -147,15 +121,6 @@ void DetectorSystem::RecomputeCycle() {
     }
     controller_.UpdatePinglists(pinglists_, matrix_, watchdog_, dead_paths, {}, {}, {},
                                 &path_index_);
-  }
-
-  // A full rebuild is a new pinglist generation for every pinger: versions must move strictly
-  // forward past each pinger's high-water mark — which outlives the lists themselves, so a
-  // pinger whose list vanished for a cycle does not restart at 1 when it returns.
-  for (Pinglist& list : pinglists_) {
-    int& floor = version_floor_[list.pinger];
-    list.version = floor + 1;
-    floor = list.version;
   }
 }
 
@@ -255,8 +220,6 @@ DetectorSystem::ChurnApplyResult DetectorSystem::ApplyTopologyDelta(const Topolo
   out.pinglists_touched = update.lists_touched;
   out.entries_removed = update.entries_removed;
   out.entries_added = update.entries_added;
-  out.diffs = std::move(update.diffs);
-  EnforceVersionFloors(out.diffs);
   return out;
 }
 

@@ -8,8 +8,8 @@
 // window's WindowResult is bit-identical at any thread count.
 //
 // Topology churn runs through ApplyTopologyDelta(): overlay update -> incremental probe-matrix
-// repair (IncrementalPmc) -> minimal per-pinger pinglist diffs — the milliseconds-scale
-// alternative to RecomputeCycle()'s from-scratch rebuild. RunWindowStreaming() also applies
+// repair (IncrementalPmc) -> in-place pinglist update — the milliseconds-scale alternative to
+// RecomputeCycle()'s from-scratch rebuild. RunWindowStreaming() also applies
 // churn mid-window: probes before each event see the failed links, the delta is applied at its
 // timestamp, and the remainder of the window probes with the repaired pinglists.
 //
@@ -171,7 +171,6 @@ class DetectorSystem {
     size_t entries_removed = 0;
     size_t entries_added = 0;
     uint64_t overlay_version = 0;
-    std::vector<PinglistDiff> diffs;  // the per-pinger work orders this delta dispatched
     // Matrix slots the repair vacated: their old path is gone from the matrix (and the slot
     // may be reused), so buffered observations keyed by these slots are stale. Paths that were
     // merely redispatched to other pingers (server churn) are not listed — their slots and
@@ -180,9 +179,9 @@ class DetectorSystem {
   };
 
   // Absorbs one topology delta without a full recompute: updates the link-state overlay and
-  // watchdog (server churn), repairs the probe matrix incrementally, and dispatches minimal
-  // pinglist diffs through Controller::UpdatePinglists, which also decides what a downed or
-  // recovered server's entries become. The cheap alternative to RecomputeCycle().
+  // watchdog (server churn), repairs the probe matrix incrementally, and edits the standing
+  // pinglists in place through Controller::UpdatePinglists, which also decides what a downed
+  // or recovered server's entries become. The cheap alternative to RecomputeCycle().
   ChurnApplyResult ApplyTopologyDelta(const TopologyDelta& delta);
 
   struct WindowResult {
@@ -276,10 +275,6 @@ class DetectorSystem {
   // The scenario plus a full-loss failure on every overlay dead link, listed after the
   // scenario's own failures so those win the engine's first-wins dedup.
   FailureScenario OverlaidScenario(const FailureScenario& scenario) const;
-  // For each diffed pinglist: raises its version above the pinger's recorded high-water mark
-  // (a pinger reappearing after an absence would otherwise restart at the default), patches
-  // the diff to match, and records the new mark.
-  void EnforceVersionFloors(std::vector<PinglistDiff>& diffs);
 
   const Topology& topo_;
   // Fixed at construction: a different configuration is a different system.
@@ -300,7 +295,8 @@ class DetectorSystem {
   ProbeEngine engine_;
   std::vector<Pinglist> pinglists_;
   // path -> pinger replica index over pinglists_, kept current by UpdatePinglists so delta
-  // dispatch touches only the diff (rebuilt wholesale when BuildPinglists replaces the lists).
+  // dispatch visits only the removed slots' pingers (rebuilt wholesale when BuildPinglists
+  // replaces the lists).
   PathPingerIndex path_index_;
   // Persistent shard workers, created lazily at the first parallel segment — window execution
   // must not pay thread start-up per segment.
@@ -320,10 +316,6 @@ class DetectorSystem {
   std::map<NodeId, uint64_t> report_seq_;
   // Report-plane emitters by pool task, re-armed per shard (see RunSegment).
   std::vector<std::unique_ptr<ReportEmitter>> report_emitters_;
-  // Per-pinger version high-water marks. Outlives the pinglists themselves: a pinger whose
-  // list vanishes for a cycle (unhealthy, no entries) must not restart at version 1, or a
-  // diff consumer would discard everything after its return as stale.
-  std::map<NodeId, int> version_floor_;
 };
 
 }  // namespace detector

@@ -393,6 +393,13 @@ bool WindowLogWriter::OpenDirectory() {
   std::vector<SealedWindow> recovered;
   WindowLogStatus tail_status;
   const size_t boundary = DecodeSegment(bytes, options_.key, recovered, tail_status);
+  if (tail_status == WindowLogStatus::kBadAuth || tail_status == WindowLogStatus::kMalformed) {
+    // The record passed its CRC, so no crash tore it: it was written under another key or
+    // layout, and truncating it would delete another writer's windows.
+    error_ = newest + ": " + WindowLogStatusName(tail_status) + " record at byte " +
+             std::to_string(boundary) + " (another key or layout); refusing to truncate it";
+    return false;
+  }
   records_in_segment_ = recovered.size();
   if (boundary < bytes.size()) {
     recovered_tail_bytes_ = bytes.size() - boundary;

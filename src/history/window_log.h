@@ -10,8 +10,7 @@
 //   [varint]  frame length L (bytes of everything after this varint)
 //   [0]       magic 0xD7          -- same lead byte as the wire frames
 //   [1]       magic 0x57          -- 'W' distinguishes log records from wire frames (0x52)
-//   [2]       version (2; readers also accept 1 — pre-anomaly records without the
-//             per-boundary anomaly list)
+//   [2]       version (2; readers reject every other version)
 //   [3..10]   SipHash-2-4 tag of the payload under the log key
 //   [11..L-5] payload (varint/zigzag; see EncodeWindowRecord)
 //   [L-4..L-1] CRC-32 of bytes [0, L-4)
@@ -20,7 +19,9 @@
 // max_records_per_segment records; with max_segments > 0 the oldest segments are deleted as
 // new ones open (bounded retention). Files are plain flat bytes — an mmap of a segment is
 // directly decodable. Reopening a directory recovers: the writer scans the newest segment,
-// truncates anything after the last valid record, and appends from there.
+// truncates anything after the last valid record, and appends from there. A record that
+// passes its CRC but fails authentication or parsing is no torn write (another key or layout
+// wrote it), so the writer refuses the directory and leaves the segment untouched.
 #ifndef SRC_HISTORY_WINDOW_LOG_H_
 #define SRC_HISTORY_WINDOW_LOG_H_
 
@@ -64,8 +65,9 @@ WindowLogStatus DecodeWindowRecord(std::span<const uint8_t> bytes, size_t& pos,
 
 // Append side: a WindowSink writing every sealed window through to disk, with rotation and
 // bounded retention. Construction opens (or creates) the directory and recovers the newest
-// segment's tail; ok() is false only when the directory is unusable, in which case every
-// Append is a counted no-op — retention failure must never take down the live pipeline.
+// segment's tail; ok() is false only when the directory is unusable or holds another key's
+// records, in which case every Append is a no-op — retention failure must never take down
+// the live pipeline.
 class WindowLogWriter : public WindowSink {
  public:
   explicit WindowLogWriter(std::string dir, WindowLogOptions options = WindowLogOptions{});

@@ -16,7 +16,7 @@
 //
 // Selected paths occupy *stable slots*: applying a delta vacates the slots of dropped paths and
 // fills vacated/new slots for repairs, so pinglist entries keyed by slot id stay valid across
-// deltas and the controller can dispatch minimal add/remove diffs (src/detector/controller.h).
+// deltas and the controller edits only the entries of changed slots (src/detector/controller.h).
 // BuildMatrix() renders the slots as a ProbeMatrix (vacant slots are empty paths, invisible to
 // the link->path index).
 #ifndef SRC_PMC_INCREMENTAL_H_

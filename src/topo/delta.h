@@ -73,7 +73,7 @@ class LinkStateOverlay {
   explicit LinkStateOverlay(const Topology& topo);
 
   // Effective link transitions of one applied delta. `version` increments once per Apply that
-  // changed anything (pinglist delta dispatch stamps diffs with it).
+  // changed anything.
   struct Effect {
     std::vector<LinkId> now_dead;  // live -> dead, ascending LinkId
     std::vector<LinkId> now_live;  // dead -> live, ascending LinkId

@@ -252,6 +252,56 @@ TEST(WindowLog, ReopenAppendRoundTripAndTornTailRecovery) {
   }
 }
 
+TEST(WindowLog, RefusesSegmentWrittenUnderAnotherKey) {
+  // A record that passes its CRC but not authentication is no torn write: a writer under
+  // another key must refuse the directory and leave the segment as it found it.
+  const std::string dir = TempLogDir("other_key");
+  WindowLogOptions under_a;
+  WindowLogOptions under_b;
+  under_b.key.k1 ^= 1;
+  {
+    WindowLogWriter writer(dir, under_a);
+    ASSERT_TRUE(writer.ok()) << writer.error();
+    for (uint64_t i = 0; i < 3; ++i) {
+      ASSERT_TRUE(writer.Append(SampleWindow(i)));
+    }
+  }
+  std::vector<fs::path> segments;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    segments.push_back(entry.path());
+  }
+  ASSERT_EQ(segments.size(), 1u);
+  const uintmax_t size = fs::file_size(segments[0]);
+  {
+    WindowLogWriter writer(dir, under_b);
+    EXPECT_FALSE(writer.ok());
+    EXPECT_NE(writer.error().find(segments[0].filename().string()), std::string::npos)
+        << writer.error();
+    EXPECT_NE(writer.error().find(WindowLogStatusName(WindowLogStatus::kBadAuth)),
+              std::string::npos)
+        << writer.error();
+    EXPECT_FALSE(writer.Append(SampleWindow(3)));
+  }
+  EXPECT_EQ(fs::file_size(segments[0]), size);
+  WindowLogReadResult read = ReadWindowLog(dir, under_a.key);
+  EXPECT_TRUE(read.clean);
+  ASSERT_EQ(read.windows.size(), 3u);
+
+  // Under its own key the log reopens cleanly and appends after the last window.
+  {
+    WindowLogWriter writer(dir, under_a);
+    ASSERT_TRUE(writer.ok()) << writer.error();
+    EXPECT_EQ(writer.recovered_tail_bytes(), 0u);
+    ASSERT_TRUE(writer.Append(SampleWindow(3)));
+  }
+  read = ReadWindowLog(dir, under_a.key);
+  EXPECT_TRUE(read.clean);
+  ASSERT_EQ(read.windows.size(), 4u);
+  for (uint64_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(read.windows[i], SampleWindow(i));
+  }
+}
+
 TEST(WindowLog, RotationAndBoundedRetention) {
   const std::string dir = TempLogDir("retention");
   WindowLogOptions options;

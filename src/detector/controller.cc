@@ -130,7 +130,9 @@ void EntriesForPath(const Topology& topo, const ControllerOptions& options,
 
 PathPingerIndex PathPingerIndex::Build(std::span<const Pinglist> lists) {
   PathPingerIndex index;
-  for (const Pinglist& list : lists) {
+  for (size_t i = 0; i < lists.size(); ++i) {
+    const Pinglist& list = lists[i];
+    index.SetListOf(list.pinger, i);
     for (const PinglistEntry& entry : list.entries) {
       if (entry.path_id >= 0) {
         index.Add(entry.path_id, list.pinger);
@@ -154,6 +156,15 @@ void PathPingerIndex::ClearPath(PathId path) {
   if (path >= 0 && p < pingers_of_path_.size()) {
     pingers_of_path_[p].clear();
   }
+}
+
+void PathPingerIndex::SetListOf(NodeId pinger, size_t position) {
+  CHECK(pinger >= 0);
+  const size_t p = static_cast<size_t>(pinger);
+  if (p >= list_of_pinger_.size()) {
+    list_of_pinger_.resize(p + 1, -1);
+  }
+  list_of_pinger_[p] = static_cast<int32_t>(position);
 }
 
 size_t PathPingerIndex::NumIndexedPaths() const {
@@ -283,10 +294,6 @@ PinglistUpdate Controller::UpdatePinglists(std::vector<Pinglist>& lists,
   update.paths_removed = removed.size();
   update.paths_added = added.size();
 
-  std::map<NodeId, size_t> list_of_pinger;
-  for (size_t i = 0; i < lists.size(); ++i) {
-    list_of_pinger.emplace(lists[i].pinger, i);
-  }
   // Every list that loses or gains an entry carries this version; the counter advances only
   // if one does.
   const int version = version_ + 1;
@@ -326,16 +333,18 @@ PinglistUpdate Controller::UpdatePinglists(std::vector<Pinglist>& lists,
     index->ClearPath(pid);
   }
   for (const NodeId pinger : visit) {
-    const auto it = list_of_pinger.find(pinger);
-    CHECK(it != list_of_pinger.end()) << "index names a pinger with no standing list";
-    remove_from_list(lists[it->second]);
+    const int32_t list = index->ListOf(pinger);
+    CHECK(list >= 0) << "index names a pinger with no standing list";
+    remove_from_list(lists[static_cast<size_t>(list)]);
   }
 
   // Additions: same assignment rules as BuildPinglists; a pinger that had no list yet gets a
   // fresh one.
   auto add_entry = [&](NodeId pinger, PinglistEntry entry) {
-    auto [it, inserted] = list_of_pinger.try_emplace(pinger, lists.size());
-    if (inserted) {
+    int32_t position = index->ListOf(pinger);
+    if (position < 0) {
+      position = static_cast<int32_t>(lists.size());
+      index->SetListOf(pinger, lists.size());
       Pinglist fresh;
       fresh.version = 0;  // below every stamped version: the first add stamps it
       fresh.pinger = pinger;
@@ -343,7 +352,7 @@ PinglistUpdate Controller::UpdatePinglists(std::vector<Pinglist>& lists,
       fresh.port_count = options_.port_count;
       lists.push_back(std::move(fresh));
     }
-    Pinglist& list = lists[it->second];
+    Pinglist& list = lists[static_cast<size_t>(position)];
     touch(list);
     list.entries.push_back(std::move(entry));
     ++update.entries_added;

@@ -29,11 +29,12 @@ struct ControllerOptions {
   bool intra_rack_probes = true;
 };
 
-// Maintained path -> pinger replica index over a set of standing pinglists. With it,
-// UpdatePinglists dispatches a probe-matrix delta by consulting only the removed slots'
-// replica pingers instead of scanning every pinglist entry — the dispatch analogue of the
-// component-restricted matrix repair, sized for fat-tree(48) churn. It indexes matrix slots
-// only: server churn finds its entries with one walk of the standing lists.
+// Maintained path -> pinger replica index over a set of standing pinglists, plus each
+// pinger's position in those lists. With it, UpdatePinglists dispatches a probe-matrix delta
+// by consulting only the removed slots' replica pingers instead of scanning every pinglist
+// entry — the dispatch analogue of the component-restricted matrix repair, sized for
+// fat-tree(48) churn — and finds each of their lists in O(1). It indexes matrix slots only:
+// server churn finds its entries with one walk of the standing lists.
 class PathPingerIndex {
  public:
   PathPingerIndex() = default;
@@ -54,8 +55,17 @@ class PathPingerIndex {
 
   size_t NumIndexedPaths() const;
 
+  // Position of `pinger`'s list among the standing lists, or -1 when it has none.
+  int32_t ListOf(NodeId pinger) const {
+    const size_t p = static_cast<size_t>(pinger);
+    return pinger >= 0 && p < list_of_pinger_.size() ? list_of_pinger_[p] : -1;
+  }
+  // Records that `pinger`'s list stands at `position` (a list appended to the standing ones).
+  void SetListOf(NodeId pinger, size_t position);
+
  private:
   std::vector<std::vector<NodeId>> pingers_of_path_;  // indexed by matrix slot
+  std::vector<int32_t> list_of_pinger_;                // indexed by pinger id; -1 = no list
 };
 
 struct PinglistUpdate {
@@ -98,7 +108,8 @@ class Controller {
   // delta flow.
   //
   // `index` (non-null, built over these lists and kept current across calls) names the
-  // lists removal dispatch visits for the removed slots, and is updated in place.
+  // lists removal dispatch visits for the removed slots and where each pinger's list stands,
+  // and is updated in place. Lists keep their order; a pinger's first list is appended.
   PinglistUpdate UpdatePinglists(std::vector<Pinglist>& lists, const ProbeMatrix& matrix,
                                  const Watchdog& watchdog,
                                  std::span<const PathId> removed_paths,

@@ -65,12 +65,12 @@ void Diagnoser::InvalidateLocalizeCache() {
 
 std::vector<ServerLinkAlarm> Diagnoser::ServerLinkAlarms(const Watchdog& watchdog) const {
   std::vector<ServerLinkAlarm> alarms;
-  for (const IntraRackObservation& record : store_.IntraRackObservations(watchdog)) {
+  store_.ForEachIntraRack(watchdog, [&](const IntraRackObservation& record) {
     const PathObservation totals{record.sent, record.lost};
     if (IsLossyPath(totals, options_.preprocess)) {
       alarms.push_back(ServerLinkAlarm{record.pinger, record.target, totals.LossRatio()});
     }
-  }
+  });
   return alarms;
 }
 

@@ -118,7 +118,12 @@ ObservationStore::DirtySlots ObservationStore::TakeDirtySlots() {
 }
 
 ObservationStore::Shard& ObservationStore::OpenShard(NodeId pinger) {
-  std::unique_ptr<Shard>& shard = shard_of_pinger_[pinger];
+  CHECK(pinger >= 0);
+  const size_t p = static_cast<size_t>(pinger);
+  if (p >= shard_of_pinger_.size()) {
+    shard_of_pinger_.resize(p + 1);
+  }
+  std::unique_ptr<Shard>& shard = shard_of_pinger_[p];
   if (shard == nullptr) {
     shard.reset(new Shard(this, pinger));
   }
@@ -160,9 +165,9 @@ void ObservationStore::AdjustForNode(NodeId node, int sign) {
     MarkWatchdogFlipped(slot);
   };
   // Pinger role: the node's own shard, minus records excluded by a still-filtered target.
-  const auto shard_it = shard_of_pinger_.find(node);
-  if (shard_it != shard_of_pinger_.end()) {
-    const Shard& shard = *shard_it->second;
+  const size_t p = static_cast<size_t>(node);
+  if (node >= 0 && p < shard_of_pinger_.size() && shard_of_pinger_[p] != nullptr) {
+    const Shard& shard = *shard_of_pinger_[p];
     for (size_t i = 0; i < shard.folded_; ++i) {
       const Shard::PathRecord& record = shard.paths_[i];
       // node itself is outside applied_down_ (caller contract), so this also admits
@@ -186,34 +191,30 @@ void ObservationStore::AdjustForNode(NodeId node, int sign) {
   }
 }
 
-void ObservationStore::FoldNewRecords() {
-  for (Shard* shard : shards_) {
-    const bool pinger_down = applied_down_.count(shard->pinger_) > 0;
-    for (size_t i = shard->folded_; i < shard->paths_.size(); ++i) {
-      const Shard::PathRecord& record = shard->paths_[i];
-      const size_t slot = static_cast<size_t>(record.slot);
-      if (!pinger_down && record.epoch == slot_epoch_[slot] &&
-          applied_down_.count(record.target) == 0) {
-        running_[slot].sent += record.sent;
-        running_[slot].lost += record.lost;
-        if (record.rtt >= 0) {
-          MergeRtt(slot, *shard, record.rtt, +1);
-        }
-        MarkDirty(slot);
+void ObservationStore::FoldShard(Shard& shard) {
+  const bool pinger_down = applied_down_.count(shard.pinger_) > 0;
+  for (size_t i = shard.folded_; i < shard.paths_.size(); ++i) {
+    const Shard::PathRecord& record = shard.paths_[i];
+    const size_t slot = static_cast<size_t>(record.slot);
+    if (!pinger_down && record.epoch == slot_epoch_[slot] &&
+        applied_down_.count(record.target) == 0) {
+      running_[slot].sent += record.sent;
+      running_[slot].lost += record.lost;
+      if (record.rtt >= 0) {
+        MergeRtt(slot, shard, record.rtt, +1);
       }
-      // Filtered and orphaned records still count as folded: if their pinger/target later
-      // recovers, AdjustForNode(+1) re-adds exactly the ones whose epoch is still current.
+      MarkDirty(slot);
     }
-    shard->folded_ = shard->paths_.size();
+    // Filtered and orphaned records still count as folded: if their pinger/target later
+    // recovers, AdjustForNode(+1) re-adds exactly the ones whose epoch is still current.
   }
+  shard.folded_ = shard.paths_.size();
 }
 
-ObservationView ObservationStore::RunningTotals(size_t num_slots, const Watchdog& watchdog) {
-  EnsureSlots(num_slots);
-  // Reconcile the applied filter with the watchdog: only nodes whose health flipped since the
-  // last call cost a record scan; steady state costs nothing. The order nodes are processed in
-  // cannot leak into the totals — integer sums, and each step adjusts exactly the records
-  // whose contribution flips under the final down-set.
+void ObservationStore::ReconcileWatchdog(const Watchdog& watchdog) {
+  // Only nodes whose health flipped since the last call cost a record scan. The order nodes
+  // are processed in cannot leak into the totals — integer sums, and each step adjusts
+  // exactly the records whose contribution flips under the final down-set.
   std::vector<NodeId> back_up;
   for (const NodeId node : applied_down_) {
     if (watchdog.IsHealthy(node)) {
@@ -230,40 +231,33 @@ ObservationView ObservationStore::RunningTotals(size_t num_slots, const Watchdog
       applied_down_.insert(node);
     }
   }
-  FoldNewRecords();
+}
+
+ObservationView ObservationStore::RunningTotals(size_t num_slots, const Watchdog& watchdog) {
+  EnsureSlots(num_slots);
+  ReconcileWatchdog(watchdog);
+  for (Shard* shard : shards_) {
+    FoldShard(*shard);
+  }
   return ObservationView(running_.data(), num_slots);
 }
 
-std::vector<IntraRackObservation> ObservationStore::IntraRackObservations(
-    const Watchdog& watchdog) const {
-  std::vector<IntraRackObservation> out;
-  for (const Shard* shard : shards_) {
-    if (!watchdog.IsHealthy(shard->pinger_)) {
-      continue;
-    }
-    for (const IntraRackObservation& record : shard->intra_) {
-      if (watchdog.IsHealthy(record.target)) {
-        out.push_back(record);
-      }
-    }
-  }
-  return out;
-}
-
 void ObservationStore::Clear() {
-  for (auto it = shard_of_pinger_.begin(); it != shard_of_pinger_.end();) {
-    Shard& shard = *it->second;
-    if (!shard.open_) {
-      it = shard_of_pinger_.erase(it);
+  for (std::unique_ptr<Shard>& held : shard_of_pinger_) {
+    if (held == nullptr) {
       continue;
     }
+    if (!held->open_) {
+      held.reset();
+      continue;
+    }
+    Shard& shard = *held;
     shard.open_ = false;
     shard.paths_.clear();
     shard.rtt_runs_.clear();
     shard.rtt_bins_.clear();
     shard.intra_.clear();
     shard.folded_ = 0;
-    ++it;
   }
   shards_.clear();
   slot_epoch_.assign(slot_epoch_.size(), 0);

@@ -7,21 +7,29 @@
 // a fresh epoch, so the new occupant's counters never mix with the stale ones.
 //
 // RunningTotals() is the dense read path: maintained running totals — each record is folded
-// in exactly once (at the first serial read after it streams in), a slot invalidation
-// retracts the slot's contribution in O(1) by zeroing it, and a watchdog flip retracts/re-adds
-// only the flipped node's records, found with one scan of the window's folded records. This is
-// what continuous per-segment diagnosis reads: a call costs O(new records since the last call)
-// plus one scan per watchdog flip, not O(all records in the window) every time.
-// tests/store_reference.h rebuilds the same totals from every record as the oracle.
+// in exactly once, a slot invalidation retracts the slot's contribution in O(1) by zeroing it,
+// and a watchdog flip retracts/re-adds only the flipped node's records, found with one scan of
+// the window's folded records. This is what continuous per-segment diagnosis reads: a call
+// costs O(new records since the last fold) plus one scan per watchdog flip, not O(all records
+// in the window) every time. tests/store_reference.h rebuilds the same totals from every
+// record as the oracle.
 //
-// Threading contract: OpenShard/EnsureSlots/InvalidateSlots/RunningTotals run in
-// serial phases; between them, each shard may be written by exactly one thread with no locking
-// (shards never share mutable state, and slot epochs are only read during the parallel phase).
+// Each record folds once, on the calling thread, under the filter last reconciled: either
+// as soon as it is final (FoldShard — DetectorSystem folds a direct-mode shard once its
+// worker finished it, and the records its collectors appended whenever a pump pass idles,
+// while other shards still probe) or at the next serial read (RunningTotals, which reconciles
+// the watchdog filter and then folds every shard's remaining records).
+//
+// Threading contract: OpenShard/EnsureSlots/InvalidateSlots/ReconcileWatchdog/RunningTotals
+// run in serial phases; between them, each shard may be written by exactly one thread with no
+// locking (shards never share mutable state, and slot epochs are only read during the parallel
+// phase). FoldShard may also run during the parallel phase, on the thread that runs the serial
+// phases, for a shard no other thread is writing: its writer finished and published its records
+// to that thread (release/acquire), or that thread is its writer.
 #ifndef SRC_DETECTOR_OBSERVATION_STORE_H_
 #define SRC_DETECTOR_OBSERVATION_STORE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
 #include <span>
@@ -117,7 +125,7 @@ class ObservationStore {
     std::vector<RttSketch::BinCount> rtt_bins_;
     std::vector<IntraRackObservation> intra_;
     // Records below this index are reflected in the store's running totals (under the filter
-    // and epochs applied at fold time); records at/after it stream in between serial reads.
+    // and epochs applied at fold time); records at/after it are not folded yet.
     size_t folded_ = 0;
   };
 
@@ -125,9 +133,9 @@ class ObservationStore {
   // only: records may not be streamed for a slot the table does not cover yet.
   void EnsureSlots(size_t num_slots);
 
-  // Returns the accumulation shard for `pinger`, creating it on first use. A pinger reopened
-  // in the window after a Clear() gets its shard back empty, with its buffers' capacity kept.
-  // Serial phase only; the returned reference stays valid until Clear().
+  // Returns the accumulation shard for `pinger` (>= 0), creating it on first use. A pinger
+  // reopened in the window after a Clear() gets its shard back empty, with its buffers'
+  // capacity kept. Serial phase only; the returned reference stays valid until Clear().
   Shard& OpenShard(NodeId pinger);
 
   // Orphans every buffered counter on the given slots (stale after a mid-window topology delta
@@ -138,12 +146,23 @@ class ObservationStore {
 
   // Maintained running dense totals over slots [0, num_slots): replica counters summed across
   // shards, minus records from watchdog-flagged pingers or towards watchdog-flagged targets,
-  // minus orphaned epochs. Folds the records streamed in since the last call, reconciles the
-  // watchdog filter by retracting/re-adding only nodes whose health flipped, and returns a
-  // zero-copy view over the totals. Serial phase only; the view is valid until the next
-  // EnsureSlots (growth reallocates the buffer the view aliases), InvalidateSlots,
-  // RunningTotals or Clear.
+  // minus orphaned epochs. Reconciles the watchdog filter (ReconcileWatchdog), folds every
+  // shard's records not folded yet (FoldShard), and returns a zero-copy view over the totals.
+  // Serial phase only; the view is valid until the next EnsureSlots (growth reallocates the
+  // buffer the view aliases), InvalidateSlots, ReconcileWatchdog, FoldShard, RunningTotals or
+  // Clear.
   ObservationView RunningTotals(size_t num_slots, const Watchdog& watchdog);
+
+  // Brings the applied watchdog filter up to date: retracts the folded records of nodes
+  // flagged since the last reconciliation and re-adds those of nodes that recovered, marking
+  // their slots watchdog-flipped. Only the records folded so far are adjusted; later folds
+  // apply the reconciled filter. Serial phase only; steady state costs nothing.
+  void ReconcileWatchdog(const Watchdog& watchdog);
+
+  // Folds `shard`'s records not folded yet into the running totals under the filter last
+  // reconciled. May run while other shards are written (see the threading contract), so a
+  // caller can fold each shard as soon as its writer finished.
+  void FoldShard(Shard& shard);
 
   // Maintained running per-slot RTT sketches, kept by the same fold/retract machinery as the
   // loss totals (records carrying a sketch merge it when they fold, watchdog flips retract and
@@ -153,9 +172,22 @@ class ObservationStore {
   // accumulated no RTT samples.
   std::span<const RttSketch> RttRunningTotals() const { return rtt_running_; }
 
-  // The window's intra-rack totals, one per (pinger, target) (shard open order, first-seen
-  // order within a shard), minus records from or towards watchdog-flagged servers.
-  std::vector<IntraRackObservation> IntraRackObservations(const Watchdog& watchdog) const;
+  // Visits the window's intra-rack totals, one per (pinger, target) (shard open order,
+  // first-seen order within a shard), minus records from or towards watchdog-flagged
+  // servers, in place. Serial phase only.
+  template <typename Visit>
+  void ForEachIntraRack(const Watchdog& watchdog, Visit&& visit) const {
+    for (const Shard* shard : shards_) {
+      if (!watchdog.IsHealthy(shard->pinger_)) {
+        continue;
+      }
+      for (const IntraRackObservation& record : shard->intra_) {
+        if (watchdog.IsHealthy(record.target)) {
+          visit(record);
+        }
+      }
+    }
+  }
 
   // Slots whose running totals changed since the previous TakeDirtySlots call — folded
   // records, slot invalidations, watchdog retractions/re-adds, and table growth all mark their
@@ -195,16 +227,15 @@ class ObservationStore {
   friend class StoreReference;  // the test-only oracle (tests/store_reference.h)
 
   // Adds (`sign` = +1) or retracts (-1) the folded, current-epoch records involving `node`
-  // whose other party is not filtered: its shard's records (via shard_of_pinger_), and the
+  // whose other party is not filtered: its shard's records (found by pinger id), and the
   // records targeting it, found with one scan of the other open shards. The caller keeps
   // `node` itself out of applied_down_ while this runs so each record adjusts exactly once.
   void AdjustForNode(NodeId node, int sign);
-  // Folds records streamed in since the last serial read into the running totals.
-  void FoldNewRecords();
 
   std::vector<Shard*> shards_;  // the window's open shards, in OpenShard order
-  // Every shard held: the window's open ones plus those idle since the last Clear().
-  std::map<NodeId, std::unique_ptr<Shard>> shard_of_pinger_;
+  // Every shard held, indexed by pinger id: the window's open ones plus those idle since the
+  // last Clear(). Null where no shard is held.
+  std::vector<std::unique_ptr<Shard>> shard_of_pinger_;
   std::vector<uint32_t> slot_epoch_;
   // Running-totals state: running_[slot] always equals the sum of folded records whose epoch
   // is the slot's current one and whose pinger/target are outside applied_down_.

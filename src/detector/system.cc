@@ -223,10 +223,10 @@ DetectorSystem::ChurnApplyResult DetectorSystem::ApplyTopologyDelta(const Topolo
   return out;
 }
 
-void DetectorSystem::RunSpan(const FailureScenario& scenario, double t0, double t1, Rng& rng,
-                             WindowResult& result) {
+void DetectorSystem::RunSpan(const FailureScenario& scenario, double t0, double t1,
+                             bool fold_early, Rng& rng, WindowResult& result) {
   if (scenario.episodes.empty()) {
-    RunSegment(scenario, t1 - t0, rng, result);
+    RunSegment(scenario, t1 - t0, fold_early, rng, result);
     return;
   }
   // Cut [t0, t1) at the episode boundaries inside it; each piece probes under the failure set
@@ -253,7 +253,7 @@ void DetectorSystem::RunSpan(const FailureScenario& scenario, double t0, double 
         active.failures.push_back(episode.failure);
       }
     }
-    RunSegment(active, cut - at, rng, result);
+    RunSegment(active, cut - at, fold_early, rng, result);
     at = cut;
   }
 }
@@ -270,8 +270,8 @@ FailureScenario DetectorSystem::OverlaidScenario(const FailureScenario& scenario
   return overlaid;
 }
 
-void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds, Rng& rng,
-                                WindowResult& result) {
+void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds, bool fold_early,
+                                Rng& rng, WindowResult& result) {
   // The one engine, re-armed at this serial point; no shard of another segment is running.
   if (overlay_.NumDeadLinks() == 0) {
     engine_.SetScenario(scenario);
@@ -329,7 +329,6 @@ void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds,
   // writes wire frames to the transport instead of the store, and the collector is the
   // store's only writer.
   std::vector<PingerTraffic> traffic(work.size());
-  std::atomic<size_t> shards_left{work.size()};
   auto run_shard = [&](size_t i, size_t task) {
     ShardWork& w = work[i];
     Rng shard_rng = ProbeEngine::ShardRng(window_seed, static_cast<uint64_t>(w.list->pinger));
@@ -353,7 +352,6 @@ void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds,
     } else {
       traffic[i] = pinger.RunWindowInto(engine_, seconds, shard_rng, *w.shard, &watchdog_);
     }
-    shards_left.fetch_sub(1, std::memory_order_release);
   };
   if (configured <= 1 || work.size() <= 1) {
     for (size_t i = 0; i < work.size(); ++i) {
@@ -363,49 +361,72 @@ void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds,
     if (pool_ == nullptr) {
       pool_ = std::make_unique<ThreadPool>(configured);
     }
-    std::atomic<size_t> next{0};
-    // In report mode one worker runs the pump (which also takes shards when idle); the shard
-    // loop tasks share the rest.
-    const size_t shard_workers = report ? configured - 1 : configured;
-    const size_t tasks = std::min(shard_workers, work.size());
-    if (report) {
-      // Concurrent ingest on the same pool, submitted FIRST so one worker pumps from the
-      // start: frames decode and fold while the other workers probe, instead of piling up in
-      // the transports until the barrier below. A pass that folds nothing takes the next
-      // probe shard instead of idling, so the pump probes too until every shard is taken, and
-      // only then yields between passes. Results do not depend on who runs a shard: each
-      // shard still runs on one thread, so its frames reach its transport in order, and the
-      // pump — the store's only writer — folds each pinger's frames first-in, first-out into
-      // that pinger's store shard. It terminates unconditionally once all shards finished —
-      // even if it somehow only got scheduled after them.
-      pool_->Submit([&] {
-        bool shards_taken = false;
-        while (shards_left.load(std::memory_order_acquire) > 0) {
-          size_t folded = 0;
-          for (size_t c = 0; c < collector_group_->num_collectors(); ++c) {
-            folded += collector_group_->collector(c).PumpFrom(*report_transports_[c]);
-          }
-          if (folded != 0) {
-            continue;
-          }
-          if (!shards_taken) {
-            const size_t i = next.fetch_add(1);
-            if (i < work.size()) {
-              run_shard(i, tasks);
-              continue;
-            }
-            shards_taken = true;
-          }
-          std::this_thread::yield();
-        }
-      });
+    if (fold_early) {
+      // Folds below apply the filter as of this serial point, which is the filter the next
+      // boundary reconciles: no delta runs before it.
+      store.ReconcileWatchdog(watchdog_);
     }
+    if (shard_finished_.size() < work.size()) {
+      shard_finished_ = std::vector<std::atomic<bool>>(work.size());
+    }
+    for (size_t i = 0; i < work.size(); ++i) {
+      shard_finished_[i].store(false, std::memory_order_relaxed);
+    }
+    // Every pool worker probes; the calling thread is the segment's analyzer.
+    std::atomic<size_t> next{0};
+    const size_t tasks = std::min(configured, work.size());
     for (size_t t = 0; t < tasks; ++t) {
       pool_->Submit([&, t] {
         for (size_t i = next.fetch_add(1); i < work.size(); i = next.fetch_add(1)) {
           run_shard(i, t);
+          shard_finished_[i].store(true, std::memory_order_release);
         }
       });
+    }
+    if (report) {
+      // The caller pumps every collector while the workers probe, so frames decode and fold
+      // into the store shards instead of piling up in the transports until the barrier below,
+      // and a pass that folds no frame folds the records earlier passes appended into the
+      // running totals. Results do not depend on who probes a shard: each shard still runs on
+      // one thread, so its frames reach its transport in order, and the caller — the store's
+      // only writer — folds each pinger's frames first-in, first-out into that pinger's store
+      // shard. The pump ends once every shard finished probing.
+      size_t finished = 0;
+      bool unfolded = false;  // frames folded into the store shards since the last fold
+      for (;;) {
+        while (finished < work.size() &&
+               shard_finished_[finished].load(std::memory_order_acquire)) {
+          ++finished;
+        }
+        if (finished == work.size()) {
+          break;
+        }
+        size_t folded = 0;
+        for (size_t c = 0; c < collector_group_->num_collectors(); ++c) {
+          folded += collector_group_->collector(c).PumpFrom(*report_transports_[c]);
+        }
+        if (folded != 0) {
+          unfolded = true;
+        } else if (fold_early && unfolded) {
+          for (const ShardWork& w : work) {
+            store.FoldShard(*w.shard);
+          }
+          unfolded = false;
+        } else {
+          std::this_thread::yield();
+        }
+      }
+    } else if (fold_early) {
+      // Each shard folds once its worker finished it, in shard order, while later shards
+      // still probe. The caller yields while it waits: sleeping on the flag through
+      // std::atomic::wait hung once the worker's notify after its release store was lost, and
+      // a shard takes microseconds.
+      for (size_t i = 0; i < work.size(); ++i) {
+        while (!shard_finished_[i].load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+        store.FoldShard(*work[i].shard);
+      }
     }
     pool_->WaitAll();
   }
@@ -469,7 +490,10 @@ DetectorSystem::StreamingWindowResult DetectorSystem::RunWindowStreaming(
            churn[next_event].time_seconds < boundary) {
       const ChurnEvent& event = churn[next_event];
       if (event.time_seconds - t > 1e-9) {
-        RunSpan(scenario, t, event.time_seconds, rng, result);
+        // The delta below may flip the watchdog, and which records the boundary's
+        // reconciliation finds folded decides which slots the sliding ring restarts as
+        // watchdog-flipped: this span's records wait for the boundary.
+        RunSpan(scenario, t, event.time_seconds, /*fold_early=*/false, rng, result);
       }
       const ChurnApplyResult applied = ApplyTopologyDelta(event.delta);
       // Earlier slices may have reported on the vacated slots; repair can reuse them within
@@ -482,7 +506,7 @@ DetectorSystem::StreamingWindowResult DetectorSystem::RunWindowStreaming(
       ++next_event;
     }
     if (boundary - t > 1e-9) {
-      RunSpan(scenario, t, boundary, rng, result);
+      RunSpan(scenario, t, boundary, /*fold_early=*/true, rng, result);
       t = boundary;
     }
     if (seg == segments) {

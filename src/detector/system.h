@@ -5,7 +5,8 @@
 // Window execution is sharded: each non-empty pinglist becomes one shard, shards run
 // concurrently on a thread pool (probe_threads), and every shard streams its counters into the
 // diagnoser's ObservationStore on its own RNG stream keyed by (window seed, pinger id) — so a
-// window's WindowResult is bit-identical at any thread count.
+// window's WindowResult is bit-identical at any thread count. While the pool probes, the
+// calling thread ingests report frames and folds finished records into the running totals.
 //
 // Topology churn runs through ApplyTopologyDelta(): overlay update -> incremental probe-matrix
 // repair (IncrementalPmc) -> in-place pinglist update — the milliseconds-scale alternative to
@@ -25,6 +26,7 @@
 #ifndef SRC_DETECTOR_SYSTEM_H_
 #define SRC_DETECTOR_SYSTEM_H_
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -264,13 +266,20 @@ class DetectorSystem {
  private:
   // Runs [t0, t1), further sliced at the scenario's episode boundaries so every probe slice
   // sees a fixed failure set. With no episodes this is exactly one RunSegment — same RNG
-  // trajectory as before episodes existed.
-  void RunSpan(const FailureScenario& scenario, double t0, double t1, Rng& rng,
+  // trajectory as before episodes existed. `fold_early` is passed to every slice: true only
+  // for a span that ends at a segment boundary, with no topology delta before that boundary.
+  void RunSpan(const FailureScenario& scenario, double t0, double t1, bool fold_early, Rng& rng,
                WindowResult& result);
-  // One probe slice: a shard per non-empty pinglist on ShardRng(window seed, pinger), spread
-  // over the pool; in report mode one pool task pumps every collector while the rest probe,
-  // and takes probe shards itself whenever a pass over the transports folds nothing.
-  void RunSegment(const FailureScenario& scenario, double seconds, Rng& rng,
+  // One probe slice: a shard per non-empty pinglist on ShardRng(window seed, pinger). At >= 2
+  // pool threads every pool worker probes (min(probe_threads, shards) tasks) and the calling
+  // thread is the slice's analyzer: in report mode it pumps every collector while the workers
+  // probe; with `fold_early` it also folds records into the running totals as soon as they are
+  // final — a direct-mode shard once its worker finished it, in shard order, and report-mode
+  // records whenever a pump pass folds no frame — so the next boundary folds only the rest.
+  // Without `fold_early` (a topology delta follows) every record waits for the boundary, which
+  // reconciles the delta's watchdog flips before it folds them. At 1 thread the caller probes
+  // every shard and records fold at the boundary.
+  void RunSegment(const FailureScenario& scenario, double seconds, bool fold_early, Rng& rng,
                   WindowResult& result);
   // The scenario plus a full-loss failure on every overlay dead link, listed after the
   // scenario's own failures so those win the engine's first-wins dedup.
@@ -301,6 +310,10 @@ class DetectorSystem {
   // Persistent shard workers, created lazily at the first parallel segment — window execution
   // must not pay thread start-up per segment.
   std::unique_ptr<ThreadPool> pool_;
+  // Per shard of the running segment: set (release) by the worker that finished probing it,
+  // read (acquire) by the calling thread before it folds the shard or ends the pump. Kept
+  // across segments, grown to the largest shard count.
+  std::vector<std::atomic<bool>> shard_finished_;
   // Builds the collector fabric at the first report-plane window open and repartitions it to
   // the current pinglists at every later one; installs any missing transports.
   void PrepareReportFabric();

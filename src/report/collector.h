@@ -18,8 +18,8 @@
 //    rejected-and-counted, never folded — the fabric cannot double-count.
 //
 // Threading contract: none of it is thread-safe. One thread at a time drives a collector —
-// DetectorSystem's ingest pump task during a segment's parallel phase and its segment loop
-// around it, or Analyzer::Serve. A collector opens store shards through the store it shares
+// DetectorSystem's calling thread, which pumps while a segment's pool workers probe and runs
+// the segment loop around them, or Analyzer::Serve. A collector opens store shards through the store it shares
 // with its CollectorGroup siblings, so the whole group has one driver at a time.
 #ifndef SRC_REPORT_COLLECTOR_H_
 #define SRC_REPORT_COLLECTOR_H_

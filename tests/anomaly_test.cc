@@ -851,7 +851,7 @@ TEST(AnomalyEndToEnd, WindowsBitIdenticalAcrossThreadsAndPlanes) {
   const AnomalyRun reference = RunGraySequence(routing, gray, /*threads=*/1, false);
   const AnomalyRun threaded = RunGraySequence(routing, gray, /*threads=*/2, false);
   const AnomalyRun reported = RunGraySequence(routing, gray, /*threads=*/1, true);
-  // A 2-collector fabric at 4 threads: one ingest pump folds for both collectors while three
+  // A 2-collector fabric at 4 threads: the calling thread pumps both collectors while four
   // workers probe.
   const AnomalyRun fabric = RunGraySequence(routing, gray, /*threads=*/4, true,
                                             /*collectors=*/2);

@@ -1395,7 +1395,8 @@ struct ServerChurnConfig {
   bool structured = false;  // fixed structured matrix instead of PMC
   bool sliding = false;     // sliding mid-window view instead of cumulative
   bool anomaly = false;
-  bool report = false;      // report plane: 2 collectors, 2 threads
+  bool report = false;      // report plane: 2 collectors
+  size_t threads = 1;       // probe threads
 };
 
 // One window's mid-window server victims, picked from the standing pinglists among healthy
@@ -1492,7 +1493,7 @@ uint64_t ServerChurnTraceHash(const ServerChurnConfig& config) {
   options.anomaly = config.anomaly;
   options.report_plane = config.report;
   options.report_collectors = config.report ? 2 : 1;
-  options.probe_threads = config.report ? 2 : 1;
+  options.probe_threads = config.threads;
   std::unique_ptr<DetectorSystem> system =
       config.structured
           ? std::make_unique<DetectorSystem>(ft.topology(),
@@ -1587,7 +1588,9 @@ TEST(DetectorSystemChurn, ServerChurnMatchesPinnedTrace) {
   // Server churn pinned across commits: a change that claims to move no pinglist entry,
   // count, running total, suspect or sealed window must hash to the literal captured before
   // it, on PMC and structured matrices, in both mid-window views, with the anomaly plane on
-  // and off; the report plane must hash equal to direct mode in every configuration.
+  // and off. Direct mode at 2 and 8 probe threads, where the calling thread folds finished
+  // shards while the workers probe, and the report plane at 2 and 8, where it pumps the
+  // collectors too, must hash equal to direct mode at 1 thread in every configuration.
   constexpr uint64_t kPinned = 0xe3454f9b837836edULL;
   uint64_t combined = 0;
   std::ostringstream hashes;
@@ -1597,9 +1600,13 @@ TEST(DetectorSystemChurn, ServerChurnMatchesPinnedTrace) {
         const std::string name = std::string(structured ? "structured" : "pmc") +
                                  (sliding ? "/sliding" : "/cumulative") +
                                  (anomaly ? "/anomaly" : "/loss");
-        const uint64_t direct = ServerChurnTraceHash({structured, sliding, anomaly, false});
-        const uint64_t reported = ServerChurnTraceHash({structured, sliding, anomaly, true});
-        EXPECT_EQ(reported, direct) << name << ": report plane differs from direct mode";
+        const uint64_t direct = ServerChurnTraceHash({structured, sliding, anomaly, false, 1});
+        for (const size_t threads : {2u, 8u}) {
+          EXPECT_EQ(ServerChurnTraceHash({structured, sliding, anomaly, false, threads}), direct)
+              << name << ": direct mode at " << threads << " threads differs from 1 thread";
+          EXPECT_EQ(ServerChurnTraceHash({structured, sliding, anomaly, true, threads}), direct)
+              << name << ": report plane at " << threads << " threads differs from direct mode";
+        }
         combined = HashCombine(combined, direct);
         hashes << "\n  " << name << " 0x" << std::hex << direct << std::dec;
       }

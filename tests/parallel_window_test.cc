@@ -201,13 +201,13 @@ TEST(ObservationStore, StreamsMergesAndFilters) {
   EXPECT_EQ(view[0].lost, 18);
   EXPECT_EQ(view[1].sent, 0);
   EXPECT_EQ(view[2].sent, 50);
-  ASSERT_EQ(store.IntraRackObservations(wd).size(), 1u);
+  ASSERT_EQ(StoreReference::IntraRackObservations(store, wd).size(), 1u);
 
   // Watchdog filtering: a flagged pinger's whole shard and a flagged target's records vanish.
   wd.MarkDown(ft.Server(0, 0, 0));
   const Observations filtered = StoreReference::Snapshot(store, 4, wd);
   EXPECT_EQ(filtered[0].sent, 100);  // only the healthy replica remains
-  EXPECT_TRUE(store.IntraRackObservations(wd).empty());
+  EXPECT_TRUE(StoreReference::IntraRackObservations(store, wd).empty());
   wd.MarkUp(ft.Server(0, 0, 0));
   wd.MarkDown(ft.Server(1, 0, 1));  // target of slot 2
   EXPECT_EQ(StoreReference::Snapshot(store, 4, wd)[2].sent, 0);

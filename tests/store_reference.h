@@ -1,6 +1,7 @@
 // Test-only reference for the ObservationStore's running totals: Snapshot and RttSnapshot
 // rebuild the merged per-slot counters and RTT sketches from every buffered record per call,
-// O(records) each, under the watchdog and epoch filter. They share no code with the
+// O(records) each, under the watchdog and epoch filter; IntraRackObservations copies the
+// window's intra-rack totals out under the watchdog filter. They share no code with the
 // fold/retract machinery behind RunningTotals and RttRunningTotals, the store's one read
 // path, so the exactness tests gate the running totals against them. A change to the filter
 // rules must land here too; the gates trip loudly if the two drift.
@@ -28,6 +29,11 @@ class StoreReference {
   // The merged per-slot RTT sketches under the same watchdog/epoch filter.
   static std::vector<RttSketch> RttSnapshot(const ObservationStore& store, size_t num_slots,
                                             const Watchdog& watchdog);
+
+  // The window's intra-rack totals, one per (pinger, target) (shard open order, first-seen
+  // order within a shard), minus records from or towards watchdog-flagged servers.
+  static std::vector<IntraRackObservation> IntraRackObservations(const ObservationStore& store,
+                                                                 const Watchdog& watchdog);
 };
 
 inline Observations StoreReference::Snapshot(const ObservationStore& store, size_t num_slots,
@@ -68,6 +74,22 @@ inline std::vector<RttSketch> StoreReference::RttSnapshot(const ObservationStore
       }
       const auto& run = shard->rtt_runs_[static_cast<size_t>(record.rtt)];
       out[slot].Merge(shard->RttBins(run), run.num_bins);
+    }
+  }
+  return out;
+}
+
+inline std::vector<IntraRackObservation> StoreReference::IntraRackObservations(
+    const ObservationStore& store, const Watchdog& watchdog) {
+  std::vector<IntraRackObservation> out;
+  for (const auto& shard : store.shards_) {
+    if (!watchdog.IsHealthy(shard->pinger_)) {
+      continue;
+    }
+    for (const IntraRackObservation& record : shard->intra_) {
+      if (watchdog.IsHealthy(record.target)) {
+        out.push_back(record);
+      }
     }
   }
   return out;

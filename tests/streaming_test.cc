@@ -9,6 +9,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/detector/observation_store.h"
@@ -52,6 +53,8 @@ TEST(RunningTotals, MatchSnapshotThroughInvalidationAndWatchdogFlips) {
   s1.RecordPath(0, t1, 100, 10);
   s2.RecordPath(0, t1, 100, 8);  // replica of slot 0
   s2.RecordPath(2, t2, 50, 0);
+  // One shard folds on its own, as a finished probe shard does; the read folds the other.
+  store.FoldShard(s2);
   ExpectRunningMatchesSnapshot(store, 4, wd, "after first ingest");
 
   // Retroactive watchdog drop: p1's already-folded records must leave the totals...
@@ -61,26 +64,42 @@ TEST(RunningTotals, MatchSnapshotThroughInvalidationAndWatchdogFlips) {
   s1.RecordPath(2, t2, 30, 3);
   ExpectRunningMatchesSnapshot(store, 4, wd, "ingest while flagged");
 
-  // Recovery re-adds both the retro-dropped and the flagged-while-down records.
+  // A shard folded after a flip the store has not reconciled yet folds under the filter it
+  // last applied; the read's reconciliation then adjusts the records folded so far.
+  s1.RecordPath(0, t2, 10, 1);
   wd.MarkUp(p1);
+  store.FoldShard(s1);
+  // Recovery re-adds both the retro-dropped and the flagged-while-down records.
   ExpectRunningMatchesSnapshot(store, 4, wd, "pinger recovered");
 
-  // Target flagged: only records towards it vanish, from every shard.
+  // Target flagged: only records towards it vanish, from every shard — also those a shard
+  // folds after the reconciliation.
   wd.MarkDown(t1);
+  store.ReconcileWatchdog(wd);
+  s1.RecordPath(0, t1, 20, 2);
+  s2.RecordPath(0, t1, 20, 5);
+  store.FoldShard(s1);
+  store.FoldShard(s2);
   ExpectRunningMatchesSnapshot(store, 4, wd, "target flagged");
 
   // Slot invalidation while a target filter is active: the bump retracts slot 2 in O(1);
   // the new occupant accumulates under the fresh epoch.
   const std::vector<PathId> vacated = {2};
+  s2.RecordPath(2, t2, 15, 1);
+  store.FoldShard(s2);
   store.InvalidateSlots(vacated);
   ExpectRunningMatchesSnapshot(store, 4, wd, "slot vacated");
   s1.RecordPath(2, t2, 60, 6);
+  store.FoldShard(s1);
   ExpectRunningMatchesSnapshot(store, 4, wd, "slot reused");
 
   // Invalidate again with unfolded records on the old epoch in flight, then recover t1: the
-  // stale records must not be re-added (their contribution was zeroed with the slot).
+  // stale records must not be re-added (their contribution was zeroed with the slot), whether
+  // they fold before the recovery is reconciled or after.
   s2.RecordPath(2, t1, 40, 4);
+  s1.RecordPath(2, t1, 25, 2);
   store.InvalidateSlots(vacated);
+  store.FoldShard(s1);
   wd.MarkUp(t1);
   ExpectRunningMatchesSnapshot(store, 4, wd, "stale epoch not resurrected");
 
@@ -92,10 +111,16 @@ TEST(RunningTotals, MatchSnapshotThroughInvalidationAndWatchdogFlips) {
   s3.RecordPath(1, t3, 70, 7);
   s3.RecordPath(3, t2, 20, 2);
   s1.RecordPath(1, t3, 90, 9);
+  store.FoldShard(s3);
   ExpectRunningMatchesSnapshot(store, 4, wd, "pinger and target healthy");
   wd.MarkDown(p3);
   ExpectRunningMatchesSnapshot(store, 4, wd, "pinger flagged first");
   wd.MarkDown(t3);
+  store.ReconcileWatchdog(wd);
+  s3.RecordPath(1, t3, 30, 3);
+  s1.RecordPath(1, t3, 12, 1);
+  store.FoldShard(s3);
+  store.FoldShard(s1);
   ExpectRunningMatchesSnapshot(store, 4, wd, "target flagged second");
   wd.MarkUp(p3);
   ExpectRunningMatchesSnapshot(store, 4, wd, "pinger restored first");
@@ -163,7 +188,7 @@ BoundaryReads ReadBoundary(ObservationStore& store, size_t num_slots, const Watc
   for (size_t s = 0; s < num_slots && s < rtt.size(); ++s) {
     reads.rtt[s] = rtt[s];
   }
-  reads.intra = store.IntraRackObservations(wd);
+  reads.intra = StoreReference::IntraRackObservations(store, wd);
   reads.dirty = store.TakeDirtySlots();
   return reads;
 }
@@ -341,6 +366,76 @@ TEST(StreamingWindow, FinalSegmentMatchesBatchAcrossThreads) {
     const double first = streamed.FirstDetectionSeconds(f.link);
     EXPECT_GT(first, 0.0);
     EXPECT_LT(first, 30.0);
+  }
+}
+
+// The calling thread folds a boundary-ending span's shards while the pool probes, under the
+// watchdog filter it reconciles before the span starts. A server that goes down inside a
+// segment, and comes back inside a later one, must leave every sliding-view boundary as it
+// does at 1 thread. Had the span after the delta folded under the filter from before it, the
+// records probed towards the server before the delta would fold, the boundary would retract
+// them again, and the trailing ring would restart their slots — dropping the other replica's
+// evidence of the failure those paths cross.
+TEST(StreamingWindow, SlidingBoundariesMatchAcrossThreadsWhenATargetFlipsMidSegment) {
+  const FatTree ft(4);
+  const FatTreeRouting routing(ft);
+  DetectorSystemOptions options;
+  options.pmc.alpha = 2;
+  options.pmc.beta = 1;
+  options.controller.packets_per_second = 60;
+  options.segments_per_window = 6;
+  options.diagnose_every_segments = 1;
+  options.streaming_view = StreamingViewMode::kSliding;
+  options.sliding_window_segments = 3;
+
+  // The target of the first matrix entry, and a switch link on that entry's route.
+  NodeId target = kInvalidNode;
+  LinkId crossed = kInvalidLink;
+  {
+    const DetectorSystem probe_lists(routing, options);
+    for (const Pinglist& list : probe_lists.pinglists()) {
+      for (const PinglistEntry& entry : list.entries) {
+        if (entry.path_id >= 0 && crossed == kInvalidLink) {
+          target = entry.target_server;
+          crossed = entry.route[entry.route.size() / 2];
+        }
+      }
+    }
+  }
+  ASSERT_NE(crossed, kInvalidLink);
+  FailureScenario scenario;
+  LinkFailure f;
+  f.link = crossed;
+  f.type = FailureType::kFullLoss;
+  scenario.failures.push_back(f);
+  const std::vector<ChurnEvent> churn = {{2.0, TopologyDelta::NodeDown(target)},
+                                         {12.0, TopologyDelta::NodeUp(target)}};
+
+  // Direct mode at 1, 2 and 8 threads, then the report plane at 2 and 8.
+  const std::vector<std::pair<size_t, bool>> configs = {
+      {1, false}, {2, false}, {8, false}, {2, true}, {8, true}};
+  std::vector<DetectorSystem::StreamingWindowResult> runs;
+  for (const auto& [threads, report] : configs) {
+    DetectorSystemOptions opts = options;
+    opts.probe_threads = threads;
+    opts.report_plane = report;
+    opts.report_collectors = report ? 2 : 1;
+    DetectorSystem system(routing, opts);
+    Rng rng(77);
+    runs.push_back(system.RunWindowStreaming(scenario, churn, rng));
+  }
+  ASSERT_EQ(runs[0].timeline.size(), 6u);
+  EXPECT_GT(runs[0].FirstDetectionSeconds(crossed), 0.0);
+  for (size_t r = 1; r < runs.size(); ++r) {
+    const std::string when = std::string(configs[r].second ? "report" : "direct") + " at " +
+                             std::to_string(configs[r].first) + " threads vs direct at 1";
+    ExpectIdenticalWindows(runs[0].window, runs[r].window, when);
+    ASSERT_EQ(runs[r].timeline.size(), runs[0].timeline.size()) << when;
+    for (size_t b = 0; b < runs[0].timeline.size(); ++b) {
+      ExpectIdenticalLocalizations(runs[0].timeline[b].localization,
+                                   runs[r].timeline[b].localization,
+                                   when + ", boundary " + std::to_string(b + 1));
+    }
   }
 }
 
